@@ -18,7 +18,6 @@ from .bounds import (
     sigma_min_gaussian_estimate,
 )
 from .linalg import (
-    ConvergenceError,
     RankError,
     frobenius_norm_sq,
     least_norm,

@@ -122,21 +122,19 @@ def motzkin_bound_empirical_gamma(inp: BoundInputs, num_iterations: int) -> Boun
     return BoundCurve("motzkin-empirical-gamma", values, clamped)
 
 
-def final_error_bounds(inp: BoundInputs) -> tuple[float, float, float]:
+def final_error_bounds(inp: BoundInputs) -> tuple[float, float]:
     """Final-error guarantees once the residual sup norm is <= 4 * error_inf.
 
-    Returns (at_stop, one_more_step, beta_form):
-      at_stop        25 m s^-2 e_inf^2   for the stopping iterate,
-      one_more_step  (25 m s^-2 + 8) e_inf^2   after one further greedy step,
-      beta_form      25 m s^-2 beta^2   (squared form of sqrt(m) s^-1 * 5 beta,
-                     with error_inf playing the role of the bound beta).
+    Returns (at_stop, one_more_step):
+      at_stop        25 m s^-2 e_inf^2   for the stopping iterate (the squared
+                     form of sqrt(m) s^-1 * 5 beta, with error_inf as beta),
+      one_more_step  (25 m s^-2 + 8) e_inf^2   after one further greedy step.
     """
     s2 = inp.sigma_min ** 2
     e2 = inp.error_inf ** 2
     at_stop = 25.0 * inp.m / s2 * e2
     one_more_step = (25.0 * inp.m / s2 + 8.0) * e2
-    beta_form = 25.0 * inp.m / s2 * e2
-    return at_stop, one_more_step, beta_form
+    return at_stop, one_more_step
 
 
 def gaussian_rate_bound(inp: BoundInputs, num_iterations: int, conjectured: bool = False) -> BoundCurve:

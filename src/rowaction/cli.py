@@ -17,6 +17,7 @@ happens here (the test suite owns the assertions).
 
 import argparse
 import csv
+import itertools
 import sys
 from pathlib import Path
 
@@ -166,7 +167,8 @@ def cmd_bounds(args) -> int:
     gamma_seq = None
     if args.telemetry:
         records = solvers.read_telemetry_csv(args.telemetry)
-        gamma_seq = [r.gamma for r in records if r.gamma is not None]
+        # gammas stop at the first record without one, so each stays at its k
+        gamma_seq = list(itertools.takewhile(lambda g: g is not None, (r.gamma for r in records)))
     inputs = bounds_mod.bound_inputs_from_system(sys_, gamma_seq=gamma_seq)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -307,7 +309,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse reports its own errors on stderr
         return int(exc.code or 0)
-    except (linalg.RankError, linalg.ConvergenceError, systems.DegenerateRowError) as exc:
+    except (linalg.RankError, systems.DegenerateRowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except (ValueError, OSError) as exc:

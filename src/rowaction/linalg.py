@@ -2,27 +2,21 @@
 
 Everything downstream (system generation, solvers, bound evaluation) sits on
 these few operations: matrix-vector products, norms, direct least-squares and
-least-norm oracles, and the smallest singular value. Factorizations are
-written out explicitly (Cholesky on the Gram matrix, cyclic Jacobi on A'A)
-so the rank and convergence checks behave exactly as documented.
+least-norm oracles, and the smallest singular value. The oracles factor the
+matrix itself with a Householder QR and sigma_min comes from a LAPACK SVD, so
+neither squares the condition number the way the normal equations would.
 """
 
 import math
 
 import numpy as np
 
-# Pivot / off-diagonal thresholds, relative to the largest diagonal entry.
+# Rank threshold on squared pivots, relative to the largest squared column norm.
 CHOLESKY_PIVOT_RTOL = 1e-12
-JACOBI_OFFDIAG_RTOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 
 class RankError(ArithmeticError):
     """Matrix does not have the full rank the operation requires."""
-
-
-class ConvergenceError(ArithmeticError):
-    """An iterative kernel failed to converge within its sweep budget."""
 
 
 def as_matrix(a) -> np.ndarray:
@@ -90,43 +84,30 @@ def frobenius_norm_sq(A) -> float:
     return math.fsum(float(np.dot(row, row)) for row in A)
 
 
-def _spd_cholesky(G: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive-definite matrix.
+def _full_rank_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR factorization M = QR of a matrix with rows >= cols.
 
-    Raises RankError when a pivot falls below CHOLESKY_PIVOT_RTOL times the
-    largest diagonal entry of G, which is how rank deficiency of the
-    underlying rectangular matrix shows up in its Gram matrix.
+    R_jj^2 is the j-th Cholesky pivot of M'M, so rank deficiency is tested on
+    it: RankError names the first column whose squared diagonal entry is at
+    most CHOLESKY_PIVOT_RTOL times the largest squared column norm of M (the
+    largest diagonal entry of M'M).
     """
-    n = G.shape[0]
-    pivot_floor = CHOLESKY_PIVOT_RTOL * float(np.diag(G).max())
-    L = np.zeros_like(G)
-    for j in range(n):
-        d = G[j, j] - np.dot(L[j, :j], L[j, :j])
-        if d <= pivot_floor:
-            raise RankError(f"Gram matrix pivot {d:.3e} below threshold {pivot_floor:.3e} at column {j}")
-        L[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            L[j + 1:, j] = (G[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
-    return L
-
-
-def _cholesky_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (L L') x = rhs by forward then backward substitution."""
-    n = L.shape[0]
-    y = np.zeros(n)
-    for i in range(n):
-        y[i] = (rhs[i] - np.dot(L[i, :i], y[:i])) / L[i, i]
-    x = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - np.dot(L[i + 1:, i], x[i + 1:])) / L[i, i]
-    return x
+    Q, R = np.linalg.qr(M)
+    pivots = np.diag(R) ** 2
+    pivot_floor = CHOLESKY_PIVOT_RTOL * float(np.einsum("ij,ij->j", M, M).max())
+    low = np.flatnonzero(pivots <= pivot_floor)
+    if low.size:
+        j = int(low[0])
+        raise RankError(f"squared QR pivot {pivots[j]:.3e} below threshold {pivot_floor:.3e} at column {j}")
+    return Q, R
 
 
 def least_squares(A, b) -> np.ndarray:
-    """Least-squares solution of an overdetermined system via normal equations.
+    """Least-squares solution of an overdetermined system.
 
-    Solves A'A x = A'b with an explicit Cholesky factorization. Requires
-    rows >= cols and full column rank (RankError otherwise).
+    Factors A = QR and solves R x = Q'b, which avoids squaring the condition
+    number through the normal equations. Requires rows >= cols and full
+    column rank (RankError otherwise).
     """
     A = as_matrix(A)
     b = as_vector(b)
@@ -135,17 +116,16 @@ def least_squares(A, b) -> np.ndarray:
         raise ValueError(f"least_squares requires rows >= cols, got {m} x {n}")
     if b.shape[0] != m:
         raise ValueError(f"dimension mismatch: matrix has {m} rows, rhs has {b.shape[0]}")
-    G = A.T @ A
-    L = _spd_cholesky(G)
-    return _cholesky_solve(L, A.T @ b)
+    Q, R = _full_rank_qr(A)
+    return np.linalg.solve(R, Q.T @ b)
 
 
 def least_norm(A, b) -> np.ndarray:
     """Minimum-Euclidean-norm solution of an underdetermined system.
 
-    Returns x = A'(AA')^{-1} b, which satisfies Ax = b exactly (up to
-    conditioning) and is orthogonal to the null space of A. Requires
-    rows <= cols and full row rank.
+    Factors A' = QR and returns x = Q R'^{-1} b, which satisfies Ax = b
+    exactly (up to conditioning) and is orthogonal to the null space of A.
+    Requires rows <= cols and full row rank.
     """
     A = as_matrix(A)
     b = as_vector(b)
@@ -154,50 +134,14 @@ def least_norm(A, b) -> np.ndarray:
         raise ValueError(f"least_norm requires rows <= cols, got {m} x {n}")
     if b.shape[0] != m:
         raise ValueError(f"dimension mismatch: matrix has {m} rows, rhs has {b.shape[0]}")
-    G = A @ A.T
-    L = _spd_cholesky(G)
-    return A.T @ _cholesky_solve(L, b)
+    Q, R = _full_rank_qr(A.T)
+    return Q @ np.linalg.solve(R.T, b)
 
 
 def min_singular_value(A) -> float:
-    """Smallest singular value of a full-column-rank matrix with rows >= cols.
-
-    Diagonalizes A'A by cyclic Jacobi rotations until every off-diagonal
-    magnitude drops below JACOBI_OFFDIAG_RTOL times the largest diagonal
-    entry, then reports sqrt of the smallest eigenvalue. Raises
-    ConvergenceError after JACOBI_MAX_SWEEPS full sweeps.
-    """
+    """Smallest singular value of a matrix with rows >= cols (LAPACK SVD)."""
     A = as_matrix(A)
     m, n = A.shape
     if m < n:
         raise ValueError(f"min_singular_value requires rows >= cols, got {m} x {n}")
-    S = A.T @ A
-    if n == 1:
-        return math.sqrt(max(float(S[0, 0]), 0.0))
-    for _ in range(JACOBI_MAX_SWEEPS):
-        diag_max = float(np.abs(np.diag(S)).max())
-        tol = JACOBI_OFFDIAG_RTOL * diag_max
-        off = S - np.diag(np.diag(S))
-        if float(np.abs(off).max()) < tol:
-            return math.sqrt(max(float(np.diag(S).min()), 0.0))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                spq = S[p, q]
-                if abs(spq) < tol:
-                    continue
-                # Standard symmetric Jacobi rotation annihilating S[p, q].
-                theta = (S[q, q] - S[p, p]) / (2.0 * spq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = S[p, :].copy()
-                rq = S[q, :].copy()
-                S[p, :] = c * rp - s * rq
-                S[q, :] = s * rp + c * rq
-                cp = S[:, p].copy()
-                cq = S[:, q].copy()
-                S[:, p] = c * cp - s * cq
-                S[:, q] = s * cp + c * cq
-                S[p, q] = 0.0
-                S[q, p] = 0.0
-    raise ConvergenceError(f"Jacobi sweep budget of {JACOBI_MAX_SWEEPS} exhausted")
+    return float(np.linalg.svd(A, compute_uv=False)[-1])

@@ -12,6 +12,7 @@ noise, producing an overdetermined, slightly inconsistent system whose
 least-squares solution stays near the original one.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -64,8 +65,9 @@ def parse_mps(text: str) -> MpsProblem:
 
     Section keywords must start in the first column; data lines are
     whitespace-indented. Lines starting with '*' are comments. Raises
-    MpsParseError (with the line number) on unknown sections, rows or
-    columns referenced before declaration, and non-numeric coefficients.
+    MpsParseError (with the line number) on unknown sections, rows
+    referenced before declaration, rows declared twice, and non-numeric or
+    non-finite coefficients.
     """
     name = ""
     row_names: list[str] = []
@@ -82,9 +84,12 @@ def parse_mps(text: str) -> MpsProblem:
 
     def number(token: str, lineno: int) -> float:
         try:
-            return float(token)
+            value = float(token)
         except ValueError:
             raise MpsParseError(lineno, f"non-numeric coefficient {token!r}") from None
+        if not math.isfinite(value):
+            raise MpsParseError(lineno, f"non-finite coefficient {token!r}")
+        return value
 
     def row_of(token: str, lineno: int) -> int:
         if token not in row_index:
@@ -123,6 +128,8 @@ def parse_mps(text: str) -> MpsProblem:
             sense, rname = tokens
             if sense not in ROW_SENSES:
                 raise MpsParseError(lineno, f"unknown row sense {sense!r}")
+            if rname in row_index:
+                raise MpsParseError(lineno, f"row {rname!r} declared twice")
             row_index[rname] = len(row_names)
             row_names.append(rname)
             row_senses.append(sense)

@@ -132,8 +132,7 @@ def run(sys: LinearSystem,
         rule: SelectionRule,
         stop: StopRule,
         x0=None,
-        seed: int = 0,
-        incremental_residual: bool = False) -> RunResult:
+        seed: int = 0) -> RunResult:
     """Iterate a selection rule until a stopping rule fires.
 
     Args:
@@ -147,10 +146,6 @@ def run(sys: LinearSystem,
             first iterate satisfying it.
         x0: starting iterate, zero vector by default.
         seed: RNG seed for the randomized rules (motzkin runs ignore it).
-        incremental_residual: maintain the residual via cached A A' columns
-            (O(m) per step after an O(m^2) setup) instead of recomputing
-            A x - b each iteration. Same results within roundoff; validated
-            against the direct path in the test suite.
 
     Returns:
         RunResult with the final state, one record per performed iteration,
@@ -168,7 +163,6 @@ def run(sys: LinearSystem,
     row_norms_sq = None
     if rule.kind == "rk-weighted":
         row_norms_sq = (sys.a * sys.a).sum(axis=1)
-    gram = sys.a @ sys.a.T if incremental_residual else None
 
     records: list[IterationRecord] = []
     switched = False
@@ -219,10 +213,7 @@ def run(sys: LinearSystem,
 
         delta = sys.b[i] - float(np.dot(sys.a[i], x))
         x = x + delta * sys.a[i]
-        if incremental_residual:
-            r = r + delta * gram[:, i]
-        else:
-            r = sys.a @ x - sys.b
+        r = sys.a @ x - sys.b
         k += 1
 
     return RunResult(SolverState(x, k, rng), records, stop_reason, switch_iteration)

@@ -91,18 +91,18 @@ def test_contraction_clamped_and_flagged():
 
 
 def test_final_error_bounds_zero_error():
-    assert bounds.final_error_bounds(inputs(error_inf=0.0)) == (0.0, 0.0, 0.0)
+    assert bounds.final_error_bounds(inputs(error_inf=0.0)) == (0.0, 0.0)
 
 
 def test_final_error_bounds_hand_case():
     got = bounds.final_error_bounds(inputs(m=4, sigma_min=1.0, frobenius_sq=4.0, error_inf=1.0))
-    assert got == pytest.approx((100.0, 108.0, 100.0))
+    assert got == pytest.approx((100.0, 108.0))
 
 
 def test_final_error_bounds_difference_is_eight_error_sq():
     for e in (0.25, 1.0, 3.0):
-        ii, iii, _ = bounds.final_error_bounds(inputs(m=7, sigma_min=0.9,
-                                                      frobenius_sq=7.0, error_inf=e))
+        ii, iii = bounds.final_error_bounds(inputs(m=7, sigma_min=0.9,
+                                                   frobenius_sq=7.0, error_inf=e))
         assert iii - ii == pytest.approx(8 * e ** 2, rel=1e-12)
 
 

@@ -132,6 +132,21 @@ def test_bounds_outputs_curves(system_file, tmp_path):
     assert values[0] >= values[-1] > 0
 
 
+def test_bounds_empirical_gamma_stops_at_first_missing_gamma(system_file, tmp_path):
+    # a gap at k=2 must not shift the k=3 gamma onto k=2
+    records = [solvers.IterationRecord(k=k, selected_row=0, residual_inf=1.0, residual_2sq=1.0,
+                                       selected_residual_sq=1.0, gamma=None if k == 2 else 2.0)
+               for k in range(4)]
+    telemetry = tmp_path / "telemetry.csv"
+    solvers.write_telemetry_csv(telemetry, records)
+    out = tmp_path / "curves"
+    code = run_cli("bounds", "--system", str(system_file), "--iterations", "4",
+                   "--telemetry", str(telemetry), "--empirical-gamma", "--out", str(out))
+    assert code == 0
+    with open(out / "motzkin_empirical_gamma.csv") as fh:
+        assert [int(r["k"]) for r in csv.DictReader(fh)] == [0, 1, 2]
+
+
 def test_bounds_empirical_gamma_requires_telemetry(system_file, tmp_path):
     code = run_cli("bounds", "--system", str(system_file), "--empirical-gamma",
                    "--out", str(tmp_path))
@@ -222,3 +237,12 @@ def test_mps_parse_failure_is_config_error(tmp_path):
     code = run_cli("netlib-prep", "--mps", str(bad), "--seed", "1",
                    "--out", str(tmp_path / "x.txt"))
     assert code == cli.CONFIG_ERROR
+
+
+def test_mps_duplicate_row_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "dup.mps"
+    bad.write_text("NAME D\nROWS\n E R1\n E R1\nCOLUMNS\n X1 R1 1.0\n X2 R1 1.0\n X3 R1 1.0\nENDATA\n")
+    code = run_cli("netlib-prep", "--mps", str(bad), "--seed", "1",
+                   "--out", str(tmp_path / "x.txt"))
+    assert code == cli.CONFIG_ERROR
+    assert "line 4" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rowaction import linalg
+from rowaction import linalg, systems
 
 from oracles import least_squares_oracle, min_singular_value_oracle
 
@@ -183,6 +183,24 @@ def test_min_singular_value_matches_reference_svd():
         if ref < 1e-3:
             continue
         assert linalg.min_singular_value(A) == pytest.approx(ref, rel=1e-8)
+
+
+def correlated_system():
+    # cond(A) is about 5e4, so normal equations would lose about 1e-6 relative
+    return systems.generate(systems.GeneratorSpec(
+        "correlated", m=2000, n=50, noise_std=0.01, row_std=1e-4, seed=1))
+
+
+def test_least_squares_reference_accurate_on_ill_conditioned_system():
+    sys_ = correlated_system()
+    ref = np.linalg.lstsq(sys_.a, sys_.b, rcond=None)[0]
+    assert np.linalg.norm(sys_.reference - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_min_singular_value_accurate_on_ill_conditioned_system():
+    sys_ = correlated_system()
+    ref = np.linalg.svd(sys_.a, compute_uv=False)[-1]
+    assert linalg.min_singular_value(sys_.a) == pytest.approx(ref, rel=1e-10)
 
 
 def test_min_singular_value_shape_error():

@@ -133,8 +133,14 @@ def test_row_referenced_before_declaration():
 
 
 def test_non_numeric_coefficient():
-    with pytest.raises(mps.MpsParseError, match="line 6.*abc"):
-        parse(MINIMAL.replace("X1  R1  1.0", "X1  R1  abc"))
+    for token in ("abc", "nan", "inf", "-inf", "1e400"):
+        with pytest.raises(mps.MpsParseError, match=f"line 6.*{token}"):
+            parse(MINIMAL.replace("X1  R1  1.0", f"X1  R1  {token}"))
+
+
+def test_duplicate_row_declaration():
+    with pytest.raises(mps.MpsParseError, match="line 5.*R1"):
+        parse(MINIMAL.replace(" E  R1\n", " E  R1\n     E  R1\n"))
 
 
 def test_unknown_row_sense():

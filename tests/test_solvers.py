@@ -225,18 +225,6 @@ def test_rk_weighted_matches_uniform_distribution_on_unit_rows():
         assert result.records[-1].error_sq < result.records[0].error_sq * 1e-2
 
 
-def test_incremental_residual_matches_direct_path():
-    sys_ = gaussian_system(m=150, n=10, noise_std=0.1, seed=10)
-    for kind in ("motzkin", "rk-uniform"):
-        direct = solvers.run(sys_, SelectionRule(kind), StopRule(120), seed=4)
-        incremental = solvers.run(sys_, SelectionRule(kind), StopRule(120), seed=4,
-                                  incremental_residual=True)
-        assert np.abs(direct.state.x - incremental.state.x).max() <= 1e-8
-        for dr, ir in zip(direct.records, incremental.records):
-            assert dr.selected_row == ir.selected_row
-            assert dr.residual_inf == pytest.approx(ir.residual_inf, abs=1e-8)
-
-
 def test_x0_length_validation():
     sys_ = gaussian_system()
     with pytest.raises(ValueError):
