@@ -24,7 +24,6 @@ from .linalg import (
     least_squares,
     matvec,
     min_singular_value,
-    norm2,
     norm_inf,
 )
 from .mps import MpsParseError, MpsProblem, TransformSpec, extract_system, load_mps, overdetermine, parse_mps
@@ -38,7 +37,6 @@ from .solvers import (
     project_step,
     run,
     select_motzkin,
-    select_rk,
     time_to_threshold,
 )
 from .systems import (

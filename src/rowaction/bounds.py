@@ -79,9 +79,15 @@ def _clamp_factor(f: float) -> tuple[float, bool]:
     return f, False
 
 
+def _check_num_iterations(num_iterations: int) -> None:
+    if num_iterations < 0:
+        raise ValueError(f"num_iterations must be nonnegative, got {num_iterations}")
+
+
 def rk_bound(inp: BoundInputs, num_iterations: int) -> BoundCurve:
     """Expected-error bound for randomized Kaczmarz on a noisy system:
     (1 - s^2/F^2)^k * E0 + (F^2/s^2) * e_inf^2."""
+    _check_num_iterations(num_iterations)
     s2 = inp.sigma_min ** 2
     factor, clamped = _clamp_factor(1.0 - s2 / inp.frobenius_sq)
     horizon = (inp.frobenius_sq / s2) * inp.error_inf ** 2
@@ -93,6 +99,7 @@ def rk_bound(inp: BoundInputs, num_iterations: int) -> BoundCurve:
 def motzkin_bound_worst_case(inp: BoundInputs, num_iterations: int) -> BoundCurve:
     """Greedy-selection bound with the coarse dynamic range gamma_k = m:
     (1 - s^2/(4m))^k * E0 + 2 m s^-2 e_inf^2."""
+    _check_num_iterations(num_iterations)
     s2 = inp.sigma_min ** 2
     factor, clamped = _clamp_factor(1.0 - s2 / (4.0 * inp.m))
     horizon = 2.0 * inp.m / s2 * inp.error_inf ** 2
@@ -104,6 +111,7 @@ def motzkin_bound_worst_case(inp: BoundInputs, num_iterations: int) -> BoundCurv
 def motzkin_bound_empirical_gamma(inp: BoundInputs, num_iterations: int) -> BoundCurve:
     """Greedy-selection bound driven by an observed gamma sequence:
     prod_{j<k} (1 - s^2/(4 gamma_j)) * E0 + 2 m s^-2 e_inf^2."""
+    _check_num_iterations(num_iterations)
     if inp.gamma_seq is None:
         raise ValueError("empirical-gamma bound requires gamma_seq")
     if len(inp.gamma_seq) < num_iterations:
@@ -145,6 +153,7 @@ def gaussian_rate_bound(inp: BoundInputs, num_iterations: int, conjectured: bool
       f_k = log(m)  s^2 / (4 m)                               (conjectured form).
     Qualitative overlay only; the constants are not certified.
     """
+    _check_num_iterations(num_iterations)
     if inp.m < 2:
         raise ValueError("gaussian rate bound requires m >= 2")
     s2 = inp.sigma_min ** 2

@@ -45,7 +45,8 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Turn --config values into parser defaults so real flags override them."""
+    """Turn --config values into parser defaults; a flag given in argv (as
+    `--flag value` or `--flag=value`) replaces its config value outright."""
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
@@ -58,6 +59,9 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
         action = by_dest.get(key)
         if action is None:
             raise ValueError(f"config key {key!r} does not match any flag")
+        if any(arg == opt or arg.startswith(opt + "=")
+               for arg in argv for opt in action.option_strings):
+            continue
         if isinstance(action, argparse._AppendAction):
             parsed = [v.strip() for v in value.split(",") if v.strip()]
         elif action.type is not None:
@@ -130,11 +134,16 @@ def cmd_solve(args) -> int:
     sys_ = _load_source(args)
     if not args.solver:
         raise ValueError("at least one --solver is required")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    beta_threshold = None if args.stop_beta is None else 4.0 * args.stop_beta
+    thresholds = [t for t in (args.stop_residual_inf, beta_threshold) if t is not None]
+    if any(t < 0 for t in thresholds):
+        raise ValueError("--stop-beta and --stop-residual-inf must be nonnegative")
     stop = solvers.StopRule(max_iterations=args.max_iterations,
-                            residual_inf_threshold=args.stop_residual_inf,
-                            error_bound_beta=args.stop_beta)
+                            residual_inf_threshold=max(thresholds, default=None))
     summary_rows = []
     for name in args.solver:
         if name == "hybrid":
@@ -207,18 +216,19 @@ def cmd_timing(args) -> int:
                                Path(args.mps).stem if args.mps else args.kind)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for name in args.solver:
+        summary = solvers.time_to_threshold(sys_, solvers.SelectionRule(name), threshold, args.trials,
+                                            seed=args.seed, max_iterations=args.max_iterations)
+        rows.append([problem, name, f"{summary.mean_seconds:.6f}",
+                     f"{summary.mean_iterations:.2f}", summary.trials, summary.censored])
+        print(f"{problem} {name}: mean_iterations={summary.mean_iterations:.2f} "
+              f"mean_seconds={summary.mean_seconds:.4f} censored={summary.censored}/{summary.trials}")
     path = out / "timing.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["problem", "solver", "mean_seconds", "mean_iterations", "trials", "censored"])
-        for name in args.solver:
-            rule = solvers.SelectionRule(name)
-            summary = solvers.time_to_threshold(sys_, rule, threshold, args.trials,
-                                                seed=args.seed, max_iterations=args.max_iterations)
-            writer.writerow([problem, name, f"{summary.mean_seconds:.6f}",
-                             f"{summary.mean_iterations:.2f}", summary.trials, summary.censored])
-            print(f"{problem} {name}: mean_iterations={summary.mean_iterations:.2f} "
-                  f"mean_seconds={summary.mean_seconds:.4f} censored={summary.censored}/{summary.trials}")
+        writer.writerows(rows)
     print(f"wrote {path}")
     return 0
 
@@ -247,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", action="append", choices=solvers.SELECTION_KINDS, default=None)
     p.add_argument("--max-iterations", type=int, default=1000)
     p.add_argument("--stop-beta", type=float, default=None,
-                   help="stop when the residual sup norm is <= 4*beta")
+                   help="stop when the residual sup norm is <= 4*beta "
+                        "(the larger threshold wins with --stop-residual-inf)")
     p.add_argument("--stop-residual-inf", type=float, default=None)
     p.add_argument("--hybrid-threshold", type=float, default=None)
     p.add_argument("--trials", type=int, default=1)
@@ -282,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", help="label for the CSV rows")
     p.add_argument("--threshold", type=float, default=None,
                    help="residual sup-norm target; defaults to 4*||e||_inf of the reference")
-    p.add_argument("--solver", action="append", choices=solvers.SELECTION_KINDS, default=None)
+    # hybrid needs a switch threshold, which timing has no flag for
+    p.add_argument("--solver", action="append", choices=("motzkin", "rk-uniform"), default=None)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--max-iterations", type=int, default=200_000)
     p.add_argument("--seed", type=int, required=True)

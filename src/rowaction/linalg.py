@@ -49,23 +49,6 @@ def matvec(A, v) -> np.ndarray:
     return A @ v
 
 
-def dot(u, v) -> float:
-    u = as_vector(u)
-    v = as_vector(v)
-    if u.shape[0] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
-    return float(np.dot(u, v))
-
-
-def norm2_sq(v) -> float:
-    v = as_vector(v)
-    return float(np.dot(v, v))
-
-
-def norm2(v) -> float:
-    return math.sqrt(norm2_sq(v))
-
-
 def norm_inf(v) -> float:
     v = as_vector(v)
     if v.size == 0:
@@ -77,7 +60,7 @@ def frobenius_norm_sq(A) -> float:
     """Sum of squared entries, accumulated as compensated sum of row norms.
 
     The summation order is pinned (per-row squared norm, then fsum over rows)
-    so that this equals sum(norm2_sq(row)) exactly; for a row-normalized
+    so that this equals fsum(row . row) exactly; for a row-normalized
     matrix with m rows the result is m up to the normalization tolerance.
     """
     A = as_matrix(A)

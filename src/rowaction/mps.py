@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .systems import LinearSystem, make_rng, normal_draws, normalize_rows
+from .systems import LinearSystem, from_unnormalized, make_rng, normal_draws
 
 ROW_SENSES = ("N", "E", "L", "G")
 SECTIONS = ("NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA")
@@ -208,8 +208,4 @@ def overdetermine(A, b, spec: TransformSpec = TransformSpec()) -> LinearSystem:
         raise ValueError(f"transform requires an underdetermined system, got {rows} x {cols}")
     x_ln = linalg.least_norm(A, b)
     eps = spec.noise_std * normal_draws(make_rng(spec.seed), cols)
-    stacked = np.vstack([A, np.eye(cols)])
-    rhs = np.concatenate([b, x_ln + eps])
-    An, bn = normalize_rows(stacked, rhs)
-    reference = linalg.least_squares(An, bn)
-    return LinearSystem(An, bn, reference, An @ reference - bn)
+    return from_unnormalized(np.vstack([A, np.eye(cols)]), np.concatenate([b, x_ln + eps]))

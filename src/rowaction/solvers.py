@@ -9,8 +9,8 @@ and the selection rule is what distinguishes the methods:
 
   motzkin      pick the row with the largest squared residual entry
                (ties broken to the smallest index),
-  rk-uniform   pick uniformly at random,
-  rk-weighted  pick with probability proportional to squared row norm,
+  rk-uniform   pick uniformly at random (on unit rows this is also the
+               norm-weighted draw of randomized Kaczmarz),
   hybrid       motzkin until the residual sup norm first drops to the
                configured threshold, then rk-uniform for good (the switch
                is one-way even if the residual later grows back).
@@ -30,7 +30,7 @@ import numpy as np
 from . import linalg
 from .systems import LinearSystem, make_rng
 
-SELECTION_KINDS = ("motzkin", "rk-uniform", "rk-weighted", "hybrid")
+SELECTION_KINDS = ("motzkin", "rk-uniform", "hybrid")
 
 STOP_RESIDUAL_THRESHOLD = "residual-threshold"
 STOP_MAX_ITERATIONS = "max-iterations"
@@ -54,27 +54,16 @@ class SelectionRule:
 @dataclass(frozen=True)
 class StopRule:
     """Stop at `max_iterations`, or earlier once the residual sup norm falls
-    to a threshold. The threshold can be given directly or as an error bound
-    beta, which stops at 4 * beta."""
+    to `residual_inf_threshold` (4 * beta for an error bound beta)."""
 
     max_iterations: int
     residual_inf_threshold: float | None = None
-    error_bound_beta: float | None = None
 
     def __post_init__(self):
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
-        for v in (self.residual_inf_threshold, self.error_bound_beta):
-            if v is not None and v < 0:
-                raise ValueError("thresholds must be nonnegative")
-
-    def threshold(self) -> float | None:
-        candidates = []
-        if self.residual_inf_threshold is not None:
-            candidates.append(self.residual_inf_threshold)
-        if self.error_bound_beta is not None:
-            candidates.append(4.0 * self.error_bound_beta)
-        return max(candidates) if candidates else None
+        if self.residual_inf_threshold is not None and self.residual_inf_threshold < 0:
+            raise ValueError("residual_inf_threshold must be nonnegative")
 
 
 @dataclass
@@ -107,16 +96,6 @@ def select_motzkin(r) -> int:
     """Index of the largest squared residual entry, smallest index on ties."""
     r = np.asarray(r, dtype=float)
     return int(np.argmax(r * r))
-
-
-def select_rk(row_norms_sq, rng: np.random.Generator) -> int:
-    """Categorical draw with probabilities proportional to squared row norms."""
-    w = np.asarray(row_norms_sq, dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("row norm weights must all be positive")
-    cum = np.cumsum(w)
-    u = rng.random() * cum[-1]
-    return int(np.searchsorted(cum, u, side="right"))
 
 
 def project_step(sys: LinearSystem, x, i: int) -> np.ndarray:
@@ -158,11 +137,7 @@ def run(sys: LinearSystem,
         if x.shape[0] != sys.n:
             raise ValueError(f"x0 length {x.shape[0]} does not match {sys.n} columns")
     rng = make_rng(seed)
-    threshold = stop.threshold()
-
-    row_norms_sq = None
-    if rule.kind == "rk-weighted":
-        row_norms_sq = (sys.a * sys.a).sum(axis=1)
+    threshold = stop.residual_inf_threshold
 
     records: list[IterationRecord] = []
     switched = False
@@ -182,15 +157,10 @@ def run(sys: LinearSystem,
             switched = True
             switch_iteration = k
 
-        kind = rule.kind
-        if kind == "hybrid":
-            kind = "rk-uniform" if switched else "motzkin"
-        if kind == "motzkin":
+        if rule.kind == "motzkin" or (rule.kind == "hybrid" and not switched):
             i = select_motzkin(r)
-        elif kind == "rk-uniform":
-            i = int(rng.integers(sys.m))
         else:
-            i = select_rk(row_norms_sq, rng)
+            i = int(rng.integers(sys.m))
 
         gamma = None
         error_sq = None
@@ -211,8 +181,7 @@ def run(sys: LinearSystem,
             error_sq=error_sq,
         ))
 
-        delta = sys.b[i] - float(np.dot(sys.a[i], x))
-        x = x + delta * sys.a[i]
+        x = project_step(sys, x, i)
         r = sys.a @ x - sys.b
         k += 1
 
@@ -256,6 +225,8 @@ def time_to_threshold(sys: LinearSystem,
     capped at max_iterations. Trials that never reach the threshold are
     reported as censored rather than failing.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     iterations: list[int] = []
     seconds: list[float] = []
     censored_mask: list[bool] = []

@@ -3,7 +3,8 @@
 A `LinearSystem` always carries a row-normalized matrix (every row has unit
 Euclidean norm), the matching right-hand side, and optionally a reference
 solution with its residual vector. Synthetic systems come from `generate`;
-arbitrary (A, b) pairs go through `normalize_rows` first.
+arbitrary (A, b) pairs go through `normalize_rows`, or `from_unnormalized`
+when they should carry their least-squares reference.
 
 Randomness is reproducible by construction: all draws come from a seeded
 PCG64 stream, Gaussian variates use Box-Muller over uniforms, and distinct
@@ -213,22 +214,14 @@ def build_unnormalized(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def generate(spec: GeneratorSpec) -> LinearSystem:
-    """Build, normalize, and annotate a synthetic system.
+    """Build, normalize, and annotate a synthetic system (see from_unnormalized)."""
+    return from_unnormalized(*build_unnormalized(spec))
 
-    The reference solution is the least-squares solution of the normalized
-    system, and error_vec its residual there.
-    """
-    A, b = build_unnormalized(spec)
+
+def from_unnormalized(A, b) -> LinearSystem:
+    """Normalize an (A, b) pair and attach the least-squares solution of the
+    normalized system as reference, with its residual as error_vec."""
     An, bn = normalize_rows(A, b)
-    reference = linalg.least_squares(An, bn)
-    return LinearSystem(An, bn, reference, An @ reference - bn)
-
-
-def from_unnormalized(A, b, with_reference: bool = True) -> LinearSystem:
-    """Normalize a user-supplied (A, b) and attach its least-squares reference."""
-    An, bn = normalize_rows(A, b)
-    if not with_reference:
-        return LinearSystem(An, bn)
     reference = linalg.least_squares(An, bn)
     return LinearSystem(An, bn, reference, An @ reference - bn)
 

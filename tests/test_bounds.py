@@ -46,6 +46,14 @@ def test_worst_case_zero_iterations_is_initial_error():
     assert curve.values == pytest.approx([3.5])
 
 
+def test_curves_reject_negative_iterations():
+    inp = inputs(gamma_seq=(2.0,))
+    for curve in (bounds.rk_bound, bounds.motzkin_bound_worst_case,
+                  bounds.motzkin_bound_empirical_gamma, bounds.gaussian_rate_bound):
+        with pytest.raises(ValueError, match="num_iterations"):
+            curve(inp, -1)
+
+
 def test_worst_case_horizon():
     inp = inputs(m=10, sigma_min=1.0, frobenius_sq=10.0, error_inf=1.0)
     curve = bounds.motzkin_bound_worst_case(inp, 20000)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from rowaction import cli, solvers, systems
+from rowaction.solvers import SelectionRule, StopRule
 
 DATA = Path(__file__).parent / "data"
 
@@ -86,6 +87,42 @@ def test_solve_outputs_reproducible(system_file, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_stop_beta_threshold_form(system_file, tmp_path):
+    sys_ = systems.load_system(system_file)
+    beta = sys_.error_inf()
+
+    def cli_iterations(*flags):
+        out = tmp_path / "_".join(flags)
+        assert run_cli("solve", "--system", str(system_file), "--max-iterations", "5000",
+                       "--seed", "1", "--out", str(out), *flags) == 0
+        with open(out / "summary.csv") as fh:
+            row = next(csv.DictReader(fh))
+        assert row["stop_reason"] == "residual-threshold"
+        return int(row["iterations"])
+
+    def library_iterations(threshold):
+        stop = StopRule(5000, residual_inf_threshold=threshold)
+        return solvers.run(sys_, SelectionRule("motzkin"), stop).state.iteration
+
+    assert library_iterations(4 * beta) != library_iterations(8 * beta)
+    assert cli_iterations("--stop-beta", repr(beta)) == library_iterations(4 * beta)
+    # with both flags the larger threshold wins, whichever flag gives it
+    assert cli_iterations("--stop-beta", repr(beta),
+                          "--stop-residual-inf", repr(8 * beta)) == library_iterations(8 * beta)
+    assert cli_iterations("--stop-beta", repr(beta),
+                          "--stop-residual-inf", repr(2 * beta)) == library_iterations(4 * beta)
+
+
+def test_trials_below_one_is_config_error(system_file, tmp_path, capsys):
+    for command in ("solve", "timing"):
+        out = tmp_path / command
+        code = run_cli(command, "--system", str(system_file), "--trials", "0",
+                       "--seed", "1", "--out", str(out))
+        assert code == cli.CONFIG_ERROR
+        assert "trials" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
 def test_solve_from_generator_flags(tmp_path):
     out = tmp_path / "gen"
     code = run_cli("solve", "--kind", "gaussian-noise", "--m", "60", "--n", "6",
@@ -147,6 +184,13 @@ def test_bounds_empirical_gamma_stops_at_first_missing_gamma(system_file, tmp_pa
         assert [int(r["k"]) for r in csv.DictReader(fh)] == [0, 1, 2]
 
 
+def test_bounds_negative_iterations_is_config_error(system_file, tmp_path, capsys):
+    code = run_cli("bounds", "--system", str(system_file), "--iterations", "-1",
+                   "--out", str(tmp_path))
+    assert code == cli.CONFIG_ERROR
+    assert "num_iterations" in capsys.readouterr().err
+
+
 def test_bounds_empirical_gamma_requires_telemetry(system_file, tmp_path):
     code = run_cli("bounds", "--system", str(system_file), "--empirical-gamma",
                    "--out", str(tmp_path))
@@ -195,6 +239,24 @@ def test_config_file_with_flag_override(tmp_path):
     assert code == 0
     sys_ = systems.load_system(out)
     assert (sys_.m, sys_.n) == (60, 5)  # flag beats config, config fills the rest
+
+
+@pytest.mark.parametrize("flag", [["--solver", "hybrid"], ["--solver=hybrid"]])
+def test_config_list_replaced_by_flag(system_file, tmp_path, flag):
+    config = tmp_path / "solve.cfg"
+    config.write_text("solver = motzkin\nmax-iterations = 20\n")
+    out = tmp_path / "runs"
+    code = run_cli("solve", "--config", str(config), "--system", str(system_file), *flag,
+                   "--seed", "1", "--out", str(out))
+    assert code == 0
+    assert {p.name for p in out.iterdir()} == {"hybrid_trial0.csv", "summary.csv"}
+
+
+def test_timing_rejects_hybrid_solver(system_file, tmp_path, capsys):
+    code = run_cli("timing", "--system", str(system_file), "--solver", "hybrid",
+                   "--seed", "1", "--out", str(tmp_path))
+    assert code == cli.CONFIG_ERROR
+    assert "argument --solver: invalid choice: 'hybrid'" in capsys.readouterr().err
 
 
 def test_config_file_unknown_key(tmp_path):
