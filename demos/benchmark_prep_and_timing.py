@@ -25,7 +25,7 @@ A, b = mps.extract_system(problem)
 print(f"problem {problem.name}: {A.shape[0]} constraint rows x {A.shape[1]} columns")
 
 system = mps.overdetermine(A, b, mps.TransformSpec(noise_std=1e-6, seed=5))
-systems.save_system(out / "bandm_style_prepared.txt", system)
+systems.save_system(out / "bandm_style_prepared.sys", system)
 threshold = 4 * system.error_inf()
 print(f"stacked to {system.m} x {system.n}, residual target {threshold:.3e}")
 

@@ -7,9 +7,9 @@ Subcommands:
   netlib-prep   parse an MPS file and write the stacked, normalized system
   timing        mean time/iterations to a residual threshold, solver vs solver
 
-Every flag can also be supplied from a `key = value` config file via
---config; command-line flags override file values. Exit codes: 0 success,
-2 configuration error, 3 numerical failure.
+Every flag can also be supplied from one `key = value` config file via
+--config; command-line flags, spelled in full, override file values. Exit
+codes: 0 success, 2 configuration error, 3 numerical failure.
 
 The harness only measures and emits CSV artifacts; no inequality checking
 happens here (the test suite owns the assertions).
@@ -45,8 +45,12 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Turn --config values into parser defaults; a flag given in argv (as
+    """Turn the values of one --config file (`--config PATH` or
+    `--config=PATH`) into parser defaults; a flag given in argv (as
     `--flag value` or `--flag=value`) replaces its config value outright."""
+    argv = [t for arg in argv for t in (arg.split("=", 1) if arg.startswith("--config=") else [arg])]
+    if argv.count("--config") > 1:
+        raise ValueError("--config may be given only once")
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
@@ -238,18 +242,19 @@ def cmd_timing(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="rowaction",
+    # no prefix matching: _apply_config recognizes flags by their full names
+    parser = argparse.ArgumentParser(prog="rowaction", allow_abbrev=False,
                                      description="Row-action solver experiment harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="generate a synthetic system file")
+    p = sub.add_parser("generate", allow_abbrev=False, help="generate a synthetic system file")
     _add_generator_flags(p, kind_required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("solve", help="run solvers and write telemetry CSVs")
+    p = sub.add_parser("solve", allow_abbrev=False, help="run solvers and write telemetry CSVs")
     p.add_argument("--system", help="path to a saved system file")
     p.add_argument("--mps", help="path to an MPS file (stacked before solving)")
     p.add_argument("--transform-noise-std", type=float, default=1e-6)
@@ -267,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("bounds", help="evaluate bound curves for a system")
+    p = sub.add_parser("bounds", allow_abbrev=False, help="evaluate bound curves for a system")
     p.add_argument("--system", required=True)
     p.add_argument("--iterations", type=int, default=200)
     p.add_argument("--telemetry", help="telemetry CSV supplying the empirical gamma sequence")
@@ -277,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("netlib-prep", help="MPS file to stacked system file")
+    p = sub.add_parser("netlib-prep", allow_abbrev=False, help="MPS file to stacked system file")
     p.add_argument("--mps", required=True)
     p.add_argument("--noise-std", type=float, default=1e-6)
     p.add_argument("--seed", type=int, required=True)
@@ -285,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_netlib_prep)
 
-    p = sub.add_parser("timing", help="mean time/iterations to a residual threshold")
+    p = sub.add_parser("timing", allow_abbrev=False, help="mean time/iterations to a residual threshold")
     p.add_argument("--system")
     p.add_argument("--mps")
     p.add_argument("--transform-noise-std", type=float, default=1e-6)

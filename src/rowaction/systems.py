@@ -4,7 +4,8 @@ A `LinearSystem` always carries a row-normalized matrix (every row has unit
 Euclidean norm), the matching right-hand side, and optionally a reference
 solution with its residual vector. Synthetic systems come from `generate`;
 arbitrary (A, b) pairs go through `normalize_rows`, or `from_unnormalized`
-when they should carry their least-squares reference.
+when they should carry their least-squares reference. `save_system` and
+`load_system` keep a system in a binary file of float64 `.npy` records.
 
 Randomness is reproducible by construction: all draws come from a seeded
 PCG64 stream, Gaussian variates use Box-Muller over uniforms, and distinct
@@ -227,36 +228,34 @@ def from_unnormalized(A, b) -> LinearSystem:
 
 
 # --------------------------------------------------------------------------
-# plain-text serialization (used by the CLI to cache prepared systems)
+# binary serialization (used by the CLI to cache prepared systems)
 
 
 def save_system(path, sys: LinearSystem) -> None:
-    """Write `m n hasReference`, then one `row... b` line per equation,
-    then the reference vector on one line when present. Floats use %.17g
-    so the round trip is exact."""
-    lines = [f"{sys.m} {sys.n} {1 if sys.reference is not None else 0}"]
-    for i in range(sys.m):
-        entries = [f"{v:.17g}" for v in sys.a[i]]
-        entries.append(f"{sys.b[i]:.17g}")
-        lines.append(" ".join(entries))
-    if sys.reference is not None:
-        lines.append(" ".join(f"{v:.17g}" for v in sys.reference))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write [A | b] as one m x (n+1) float64 .npy record, then the reference
+    as a second record when present. Equal systems give equal bytes."""
+    with open(path, "wb") as fh:
+        np.save(fh, np.column_stack([sys.a, sys.b]), allow_pickle=False)
+        if sys.reference is not None:
+            np.save(fh, sys.reference, allow_pickle=False)
 
 
 def load_system(path) -> LinearSystem:
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 3:
-        raise ValueError(f"{path}: truncated system file")
-    m, n, has_ref = int(tokens[0]), int(tokens[1]), int(tokens[2])
-    need = 3 + m * (n + 1) + (n if has_ref else 0)
-    if len(tokens) != need:
-        raise ValueError(f"{path}: expected {need} tokens, found {len(tokens)}")
-    body = np.array([float(t) for t in tokens[3:3 + m * (n + 1)]]).reshape(m, n + 1)
-    A, b = body[:, :n], body[:, n]
-    if not has_ref:
-        return LinearSystem(A, b)
-    ref = np.array([float(t) for t in tokens[3 + m * (n + 1):]])
-    return LinearSystem(A, b, ref, A @ ref - b)
+    """Read a save_system file. Anything else (an empty, truncated or text file,
+    a wrong record dtype or shape, trailing bytes) raises ValueError with the path."""
+    records = []
+    with open(path, "rb") as fh:
+        try:
+            while not records or fh.peek(1):  # np.load raises EOFError on an empty file
+                records.append(np.load(fh, allow_pickle=False))
+        except (ValueError, EOFError) as exc:
+            raise ValueError(f"{path}: not a system file ({exc}); regenerate it with "
+                             "`rowaction generate` or `rowaction netlib-prep`") from exc
+    body, *rest = records
+    if not (all(isinstance(r, np.ndarray) and r.dtype == np.float64 for r in records)
+            and body.ndim == 2 and body.shape[1] >= 2
+            and len(rest) <= 1 and all(r.shape == (body.shape[1] - 1,) for r in rest)):
+        raise ValueError(f"{path}: expected a float64 [A | b] record of shape (m, n+1), "
+                         "then at most a reference of shape (n,)")
+    A, b = body[:, :-1], body[:, -1]
+    return LinearSystem(A, b, rest[0], A @ rest[0] - b) if rest else LinearSystem(A, b)

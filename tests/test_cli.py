@@ -241,6 +241,15 @@ def test_config_file_with_flag_override(tmp_path):
     assert (sys_.m, sys_.n) == (60, 5)  # flag beats config, config fills the rest
 
 
+def test_config_equals_form(tmp_path):
+    config = tmp_path / "gen.cfg"
+    config.write_text("kind = gaussian-noise\nm = 50\nn = 5\nnoise-std = 0.1\nseed = 4\n")
+    out = tmp_path / "a.txt"
+    assert run_cli("generate", f"--config={config}", "--out", str(out), "--m", "60") == 0
+    sys_ = systems.load_system(out)
+    assert (sys_.m, sys_.n) == (60, 5)
+
+
 @pytest.mark.parametrize("flag", [["--solver", "hybrid"], ["--solver=hybrid"]])
 def test_config_list_replaced_by_flag(system_file, tmp_path, flag):
     config = tmp_path / "solve.cfg"
@@ -250,6 +259,36 @@ def test_config_list_replaced_by_flag(system_file, tmp_path, flag):
                    "--seed", "1", "--out", str(out))
     assert code == 0
     assert {p.name for p in out.iterdir()} == {"hybrid_trial0.csv", "summary.csv"}
+
+
+@pytest.mark.parametrize("second", [["--config", "missing.cfg"], ["--config=missing.cfg"]])
+def test_config_given_twice_is_config_error(tmp_path, capsys, second):
+    config = tmp_path / "gen.cfg"
+    config.write_text("kind = gaussian-noise\nm = 50\nn = 5\nseed = 4\n")
+    out = tmp_path / "a.txt"
+    code = run_cli("generate", "--config", str(config), *second, "--out", str(out))
+    assert code == cli.CONFIG_ERROR
+    assert "--config may be given only once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_abbreviated_flag_is_rejected(system_file, tmp_path, capsys):
+    config = tmp_path / "solve.cfg"
+    config.write_text("solver = motzkin\nmax-iterations = 20\n")
+    out = tmp_path / "runs"
+    code = run_cli("solve", "--config", str(config), "--system", str(system_file),
+                   "--solv", "hybrid", "--seed", "1", "--out", str(out))
+    assert code == cli.CONFIG_ERROR
+    assert "unrecognized arguments: --solv hybrid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unreadable_system_file_is_config_error(tmp_path, capsys):
+    empty = tmp_path / "empty.sys"
+    empty.write_bytes(b"")
+    code = run_cli("solve", "--system", str(empty), "--seed", "1", "--out", str(tmp_path / "runs"))
+    assert code == cli.CONFIG_ERROR
+    assert str(empty) in capsys.readouterr().err
 
 
 def test_timing_rejects_hybrid_solver(system_file, tmp_path, capsys):

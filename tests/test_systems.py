@@ -1,5 +1,11 @@
+import io
+import re
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rowaction import linalg, systems
 
@@ -134,32 +140,112 @@ def test_system_arrays_are_read_only():
 def test_save_load_round_trip(tmp_path):
     spec = systems.GeneratorSpec("gaussian-noise", m=30, n=4, noise_std=0.5, seed=2)
     sys_ = systems.generate(spec)
-    path = tmp_path / "sys.txt"
+    path = tmp_path / "sys.sys"
     systems.save_system(path, sys_)
     loaded = systems.load_system(path)
     assert np.array_equal(loaded.a, sys_.a)
     assert np.array_equal(loaded.b, sys_.b)
     assert np.array_equal(loaded.reference, sys_.reference)
     # serialization is deterministic byte for byte
-    path2 = tmp_path / "sys2.txt"
+    path2 = tmp_path / "sys2.sys"
     systems.save_system(path2, loaded)
     assert path.read_bytes() == path2.read_bytes()
 
 
 def test_save_load_without_reference(tmp_path):
     sys_ = systems.LinearSystem(np.eye(3), np.array([1.0, 2.0, 3.0]))
-    path = tmp_path / "plain.txt"
+    path = tmp_path / "plain.sys"
     systems.save_system(path, sys_)
     loaded = systems.load_system(path)
     assert loaded.reference is None
     assert np.array_equal(loaded.a, sys_.a)
 
 
+def _bits(arr) -> bytes:
+    return np.ascontiguousarray(arr).tobytes()
+
+
+# finite doubles including -0.0 and subnormals, small enough that A @ x stays finite
+_entries = st.floats(-1e6, 1e6, allow_subnormal=True)
+
+
+@st.composite
+def _systems(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(n, 12))
+    raw = draw(hnp.arrays(np.float64, (m, n), elements=_entries))
+    raw[:, 0] = draw(hnp.arrays(np.float64, m, elements=st.floats(0.5, 2.0)))  # no zero rows
+    a, _ = systems.normalize_rows(raw, np.zeros(m))
+    b = draw(hnp.arrays(np.float64, m, elements=_entries))
+    if not draw(st.booleans()):
+        return systems.LinearSystem(a, b)
+    ref = draw(hnp.arrays(np.float64, n, elements=_entries))
+    return systems.LinearSystem(a, b, ref, a @ ref - b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sys_=_systems())
+def test_save_load_is_bitwise_exact(tmp_path_factory, sys_):
+    path = tmp_path_factory.mktemp("prop") / "s.sys"
+    systems.save_system(path, sys_)
+    loaded = systems.load_system(path)
+    assert _bits(loaded.a) == _bits(sys_.a)
+    assert _bits(loaded.b) == _bits(sys_.b)
+    if sys_.reference is None:
+        assert loaded.reference is None and loaded.error_vec is None
+    else:
+        assert _bits(loaded.reference) == _bits(sys_.reference)
+        assert _bits(loaded.error_vec) == _bits(loaded.a @ loaded.reference - loaded.b)
+    again = path.with_name("again.sys")
+    systems.save_system(again, loaded)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def _npy(*arrays) -> bytes:
+    buf = io.BytesIO()
+    for arr in arrays:
+        np.save(buf, arr, allow_pickle=False)
+    return buf.getvalue()
+
+
+_BODY = np.column_stack([np.eye(3)[:, :2], np.ones(3)])  # A = first two columns of I3, b = 1
+_VALID = _npy(_BODY, np.zeros(2))
+
+
 def test_load_rejects_truncated(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("2 2 0\n1 0 1\n")
-    with pytest.raises(ValueError):
+    path = tmp_path / "bad.sys"
+    path.write_bytes(_VALID[:-5])
+    with pytest.raises(ValueError, match=re.escape(str(path))):
         systems.load_system(path)
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b"", id="empty"),
+    pytest.param(_VALID[:100], id="truncated-header"),
+    pytest.param(_VALID[:140], id="truncated-body"),
+    pytest.param(_VALID + b"\0", id="trailing-bytes"),
+    pytest.param(_VALID + _npy(np.zeros(2)), id="third-record"),
+    pytest.param(_npy(_BODY.astype(np.int64)), id="int64-body"),
+    pytest.param(_npy(_BODY, np.zeros(2, dtype=np.float32)), id="float32-reference"),
+    pytest.param(_npy(_BODY.ravel()), id="1-d-body"),
+    pytest.param(_npy(np.ones((3, 1))), id="one-column-body"),
+    pytest.param(_npy(_BODY, np.zeros((2, 1))), id="2-d-reference"),
+    pytest.param(_npy(_BODY, np.zeros(3)), id="reference-length"),
+])
+def test_load_rejects_malformed_file(tmp_path, content):
+    path = tmp_path / "bad.sys"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        systems.load_system(path)
+
+
+def test_load_rejects_legacy_text_file(tmp_path):
+    path = tmp_path / "old.txt"
+    path.write_text("3 2 0\n1 0 1\n0 1 1\n0 0 1\n")
+    with pytest.raises(ValueError) as err:
+        systems.load_system(path)
+    assert str(path) in str(err.value)
+    assert "regenerate it with `rowaction generate` or `rowaction netlib-prep`" in str(err.value)
 
 
 def test_sample_distinct_properties():
