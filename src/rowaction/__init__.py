@@ -36,6 +36,7 @@ from .solvers import (
     TimingSummary,
     project_step,
     run,
+    run_trials,
     select_motzkin,
     time_to_threshold,
 )

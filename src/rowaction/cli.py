@@ -30,6 +30,8 @@ from . import mps as mps_mod
 CONFIG_ERROR = 2
 NUMERICAL_ERROR = 3
 
+CONFIG_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
 
 def _read_config(path: str) -> dict[str, str]:
     cfg = {}
@@ -68,6 +70,10 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
             continue
         if isinstance(action, argparse._AppendAction):
             parsed = [v.strip() for v in value.split(",") if v.strip()]
+        elif isinstance(action, argparse._StoreTrueAction):
+            parsed = CONFIG_BOOLEANS.get(value.lower())
+            if parsed is None:
+                raise ValueError(f"config key {key!r} takes true/false/1/0/yes/no, got {value!r}")
         elif action.type is not None:
             parsed = action.type(value)
         else:
@@ -109,6 +115,14 @@ def _load_source(args) -> systems.LinearSystem:
     raise ValueError("no system source: pass --system, --mps, or generator flags (--kind ...)")
 
 
+def _check_trials(args) -> None:
+    """Reject a trial count or seed range that would fail part-way through."""
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    for seed in (args.seed, args.seed + args.trials - 1):
+        systems.make_rng(seed)
+
+
 def _resolve_threshold(args, sys_: systems.LinearSystem, flag: float | None) -> float:
     """Explicit flag, else 4*||e||_inf from the reference, else 4*beta."""
     if flag is not None:
@@ -135,11 +149,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _check_trials(args)
     sys_ = _load_source(args)
     if not args.solver:
         raise ValueError("at least one --solver is required")
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     beta_threshold = None if args.stop_beta is None else 4.0 * args.stop_beta
@@ -154,8 +167,8 @@ def cmd_solve(args) -> int:
             rule = solvers.SelectionRule("hybrid", _resolve_threshold(args, sys_, args.hybrid_threshold))
         else:
             rule = solvers.SelectionRule(name)
-        for trial in range(args.trials):
-            result = solvers.run(sys_, rule, stop, seed=args.seed + trial)
+        seeds = range(args.seed, args.seed + args.trials)
+        for trial, result in enumerate(solvers.run_trials(sys_, rule, stop, seeds)):
             path = out / f"{name}_trial{trial}.csv"
             solvers.write_telemetry_csv(path, result.records)
             final_error_sq = ""
@@ -214,6 +227,7 @@ def cmd_netlib_prep(args) -> int:
 
 
 def cmd_timing(args) -> int:
+    _check_trials(args)
     sys_ = _load_source(args)
     threshold = _resolve_threshold(args, sys_, args.threshold)
     problem = args.problem or (Path(args.system).stem if args.system else

@@ -15,14 +15,23 @@ and the selection rule is what distinguishes the methods:
                configured threshold, then rk-uniform for good (the switch
                is one-way even if the residual later grows back).
 
+One loop performs every run, with greedy or uniform selection. A hybrid run
+is a greedy prefix, stopped at the switch, plus a uniform continuation from
+the switch iterate. The greedy rule never draws from the RNG, so
+`run_trials` computes a motzkin run, or a hybrid prefix, once and shares it
+across all the seeds it is given.
+
 Each performed iteration emits one IterationRecord measured at the iterate
 *before* the update, so record k describes x_k and the step producing
 x_{k+1}. Stopping rules are checked against the same pre-update residual.
+`time_to_threshold` times solves that record no telemetry, so its seconds
+measure the solver alone.
 """
 
 import csv
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,62 +139,94 @@ def run(sys: LinearSystem,
         RunResult with the final state, one record per performed iteration,
         the stop reason, and the hybrid switch iteration when it happened.
     """
+    return next(run_trials(sys, rule, stop, [seed], x0))
+
+
+def run_trials(sys: LinearSystem,
+               rule: SelectionRule,
+               stop: StopRule,
+               seeds,
+               x0=None) -> Iterator[RunResult]:
+    """Yield `run(sys, rule, stop, x0, seed)` for each seed in turn, lazily.
+
+    The seed-independent part is computed once: the whole run for motzkin,
+    the greedy prefix up to the switch for hybrid. Each result has its own
+    iterate and records list; hybrid results share the prefix's records.
+    """
+    return _trials(sys, rule, stop, seeds, x0, telemetry=True)
+
+
+def _trials(sys, rule, stop, seeds, x0, telemetry):
     if x0 is None:
         x = np.zeros(sys.n)
     else:
         x = linalg.as_vector(x0).copy()
         if x.shape[0] != sys.n:
             raise ValueError(f"x0 length {x.shape[0]} does not match {sys.n} columns")
-    rng = make_rng(seed)
-    threshold = stop.residual_inf_threshold
-
-    records: list[IterationRecord] = []
-    switched = False
-    switch_iteration: int | None = None
-    k = 0
     r = sys.a @ x - sys.b
+    k, stop_reason, prefix = 0, None, []
+    if rule.kind != "rk-uniform":
+        greedy_stop = stop
+        if rule.kind == "hybrid":
+            # residual <= hybrid threshold ends the prefix: a stop when the stop
+            # threshold or the cap also holds there, else the switch
+            greedy_stop = StopRule(stop.max_iterations,
+                                   max(stop.residual_inf_threshold or 0.0, rule.hybrid_threshold))
+        x, r, k, stop_reason = _loop(sys, x, r, 0, greedy_stop, None, prefix if telemetry else None)
+    for seed in seeds:
+        rng = make_rng(seed)
+        records = list(prefix)
+        if rule.kind == "motzkin":
+            yield RunResult(SolverState(x.copy(), k, rng), records, stop_reason)
+            continue
+        x_t, _, k_t, reason_t = _loop(sys, x, r, k, stop, rng, records if telemetry else None)
+        moved = k_t > k
+        switch_iteration = k if rule.kind == "hybrid" and moved else None
+        yield RunResult(SolverState(x_t if moved else x.copy(), k_t, rng), records, reason_t,
+                        switch_iteration)
+
+
+def _loop(sys, x, r, k, stop, rng, records):
+    """Iterate from x_k, whose residual is r = A x_k - b, until `stop` fires.
+    Selects greedily when rng is None, else draws uniformly from rng. Appends
+    one record per iteration to `records` unless it is None. Returns the
+    final x, its residual, its k and the stop reason."""
+    threshold = stop.residual_inf_threshold
     while True:
         residual_inf = float(np.abs(r).max())
         if threshold is not None and residual_inf <= threshold:
-            stop_reason = STOP_RESIDUAL_THRESHOLD
-            break
+            return x, r, k, STOP_RESIDUAL_THRESHOLD
         if k >= stop.max_iterations:
-            stop_reason = STOP_MAX_ITERATIONS
-            break
+            return x, r, k, STOP_MAX_ITERATIONS
 
-        if rule.kind == "hybrid" and not switched and residual_inf <= rule.hybrid_threshold:
-            switched = True
-            switch_iteration = k
-
-        if rule.kind == "motzkin" or (rule.kind == "hybrid" and not switched):
+        if rng is None:
             i = select_motzkin(r)
         else:
             i = int(rng.integers(sys.m))
 
-        gamma = None
-        error_sq = None
-        if sys.reference is not None:
-            d = r - sys.error_vec  # A(x_k - reference)
-            d_inf_sq = float(np.abs(d).max()) ** 2
-            if d_inf_sq > 0.0:
-                gamma = float(np.dot(d, d)) / d_inf_sq
-            diff = x - sys.reference
-            error_sq = float(np.dot(diff, diff))
-        records.append(IterationRecord(
-            k=k,
-            selected_row=i,
-            residual_inf=residual_inf,
-            residual_2sq=float(np.dot(r, r)),
-            selected_residual_sq=float(r[i]) ** 2,
-            gamma=gamma,
-            error_sq=error_sq,
-        ))
+        if records is not None:
+            gamma = None
+            error_sq = None
+            if sys.reference is not None:
+                d = r - sys.error_vec  # A(x_k - reference)
+                d_inf_sq = float(np.abs(d).max()) ** 2
+                if d_inf_sq > 0.0:
+                    gamma = float(np.dot(d, d)) / d_inf_sq
+                diff = x - sys.reference
+                error_sq = float(np.dot(diff, diff))
+            records.append(IterationRecord(
+                k=k,
+                selected_row=i,
+                residual_inf=residual_inf,
+                residual_2sq=float(np.dot(r, r)),
+                selected_residual_sq=float(r[i]) ** 2,
+                gamma=gamma,
+                error_sq=error_sq,
+            ))
 
         x = project_step(sys, x, i)
         r = sys.a @ x - sys.b
         k += 1
-
-    return RunResult(SolverState(x, k, rng), records, stop_reason, switch_iteration)
 
 
 @dataclass(frozen=True)
@@ -222,8 +263,9 @@ def time_to_threshold(sys: LinearSystem,
     """Mean process time and iteration count to first reach a residual threshold.
 
     Runs `trials` independent solves with derived seeds (seed + t), each
-    capped at max_iterations. Trials that never reach the threshold are
-    reported as censored rather than failing.
+    capped at max_iterations and timed on its own, recording no telemetry.
+    Trials that never reach the threshold are reported as censored rather
+    than failing.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -233,7 +275,7 @@ def time_to_threshold(sys: LinearSystem,
     stop = StopRule(max_iterations=max_iterations, residual_inf_threshold=threshold)
     for t in range(trials):
         t0 = time.process_time()
-        result = run(sys, rule, stop, seed=seed + t)
+        result = next(_trials(sys, rule, stop, [seed + t], None, telemetry=False))
         dt = time.process_time() - t0
         iterations.append(result.state.iteration)
         seconds.append(dt)

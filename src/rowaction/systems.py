@@ -38,6 +38,8 @@ class DegenerateRowError(ValueError):
 
 
 def make_rng(seed: int) -> np.random.Generator:
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
     return np.random.default_rng(np.uint64(seed))
 
 

@@ -347,3 +347,60 @@ def test_mps_duplicate_row_is_config_error(tmp_path, capsys):
                    "--out", str(tmp_path / "x.txt"))
     assert code == cli.CONFIG_ERROR
     assert "line 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["false", "False", "NO", "0"])
+def test_config_false_leaves_store_true_flag_off(system_file, tmp_path, value):
+    config = tmp_path / "b.cfg"
+    config.write_text(f"empirical-gamma = {value}\n")
+    out = tmp_path / "curves"
+    assert run_cli("bounds", "--config", str(config), "--system", str(system_file),
+                   "--out", str(out)) == 0
+    assert not (out / "motzkin_empirical_gamma.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["true", "TRUE", "Yes", "1"])
+def test_config_true_turns_store_true_flag_on(system_file, tmp_path, capsys, value):
+    config = tmp_path / "b.cfg"
+    config.write_text(f"empirical-gamma = {value}\n")
+    code = run_cli("bounds", "--config", str(config), "--system", str(system_file),
+                   "--out", str(tmp_path / "curves"))
+    assert code == cli.CONFIG_ERROR
+    assert "--empirical-gamma requires --telemetry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["maybe", "", "on", "2"])
+def test_config_boolean_rejects_other_words(system_file, tmp_path, capsys, value):
+    config = tmp_path / "b.cfg"
+    config.write_text(f"empirical-gamma = {value}\n")
+    out = tmp_path / "curves"
+    code = run_cli("bounds", "--config", str(config), "--system", str(system_file),
+                   "--out", str(out))
+    assert code == cli.CONFIG_ERROR
+    assert "'empirical_gamma' takes true/false/1/0/yes/no" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--kind", "gaussian-noise", "--m", "20", "--n", "2", "--seed", "-2"],
+    ["netlib-prep", "--mps", str(DATA / "bandm_style.mps"), "--seed", "-1"],
+    ["solve", "--kind", "gaussian-noise", "--m", "20", "--n", "2", "--seed", "-1"],
+    ["solve", "--kind", "gaussian-noise", "--m", "20", "--n", "2", "--trials", "3",
+     "--seed", str(2**64 - 2)],
+    ["timing", "--kind", "gaussian-noise", "--m", "20", "--n", "2", "--seed", "-1"],
+    ["timing", "--kind", "gaussian-noise", "--m", "20", "--n", "2", "--trials", "2",
+     "--seed", str(2**64 - 1)],
+])
+def test_out_of_range_seed_is_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == cli.CONFIG_ERROR
+    assert "is outside [0, 2**64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_largest_seed_is_accepted(tmp_path):
+    out = tmp_path / "runs"
+    assert run_cli("solve", "--kind", "gaussian-noise", "--m", "20", "--n", "2",
+                   "--solver", "rk-uniform", "--trials", "2", "--max-iterations", "5",
+                   "--seed", str(2**64 - 2), "--out", str(out)) == 0
+    assert (out / "rk-uniform_trial1.csv").exists()

@@ -1,9 +1,12 @@
 import os
+import warnings
 from pathlib import Path
 from textwrap import dedent
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rowaction import linalg, mps, systems
 
@@ -242,3 +245,40 @@ def test_real_agg_dimensions_when_available():
     assert A.shape == (488, 615)
     sys_ = mps.overdetermine(A, b, mps.TransformSpec(noise_std=1e-6, seed=1))
     assert (sys_.m, sys_.n) == (1103, 615)
+
+
+BANDM_LINES = (DATA / "bandm_style.mps").read_text().splitlines()
+FUZZ_TOKENS = ["", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA", "NAME", "E", "N",
+               "R1", "R999", "X1", "COST", "'MARKER'", "'INTORG'", "nan", "-inf", "1e400",
+               "0x1p3", "1_0", "--1", "2.5", "*"]
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_parse_mps_mutations_raise_only_mps_parse_error(data):
+    lines = list(BANDM_LINES)
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(lines) - 1))
+        how = data.draw(st.sampled_from(["delete", "duplicate", "swap", "token", "text", "cut"]))
+        if how == "delete":
+            del lines[at]
+        elif how == "duplicate":
+            lines.insert(at, lines[at])
+        elif how == "swap":
+            other = data.draw(st.integers(0, len(lines) - 1))
+            lines[at], lines[other] = lines[other], lines[at]
+        elif how == "token":
+            tokens = lines[at].split(" ")
+            where = data.draw(st.integers(0, len(tokens) - 1))
+            tokens[where] = data.draw(st.sampled_from(FUZZ_TOKENS) | st.text(max_size=6))
+            lines[at] = " ".join(tokens)
+        elif how == "text":
+            lines[at] = data.draw(st.text(max_size=30))
+        else:
+            lines[at] = lines[at][:data.draw(st.integers(0, len(lines[at])))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # RANGES and BOUNDS sections warn
+        try:
+            mps.parse_mps("\n".join(lines))
+        except mps.MpsParseError:
+            pass

@@ -1,8 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rowaction import solvers, systems
-from rowaction.solvers import SelectionRule, StopRule
+from rowaction import linalg, solvers, systems
+from rowaction.solvers import (
+    STOP_MAX_ITERATIONS,
+    STOP_RESIDUAL_THRESHOLD,
+    IterationRecord,
+    RunResult,
+    SelectionRule,
+    SolverState,
+    StopRule,
+    project_step,
+    select_motzkin,
+)
+from rowaction.systems import make_rng
 
 
 def gaussian_system(m=120, n=8, noise_std=0.05, seed=17):
@@ -79,14 +92,20 @@ def test_identity_system_solves_in_exactly_n_iterations():
         assert e_now - e_next == pytest.approx(rec.residual_inf ** 2, abs=1e-12)
 
 
-def test_consistent_run_per_step_identity():
-    sys_ = gaussian_system(noise_std=0.0, seed=5)
+@settings(max_examples=40)
+@given(m=st.integers(20, 150), n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+@example(m=120, n=8, seed=5)
+def test_consistent_run_per_step_identity(m, n, seed):
+    sys_ = gaussian_system(m=m, n=n, noise_std=0.0, seed=seed)
     result = solvers.run(sys_, SelectionRule("motzkin"), StopRule(200))
     errors = [rec.error_sq for rec in result.records]
     final = float(np.dot(result.state.x - sys_.reference, result.state.x - sys_.reference))
     errors.append(final)
     for rec, e_now, e_next in zip(result.records, errors, errors[1:]):
-        assert e_next == pytest.approx(e_now - rec.selected_residual_sq, abs=1e-10)
+        # acceptance criterion 5: each step sheds exactly the largest squared residual
+        assert e_next == pytest.approx(e_now - rec.residual_inf ** 2, abs=1e-10)
+        # acceptance criterion 1: so the error falls by at least half of it
+        assert e_next - (e_now - 0.5 * rec.residual_inf ** 2) <= 1e-10
 
 
 def test_motzkin_records_select_the_max_residual():
@@ -243,3 +262,163 @@ def test_telemetry_csv_empty_optionals(tmp_path):
     assert all(",," in row for row in rows)  # gamma and error_sq both empty
     back = solvers.read_telemetry_csv(path)
     assert back[0].gamma is None and back[0].error_sq is None
+
+
+# --------------------------------------------------------------------------
+# run and run_trials against the one-pass-per-seed loop they replaced
+
+
+def reference_run(sys, rule, stop, x0=None, seed=0):
+    """The run loop before run_trials: one full pass per seed, with the hybrid
+    switch taken inside the loop. Kept verbatim as the reference."""
+    if x0 is None:
+        x = np.zeros(sys.n)
+    else:
+        x = linalg.as_vector(x0).copy()
+        if x.shape[0] != sys.n:
+            raise ValueError(f"x0 length {x.shape[0]} does not match {sys.n} columns")
+    rng = make_rng(seed)
+    threshold = stop.residual_inf_threshold
+
+    records: list[IterationRecord] = []
+    switched = False
+    switch_iteration: int | None = None
+    k = 0
+    r = sys.a @ x - sys.b
+    while True:
+        residual_inf = float(np.abs(r).max())
+        if threshold is not None and residual_inf <= threshold:
+            stop_reason = STOP_RESIDUAL_THRESHOLD
+            break
+        if k >= stop.max_iterations:
+            stop_reason = STOP_MAX_ITERATIONS
+            break
+
+        if rule.kind == "hybrid" and not switched and residual_inf <= rule.hybrid_threshold:
+            switched = True
+            switch_iteration = k
+
+        if rule.kind == "motzkin" or (rule.kind == "hybrid" and not switched):
+            i = select_motzkin(r)
+        else:
+            i = int(rng.integers(sys.m))
+
+        gamma = None
+        error_sq = None
+        if sys.reference is not None:
+            d = r - sys.error_vec  # A(x_k - reference)
+            d_inf_sq = float(np.abs(d).max()) ** 2
+            if d_inf_sq > 0.0:
+                gamma = float(np.dot(d, d)) / d_inf_sq
+            diff = x - sys.reference
+            error_sq = float(np.dot(diff, diff))
+        records.append(IterationRecord(
+            k=k,
+            selected_row=i,
+            residual_inf=residual_inf,
+            residual_2sq=float(np.dot(r, r)),
+            selected_residual_sq=float(r[i]) ** 2,
+            gamma=gamma,
+            error_sq=error_sq,
+        ))
+
+        x = project_step(sys, x, i)
+        r = sys.a @ x - sys.b
+        k += 1
+
+    return RunResult(SolverState(x, k, rng), records, stop_reason, switch_iteration)
+
+
+def assert_matches_reference(sys_, rule, stop, seeds, x0, csv_path):
+    """run_trials and run agree with reference_run for every seed: telemetry
+    CSV bytes, iterate bits, iteration count, stop reason and switch; the
+    trials share no iterate or records list. Returns the reference runs."""
+    def csv_bytes(records):
+        solvers.write_telemetry_csv(csv_path, records)
+        return csv_path.read_bytes()
+
+    trials = list(solvers.run_trials(sys_, rule, stop, seeds, x0=x0))
+    assert len(trials) == len(seeds)
+    assert len({id(t.state.x) for t in trials}) == len(trials)
+    assert len({id(t.records) for t in trials}) == len(trials)
+    refs = []
+    for seed, trial in zip(seeds, trials):
+        ref = reference_run(sys_, rule, stop, x0=x0, seed=seed)
+        for got in (trial, solvers.run(sys_, rule, stop, x0=x0, seed=seed)):
+            assert csv_bytes(got.records) == csv_bytes(ref.records)
+            assert got.state.x.tobytes() == ref.state.x.tobytes()
+            assert (got.state.iteration, got.stop_reason, got.switch_iteration) == \
+                (ref.state.iteration, ref.stop_reason, ref.switch_iteration)
+            assert [rec.k for rec in got.records] == list(range(got.state.iteration))
+        refs.append(ref)
+    return refs
+
+
+@st.composite
+def solve_cases(draw):
+    m = draw(st.integers(2, 24))
+    n = draw(st.integers(1, min(m, 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(size=(m, n))
+    b = A @ rng.normal(size=n) + draw(st.sampled_from([0.0, 0.01, 1.0])) * rng.normal(size=m)
+    sys_ = systems.from_unnormalized(A, b)
+    if not draw(st.booleans()):
+        sys_ = systems.LinearSystem(sys_.a, sys_.b)
+    x0 = rng.normal(size=n) if draw(st.booleans()) else None
+    start_inf = max(float(np.abs(sys_.residual(np.zeros(n) if x0 is None else x0)).max()), 1e-3)
+    kind = draw(st.sampled_from(solvers.SELECTION_KINDS))
+    rule = (SelectionRule(kind, draw(st.floats(0.05, 1.1)) * start_inf) if kind == "hybrid"
+            else SelectionRule(kind))
+    stop_threshold = draw(st.one_of(st.none(), st.floats(0.0, 1.0).map(lambda f: f * start_inf)))
+    stop = StopRule(draw(st.integers(0, 60)), stop_threshold)
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4))
+    return sys_, rule, stop, seeds, x0
+
+
+@settings(max_examples=150)
+@given(case=solve_cases(), base_seed=st.integers(0, 1000))
+def test_run_trials_equal_reference_loop(tmp_path_factory, case, base_seed):
+    sys_, rule, stop, seeds, x0 = case
+    assert_matches_reference(sys_, rule, stop, seeds, x0,
+                             tmp_path_factory.mktemp("eq") / "telemetry.csv")
+    if stop.residual_inf_threshold is not None:
+        summary = solvers.time_to_threshold(sys_, rule, stop.residual_inf_threshold, trials=3,
+                                            seed=base_seed, max_iterations=stop.max_iterations)
+        refs = [reference_run(sys_, rule, stop, seed=base_seed + t) for t in range(3)]
+        assert summary.iterations == [ref.state.iteration for ref in refs]
+        assert summary.censored_mask == [ref.stop_reason != STOP_RESIDUAL_THRESHOLD for ref in refs]
+
+
+def test_hybrid_switch_edge_cases_equal_reference_loop(tmp_path):
+    sys_ = gaussian_system(seed=8)
+    path = tmp_path / "telemetry.csv"
+    seeds = [3, 4, 5]
+    greedy = reference_run(sys_, SelectionRule("motzkin"), StopRule(60))
+    levels = [rec.residual_inf for rec in greedy.records]
+    # a k > 2 whose residual is below every earlier one: the first k to reach it
+    j = next(k for k in range(3, len(levels)) if levels[k] < min(levels[:k]))
+    rule = SelectionRule("hybrid", hybrid_threshold=levels[j])
+
+    def check(stop, switch, stop_reason, at=None, x0=None):
+        refs = assert_matches_reference(sys_, rule, stop, seeds, x0, path)
+        assert {ref.switch_iteration for ref in refs} == {switch}
+        assert {ref.stop_reason for ref in refs} == {stop_reason}
+        if at is not None:
+            assert {ref.state.iteration for ref in refs} == {at}
+        return refs
+
+    refs = check(StopRule(200), j, STOP_MAX_ITERATIONS, at=200)
+    assert len({ref.state.x.tobytes() for ref in refs}) == len(seeds)  # the continuations differ
+    # a stop threshold at or above the hybrid threshold stops where it would switch
+    check(StopRule(200, levels[j]), None, STOP_RESIDUAL_THRESHOLD, at=j)
+    check(StopRule(200, 2 * levels[j]), None, STOP_RESIDUAL_THRESHOLD)
+    # the cap before the switch, and at the switch: no switch is recorded
+    check(StopRule(j - 1), None, STOP_MAX_ITERATIONS, at=j - 1)
+    check(StopRule(j), None, STOP_MAX_ITERATIONS, at=j)
+    # the switch at k == 0, from zero and from a given start
+    rule = SelectionRule("hybrid", hybrid_threshold=levels[0])
+    check(StopRule(50), 0, STOP_MAX_ITERATIONS, at=50)
+    x0 = np.full(sys_.n, 0.5)
+    start_inf = float(np.abs(sys_.residual(x0)).max())
+    rule = SelectionRule("hybrid", hybrid_threshold=start_inf)
+    check(StopRule(50), 0, STOP_MAX_ITERATIONS, at=50, x0=x0)

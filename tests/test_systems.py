@@ -10,6 +10,14 @@ from hypothesis import strategies as st
 from rowaction import linalg, systems
 
 
+def test_make_rng_accepts_exactly_the_uint64_seeds():
+    for seed in (0, 2**64 - 1):
+        systems.make_rng(seed)
+    for seed in (-1, 2**64, -2**70):
+        with pytest.raises(ValueError, match=re.escape(f"seed {seed} is outside [0, 2**64)")):
+            systems.make_rng(seed)
+
+
 def test_normalize_rows_hand_case():
     A, b = systems.normalize_rows([[3, 4]], [10])
     assert np.allclose(A, [[0.6, 0.8]], atol=1e-15)
