@@ -7,9 +7,12 @@ Subcommands:
   netlib-prep   parse an MPS file and write the stacked, normalized system
   timing        mean time/iterations to a residual threshold, solver vs solver
 
-Every flag can also be supplied from one `key = value` config file via
---config; command-line flags, spelled in full, override file values. Exit
-codes: 0 success, 2 configuration error, 3 numerical failure.
+Every flag can also come from one `key = value` config file, given as
+--config PATH or --config=PATH. Each line becomes a `--key=value` flag ahead of
+the command-line flags, so it passes the same type, choice and required checks
+as a typed flag, and a flag on the command line, spelled in full, overrides it.
+`solver` takes a comma list; `empirical-gamma` takes true/false/1/0/yes/no.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
 The harness only measures and emits CSV artifacts; no inequality checking
 happens here (the test suite owns the assertions).
@@ -46,41 +49,38 @@ def _read_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Turn the values of one --config file (`--config PATH` or
-    `--config=PATH`) into parser defaults; a flag given in argv (as
-    `--flag value` or `--flag=value`) replaces its config value outright."""
-    argv = [t for arg in argv for t in (arg.split("=", 1) if arg.startswith("--config=") else [arg])]
+def _config_flags(argv: list[str]) -> list[str]:
+    """Expand one --config file (`--config PATH` or `--config=PATH`) into
+    `--key=value` flags placed right after the subcommand, ahead of the typed
+    flags: argparse checks each config value as it checks a typed flag, and a
+    typed scalar flag, parsed later, wins. A key whose flag is typed is
+    dropped, so the append flag --solver is not doubled. Only `bounds` has the
+    store_true flag --empirical-gamma; elsewhere its key fails as unknown."""
+    command = argv[:1]
+    argv = [t for arg in argv[1:] for t in (arg.split("=", 1) if arg.startswith("--config=") else [arg])]
     if argv.count("--config") > 1:
         raise ValueError("--config may be given only once")
     if "--config" not in argv:
-        return argv
+        return command + argv
     at = argv.index("--config")
     if at + 1 >= len(argv):
         raise ValueError("--config requires a path")
     cfg = _read_config(argv[at + 1])
     argv = argv[:at] + argv[at + 2:]
-    by_dest = {a.dest: a for a in parser._actions}
+    flags = []
     for key, value in cfg.items():
-        action = by_dest.get(key)
-        if action is None:
-            raise ValueError(f"config key {key!r} does not match any flag")
-        if any(arg == opt or arg.startswith(opt + "=")
-               for arg in argv for opt in action.option_strings):
+        flag = "--" + key.replace("_", "-")
+        if any(arg == flag or arg.startswith(flag + "=") for arg in argv):
             continue
-        if isinstance(action, argparse._AppendAction):
-            parsed = [v.strip() for v in value.split(",") if v.strip()]
-        elif isinstance(action, argparse._StoreTrueAction):
-            parsed = CONFIG_BOOLEANS.get(value.lower())
-            if parsed is None:
+        if key == "solver":  # a comma list, one append flag per name
+            flags += [f"{flag}={name.strip()}" for name in value.split(",")]
+        elif key == "empirical_gamma" and command == ["bounds"]:
+            if value.lower() not in CONFIG_BOOLEANS:
                 raise ValueError(f"config key {key!r} takes true/false/1/0/yes/no, got {value!r}")
-        elif action.type is not None:
-            parsed = action.type(value)
+            flags += [flag] if CONFIG_BOOLEANS[value.lower()] else []
         else:
-            parsed = value
-        parser.set_defaults(**{key: parsed})
-        action.required = False  # the config value satisfies the flag
-    return argv
+            flags.append(f"{flag}={value}")
+    return command + flags + argv
 
 
 def _add_generator_flags(p: argparse.ArgumentParser, kind_required: bool):
@@ -103,14 +103,14 @@ def _spec_from_args(args) -> systems.GeneratorSpec:
 
 def _load_source(args) -> systems.LinearSystem:
     """System source precedence: --system file, then --mps, then generator flags."""
-    if getattr(args, "system", None):
+    if args.system:
         return systems.load_system(args.system)
-    if getattr(args, "mps", None):
+    if args.mps:
         problem = mps_mod.load_mps(args.mps)
         A, b = mps_mod.extract_system(problem)
         spec = mps_mod.TransformSpec(noise_std=args.transform_noise_std, seed=args.seed)
         return mps_mod.overdetermine(A, b, spec)
-    if getattr(args, "kind", None):
+    if args.kind:
         return systems.generate(_spec_from_args(args))
     raise ValueError("no system source: pass --system, --mps, or generator flags (--kind ...)")
 
@@ -151,8 +151,6 @@ def cmd_generate(args) -> int:
 def cmd_solve(args) -> int:
     _check_trials(args)
     sys_ = _load_source(args)
-    if not args.solver:
-        raise ValueError("at least one --solver is required")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     beta_threshold = None if args.stop_beta is None else 4.0 * args.stop_beta
@@ -256,7 +254,7 @@ def cmd_timing(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # no prefix matching: _apply_config recognizes flags by their full names
+    # no prefix matching: _config_flags recognizes flags by their full names
     parser = argparse.ArgumentParser(prog="rowaction", allow_abbrev=False,
                                      description="Row-action solver experiment harness")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -265,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generator_flags(p, kind_required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("solve", allow_abbrev=False, help="run solvers and write telemetry CSVs")
@@ -283,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=".")
-    p.add_argument("--config", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bounds", allow_abbrev=False, help="evaluate bound curves for a system")
@@ -293,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--empirical-gamma", action="store_true",
                    help="require the empirical-gamma curve (errors without --telemetry)")
     p.add_argument("--out", default=".")
-    p.add_argument("--config", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("netlib-prep", allow_abbrev=False, help="MPS file to stacked system file")
@@ -301,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-std", type=float, default=1e-6)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_netlib_prep)
 
     p = sub.add_parser("timing", allow_abbrev=False, help="mean time/iterations to a residual threshold")
@@ -318,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iterations", type=int, default=200_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=".")
-    p.add_argument("--config", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_timing)
 
     return parser
@@ -328,11 +321,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        # config handling needs the subparser that will actually consume the flags
-        if argv and argv[0] in ("generate", "solve", "bounds", "netlib-prep", "timing"):
-            subparser = parser._subparsers._group_actions[0].choices[argv[0]]
-            argv = [argv[0]] + _apply_config(subparser, argv[1:])
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_config_flags(argv))
         if args.command == "solve" and args.solver is None:
             args.solver = ["motzkin"]
         if args.command == "timing" and args.solver is None:

@@ -79,7 +79,6 @@ class StopRule:
 class SolverState:
     x: np.ndarray
     iteration: int
-    rng: np.random.Generator
 
 
 @dataclass(frozen=True)
@@ -177,12 +176,12 @@ def _trials(sys, rule, stop, seeds, x0, telemetry):
         rng = make_rng(seed)
         records = list(prefix)
         if rule.kind == "motzkin":
-            yield RunResult(SolverState(x.copy(), k, rng), records, stop_reason)
+            yield RunResult(SolverState(x.copy(), k), records, stop_reason)
             continue
         x_t, _, k_t, reason_t = _loop(sys, x, r, k, stop, rng, records if telemetry else None)
         moved = k_t > k
         switch_iteration = k if rule.kind == "hybrid" and moved else None
-        yield RunResult(SolverState(x_t if moved else x.copy(), k_t, rng), records, reason_t,
+        yield RunResult(SolverState(x_t if moved else x.copy(), k_t), records, reason_t,
                         switch_iteration)
 
 

@@ -404,3 +404,42 @@ def test_largest_seed_is_accepted(tmp_path):
                    "--solver", "rk-uniform", "--trials", "2", "--max-iterations", "5",
                    "--seed", str(2**64 - 2), "--out", str(out)) == 0
     assert (out / "rk-uniform_trial1.csv").exists()
+
+
+@pytest.mark.parametrize("command, config_text, message", [
+    ("timing", "solver = motzkin, hybrid\n", "argument --solver: invalid choice: 'hybrid'"),
+    ("generate", "m = abc\n", "argument --m: invalid int value: 'abc'"),
+], ids=["timing-solver", "generate-m"])
+def test_config_values_checked_by_argparse_before_any_work(tmp_path, capsys, command,
+                                                           config_text, message):
+    config = tmp_path / "c.cfg"
+    config.write_text(config_text)
+    out = tmp_path / "out"
+    code = run_cli(command, "--config", str(config), "--kind", "gaussian-noise",
+                   "--n", "4", "--seed", "1", "--out", str(out))
+    assert code == cli.CONFIG_ERROR
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("config", "missing.cfg"), ("help", "1"),
+                                        ("empirical-gamma", "false")])
+def test_config_key_that_is_not_a_user_flag_is_config_error(tmp_path, capsys, key, value):
+    config = tmp_path / "gen.cfg"
+    config.write_text(f"kind = gaussian-noise\nm = 20\nn = 2\nseed = 4\n{key} = {value}\n")
+    out = tmp_path / "a.sys"
+    code = run_cli("generate", "--config", str(config), "--out", str(out))
+    assert code == cli.CONFIG_ERROR
+    assert f"--{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_empty_solver_list_is_config_error(system_file, tmp_path, capsys):
+    config = tmp_path / "solve.cfg"
+    config.write_text("solver = ,\n")
+    out = tmp_path / "runs"
+    code = run_cli("solve", "--config", str(config), "--system", str(system_file),
+                   "--seed", "1", "--out", str(out))
+    assert code == cli.CONFIG_ERROR
+    assert "argument --solver: invalid choice: ''" in capsys.readouterr().err
+    assert not out.exists()

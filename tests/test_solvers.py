@@ -326,7 +326,7 @@ def reference_run(sys, rule, stop, x0=None, seed=0):
         r = sys.a @ x - sys.b
         k += 1
 
-    return RunResult(SolverState(x, k, rng), records, stop_reason, switch_iteration)
+    return RunResult(SolverState(x, k), records, stop_reason, switch_iteration)
 
 
 def assert_matches_reference(sys_, rule, stop, seeds, x0, csv_path):
