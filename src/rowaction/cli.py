@@ -33,6 +33,8 @@ from . import mps as mps_mod
 CONFIG_ERROR = 2
 NUMERICAL_ERROR = 3
 
+COMMANDS = ("generate", "solve", "bounds", "netlib-prep", "timing")
+
 CONFIG_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
@@ -55,7 +57,10 @@ def _config_flags(argv: list[str]) -> list[str]:
     flags: argparse checks each config value as it checks a typed flag, and a
     typed scalar flag, parsed later, wins. A key whose flag is typed is
     dropped, so the append flag --solver is not doubled. Only `bounds` has the
-    store_true flag --empirical-gamma; elsewhere its key fails as unknown."""
+    store_true flag --empirical-gamma; elsewhere its key fails as unknown.
+    An argv that does not start with a subcommand is left to argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return argv
     command = argv[:1]
     argv = [t for arg in argv[1:] for t in (arg.split("=", 1) if arg.startswith("--config=") else [arg])]
     if argv.count("--config") > 1:

@@ -443,3 +443,17 @@ def test_config_empty_solver_list_is_config_error(system_file, tmp_path, capsys)
     assert code == cli.CONFIG_ERROR
     assert "argument --solver: invalid choice: ''" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_commands_name_every_subcommand():
+    assert "{" + ",".join(cli.COMMANDS) + "}" in cli.build_parser().format_usage()
+
+
+@pytest.mark.parametrize("equals_form", [False, True])
+def test_config_after_unknown_subcommand_is_left_to_argparse(tmp_path, capsys, equals_form):
+    missing = str(tmp_path / "missing.cfg")
+    code = run_cli("bogus", *([f"--config={missing}"] if equals_form else ["--config", missing]))
+    assert code == cli.CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err
+    assert "No such file" not in err

@@ -422,3 +422,122 @@ def test_hybrid_switch_edge_cases_equal_reference_loop(tmp_path):
     start_inf = float(np.abs(sys_.residual(x0)).max())
     rule = SelectionRule("hybrid", hybrid_threshold=start_inf)
     check(StopRule(50), 0, STOP_MAX_ITERATIONS, at=50, x0=x0)
+
+
+# --------------------------------------------------------------------------
+# the blocked stop test of uniform solves without telemetry
+
+
+@pytest.mark.parametrize("m", [1, 2, 300, 2000, 10000, 2**32 + 1, 2**40 + 3])
+def test_block_draw_equals_scalar_draws(m):
+    block, scalar = make_rng(11), make_rng(11)
+    drawn = block.integers(m, size=333).tolist()
+    contract = ("numpy's rng.integers(m, size=s) must equal s scalar rng.integers(m) calls: "
+                "the blocked rk-uniform solve relies on it, and every rk iteration count "
+                "would change without it")
+    assert drawn == [int(scalar.integers(m)) for _ in range(333)], contract
+    assert block.bit_generator.state == scalar.bit_generator.state, contract
+
+
+def assert_untimed_solve_matches_reference(sys_, rule, stop, seed, x0=None):
+    """The telemetry-off solve that time_to_threshold times stops where
+    reference_run does, with the same x bits. Returns the reference run."""
+    got = next(solvers._trials(sys_, rule, stop, [seed], x0, telemetry=False))
+    ref = reference_run(sys_, rule, stop, x0=x0, seed=seed)
+    assert (got.state.iteration, got.stop_reason) == (ref.state.iteration, ref.stop_reason)
+    assert got.state.x.tobytes() == ref.state.x.tobytes()
+    return ref
+
+
+def test_blocked_stop_at_exact_threshold_equals_reference_loop():
+    sys_ = gaussian_system(m=2000, n=50, noise_std=0.01, seed=1)
+    rule, seed, s = SelectionRule("rk-uniform"), 5, solvers.BLOCK_STEPS
+    ref = reference_run(sys_, rule, StopRule(1000), seed=seed)
+    levels = [rec.residual_inf for rec in ref.records]
+    xs = [np.zeros(sys_.n)]
+    for rec in ref.records:
+        xs.append(project_step(sys_, xs[-1], rec.selected_row))
+
+    def gemm_level(k):  # the sup norm of A x_k - b as the block gemm gives it
+        start = (k - 1) // s * s + 1
+        block = np.array(xs[start:start + s]) @ sys_.a.T - sys_.b
+        return float(np.abs(block[k - start]).max())
+
+    # from k = 100 on, a new lowest residual whose gemm sup norm lies above the
+    # gemv one: without the guard band the blocked solve would step past it
+    k = next(k for k in range(100, len(levels) - s)
+             if levels[k] < min(levels[:k]) and gemm_level(k) > levels[k])
+    assert 0 < (k - 1) % s < s - 1  # mid-block
+    for threshold in (levels[k], np.nextafter(levels[k], 0.0), np.nextafter(levels[k], np.inf)):
+        got = assert_untimed_solve_matches_reference(sys_, rule, StopRule(200_000, threshold), seed)
+        if threshold == levels[k]:
+            assert (got.state.iteration, got.stop_reason) == (k, STOP_RESIDUAL_THRESHOLD)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 63, 64, 65, 129])
+@pytest.mark.parametrize("to_threshold", [True, False])
+def test_blocked_caps_equal_reference_loop(cap, to_threshold):
+    sys_ = gaussian_system(m=2000, n=50, noise_std=0.01, seed=1)
+    stop = StopRule(cap, 4 * sys_.error_inf() if to_threshold else None)
+    ref = assert_untimed_solve_matches_reference(sys_, SelectionRule("rk-uniform"), stop, seed=2)
+    assert (ref.state.iteration, ref.stop_reason) == (cap, STOP_MAX_ITERATIONS)
+
+
+def test_blocked_threshold_met_at_start_equals_reference_loop():
+    sys_ = gaussian_system(m=2000, n=50, noise_std=0.01, seed=1)
+    x0 = np.full(sys_.n, 0.5)
+    rule = SelectionRule("rk-uniform")
+    for start in (None, x0):
+        start_inf = float(np.abs(sys_.residual(np.zeros(sys_.n) if start is None else start)).max())
+        ref = assert_untimed_solve_matches_reference(sys_, rule, StopRule(500, start_inf), 3, start)
+        assert (ref.state.iteration, ref.stop_reason) == (0, STOP_RESIDUAL_THRESHOLD)
+
+
+def test_blocked_hybrid_continuation_equals_reference_loop():
+    sys_ = gaussian_system(m=2000, n=50, noise_std=0.01, seed=1)
+    greedy = reference_run(sys_, SelectionRule("motzkin"), StopRule(20))
+    rule = SelectionRule("hybrid", hybrid_threshold=greedy.records[5].residual_inf)
+    for stop in (StopRule(200_000, 4 * sys_.error_inf()), StopRule(300)):
+        for seed in (1, 2):
+            ref = assert_untimed_solve_matches_reference(sys_, rule, stop, seed)
+            assert ref.switch_iteration is not None
+            assert ref.state.iteration - ref.switch_iteration > 2 * solvers.BLOCK_STEPS
+
+
+@st.composite
+def untimed_cases(draw):
+    """A small system, rk-uniform or hybrid, and a cap up to 400 whose
+    threshold, when present, is a residual level the reference run reaches."""
+    m = draw(st.integers(2, 40))
+    n = draw(st.integers(1, min(m, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(size=(m, n))
+    b = A @ rng.normal(size=n) + draw(st.sampled_from([0.0, 0.01, 1.0])) * rng.normal(size=m)
+    sys_ = systems.from_unnormalized(A, b)
+    if not draw(st.booleans()):
+        sys_ = systems.LinearSystem(sys_.a, sys_.b)
+    x0 = rng.normal(size=n) if draw(st.booleans()) else None
+    start_inf = max(float(np.abs(sys_.residual(np.zeros(n) if x0 is None else x0)).max()), 1e-3)
+    rule = (SelectionRule("hybrid", draw(st.floats(0.05, 1.1)) * start_inf)
+            if draw(st.booleans()) else SelectionRule("rk-uniform"))
+    cap = draw(st.integers(0, 400))
+    seed = draw(st.integers(0, 2**64 - 1))
+    threshold = None
+    if draw(st.integers(0, 3)):
+        levels = [rec.residual_inf for rec in reference_run(sys_, rule, StopRule(cap), x0, seed).records]
+        if levels:
+            level = levels[draw(st.integers(0, len(levels) - 1))]
+            threshold = max(0.0, level + draw(st.sampled_from([0, -1, 1, -64, 64])) * np.spacing(level))
+    return sys_, rule, StopRule(cap, threshold), seed, x0
+
+
+@settings(max_examples=120)
+@given(case=untimed_cases())
+def test_untimed_solve_equals_reference_loop(case):
+    sys_, rule, stop, seed, x0 = case
+    ref = assert_untimed_solve_matches_reference(sys_, rule, stop, seed, x0)
+    if stop.residual_inf_threshold is not None and x0 is None:
+        summary = solvers.time_to_threshold(sys_, rule, stop.residual_inf_threshold, trials=1,
+                                            seed=seed, max_iterations=stop.max_iterations)
+        assert summary.iterations == [ref.state.iteration]
+        assert summary.censored_mask == [ref.stop_reason != STOP_RESIDUAL_THRESHOLD]
