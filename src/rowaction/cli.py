@@ -128,16 +128,18 @@ def _check_trials(args) -> None:
         systems.make_rng(seed)
 
 
-def _resolve_threshold(args, sys_: systems.LinearSystem, flag: float | None) -> float:
-    """Explicit flag, else 4*||e||_inf from the reference, else 4*beta."""
-    if flag is not None:
-        return flag
+def _resolve_threshold(args, sys_: systems.LinearSystem, flag: str) -> float:
+    """The value of `flag`, else 4*||e||_inf from the reference, else 4*--stop-beta."""
+    value = getattr(args, flag[2:].replace("-", "_"))
+    if value is not None:
+        return value
     if sys_.error_vec is not None:
         return 4.0 * sys_.error_inf()
     beta = getattr(args, "stop_beta", None)
     if beta is not None:
         return 4.0 * beta
-    raise ValueError("no threshold: pass the flag, or --stop-beta, or use a system with a reference")
+    flags = f"{flag} or --stop-beta" if hasattr(args, "stop_beta") else flag
+    raise ValueError(f"no threshold: pass {flags}, or use a system with a reference")
 
 
 # --------------------------------------------------------------------------
@@ -156,21 +158,20 @@ def cmd_generate(args) -> int:
 def cmd_solve(args) -> int:
     _check_trials(args)
     sys_ = _load_source(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     beta_threshold = None if args.stop_beta is None else 4.0 * args.stop_beta
     thresholds = [t for t in (args.stop_residual_inf, beta_threshold) if t is not None]
     if any(t < 0 for t in thresholds):
         raise ValueError("--stop-beta and --stop-residual-inf must be nonnegative")
     stop = solvers.StopRule(max_iterations=args.max_iterations,
                             residual_inf_threshold=max(thresholds, default=None))
+    rules = [solvers.SelectionRule(name, _resolve_threshold(args, sys_, "--hybrid-threshold"))
+             if name == "hybrid" else solvers.SelectionRule(name) for name in args.solver]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     summary_rows = []
-    for name in args.solver:
-        if name == "hybrid":
-            rule = solvers.SelectionRule("hybrid", _resolve_threshold(args, sys_, args.hybrid_threshold))
-        else:
-            rule = solvers.SelectionRule(name)
-        seeds = range(args.seed, args.seed + args.trials)
+    seeds = range(args.seed, args.seed + args.trials)
+    for rule in rules:
+        name = rule.kind
         for trial, result in enumerate(solvers.run_trials(sys_, rule, stop, seeds)):
             path = out / f"{name}_trial{trial}.csv"
             solvers.write_telemetry_csv(path, result.records)
@@ -199,8 +200,6 @@ def cmd_bounds(args) -> int:
         # gammas stop at the first record without one, so each stays at its k
         gamma_seq = list(itertools.takewhile(lambda g: g is not None, (r.gamma for r in records)))
     inputs = bounds_mod.bound_inputs_from_system(sys_, gamma_seq=gamma_seq)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     k = args.iterations
     curves = {
         "rk_bound.csv": bounds_mod.rk_bound(inputs, k),
@@ -211,6 +210,8 @@ def cmd_bounds(args) -> int:
     if gamma_seq is not None:
         k_emp = min(k, len(gamma_seq))
         curves["motzkin_empirical_gamma.csv"] = bounds_mod.motzkin_bound_empirical_gamma(inputs, k_emp)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for filename, curve in curves.items():
         bounds_mod.write_curves_csv(out / filename, [curve])
         print(f"wrote {out / filename}")
@@ -232,7 +233,8 @@ def cmd_netlib_prep(args) -> int:
 def cmd_timing(args) -> int:
     _check_trials(args)
     sys_ = _load_source(args)
-    threshold = _resolve_threshold(args, sys_, args.threshold)
+    threshold = _resolve_threshold(args, sys_, "--threshold")
+    solvers.StopRule(args.max_iterations, threshold)  # reject bad values before --out exists
     problem = args.problem or (Path(args.system).stem if args.system else
                                Path(args.mps).stem if args.mps else args.kind)
     out = Path(args.out)

@@ -21,9 +21,10 @@ the switch iterate. The greedy rule never draws from the RNG, so
 `run_trials` computes a motzkin run, or a hybrid prefix, once and shares it
 across all the seeds it is given.
 
-Each performed iteration emits one IterationRecord measured at the iterate
-*before* the update, so record k describes x_k and the step producing
-x_{k+1}. Stopping rules are checked against the same pre-update residual.
+Each performed iteration emits one IterationRecord, a named tuple whose
+fields are the telemetry CSV columns, measured at the iterate *before* the
+update, so record k describes x_k and the step producing x_{k+1}. Stopping
+rules are checked against the same pre-update residual.
 `time_to_threshold` times solves that record no telemetry, so its seconds
 measure the solver alone. A uniform solve without telemetry never needs a
 residual to pick its rows, so its stop test is checked in blocks of
@@ -38,6 +39,7 @@ import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,9 +53,6 @@ STOP_MAX_ITERATIONS = "max-iterations"
 
 # steps per block of a uniform solve without telemetry
 BLOCK_STEPS = 64
-
-TELEMETRY_COLUMNS = ("k", "selected_row", "residual_inf", "residual_2sq",
-                     "gamma", "error_sq", "selected_residual_sq")
 
 
 @dataclass(frozen=True)
@@ -89,15 +88,20 @@ class SolverState:
     iteration: int
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
+    """One telemetry row; the fields are the CSV columns in order. gamma and
+    error_sq are None without a reference, gamma also where A x_k = A x_ref."""
+
     k: int
     selected_row: int
     residual_inf: float
     residual_2sq: float
+    gamma: float | None
+    error_sq: float | None
     selected_residual_sq: float
-    gamma: float | None = None
-    error_sq: float | None = None
+
+
+TELEMETRY_COLUMNS = IterationRecord._fields
 
 
 @dataclass
@@ -118,9 +122,13 @@ def project_step(sys: LinearSystem, x, i: int) -> np.ndarray:
     """Project x onto the hyperplane of equation i (rows are unit norm)."""
     if not 0 <= i < sys.m:
         raise IndexError(f"row index {i} out of range for {sys.m} rows")
-    x = np.asarray(x, dtype=float)
-    a_i = sys.a[i]
-    return x + (sys.b[i] - float(np.dot(a_i, x))) * a_i
+    return _project(sys.a, sys.b, np.asarray(x, dtype=float), i)
+
+
+def _project(a, b, x, i, out=None):
+    """x + (b_i - a_i . x) a_i, into `out` when given; no checks."""
+    a_i = a[i]
+    return np.add(x, (b[i] - float(np.dot(a_i, x))) * a_i, out=out)
 
 
 def run(sys: LinearSystem,
@@ -224,17 +232,10 @@ def _loop(sys, x, r, k, stop, rng, records):
                     gamma = float(np.dot(d, d)) / d_inf_sq
                 diff = x - sys.reference
                 error_sq = float(np.dot(diff, diff))
-            records.append(IterationRecord(
-                k=k,
-                selected_row=i,
-                residual_inf=residual_inf,
-                residual_2sq=float(np.dot(r, r)),
-                selected_residual_sq=float(r[i]) ** 2,
-                gamma=gamma,
-                error_sq=error_sq,
-            ))
+            records.append(IterationRecord(k, i, residual_inf, float(np.dot(r, r)),
+                                           gamma, error_sq, float(r[i]) ** 2))
 
-        x = project_step(sys, x, i)
+        x = _project(sys.a, sys.b, x, i)
         r = sys.a @ x - sys.b
         k += 1
 
@@ -243,10 +244,10 @@ def _blocked_uniform(sys, x, r, k, stop, rng):
     """`_loop` with uniform draws and no records, BLOCK_STEPS steps at a time.
 
     One `rng.integers(m, size=steps)` call draws a block's rows, the same
-    values as `steps` scalar draws. Each iterate uses `project_step`'s
-    expression and is kept in a buffer; one gemm then gives the residuals of
-    the whole block, and the stop test takes the first iterate at or below
-    the threshold. gemm and gemv may differ in the last bits of a sup norm v,
+    values as `steps` scalar draws. Each iterate is projected as in `_loop`
+    and kept in a buffer; one gemm then gives the residuals of the whole
+    block, and the stop test takes the first iterate at or below the
+    threshold. gemm and gemv may differ in the last bits of a sup norm v,
     by less than g = 2 (n+2) eps (||x||_2 + ||b||_inf + v) on unit rows
     (|a_i . x| <= ||x||_2). So every iterate whose gemm v is not above the
     threshold by more than g is checked again with `_loop`'s gemv, and the
@@ -265,8 +266,7 @@ def _blocked_uniform(sys, x, r, k, stop, rng):
     while k < stop.max_iterations:
         steps = min(BLOCK_STEPS, stop.max_iterations - k)
         for j, i in enumerate(rng.integers(sys.m, size=steps).tolist()):
-            a_i = a[i]
-            x = np.add(x, (b[i] - float(np.dot(a_i, x))) * a_i, out=iterates[j])
+            x = _project(a, b, x, i, out=iterates[j])
         if threshold is not None:
             block = np.matmul(iterates[:steps], a.T, out=residuals[:steps])
             block -= b
@@ -343,38 +343,33 @@ def time_to_threshold(sys: LinearSystem,
 
 
 def write_telemetry_csv(path, records: list[IterationRecord]) -> None:
-    """One row per iteration, schema `k,selected_row,residual_inf,
-    residual_2sq,gamma,error_sq,selected_residual_sq`; absent optionals are
-    left empty. Deterministic byte-for-byte for equal records."""
+    """A TELEMETRY_COLUMNS header, then one row per record. The csv module
+    writes a float as its repr and None as an empty field, so the bytes are
+    deterministic for equal records."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TELEMETRY_COLUMNS)
-        for rec in records:
-            writer.writerow([
-                rec.k,
-                rec.selected_row,
-                repr(rec.residual_inf),
-                repr(rec.residual_2sq),
-                "" if rec.gamma is None else repr(rec.gamma),
-                "" if rec.error_sq is None else repr(rec.error_sq),
-                repr(rec.selected_residual_sq),
-            ])
+        writer.writerows(records)
 
 
 def read_telemetry_csv(path) -> list[IterationRecord]:
+    """Records of a telemetry CSV; blank rows are skipped, and a malformed
+    row raises ValueError naming the path and the line."""
     records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != TELEMETRY_COLUMNS:
-            raise ValueError(f"{path}: unexpected telemetry header {reader.fieldnames}")
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if tuple(header or ()) != TELEMETRY_COLUMNS:
+            raise ValueError(f"{path}: unexpected telemetry header {header}")
         for row in reader:
-            records.append(IterationRecord(
-                k=int(row["k"]),
-                selected_row=int(row["selected_row"]),
-                residual_inf=float(row["residual_inf"]),
-                residual_2sq=float(row["residual_2sq"]),
-                selected_residual_sq=float(row["selected_residual_sq"]),
-                gamma=float(row["gamma"]) if row["gamma"] else None,
-                error_sq=float(row["error_sq"]) if row["error_sq"] else None,
-            ))
+            if not row:
+                continue
+            try:
+                k, i, residual_inf, residual_2sq, gamma, error_sq, selected_residual_sq = row
+                records.append(IterationRecord(
+                    int(k), int(i), float(residual_inf), float(residual_2sq),
+                    float(gamma) if gamma else None, float(error_sq) if error_sq else None,
+                    float(selected_residual_sq)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return records

@@ -172,7 +172,8 @@ def test_bounds_outputs_curves(system_file, tmp_path):
 def test_bounds_empirical_gamma_stops_at_first_missing_gamma(system_file, tmp_path):
     # a gap at k=2 must not shift the k=3 gamma onto k=2
     records = [solvers.IterationRecord(k=k, selected_row=0, residual_inf=1.0, residual_2sq=1.0,
-                                       selected_residual_sq=1.0, gamma=None if k == 2 else 2.0)
+                                       selected_residual_sq=1.0, gamma=None if k == 2 else 2.0,
+                                       error_sq=None)
                for k in range(4)]
     telemetry = tmp_path / "telemetry.csv"
     solvers.write_telemetry_csv(telemetry, records)
@@ -182,6 +183,79 @@ def test_bounds_empirical_gamma_stops_at_first_missing_gamma(system_file, tmp_pa
     assert code == 0
     with open(out / "motzkin_empirical_gamma.csv") as fh:
         assert [int(r["k"]) for r in csv.DictReader(fh)] == [0, 1, 2]
+
+
+HEADER = ",".join(solvers.TELEMETRY_COLUMNS)
+ROW = "0,1,1.0,1.0,2.0,0.5,1.0"
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("1,1,1.0,1.0,2.0,0.5", "not enough values to unpack (expected 7, got 6)"),
+    ("1,1,1.0,1.0,2.0,0.5,1.0,9", "too many values to unpack (expected 7"),
+    ("1,1,1.0,abc,2.0,0.5,1.0", "could not convert string to float: 'abc'"),
+])
+def test_bounds_malformed_telemetry_row_names_path_and_line(system_file, tmp_path, capsys,
+                                                              bad_row, message):
+    telemetry = tmp_path / "telemetry.csv"
+    telemetry.write_text(f"{HEADER}\n{ROW}\n{bad_row}\n")
+    code = run_cli("bounds", "--system", str(system_file), "--iterations", "4",
+                   "--telemetry", str(telemetry), "--out", str(tmp_path / "curves"))
+    assert code == cli.CONFIG_ERROR
+    assert f"{telemetry}:3: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "curves").exists()
+
+
+def test_bounds_telemetry_skips_blank_rows(system_file, tmp_path):
+    telemetry = tmp_path / "telemetry.csv"
+    telemetry.write_text(f"{HEADER}\n{ROW}\n\n{ROW.replace('0', '1', 1)}\n\n")
+    out = tmp_path / "curves"
+    code = run_cli("bounds", "--system", str(system_file), "--iterations", "4",
+                   "--telemetry", str(telemetry), "--empirical-gamma", "--out", str(out))
+    assert code == 0
+    with open(out / "motzkin_empirical_gamma.csv") as fh:
+        assert [int(r["k"]) for r in csv.DictReader(fh)] == [0, 1, 2]
+
+
+@pytest.fixture()
+def no_reference_file(tmp_path):
+    path = tmp_path / "noref.sys"
+    sys_ = systems.generate(systems.GeneratorSpec("gaussian-noise", m=60, n=6, seed=3))
+    systems.save_system(path, systems.LinearSystem(sys_.a, sys_.b))
+    return path
+
+
+def test_solve_without_hybrid_threshold_writes_nothing(no_reference_file, tmp_path, capsys):
+    out = tmp_path / "runs"
+    code = run_cli("solve", "--system", str(no_reference_file), "--solver", "motzkin",
+                   "--solver", "hybrid", "--seed", "1", "--out", str(out))
+    assert code == cli.CONFIG_ERROR
+    assert "pass --hybrid-threshold or --stop-beta" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--solver", "motzkin", "--solver", "hybrid", "--hybrid-threshold", "-1", "--seed", "1"],
+    ["solve", "--max-iterations", "-1", "--seed", "1"],
+    ["timing", "--threshold", "-1", "--seed", "1"],
+    ["timing", "--max-iterations", "-1", "--seed", "1"],
+    ["bounds", "--iterations", "-1"],
+])
+def test_bad_values_write_nothing(system_file, tmp_path, argv):
+    out = tmp_path / "out"
+    code = run_cli(*argv, "--system", str(system_file), "--out", str(out))
+    assert code == cli.CONFIG_ERROR
+    assert not out.exists()
+
+
+def test_timing_without_threshold_names_only_its_flags(no_reference_file, tmp_path, capsys):
+    out = tmp_path / "timing"
+    code = run_cli("timing", "--system", str(no_reference_file), "--seed", "1",
+                   "--out", str(out))
+    assert code == cli.CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "pass --threshold, or use a system with a reference" in err
+    assert "--stop-beta" not in err
+    assert not out.exists()
 
 
 def test_bounds_negative_iterations_is_config_error(system_file, tmp_path, capsys):

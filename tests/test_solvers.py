@@ -264,6 +264,23 @@ def test_telemetry_csv_empty_optionals(tmp_path):
     assert back[0].gamma is None and back[0].error_sq is None
 
 
+def test_telemetry_csv_golden_bytes(tmp_path):
+    # pins the format: floats as their shortest round-trip repr, None as empty
+    records = [
+        IterationRecord(k=0, selected_row=3, residual_inf=0.1 + 0.2, residual_2sq=-0.0,
+                        gamma=5e-324, error_sq=1e16, selected_residual_sq=0.1),
+        IterationRecord(k=1, selected_row=0, residual_inf=1e16, residual_2sq=5e-324,
+                        gamma=None, error_sq=None, selected_residual_sq=-0.0),
+    ]
+    path = tmp_path / "golden.csv"
+    solvers.write_telemetry_csv(path, records)
+    assert path.read_bytes() == (
+        b"k,selected_row,residual_inf,residual_2sq,gamma,error_sq,selected_residual_sq\r\n"
+        b"0,3,0.30000000000000004,-0.0,5e-324,1e+16,0.1\r\n"
+        b"1,0,1e+16,5e-324,,,-0.0\r\n")
+    assert solvers.read_telemetry_csv(path) == records
+
+
 # --------------------------------------------------------------------------
 # run and run_trials against the one-pass-per-seed loop they replaced
 
