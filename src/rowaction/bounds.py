@@ -118,16 +118,11 @@ def motzkin_bound_empirical_gamma(inp: BoundInputs, num_iterations: int) -> Boun
         raise ValueError(f"gamma_seq has {len(inp.gamma_seq)} entries, need {num_iterations}")
     s2 = inp.sigma_min ** 2
     horizon = 2.0 * inp.m / s2 * inp.error_inf ** 2
-    values = np.empty(num_iterations + 1)
-    product = 1.0
-    clamped = False
-    values[0] = inp.initial_error_sq + horizon
-    for k in range(num_iterations):
-        factor, c = _clamp_factor(1.0 - s2 / (4.0 * inp.gamma_seq[k]))
-        clamped = clamped or c
-        product *= factor
-        values[k + 1] = product * inp.initial_error_sq + horizon
-    return BoundCurve("motzkin-empirical-gamma", values, clamped)
+    factors = 1.0 - s2 / (4.0 * np.asarray(inp.gamma_seq[:num_iterations], dtype=float))
+    clamped = bool(np.any((factors < 0.0) | (factors > 1.0)))
+    # a leading 1.0 keeps values[0] = E0 + horizon; cumprod multiplies in order, as a loop would
+    products = np.cumprod(np.concatenate(([1.0], np.clip(factors, 0.0, 1.0))))
+    return BoundCurve("motzkin-empirical-gamma", products * inp.initial_error_sq + horizon, clamped)
 
 
 def final_error_bounds(inp: BoundInputs) -> tuple[float, float]:

@@ -7,6 +7,9 @@ Subcommands:
   netlib-prep   parse an MPS file and write the stacked, normalized system
   timing        mean time/iterations to a residual threshold, solver vs solver
 
+solve, bounds and timing read their system only from --system, a file
+written by generate or netlib-prep.
+
 Every flag can also come from one `key = value` config file, given as
 --config PATH or --config=PATH. Each line becomes a `--key=value` flag ahead of
 the command-line flags, so it passes the same type, choice and required checks
@@ -88,40 +91,12 @@ def _config_flags(argv: list[str]) -> list[str]:
     return command + flags + argv
 
 
-def _add_generator_flags(p: argparse.ArgumentParser, kind_required: bool):
-    p.add_argument("--kind", choices=systems.GENERATOR_KINDS, required=kind_required)
-    p.add_argument("--m", type=int, default=2000)
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument("--noise-std", type=float, default=1.0)
-    p.add_argument("--spike-count", type=int, default=0)
-    p.add_argument("--spike-magnitude", type=float, default=0.0)
-    p.add_argument("--row-mean", type=float, default=1.0)
-    p.add_argument("--row-std", type=float, default=0.5)
-
-
-def _spec_from_args(args) -> systems.GeneratorSpec:
-    return systems.GeneratorSpec(
-        kind=args.kind, m=args.m, n=args.n, noise_std=args.noise_std,
-        spike_count=args.spike_count, spike_magnitude=args.spike_magnitude,
-        row_mean=args.row_mean, row_std=args.row_std, seed=args.seed)
-
-
-def _load_source(args) -> systems.LinearSystem:
-    """System source precedence: --system file, then --mps, then generator flags."""
-    if args.system:
-        return systems.load_system(args.system)
-    if args.mps:
-        problem = mps_mod.load_mps(args.mps)
-        A, b = mps_mod.extract_system(problem)
-        spec = mps_mod.TransformSpec(noise_std=args.transform_noise_std, seed=args.seed)
-        return mps_mod.overdetermine(A, b, spec)
-    if args.kind:
-        return systems.generate(_spec_from_args(args))
-    raise ValueError("no system source: pass --system, --mps, or generator flags (--kind ...)")
-
-
-def _check_trials(args) -> None:
-    """Reject a trial count or seed range that would fail part-way through."""
+def _check_run_flags(args) -> None:
+    """Reject a repeated solver, or a trial count or seed range that would
+    fail part-way through."""
+    for name in args.solver:
+        if args.solver.count(name) > 1:
+            raise ValueError(f"--solver {name} is given more than once")
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     for seed in (args.seed, args.seed + args.trials - 1):
@@ -147,7 +122,10 @@ def _resolve_threshold(args, sys_: systems.LinearSystem, flag: str) -> float:
 
 
 def cmd_generate(args) -> int:
-    sys_ = systems.generate(_spec_from_args(args))
+    sys_ = systems.generate(systems.GeneratorSpec(
+        kind=args.kind, m=args.m, n=args.n, noise_std=args.noise_std,
+        spike_count=args.spike_count, spike_magnitude=args.spike_magnitude,
+        row_mean=args.row_mean, row_std=args.row_std, seed=args.seed))
     systems.save_system(args.out, sys_)
     sigma = linalg.min_singular_value(sys_.a)
     print(f"m={sys_.m} n={sys_.n} error_inf={sys_.error_inf():.8g} sigma_min={sigma:.8g}")
@@ -156,8 +134,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    _check_trials(args)
-    sys_ = _load_source(args)
+    _check_run_flags(args)
+    sys_ = systems.load_system(args.system)
     beta_threshold = None if args.stop_beta is None else 4.0 * args.stop_beta
     thresholds = [t for t in (args.stop_residual_inf, beta_threshold) if t is not None]
     if any(t < 0 for t in thresholds):
@@ -231,12 +209,11 @@ def cmd_netlib_prep(args) -> int:
 
 
 def cmd_timing(args) -> int:
-    _check_trials(args)
-    sys_ = _load_source(args)
+    _check_run_flags(args)
+    sys_ = systems.load_system(args.system)
     threshold = _resolve_threshold(args, sys_, "--threshold")
     solvers.StopRule(args.max_iterations, threshold)  # reject bad values before --out exists
-    problem = args.problem or (Path(args.system).stem if args.system else
-                               Path(args.mps).stem if args.mps else args.kind)
+    problem = Path(args.system).stem
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -267,16 +244,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", allow_abbrev=False, help="generate a synthetic system file")
-    _add_generator_flags(p, kind_required=True)
+    p.add_argument("--kind", choices=systems.GENERATOR_KINDS, required=True)
+    p.add_argument("--m", type=int, default=2000)
+    p.add_argument("--n", type=int, default=50)
+    p.add_argument("--noise-std", type=float, default=1.0)
+    p.add_argument("--spike-count", type=int, default=0)
+    p.add_argument("--spike-magnitude", type=float, default=0.0)
+    p.add_argument("--row-mean", type=float, default=1.0)
+    p.add_argument("--row-std", type=float, default=0.5)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("solve", allow_abbrev=False, help="run solvers and write telemetry CSVs")
-    p.add_argument("--system", help="path to a saved system file")
-    p.add_argument("--mps", help="path to an MPS file (stacked before solving)")
-    p.add_argument("--transform-noise-std", type=float, default=1e-6)
-    _add_generator_flags(p, kind_required=False)
+    p.add_argument("--system", required=True, help="system file written by generate or netlib-prep")
     p.add_argument("--solver", action="append", choices=solvers.SELECTION_KINDS, default=None)
     p.add_argument("--max-iterations", type=int, default=1000)
     p.add_argument("--stop-beta", type=float, default=None,
@@ -306,11 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_netlib_prep)
 
     p = sub.add_parser("timing", allow_abbrev=False, help="mean time/iterations to a residual threshold")
-    p.add_argument("--system")
-    p.add_argument("--mps")
-    p.add_argument("--transform-noise-std", type=float, default=1e-6)
-    _add_generator_flags(p, kind_required=False)
-    p.add_argument("--problem", help="label for the CSV rows")
+    p.add_argument("--system", required=True,
+                   help="system file written by generate or netlib-prep; its stem labels the rows")
     p.add_argument("--threshold", type=float, default=None,
                    help="residual sup-norm target; defaults to 4*||e||_inf of the reference")
     # hybrid needs a switch threshold, which timing has no flag for

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rowaction import bounds, solvers, systems
 from rowaction.bounds import BoundInputs
@@ -88,6 +90,54 @@ def test_empirical_gamma_requires_sequence():
         bounds.motzkin_bound_empirical_gamma(inputs(), 3)
     with pytest.raises(ValueError):
         bounds.motzkin_bound_empirical_gamma(inputs(gamma_seq=(2.0,)), 3)
+
+
+def reference_empirical_gamma(inp, num_iterations):
+    """motzkin_bound_empirical_gamma before it was vectorized: one clamped
+    factor and one running product per step. Kept verbatim as the reference."""
+    bounds._check_num_iterations(num_iterations)
+    if inp.gamma_seq is None:
+        raise ValueError("empirical-gamma bound requires gamma_seq")
+    if len(inp.gamma_seq) < num_iterations:
+        raise ValueError(f"gamma_seq has {len(inp.gamma_seq)} entries, need {num_iterations}")
+    s2 = inp.sigma_min ** 2
+    horizon = 2.0 * inp.m / s2 * inp.error_inf ** 2
+    values = np.empty(num_iterations + 1)
+    product = 1.0
+    clamped = False
+    values[0] = inp.initial_error_sq + horizon
+    for k in range(num_iterations):
+        factor, c = bounds._clamp_factor(1.0 - s2 / (4.0 * inp.gamma_seq[k]))
+        clamped = clamped or c
+        product *= factor
+        values[k + 1] = product * inp.initial_error_sq + horizon
+    return bounds.BoundCurve("motzkin-empirical-gamma", values, clamped)
+
+
+@st.composite
+def empirical_gamma_cases(draw):
+    m = draw(st.integers(1, 40))
+    # sigma_min up to sqrt(m) = ||A||_F: above 2, gammas below sigma_min^2/4 clamp
+    sigma_min = draw(st.floats(0.05, 1.0)) * m ** 0.5
+    gammas = draw(st.lists(st.floats(1.0, float(m)), max_size=30))
+    num_iterations = draw(st.integers(0, len(gammas)))
+    inp = inputs(m=m, sigma_min=sigma_min, frobenius_sq=float(m),
+                 error_inf=draw(st.floats(0.0, 2.0)),
+                 initial_error_sq=draw(st.floats(0.0, 1e3)), gamma_seq=tuple(gammas))
+    return inp, num_iterations
+
+
+@given(case=empirical_gamma_cases())
+@example(case=(inputs(m=16, sigma_min=3.0, frobenius_sq=16.0, error_inf=0.5,
+                      gamma_seq=(1.5, 16.0, 2.0, 3.0)), 3))
+@example(case=(inputs(m=4, gamma_seq=(2.0, 3.0)), 0))
+def test_empirical_gamma_equals_reference_loop(case):
+    inp, num_iterations = case
+    got = bounds.motzkin_bound_empirical_gamma(inp, num_iterations)
+    want = reference_empirical_gamma(inp, num_iterations)
+    assert (got.name, got.clamped) == (want.name, want.clamped)
+    assert got.values.dtype == want.values.dtype
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_contraction_clamped_and_flagged():

@@ -123,18 +123,37 @@ def test_trials_below_one_is_config_error(system_file, tmp_path, capsys):
         assert not out.exists() or not any(out.iterdir())
 
 
-def test_solve_from_generator_flags(tmp_path):
-    out = tmp_path / "gen"
-    code = run_cli("solve", "--kind", "gaussian-noise", "--m", "60", "--n", "6",
-                   "--noise-std", "0.1", "--solver", "motzkin",
-                   "--max-iterations", "100", "--seed", "2", "--out", str(out))
-    assert code == 0
-    assert (out / "motzkin_trial0.csv").exists()
-
-
 def test_solve_without_source_is_config_error(tmp_path):
     code = run_cli("solve", "--solver", "motzkin", "--seed", "1", "--out", str(tmp_path))
     assert code == cli.CONFIG_ERROR
+
+
+@pytest.mark.parametrize("command", ["solve", "timing"])
+@pytest.mark.parametrize("flag", [["--kind", "spiky-noise"], ["--mps", "missing.mps"],
+                                  ["--transform-noise-std", "0.1"], ["--problem", "label"]],
+                         ids=lambda flag: flag[0])
+def test_system_source_flags_other_than_system_are_rejected(system_file, tmp_path, capsys,
+                                                            command, flag):
+    out = tmp_path / "out"
+    code = run_cli(command, "--system", str(system_file), *flag, "--seed", "1", "--out", str(out))
+    assert code == cli.CONFIG_ERROR
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "timing"])
+@pytest.mark.parametrize("form", ["flags", "config"])
+def test_repeated_solver_is_config_error(system_file, tmp_path, capsys, command, form):
+    config = tmp_path / "c.cfg"
+    config.write_text("solver = motzkin, rk-uniform, motzkin\n")
+    solvers_ = (["--config", str(config)] if form == "config" else
+                ["--solver", "motzkin", "--solver", "rk-uniform", "--solver", "motzkin"])
+    out = tmp_path / "out"
+    code = run_cli(command, "--system", str(system_file), *solvers_, "--max-iterations", "20",
+                   "--trials", "1", "--seed", "1", "--out", str(out))
+    assert code == cli.CONFIG_ERROR
+    assert "--solver motzkin is given more than once" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_hybrid_switch_visible_in_telemetry(system_file, tmp_path):
@@ -455,26 +474,28 @@ def test_config_boolean_rejects_other_words(system_file, tmp_path, capsys, value
     assert not out.exists()
 
 
+SYSTEM = "<system file>"  # stands for the system_file fixture in parametrized argv
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "--kind", "gaussian-noise", "--m", "20", "--n", "2", "--seed", "-2"],
     ["netlib-prep", "--mps", str(DATA / "bandm_style.mps"), "--seed", "-1"],
-    ["solve", "--kind", "gaussian-noise", "--m", "20", "--n", "2", "--seed", "-1"],
-    ["solve", "--kind", "gaussian-noise", "--m", "20", "--n", "2", "--trials", "3",
-     "--seed", str(2**64 - 2)],
-    ["timing", "--kind", "gaussian-noise", "--m", "20", "--n", "2", "--seed", "-1"],
-    ["timing", "--kind", "gaussian-noise", "--m", "20", "--n", "2", "--trials", "2",
-     "--seed", str(2**64 - 1)],
+    ["solve", "--system", SYSTEM, "--seed", "-1"],
+    ["solve", "--system", SYSTEM, "--trials", "3", "--seed", str(2**64 - 2)],
+    ["timing", "--system", SYSTEM, "--seed", "-1"],
+    ["timing", "--system", SYSTEM, "--trials", "2", "--seed", str(2**64 - 1)],
 ])
-def test_out_of_range_seed_is_config_error(tmp_path, capsys, argv):
+def test_out_of_range_seed_is_config_error(system_file, tmp_path, capsys, argv):
     out = tmp_path / "out"
+    argv = [str(system_file) if arg == SYSTEM else arg for arg in argv]
     assert run_cli(*argv, "--out", str(out)) == cli.CONFIG_ERROR
     assert "is outside [0, 2**64)" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_largest_seed_is_accepted(tmp_path):
+def test_largest_seed_is_accepted(system_file, tmp_path):
     out = tmp_path / "runs"
-    assert run_cli("solve", "--kind", "gaussian-noise", "--m", "20", "--n", "2",
+    assert run_cli("solve", "--system", str(system_file),
                    "--solver", "rk-uniform", "--trials", "2", "--max-iterations", "5",
                    "--seed", str(2**64 - 2), "--out", str(out)) == 0
     assert (out / "rk-uniform_trial1.csv").exists()
@@ -484,13 +505,14 @@ def test_largest_seed_is_accepted(tmp_path):
     ("timing", "solver = motzkin, hybrid\n", "argument --solver: invalid choice: 'hybrid'"),
     ("generate", "m = abc\n", "argument --m: invalid int value: 'abc'"),
 ], ids=["timing-solver", "generate-m"])
-def test_config_values_checked_by_argparse_before_any_work(tmp_path, capsys, command,
-                                                           config_text, message):
+def test_config_values_checked_by_argparse_before_any_work(system_file, tmp_path, capsys,
+                                                           command, config_text, message):
     config = tmp_path / "c.cfg"
     config.write_text(config_text)
     out = tmp_path / "out"
-    code = run_cli(command, "--config", str(config), "--kind", "gaussian-noise",
-                   "--n", "4", "--seed", "1", "--out", str(out))
+    source = (["--system", str(system_file)] if command == "timing" else
+              ["--kind", "gaussian-noise", "--n", "4"])
+    code = run_cli(command, "--config", str(config), *source, "--seed", "1", "--out", str(out))
     assert code == cli.CONFIG_ERROR
     assert message in capsys.readouterr().err
     assert not out.exists()
