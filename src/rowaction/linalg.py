@@ -64,7 +64,27 @@ def frobenius_norm_sq(A) -> float:
     matrix with m rows the result is m up to the normalization tolerance.
     """
     A = as_matrix(A)
-    return math.fsum(float(np.dot(row, row)) for row in A)
+    return math.fsum(row_norms_sq(A).tolist())
+
+
+def matvecs(A, X, out=None) -> np.ndarray:
+    """The rows A @ x for each row x of X, into `out` when given; no checks.
+
+    numpy's matmul of the stack X[:, None, :] with A.T makes one gemv call per
+    stacked item, the very call of `A @ x`, so each row has the bits of
+    `A @ x`. The gemm `X @ A.T` does not: its entries may differ in the last
+    bits.
+    """
+    return np.matmul(X[:, None, :], A.T, out=None if out is None else out[:, None, :])[:, 0, :]
+
+
+def row_norms_sq(M) -> np.ndarray:
+    """np.dot(row, row) for each row of M, bit for bit; no checks.
+
+    A stacked matmul of (1, n) by (n, 1) items runs np.dot's own dot kernel
+    on each row.
+    """
+    return np.matmul(M[:, None, :], M[:, :, None])[:, 0, 0]
 
 
 def _full_rank_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,23 +15,29 @@ and the selection rule is what distinguishes the methods:
                configured threshold, then rk-uniform for good (the switch
                is one-way even if the residual later grows back).
 
-One loop performs every run, with greedy or uniform selection. A hybrid run
-is a greedy prefix, stopped at the switch, plus a uniform continuation from
-the switch iterate. The greedy rule never draws from the RNG, so
-`run_trials` computes a motzkin run, or a hybrid prefix, once and shares it
-across all the seeds it is given.
+Two loops perform every run: a step-by-step greedy loop, and a blocked loop
+for uniform selection. A hybrid run is a greedy prefix, stopped at the
+switch, plus a uniform continuation from the switch iterate. The greedy rule
+never draws from the RNG, so `run_trials` computes a motzkin run, or a hybrid
+prefix, once and shares it across all the seeds it is given.
 
 Each performed iteration emits one IterationRecord, a named tuple whose
 fields are the telemetry CSV columns, measured at the iterate *before* the
 update, so record k describes x_k and the step producing x_{k+1}. Stopping
 rules are checked against the same pre-update residual.
 `time_to_threshold` times solves that record no telemetry, so its seconds
-measure the solver alone. A uniform solve without telemetry never needs a
-residual to pick its rows, so its stop test is checked in blocks of
-BLOCK_STEPS = 64 steps, by one gemm per block instead of one gemv per step.
-The result is exact: the iteration count, the stop reason and x equal those
-of the step-by-step loop bit for bit. Only the RNG advances past the stop
-point, and nothing exposes it.
+measure the solver alone.
+
+A uniform draw never needs a residual to pick its row, so uniform steps
+always run in blocks: one RNG call draws a block's rows, the iterates are
+projected one by one, and one call per block gives all their residuals.
+With telemetry that call is a stacked gemv (`linalg.matvecs`), whose rows
+have the bits of `A @ x - b`, so every record equals the step-by-step one.
+Without telemetry it is one gemm per BLOCK_STEPS = 64 steps, with a guard
+band around the threshold. Either way the iteration count, the stop reason,
+x and the records equal, bit for bit, those of a loop that takes one step
+and one `A @ x - b` at a time. Only the RNG and the block's iterates run up
+to a block past the stop point, and nothing exposes them.
 """
 
 import csv
@@ -51,8 +57,11 @@ SELECTION_KINDS = ("motzkin", "rk-uniform", "hybrid")
 STOP_RESIDUAL_THRESHOLD = "residual-threshold"
 STOP_MAX_ITERATIONS = "max-iterations"
 
-# steps per block of a uniform solve without telemetry
+# steps per block of a uniform solve
 BLOCK_STEPS = 64
+# residual entries per block of a uniform solve with telemetry (256 KB of
+# float64): a block has min(BLOCK_STEPS, max(1, BLOCK_ENTRIES // m)) steps
+BLOCK_ENTRIES = 32768
 
 
 @dataclass(frozen=True)
@@ -187,28 +196,25 @@ def _trials(sys, rule, stop, seeds, x0, telemetry):
             # threshold or the cap also holds there, else the switch
             greedy_stop = StopRule(stop.max_iterations,
                                    max(stop.residual_inf_threshold or 0.0, rule.hybrid_threshold))
-        x, r, k, stop_reason = _loop(sys, x, r, 0, greedy_stop, None, prefix if telemetry else None)
+        x, r, k, stop_reason = _loop(sys, x, r, 0, greedy_stop, prefix if telemetry else None)
     for seed in seeds:
         rng = make_rng(seed)
         records = list(prefix)
         if rule.kind == "motzkin":
             yield RunResult(SolverState(x.copy(), k), records, stop_reason)
             continue
-        x_t, _, k_t, reason_t = _loop(sys, x, r, k, stop, rng, records if telemetry else None)
+        x_t, k_t, reason_t = _blocked_uniform(sys, x, r, k, stop, rng,
+                                              records if telemetry else None)
         moved = k_t > k
         switch_iteration = k if rule.kind == "hybrid" and moved else None
         yield RunResult(SolverState(x_t if moved else x.copy(), k_t), records, reason_t,
                         switch_iteration)
 
 
-def _loop(sys, x, r, k, stop, rng, records):
-    """Iterate from x_k, whose residual is r = A x_k - b, until `stop` fires.
-    Selects greedily when rng is None, else draws uniformly from rng. Appends
-    one record per iteration to `records` unless it is None; a uniform draw
-    without records runs in blocks (`_blocked_uniform`). Returns the final x,
-    its residual, its k and the stop reason."""
-    if rng is not None and records is None:
-        return _blocked_uniform(sys, x, r, k, stop, rng)
+def _loop(sys, x, r, k, stop, records):
+    """Iterate greedily from x_k, whose residual is r = A x_k - b, until
+    `stop` fires. Appends one record per iteration to `records` unless it is
+    None. Returns the final x, its residual, its k and the stop reason."""
     threshold = stop.residual_inf_threshold
     while True:
         residual_inf = float(np.abs(r).max())
@@ -217,10 +223,7 @@ def _loop(sys, x, r, k, stop, rng, records):
         if k >= stop.max_iterations:
             return x, r, k, STOP_MAX_ITERATIONS
 
-        if rng is None:
-            i = select_motzkin(r)
-        else:
-            i = int(rng.integers(sys.m))
+        i = select_motzkin(r)
 
         if records is not None:
             gamma = None
@@ -240,45 +243,110 @@ def _loop(sys, x, r, k, stop, rng, records):
         k += 1
 
 
-def _blocked_uniform(sys, x, r, k, stop, rng):
-    """`_loop` with uniform draws and no records, BLOCK_STEPS steps at a time.
+def _blocked_uniform(sys, x, r, k, stop, rng, records):
+    """Iterate with uniform draws from x_k, whose residual is r = A x_k - b,
+    until `stop` fires, a block of s steps at a time. Appends one record per
+    iteration to `records` unless it is None. Returns the final x, its k and
+    the stop reason.
 
-    One `rng.integers(m, size=steps)` call draws a block's rows, the same
-    values as `steps` scalar draws. Each iterate is projected as in `_loop`
-    and kept in a buffer; one gemm then gives the residuals of the whole
-    block, and the stop test takes the first iterate at or below the
-    threshold. gemm and gemv may differ in the last bits of a sup norm v,
-    by less than g = 2 (n+2) eps (||x||_2 + ||b||_inf + v) on unit rows
-    (|a_i . x| <= ||x||_2). So every iterate whose gemm v is not above the
-    threshold by more than g is checked again with `_loop`'s gemv, and the
-    count, the stop reason and x equal `_loop`'s bit for bit. Without a
-    threshold no residual is taken. The RNG ends up past the stop point.
+    One `rng.integers(m, size=s)` call draws a block's rows, the same values
+    as s scalar draws. The iterates are projected one by one, as in `_loop`,
+    into a buffer, and one call then gives the residuals of the whole block:
+
+    - With records, s = min(BLOCK_STEPS, max(1, BLOCK_ENTRIES // m)), so the
+      residual buffer stays within 256 KB. The stacked gemv `linalg.matvecs`
+      gives each residual the bits of `A @ x - b`, and `_block_records`
+      computes the block's telemetry columns from them, each equal to the
+      one `_loop`'s expression gives. Records stop at the first iterate at
+      or below the threshold.
+    - Without records, s = BLOCK_STEPS and one gemm gives the residuals.
+      gemm and gemv may differ in the last bits of a sup norm v, by less
+      than g = 2 (n+2) eps (||x||_2 + ||b||_inf + v) on unit rows
+      (|a_i . x| <= ||x||_2). So every iterate whose gemm v is not above the
+      threshold by more than g is checked again with the gemv. Without a
+      threshold no residual is taken.
+
+    Either way the count, the stop reason, x and the records equal, bit for
+    bit, those of one step and one `A @ x - b` at a time. The RNG and the
+    buffer run up to s - 1 steps past the stop point, and nothing exposes
+    them.
     """
     threshold = stop.residual_inf_threshold
     if threshold is not None and float(np.abs(r).max()) <= threshold:
-        return x, r, k, STOP_RESIDUAL_THRESHOLD
+        return x, k, STOP_RESIDUAL_THRESHOLD
     a, b = sys.a, sys.b
-    iterates = np.empty((BLOCK_STEPS, sys.n))
-    if threshold is not None:
-        residuals = np.empty((BLOCK_STEPS, sys.m))
+    s = BLOCK_STEPS if records is None else min(BLOCK_STEPS, max(1, BLOCK_ENTRIES // sys.m))
+    # row 0 holds x_k and its residual, rows 1..s the block's iterates and theirs
+    iterates = np.empty((s + 1, sys.n))
+    iterates[0] = x
+    if records is not None or threshold is not None:
+        residuals = np.empty((s + 1, sys.m))
+        residuals[0] = r
+    if records is None and threshold is not None:
         band = 2 * (sys.n + 2) * np.finfo(float).eps
         b_inf = float(np.abs(b).max())
     while k < stop.max_iterations:
-        steps = min(BLOCK_STEPS, stop.max_iterations - k)
-        for j, i in enumerate(rng.integers(sys.m, size=steps).tolist()):
+        steps = min(s, stop.max_iterations - k)
+        rows = rng.integers(sys.m, size=steps).tolist()
+        x = iterates[0]
+        for j, i in enumerate(rows, 1):
             x = _project(a, b, x, i, out=iterates[j])
-        if threshold is not None:
-            block = np.matmul(iterates[:steps], a.T, out=residuals[:steps])
+        if records is not None:
+            hit = _block_records(sys, iterates[:steps + 1], residuals[:steps + 1], rows, k,
+                                 threshold, records)
+            if hit is not None:
+                return iterates[hit].copy(), k + hit, STOP_RESIDUAL_THRESHOLD
+            residuals[0] = residuals[steps]
+        elif threshold is not None:
+            block = np.matmul(iterates[1:steps + 1], a.T, out=residuals[1:steps + 1])
             block -= b
             v = np.abs(block, out=block).max(axis=1)
-            guard = band * (np.linalg.norm(iterates[:steps], axis=1) + b_inf + v)
-            for j in np.flatnonzero(~(v - guard > threshold)).tolist():
-                r = a @ iterates[j] - b
-                if float(np.abs(r).max()) <= threshold:
-                    return iterates[j].copy(), r, k + j + 1, STOP_RESIDUAL_THRESHOLD
+            guard = band * (np.linalg.norm(iterates[1:steps + 1], axis=1) + b_inf + v)
+            for j in (np.flatnonzero(~(v - guard > threshold)) + 1).tolist():
+                if float(np.abs(a @ iterates[j] - b).max()) <= threshold:
+                    return iterates[j].copy(), k + j, STOP_RESIDUAL_THRESHOLD
+        iterates[0] = iterates[steps]
         k += steps
-    x = x.copy()
-    return x, a @ x - b, k, STOP_MAX_ITERATIONS
+    return iterates[0].copy(), k, STOP_MAX_ITERATIONS
+
+
+def _block_records(sys, iterates, residuals, rows, k, threshold, records):
+    """Fill residuals[1:] with the residuals of iterates[1:], whose rows 0
+    hold x_k and its residual, then append the records of x_k, x_{k+1}, ...
+    up to the first iterate at or below the threshold. Returns that iterate's
+    index, or None when no iterate reaches the threshold.
+
+    Each column keeps the expression of `_loop`'s record: the sup norms are
+    exact maxima, the squared norms come from `linalg.row_norms_sq` (the dot
+    kernel of `np.dot`), and gamma and the squares are Python-float
+    arithmetic.
+    """
+    linalg.matvecs(sys.a, iterates[1:], out=residuals[1:])
+    residuals[1:] -= sys.b
+    residual_inf = np.abs(residuals).max(axis=1)
+    hit = None
+    if threshold is not None:
+        below = np.flatnonzero(residual_inf[1:] <= threshold)
+        if below.size:
+            hit = int(below[0]) + 1
+    t = len(rows) if hit is None else hit
+    r = residuals[:t]
+    rows = rows[:t]
+    selected = r[np.arange(t), rows].tolist()
+    if sys.reference is None:
+        gammas = error_sqs = [None] * t
+    else:
+        d = r - sys.error_vec  # A(x_j - reference)
+        d_inf_sqs = [v ** 2 for v in np.abs(d).max(axis=1).tolist()]
+        gammas = [dd / sq if sq > 0.0 else None
+                  for dd, sq in zip(linalg.row_norms_sq(d).tolist(), d_inf_sqs)]
+        error_sqs = linalg.row_norms_sq(iterates[:t] - sys.reference).tolist()
+    records.extend(
+        IterationRecord(k + j, i, v, r2, gamma, error_sq, r_i ** 2)
+        for j, (i, v, r2, gamma, error_sq, r_i) in enumerate(zip(
+            rows, residual_inf[:t].tolist(), linalg.row_norms_sq(r).tolist(), gammas,
+            error_sqs, selected)))
+    return hit
 
 
 @dataclass(frozen=True)

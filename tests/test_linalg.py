@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rowaction import linalg, systems
 
@@ -208,3 +210,52 @@ def test_frobenius_equals_row_norm_sum_exactly():
     A = rng.normal(size=(37, 5))
     total = math.fsum(float(np.dot(row, row)) for row in A)
     assert linalg.frobenius_norm_sq(A) == total
+
+
+STACKED_CONTRACT = ("the stacked products must equal their one-row forms bit for bit: "
+                    "randomized-Kaczmarz telemetry takes a block's residuals with "
+                    "linalg.matvecs and its squared norms with linalg.row_norms_sq, and "
+                    "every telemetry CSV byte rests on them equalling `A @ x` and np.dot")
+
+
+def stacked_operands(m, n, strided, seed, rows=5):
+    """A and a stack X of iterates; the strided A is the `body[:, :-1]` view
+    that load_system returns (leading dimension n + 1)."""
+    rng = np.random.default_rng(seed)
+    body = rng.normal(size=(m, n + 1))
+    A = body[:, :-1] if strided else np.ascontiguousarray(body[:, :-1])
+    return A, rng.normal(size=(rows, n)), rng.normal(size=m)
+
+
+def assert_stacked_products_exact(A, X, b):
+    residuals = np.empty((X.shape[0], A.shape[0]))
+    linalg.matvecs(A, X, out=residuals)
+    assert np.array_equal(residuals, linalg.matvecs(A, X)), STACKED_CONTRACT
+    residuals -= b
+    for x, r in zip(X, residuals):
+        assert r.tobytes() == (A @ x - b).tobytes(), STACKED_CONTRACT
+    for M in (residuals, X):
+        assert linalg.row_norms_sq(M).tolist() == [float(np.dot(v, v)) for v in M], STACKED_CONTRACT
+
+
+@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize("m, n", [(1, 1), (2000, 50), (300, 180), (10000, 100)])
+def test_stacked_products_equal_gemv_and_dot(m, n, strided):
+    A, X, b = stacked_operands(m, n, strided, seed=m + n)
+    if strided:
+        assert A.strides == ((n + 1) * 8, 8)
+    assert_stacked_products_exact(A, X, b)
+
+
+@settings(max_examples=60)
+@given(m=st.integers(1, 24), n=st.integers(1, 6), rows=st.integers(1, 4),
+       strided=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_products_equal_gemv_and_dot_small(m, n, rows, strided, seed):
+    assert_stacked_products_exact(*stacked_operands(m, n, strided, seed, rows))
+
+
+@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize("m, n", [(1, 1), (2000, 50), (300, 180), (10000, 100)])
+def test_frobenius_equals_fsum_of_row_dots_bit_for_bit(m, n, strided):
+    A, _, _ = stacked_operands(m, n, strided, seed=7)
+    assert linalg.frobenius_norm_sq(A) == math.fsum(float(np.dot(row, row)) for row in A)

@@ -387,7 +387,7 @@ def solve_cases(draw):
     rule = (SelectionRule(kind, draw(st.floats(0.05, 1.1)) * start_inf) if kind == "hybrid"
             else SelectionRule(kind))
     stop_threshold = draw(st.one_of(st.none(), st.floats(0.0, 1.0).map(lambda f: f * start_inf)))
-    stop = StopRule(draw(st.integers(0, 60)), stop_threshold)
+    stop = StopRule(draw(st.integers(0, 200)), stop_threshold)
     seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4))
     return sys_, rule, stop, seeds, x0
 
@@ -439,6 +439,78 @@ def test_hybrid_switch_edge_cases_equal_reference_loop(tmp_path):
     start_inf = float(np.abs(sys_.residual(x0)).max())
     rule = SelectionRule("hybrid", hybrid_threshold=start_inf)
     check(StopRule(50), 0, STOP_MAX_ITERATIONS, at=50, x0=x0)
+
+
+# --------------------------------------------------------------------------
+# uniform draws with telemetry, run in blocks
+
+
+def telemetry_block(m):
+    return min(solvers.BLOCK_STEPS, max(1, solvers.BLOCK_ENTRIES // m))
+
+
+def test_telemetry_block_keeps_its_residual_buffer_within_256_kb():
+    # netlib-stacked, gauss-small, gauss-large, and an m past the cap
+    assert [telemetry_block(m) for m in (300, 2000, 10000, 40000)] == [64, 16, 3, 1]
+    assert all(telemetry_block(m) * m * 8 <= 256 * 1024 for m in (300, 2000, 10000))
+
+
+# (m, n): a full 64-step block, a block shrunk to 16 steps, and to one step
+BLOCK_SHAPES = [(120, 8), (2000, 50), (40000, 3)]
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES)
+@pytest.mark.parametrize("to_threshold", [True, False])
+def test_telemetry_block_caps_equal_reference_loop(tmp_path, shape, to_threshold):
+    sys_ = gaussian_system(*shape, noise_std=0.01, seed=1)
+    rule, seeds, s = SelectionRule("rk-uniform"), [2, 3], telemetry_block(sys_.m)
+    threshold = None
+    if to_threshold:  # tested at every step, but below every level the runs reach
+        threshold = 0.5 * min(rec.residual_inf for seed in seeds
+                              for rec in reference_run(sys_, rule, StopRule(2 * s + 1), seed=seed).records)
+    for cap in sorted({0, 1, s - 1, s, s + 1, 2 * s + 1}):
+        for ref in assert_matches_reference(sys_, rule, StopRule(cap, threshold), seeds, None,
+                                            tmp_path / "telemetry.csv"):
+            assert (ref.state.iteration, ref.stop_reason) == (cap, STOP_MAX_ITERATIONS)
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES[:2])
+def test_telemetry_block_stop_at_mid_block_threshold_equals_reference_loop(tmp_path, shape):
+    sys_ = gaussian_system(*shape, noise_std=0.01, seed=1)
+    rule, seed, s = SelectionRule("rk-uniform"), 5, telemetry_block(sys_.m)
+    levels = [rec.residual_inf for rec in reference_run(sys_, rule, StopRule(600), seed=seed).records]
+    # a new lowest residual past the second block, tested mid-block: the k-th
+    # iterate is row (k - 1) % s + 1 of its block
+    k = next(k for k in range(2 * s + 1, len(levels))
+             if levels[k] < min(levels[:k]) and 0 < (k - 1) % s < s - 1)
+    for threshold in (levels[k], np.nextafter(levels[k], 0.0), np.nextafter(levels[k], np.inf)):
+        refs = assert_matches_reference(sys_, rule, StopRule(600, threshold), [seed, seed + 1],
+                                        None, tmp_path / "telemetry.csv")
+        if threshold == levels[k]:
+            assert (refs[0].state.iteration, refs[0].stop_reason) == (k, STOP_RESIDUAL_THRESHOLD)
+
+
+def test_telemetry_block_threshold_met_at_start_equals_reference_loop(tmp_path):
+    sys_ = gaussian_system(m=2000, n=50, noise_std=0.01, seed=1)
+    for start in (None, np.full(sys_.n, 0.5)):
+        start_inf = float(np.abs(sys_.residual(np.zeros(sys_.n) if start is None else start)).max())
+        for ref in assert_matches_reference(sys_, SelectionRule("rk-uniform"),
+                                            StopRule(500, start_inf), [3, 4], start,
+                                            tmp_path / "telemetry.csv"):
+            assert (ref.state.iteration, ref.stop_reason, ref.records) == \
+                (0, STOP_RESIDUAL_THRESHOLD, [])
+
+
+@pytest.mark.parametrize("shape, to_threshold", [((2000, 50), True), ((2000, 50), False),
+                                                 ((120, 8), False)])
+def test_telemetry_block_hybrid_continuation_equals_reference_loop(tmp_path, shape, to_threshold):
+    sys_ = gaussian_system(*shape, noise_std=0.01, seed=1)
+    greedy = reference_run(sys_, SelectionRule("motzkin"), StopRule(20))
+    rule = SelectionRule("hybrid", hybrid_threshold=greedy.records[2].residual_inf)
+    stop = StopRule(20_000, 4 * sys_.error_inf()) if to_threshold else StopRule(300)
+    for ref in assert_matches_reference(sys_, rule, stop, [1, 2], None, tmp_path / "telemetry.csv"):
+        assert ref.switch_iteration is not None
+        assert ref.state.iteration - ref.switch_iteration > 2 * telemetry_block(sys_.m)
 
 
 # --------------------------------------------------------------------------
