@@ -197,18 +197,18 @@ def sigma_min_gaussian_estimate(m: int, n: int) -> float:
 
 def bound_inputs_from_system(sys: LinearSystem, x0=None,
                              gamma_seq=None) -> BoundInputs:
-    """Collect the bound inputs of a system: exact sigma_min, the reference
-    residual sup norm, and the initial squared error from x0 (zero vector by
-    default). Requires a reference solution."""
-    if sys.reference is None:
-        raise ValueError("bound inputs require a system with a reference solution")
+    """Collect the bound inputs of a system: its stored sigma_min, the
+    reference residual sup norm, and the initial squared error from x0 (zero
+    vector by default). Requires a reference solution and singular values."""
+    if sys.reference is None or sys.singular_values is None:
+        raise ValueError("bound inputs require a system with a reference solution and singular values")
     if x0 is None:
         x0 = np.zeros(sys.n)
     diff = linalg.as_vector(x0) - sys.reference
     return BoundInputs(
         m=sys.m,
         n=sys.n,
-        sigma_min=linalg.min_singular_value(sys.a),
+        sigma_min=float(sys.singular_values[-1]),
         error_inf=sys.error_inf(),
         initial_error_sq=float(np.dot(diff, diff)),
         frobenius_sq=linalg.frobenius_norm_sq(sys.a),

@@ -104,18 +104,9 @@ def _check_run_flags(args) -> None:
         systems.make_rng(seed)
 
 
-def _resolve_threshold(args, sys_: systems.LinearSystem, flag: str) -> float:
-    """The value of `flag`, else 4*||e||_inf from the reference, else 4*--stop-beta."""
-    value = getattr(args, flag[2:].replace("-", "_"))
-    if value is not None:
-        return value
-    if sys_.error_vec is not None:
-        return 4.0 * sys_.error_inf()
-    beta = getattr(args, "stop_beta", None)
-    if beta is not None:
-        return 4.0 * beta
-    flags = f"{flag} or --stop-beta" if hasattr(args, "stop_beta") else flag
-    raise ValueError(f"no threshold: pass {flags}, or use a system with a reference")
+def _resolve_threshold(value: float | None, sys_: systems.LinearSystem) -> float:
+    """The flag's value, else 4*||e||_inf of the system file's reference."""
+    return 4.0 * sys_.error_inf() if value is None else value
 
 
 # --------------------------------------------------------------------------
@@ -128,8 +119,7 @@ def cmd_generate(args) -> int:
         spike_count=args.spike_count, spike_magnitude=args.spike_magnitude,
         row_mean=args.row_mean, row_std=args.row_std, seed=args.seed))
     systems.save_system(args.out, sys_)
-    sigma = linalg.min_singular_value(sys_.a)
-    print(f"m={sys_.m} n={sys_.n} error_inf={sys_.error_inf():.8g} sigma_min={sigma:.8g}")
+    print(f"m={sys_.m} n={sys_.n} error_inf={sys_.error_inf():.8g} sigma_min={sys_.singular_values[-1]:.8g}")
     print(f"wrote {args.out}")
     return 0
 
@@ -137,13 +127,9 @@ def cmd_generate(args) -> int:
 def cmd_solve(args) -> int:
     _check_run_flags(args)
     sys_ = systems.load_system(args.system)
-    beta_threshold = None if args.stop_beta is None else 4.0 * args.stop_beta
-    thresholds = [t for t in (args.stop_residual_inf, beta_threshold) if t is not None]
-    if any(t < 0 for t in thresholds):
-        raise ValueError("--stop-beta and --stop-residual-inf must be nonnegative")
     stop = solvers.StopRule(max_iterations=args.max_iterations,
-                            residual_inf_threshold=max(thresholds, default=None))
-    rules = [solvers.SelectionRule(name, _resolve_threshold(args, sys_, "--hybrid-threshold"))
+                            residual_inf_threshold=args.stop_residual_inf)
+    rules = [solvers.SelectionRule(name, _resolve_threshold(args.hybrid_threshold, sys_))
              if name == "hybrid" else solvers.SelectionRule(name) for name in args.solver]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -158,12 +144,9 @@ def cmd_solve(args) -> int:
                 shutil.copyfile(out / "motzkin_trial0.csv", path)
             else:
                 solvers.write_telemetry_csv(path, result.records)
-            final_error_sq = ""
-            if sys_.reference is not None:
-                diff = result.state.x - sys_.reference
-                final_error_sq = repr(float(np.dot(diff, diff)))
+            diff = result.state.x - sys_.reference
             summary_rows.append([name, trial, result.state.iteration,
-                                 final_error_sq, result.stop_reason])
+                                 repr(float(np.dot(diff, diff))), result.stop_reason])
             print(f"wrote {path}")
     with open(out / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -205,7 +188,12 @@ def cmd_netlib_prep(args) -> int:
     problem = mps_mod.load_mps(args.mps)
     A, b = mps_mod.extract_system(problem)
     spec = mps_mod.TransformSpec(noise_std=args.noise_std, seed=args.seed)
-    sys_ = mps_mod.overdetermine(A, b, spec)
+    try:
+        sys_ = mps_mod.overdetermine(A, b, spec)
+    except linalg.RankError as exc:  # only the constraint block can lack rank
+        row = problem.constraint_rows()[exc.index]
+        raise linalg.RankError(f"MPS row {problem.row_names[row]} declared at line "
+                               f"{problem.row_lines[row]}: {exc}", exc.index) from exc
     systems.save_system(args.out, sys_)
     print(f"problem={problem.name or Path(args.mps).stem} constraints={A.shape[0]}x{A.shape[1]} "
           f"stacked={sys_.m}x{sys_.n} error_inf={sys_.error_inf():.8g}")
@@ -216,7 +204,7 @@ def cmd_netlib_prep(args) -> int:
 def cmd_timing(args) -> int:
     _check_run_flags(args)
     sys_ = systems.load_system(args.system)
-    threshold = _resolve_threshold(args, sys_, "--threshold")
+    threshold = _resolve_threshold(args.threshold, sys_)
     solvers.StopRule(args.max_iterations, threshold)  # reject bad values before --out exists
     problem = Path(args.system).stem
     out = Path(args.out)
@@ -265,9 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True, help="system file written by generate or netlib-prep")
     p.add_argument("--solver", action="append", choices=solvers.SELECTION_KINDS, default=None)
     p.add_argument("--max-iterations", type=int, default=1000)
-    p.add_argument("--stop-beta", type=float, default=None,
-                   help="stop when the residual sup norm is <= 4*beta "
-                        "(the larger threshold wins with --stop-residual-inf)")
     p.add_argument("--stop-residual-inf", type=float, default=None)
     p.add_argument("--hybrid-threshold", type=float, default=None)
     p.add_argument("--trials", type=int, default=1)

@@ -1,22 +1,28 @@
 """Dense linear-algebra kernel.
 
 Everything downstream (system generation, solvers, bound evaluation) sits on
-these few operations: matrix-vector products, norms, direct least-squares and
-least-norm oracles, and the smallest singular value. The oracles factor the
-matrix itself with a Householder QR and sigma_min comes from a LAPACK SVD, so
-neither squares the condition number the way the normal equations would.
+these few operations: matrix-vector products, norms, and `lstsq`, one LAPACK
+gelsd solve (SVD-based, so it never squares the condition number the way the
+normal equations would) that gives a system's reference and all its singular
+values at once; its rank test is RANK_RTOL on sigma / sigma_max.
 """
 
 import math
 
 import numpy as np
 
-# Rank threshold on squared pivots, relative to the largest squared column norm.
-CHOLESKY_PIVOT_RTOL = 1e-12
+# Singular values at most this fraction of the largest count as zero.
+RANK_RTOL = 1e-6
 
 
 class RankError(ArithmeticError):
-    """Matrix does not have the full rank the operation requires."""
+    """Matrix does not have the full rank the operation requires. `index` is
+    the column (of a matrix with rows >= cols) or row (of a wider one) that
+    depends on the ones before it."""
+
+    def __init__(self, message: str, index: int):
+        self.index = index
+        super().__init__(message)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -87,58 +93,49 @@ def row_norms_sq(M) -> np.ndarray:
     return np.matmul(M[:, None, :], M[:, :, None])[:, 0, 0]
 
 
-def _full_rank_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR factorization M = QR of a matrix with rows >= cols.
+def lstsq(A, b) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares solution of A x = b, least-norm when A is wide, and the
+    singular values of A in non-increasing order (LAPACK gelsd).
 
-    R_jj^2 is the j-th Cholesky pivot of M'M, so rank deficiency is tested on
-    it: RankError names the first column whose squared diagonal entry is at
-    most CHOLESKY_PIVOT_RTOL times the largest squared column norm of M (the
-    largest diagonal entry of M'M).
+    Raises RankError when the rank gelsd reports, counting singular values
+    above RANK_RTOL * sigma_max, is below min(m, n). Only then a second SVD
+    names the dependent column (row, when A is wide): the highest index whose
+    weight in the singular vector of sigma_min is above RANK_RTOL times its
+    largest weight.
     """
-    Q, R = np.linalg.qr(M)
-    pivots = np.diag(R) ** 2
-    pivot_floor = CHOLESKY_PIVOT_RTOL * float(np.einsum("ij,ij->j", M, M).max())
-    low = np.flatnonzero(pivots <= pivot_floor)
-    if low.size:
-        j = int(low[0])
-        raise RankError(f"squared QR pivot {pivots[j]:.3e} below threshold {pivot_floor:.3e} at column {j}")
-    return Q, R
+    A = as_matrix(A)
+    b = as_vector(b)
+    if b.shape[0] != A.shape[0]:
+        raise ValueError(f"dimension mismatch: matrix has {A.shape[0]} rows, rhs has {b.shape[0]}")
+    x, _, rank, sigma = np.linalg.lstsq(A, b, rcond=RANK_RTOL)
+    if rank < min(A.shape):
+        u, _, vt = np.linalg.svd(A, full_matrices=False)
+        tall = A.shape[0] >= A.shape[1]
+        weights = np.abs(vt[-1] if tall else u[:, -1])
+        index = int(np.flatnonzero(weights > RANK_RTOL * weights.max())[-1])
+        axis = "column" if tall else "row"
+        raise RankError(f"{axis} {index} depends on the {axis}s before it: sigma_min {sigma[-1]:.3e} "
+                        f"<= RANK_RTOL {RANK_RTOL:g} * sigma_max {sigma[0]:.3e}", index)
+    return x, sigma
 
 
 def least_squares(A, b) -> np.ndarray:
-    """Least-squares solution of an overdetermined system.
-
-    Factors A = QR and solves R x = Q'b, which avoids squaring the condition
-    number through the normal equations. Requires rows >= cols and full
-    column rank (RankError otherwise).
-    """
+    """Least-squares solution of an overdetermined system (see lstsq).
+    Requires rows >= cols and full column rank (RankError otherwise)."""
     A = as_matrix(A)
-    b = as_vector(b)
-    m, n = A.shape
-    if m < n:
-        raise ValueError(f"least_squares requires rows >= cols, got {m} x {n}")
-    if b.shape[0] != m:
-        raise ValueError(f"dimension mismatch: matrix has {m} rows, rhs has {b.shape[0]}")
-    Q, R = _full_rank_qr(A)
-    return np.linalg.solve(R, Q.T @ b)
+    if A.shape[0] < A.shape[1]:
+        raise ValueError(f"least_squares requires rows >= cols, got shape {A.shape}")
+    return lstsq(A, b)[0]
 
 
 def least_norm(A, b) -> np.ndarray:
-    """Minimum-Euclidean-norm solution of an underdetermined system.
-
-    Factors A' = QR and returns x = Q R'^{-1} b, which satisfies Ax = b
-    exactly (up to conditioning) and is orthogonal to the null space of A.
-    Requires rows <= cols and full row rank.
-    """
+    """Minimum-Euclidean-norm solution of an underdetermined system (see
+    lstsq): it satisfies Ax = b up to conditioning and is orthogonal to the
+    null space of A. Requires rows <= cols and full row rank."""
     A = as_matrix(A)
-    b = as_vector(b)
-    m, n = A.shape
-    if m > n:
-        raise ValueError(f"least_norm requires rows <= cols, got {m} x {n}")
-    if b.shape[0] != m:
-        raise ValueError(f"dimension mismatch: matrix has {m} rows, rhs has {b.shape[0]}")
-    Q, R = _full_rank_qr(A.T)
-    return Q @ np.linalg.solve(R.T, b)
+    if A.shape[0] > A.shape[1]:
+        raise ValueError(f"least_norm requires rows <= cols, got shape {A.shape}")
+    return lstsq(A, b)[0]
 
 
 def min_singular_value(A) -> float:

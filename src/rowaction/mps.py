@@ -33,12 +33,14 @@ class MpsParseError(ValueError):
 
 @dataclass
 class MpsProblem:
-    """A parsed MPS file: named rows with senses, named columns, coefficient
-    map (duplicates summed on insert), and the RHS map (default 0)."""
+    """A parsed MPS file: named rows with senses and the file lines that
+    declare them, named columns, coefficient map (duplicates summed on
+    insert), and the RHS map (default 0)."""
 
     name: str
     row_names: list[str]
     row_senses: list[str]
+    row_lines: list[int]
     col_names: list[str]
     coefficients: dict[tuple[int, int], float]
     rhs: dict[int, float]
@@ -72,6 +74,7 @@ def parse_mps(text: str) -> MpsProblem:
     name = ""
     row_names: list[str] = []
     row_senses: list[str] = []
+    row_lines: list[int] = []
     row_index: dict[str, int] = {}
     col_names: list[str] = []
     col_index: dict[str, int] = {}
@@ -133,6 +136,7 @@ def parse_mps(text: str) -> MpsProblem:
             row_index[rname] = len(row_names)
             row_names.append(rname)
             row_senses.append(sense)
+            row_lines.append(lineno)
         elif section == "COLUMNS":
             if len(tokens) >= 3 and tokens[1] == "'MARKER'":
                 continue  # integrality markers carry no coefficients
@@ -163,7 +167,7 @@ def parse_mps(text: str) -> MpsProblem:
     for required, present in saw.items():
         if not present:
             raise MpsParseError(1, f"missing required section {required}")
-    return MpsProblem(name, row_names, row_senses, col_names, coefficients, rhs)
+    return MpsProblem(name, row_names, row_senses, row_lines, col_names, coefficients, rhs)
 
 
 def load_mps(path) -> MpsProblem:
@@ -199,7 +203,8 @@ def overdetermine(A, b, spec: TransformSpec = TransformSpec()) -> LinearSystem:
     right-hand side [b; x_ln + eps] (eps Gaussian with spec.noise_std),
     row-normalizes, and attaches the least-squares solution of the stacked
     system as reference. With noise_std = 0 the stacked system is consistent
-    and the reference recovers x_ln.
+    and the reference recovers x_ln. RankError can come only from A (its
+    index is a row of A): the identity rows keep the stacked sigma_min >= 1.
     """
     A = linalg.as_matrix(A)
     b = linalg.as_vector(b)

@@ -2,10 +2,12 @@
 
 A `LinearSystem` always carries a row-normalized matrix (every row has unit
 Euclidean norm), the matching right-hand side, and optionally a reference
-solution with its residual vector. Synthetic systems come from `generate`;
-arbitrary (A, b) pairs go through `normalize_rows`, or `from_unnormalized`
-when they should carry their least-squares reference. `save_system` and
-`load_system` keep a system in a binary file of float64 `.npy` records.
+solution with its residual vector and the matrix's singular values.
+Synthetic systems come from `generate`; arbitrary (A, b) pairs go through
+`normalize_rows`, or `from_unnormalized`, whose one gelsd solve
+(`linalg.lstsq`, rank tolerance `linalg.RANK_RTOL`) gives both the
+least-squares reference and the singular values. `save_system` and
+`load_system` keep a system in a binary file of three float64 `.npy` records.
 
 Randomness is reproducible by construction: all draws come from a seeded
 PCG64 stream, Gaussian variates use Box-Muller over uniforms, and distinct
@@ -107,18 +109,21 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """A row-normalized overdetermined system, optionally with a reference solution.
+    """A row-normalized overdetermined system, optionally with a reference
+    solution and the singular values of its matrix (non-increasing).
 
     Invariants checked at construction: unit row norms (within 1e-12),
-    m >= n, finite entries, and when a reference is present the stored
-    error vector equals A @ reference - b componentwise (within 1e-10).
-    Arrays are locked read-only; systems are safe to share across runs.
+    m >= n, finite entries, n singular values when they are present, and when
+    a reference is present the stored error vector equals A @ reference - b
+    componentwise (within 1e-10). Arrays are locked read-only; systems are
+    safe to share across runs.
     """
 
     a: np.ndarray
     b: np.ndarray
     reference: np.ndarray | None = None
     error_vec: np.ndarray | None = None
+    singular_values: np.ndarray | None = None
 
     def __post_init__(self):
         a = linalg.as_matrix(self.a)
@@ -146,7 +151,9 @@ class LinearSystem:
                 raise ValueError(f"error_vec disagrees with A @ reference - b by {drift:.3e}")
         elif self.error_vec is not None:
             raise ValueError("error_vec requires a reference solution")
-        for arr in (a, b, self.reference, self.error_vec):
+        if self.singular_values is not None and linalg.as_vector(self.singular_values).shape != (n,):
+            raise ValueError(f"a system with {n} columns needs {n} singular values")
+        for arr in (a, b, self.reference, self.error_vec, self.singular_values):
             if arr is not None:
                 arr.setflags(write=False)
         object.__setattr__(self, "a", a)
@@ -223,10 +230,11 @@ def generate(spec: GeneratorSpec) -> LinearSystem:
 
 def from_unnormalized(A, b) -> LinearSystem:
     """Normalize an (A, b) pair and attach the least-squares solution of the
-    normalized system as reference, with its residual as error_vec."""
+    normalized system as reference, with its residual as error_vec, and the
+    singular values of the normalized matrix, all from one linalg.lstsq."""
     An, bn = normalize_rows(A, b)
-    reference = linalg.least_squares(An, bn)
-    return LinearSystem(An, bn, reference, An @ reference - bn)
+    reference, singular_values = linalg.lstsq(An, bn)
+    return LinearSystem(An, bn, reference, An @ reference - bn, singular_values)
 
 
 # --------------------------------------------------------------------------
@@ -235,29 +243,32 @@ def from_unnormalized(A, b) -> LinearSystem:
 
 def save_system(path, sys: LinearSystem) -> None:
     """Write [A | b] as one m x (n+1) float64 .npy record, then the reference
-    as a second record when present. Equal systems give equal bytes."""
+    and the singular values as one record each. Equal systems give equal
+    bytes. A system without a reference or singular values raises ValueError."""
+    if sys.reference is None or sys.singular_values is None:
+        raise ValueError("a system file needs a system with a reference and singular values")
     with open(path, "wb") as fh:
-        np.save(fh, np.column_stack([sys.a, sys.b]), allow_pickle=False)
-        if sys.reference is not None:
-            np.save(fh, sys.reference, allow_pickle=False)
+        for record in (np.column_stack([sys.a, sys.b]), sys.reference, sys.singular_values):
+            np.save(fh, record, allow_pickle=False)
 
 
 def load_system(path) -> LinearSystem:
     """Read a save_system file. Anything else (an empty, truncated or text file,
-    a wrong record dtype or shape, trailing bytes) raises ValueError with the path."""
+    another record count, a wrong record dtype or shape, trailing bytes)
+    raises ValueError with the path."""
     records = []
     with open(path, "rb") as fh:
         try:
             while not records or fh.peek(1):  # np.load raises EOFError on an empty file
                 records.append(np.load(fh, allow_pickle=False))
+            body, reference, singular_values = records
+            if not (all(isinstance(r, np.ndarray) and r.dtype == np.float64 for r in records)
+                    and body.ndim == 2 and body.shape[1] >= 2
+                    and reference.shape == singular_values.shape == (body.shape[1] - 1,)):
+                raise ValueError("expected float64 records [A | b] of shape (m, n+1), "
+                                 "then the reference and the singular values of shape (n,)")
         except (ValueError, EOFError) as exc:
             raise ValueError(f"{path}: not a system file ({exc}); regenerate it with "
                              "`rowaction generate` or `rowaction netlib-prep`") from exc
-    body, *rest = records
-    if not (all(isinstance(r, np.ndarray) and r.dtype == np.float64 for r in records)
-            and body.ndim == 2 and body.shape[1] >= 2
-            and len(rest) <= 1 and all(r.shape == (body.shape[1] - 1,) for r in rest)):
-        raise ValueError(f"{path}: expected a float64 [A | b] record of shape (m, n+1), "
-                         "then at most a reference of shape (n,)")
     A, b = body[:, :-1], body[:, -1]
-    return LinearSystem(A, b, rest[0], A @ rest[0] - b) if rest else LinearSystem(A, b)
+    return LinearSystem(A, b, reference, A @ reference - b, singular_values)

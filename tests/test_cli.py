@@ -1,10 +1,13 @@
 import csv
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rowaction import cli, solvers, systems
+from rowaction import cli, linalg, solvers, systems
 from rowaction.solvers import SelectionRule, StopRule
+
+from test_systems import kahan_type_pair
 
 DATA = Path(__file__).parent / "data"
 
@@ -53,7 +56,7 @@ def test_solve_writes_telemetry_and_summary(system_file, tmp_path):
     out = tmp_path / "runs"
     code = run_cli("solve", "--system", str(system_file), "--solver", "motzkin",
                    "--solver", "rk-uniform", "--trials", "2", "--max-iterations", "500",
-                   "--stop-beta", "0.05", "--seed", "1", "--out", str(out))
+                   "--stop-residual-inf", "0.2", "--seed", "1", "--out", str(out))
     assert code == 0
     for name in ("motzkin", "rk-uniform"):
         for trial in (0, 1):
@@ -104,13 +107,19 @@ def test_stop_beta_threshold_form(system_file, tmp_path):
         stop = StopRule(5000, residual_inf_threshold=threshold)
         return solvers.run(sys_, SelectionRule("motzkin"), stop).state.iteration
 
+    # the paper's 4*beta stop test is given as its residual sup-norm level
     assert library_iterations(4 * beta) != library_iterations(8 * beta)
-    assert cli_iterations("--stop-beta", repr(beta)) == library_iterations(4 * beta)
-    # with both flags the larger threshold wins, whichever flag gives it
-    assert cli_iterations("--stop-beta", repr(beta),
-                          "--stop-residual-inf", repr(8 * beta)) == library_iterations(8 * beta)
-    assert cli_iterations("--stop-beta", repr(beta),
-                          "--stop-residual-inf", repr(2 * beta)) == library_iterations(4 * beta)
+    assert cli_iterations("--stop-residual-inf", repr(4 * beta)) == library_iterations(4 * beta)
+    assert cli_iterations("--stop-residual-inf", repr(8 * beta)) == library_iterations(8 * beta)
+
+
+def test_removed_stop_beta_flag_is_config_error(system_file, tmp_path, capsys):
+    out = tmp_path / "runs"
+    code = run_cli("solve", "--system", str(system_file), "--stop-beta", "0.05",
+                   "--seed", "1", "--out", str(out))
+    assert code == cli.CONFIG_ERROR
+    assert "unrecognized arguments: --stop-beta 0.05" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_trials_below_one_is_config_error(system_file, tmp_path, capsys):
@@ -235,23 +244,6 @@ def test_bounds_telemetry_skips_blank_rows(system_file, tmp_path):
         assert [int(r["k"]) for r in csv.DictReader(fh)] == [0, 1, 2]
 
 
-@pytest.fixture()
-def no_reference_file(tmp_path):
-    path = tmp_path / "noref.sys"
-    sys_ = systems.generate(systems.GeneratorSpec("gaussian-noise", m=60, n=6, seed=3))
-    systems.save_system(path, systems.LinearSystem(sys_.a, sys_.b))
-    return path
-
-
-def test_solve_without_hybrid_threshold_writes_nothing(no_reference_file, tmp_path, capsys):
-    out = tmp_path / "runs"
-    code = run_cli("solve", "--system", str(no_reference_file), "--solver", "motzkin",
-                   "--solver", "hybrid", "--seed", "1", "--out", str(out))
-    assert code == cli.CONFIG_ERROR
-    assert "pass --hybrid-threshold or --stop-beta" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("argv", [
     ["solve", "--solver", "motzkin", "--solver", "hybrid", "--hybrid-threshold", "-1", "--seed", "1"],
     ["solve", "--max-iterations", "-1", "--seed", "1"],
@@ -263,17 +255,6 @@ def test_bad_values_write_nothing(system_file, tmp_path, argv):
     out = tmp_path / "out"
     code = run_cli(*argv, "--system", str(system_file), "--out", str(out))
     assert code == cli.CONFIG_ERROR
-    assert not out.exists()
-
-
-def test_timing_without_threshold_names_only_its_flags(no_reference_file, tmp_path, capsys):
-    out = tmp_path / "timing"
-    code = run_cli("timing", "--system", str(no_reference_file), "--seed", "1",
-                   "--out", str(out))
-    assert code == cli.CONFIG_ERROR
-    err = capsys.readouterr().err
-    assert "pass --threshold, or use a system with a reference" in err
-    assert "--stop-beta" not in err
     assert not out.exists()
 
 
@@ -404,7 +385,7 @@ def test_bad_flags_exit_code(tmp_path, capsys):
                    "--out", str(tmp_path / "x.txt")) == cli.CONFIG_ERROR
 
 
-def test_numerical_failure_exit_code(tmp_path):
+def test_numerical_failure_exit_code(tmp_path, capsys):
     # rank-deficient constraint matrix: least-norm inside netlib-prep fails
     bad = tmp_path / "bad.mps"
     bad.write_text("""NAME BAD
@@ -423,6 +404,70 @@ ENDATA
     code = run_cli("netlib-prep", "--mps", str(bad), "--seed", "1",
                    "--out", str(tmp_path / "x.txt"))
     assert code == cli.NUMERICAL_ERROR
+    # the dependent constraint is named by its MPS row and its ROWS line
+    assert "MPS row R2 declared at line 5: row 1 depends on the rows before it" in capsys.readouterr().err
+    assert not (tmp_path / "x.txt").exists()
+
+
+def test_kahan_type_system_is_numerical_error(tmp_path, capsys, monkeypatch):
+    # a rank test on the QR diagonal passed this system, with reference entries of 4e14
+    monkeypatch.setattr(systems, "build_unnormalized", lambda spec: kahan_type_pair())
+    out = tmp_path / "kahan.sys"
+    code = run_cli("generate", "--kind", "gaussian-noise", "--seed", "1", "--out", str(out))
+    assert code == cli.NUMERICAL_ERROR
+    assert "depends on the columns before it" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    *[["generate", "--kind", kind, "--m", "120", "--n", "9", "--noise-std", "0.1",
+       "--spike-count", "5", "--spike-magnitude", "3", "--seed", "4"] for kind in systems.GENERATOR_KINDS],
+    ["netlib-prep", "--mps", str(DATA / "bandm_style.mps"), "--seed", "5"],
+], ids=[*systems.GENERATOR_KINDS, "netlib-prep"])
+def test_stored_sigma_min_is_the_svd_sigma_min(tmp_path, argv):
+    out = tmp_path / "s.sys"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    sys_ = systems.load_system(out)
+    assert sys_.singular_values[-1] == pytest.approx(linalg.min_singular_value(sys_.a), rel=1e-12)
+
+
+def counted(monkeypatch, names=("lstsq", "svd", "qr", "solve", "cholesky", "eigh", "eigvalsh")):
+    """Record every call of the named numpy.linalg factorizations."""
+    calls = []
+    for name in names:
+        def wrapper(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, wrapper)
+    return calls
+
+
+def test_one_factorization_per_system_and_none_in_bounds(system_file, tmp_path, monkeypatch):
+    calls = counted(monkeypatch)
+    assert run_cli("generate", "--kind", "gaussian-noise", "--m", "80", "--n", "8",
+                   "--seed", "7", "--out", str(tmp_path / "g.sys")) == 0
+    assert calls == ["lstsq"]
+    calls.clear()
+    assert run_cli("netlib-prep", "--mps", str(DATA / "bandm_style.mps"), "--seed", "5",
+                   "--out", str(tmp_path / "n.sys")) == 0
+    assert calls == ["lstsq", "lstsq"]  # the least-norm step, then the stacked system
+    calls.clear()
+    assert run_cli("bounds", "--system", str(system_file), "--out", str(tmp_path / "curves")) == 0
+    assert calls == []
+
+
+def test_two_record_system_file_is_config_error(system_file, tmp_path, capsys):
+    # the format before singular values were stored: [A | b], then the reference
+    sys_ = systems.load_system(system_file)
+    old = tmp_path / "old.sys"
+    with open(old, "wb") as fh:
+        np.save(fh, np.column_stack([sys_.a, sys_.b]), allow_pickle=False)
+        np.save(fh, sys_.reference, allow_pickle=False)
+    out = tmp_path / "runs"
+    code = run_cli("solve", "--system", str(old), "--seed", "1", "--out", str(out))
+    assert code == cli.CONFIG_ERROR
+    assert "regenerate it" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_mps_parse_failure_is_config_error(tmp_path):

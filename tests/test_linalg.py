@@ -138,6 +138,26 @@ def test_least_norm_rank_error():
         linalg.least_norm([[1, 1, 0], [1, 1, 0]], [1, 1])
 
 
+def test_lstsq_rank_error_names_the_dependent_column_or_row():
+    # column 2 = column 0 + column 1, and row 2 = row 0 + row 1
+    with pytest.raises(linalg.RankError, match="^column 2 depends on the columns before it") as err:
+        linalg.least_squares([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 2, 0], [0, 0, 0, 1], [1, 2, 3, 4]], np.ones(5))
+    assert err.value.index == 2
+    with pytest.raises(linalg.RankError, match="^row 2 depends on the rows before it") as err:
+        linalg.least_norm([[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0]], np.ones(3))
+    assert err.value.index == 2
+
+
+def test_lstsq_rank_tolerance_is_relative_to_sigma_max():
+    for scale in (1.0, 1e-8, 1e8):
+        A = scale * np.array([[1.0, 0.0], [0.0, 2 * linalg.RANK_RTOL], [0.0, 0.0]])
+        x, singular_values = linalg.lstsq(A, np.ones(3))
+        assert singular_values == pytest.approx([scale, 2 * linalg.RANK_RTOL * scale], rel=1e-12)
+        A[1, 1] /= 4
+        with pytest.raises(linalg.RankError):
+            linalg.lstsq(A, np.ones(3))
+
+
 def test_min_singular_value_identity():
     assert linalg.min_singular_value([[1, 0], [0, 1]]) == pytest.approx(1.0, abs=1e-12)
 

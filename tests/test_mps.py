@@ -42,6 +42,7 @@ def test_parse_tiny_golden_file():
     problem = mps.load_mps(DATA / "tiny.mps")
     assert problem.name == "TINY3"
     assert problem.row_senses == ["N", "E", "L", "G"]
+    assert problem.row_lines == [4, 5, 6, 7]  # the comment line counts
     A, b = mps.extract_system(problem)
     # hand-derived from the file: rows R1, R2, R3 over columns X1, X2
     assert np.array_equal(A, [[2.0, 1.0], [-1.0, 3.0], [0.0, 4.0]])

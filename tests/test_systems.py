@@ -160,13 +160,27 @@ def test_save_load_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_save_load_without_reference(tmp_path):
-    sys_ = systems.LinearSystem(np.eye(3), np.array([1.0, 2.0, 3.0]))
+def test_save_rejects_system_without_reference_or_singular_values(tmp_path):
+    full = systems.generate(systems.GeneratorSpec("gaussian-noise", m=30, n=4, seed=2))
     path = tmp_path / "plain.sys"
-    systems.save_system(path, sys_)
-    loaded = systems.load_system(path)
-    assert loaded.reference is None
-    assert np.array_equal(loaded.a, sys_.a)
+    for sys_ in (systems.LinearSystem(full.a, full.b),
+                 systems.LinearSystem(full.a, full.b, full.reference, full.error_vec)):
+        with pytest.raises(ValueError, match="needs a system with a reference and singular values"):
+            systems.save_system(path, sys_)
+        assert not path.exists()
+
+
+def kahan_type_pair(n=90, theta=1.2):
+    """n rows of the Kahan matrix plus a repeat of its first row, with b = 1.
+    Row normalization leaves I - cos(theta) U (U strictly upper ones), whose
+    QR diagonal stays near 1 while sigma_min / sigma_max is about 2.6e-13."""
+    K = np.diag(np.sin(theta) ** np.arange(n)) @ (np.eye(n) - np.cos(theta) * np.triu(np.ones((n, n)), 1))
+    return np.vstack([K, K[:1]]), np.ones(n + 1)
+
+
+def test_kahan_type_system_raises_rank_error():
+    with pytest.raises(linalg.RankError, match=r"^column \d+ depends on the columns before it"):
+        systems.from_unnormalized(*kahan_type_pair())
 
 
 def _bits(arr) -> bytes:
@@ -185,10 +199,9 @@ def _systems(draw):
     raw[:, 0] = draw(hnp.arrays(np.float64, m, elements=st.floats(0.5, 2.0)))  # no zero rows
     a, _ = systems.normalize_rows(raw, np.zeros(m))
     b = draw(hnp.arrays(np.float64, m, elements=_entries))
-    if not draw(st.booleans()):
-        return systems.LinearSystem(a, b)
     ref = draw(hnp.arrays(np.float64, n, elements=_entries))
-    return systems.LinearSystem(a, b, ref, a @ ref - b)
+    singular_values = draw(hnp.arrays(np.float64, n, elements=st.floats(0, 1e6, allow_subnormal=True)))
+    return systems.LinearSystem(a, b, ref, a @ ref - b, singular_values)
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,11 +212,9 @@ def test_save_load_is_bitwise_exact(tmp_path_factory, sys_):
     loaded = systems.load_system(path)
     assert _bits(loaded.a) == _bits(sys_.a)
     assert _bits(loaded.b) == _bits(sys_.b)
-    if sys_.reference is None:
-        assert loaded.reference is None and loaded.error_vec is None
-    else:
-        assert _bits(loaded.reference) == _bits(sys_.reference)
-        assert _bits(loaded.error_vec) == _bits(loaded.a @ loaded.reference - loaded.b)
+    assert _bits(loaded.reference) == _bits(sys_.reference)
+    assert _bits(loaded.error_vec) == _bits(loaded.a @ loaded.reference - loaded.b)
+    assert _bits(loaded.singular_values) == _bits(sys_.singular_values)
     again = path.with_name("again.sys")
     systems.save_system(again, loaded)
     assert again.read_bytes() == path.read_bytes()
@@ -216,8 +227,15 @@ def _npy(*arrays) -> bytes:
     return buf.getvalue()
 
 
-_BODY = np.column_stack([np.eye(3)[:, :2], np.ones(3)])  # A = first two columns of I3, b = 1
-_VALID = _npy(_BODY, np.zeros(2))
+_BODY = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.6, 0.8, 1.0]])  # unit rows, b = 1
+_SV = np.ones(2)
+_VALID = _npy(_BODY, np.zeros(2), _SV)
+
+
+def test_load_accepts_valid_file(tmp_path):
+    path = tmp_path / "ok.sys"
+    path.write_bytes(_VALID)
+    assert np.array_equal(systems.load_system(path).singular_values, _SV)
 
 
 def test_load_rejects_truncated(tmp_path):
@@ -232,13 +250,16 @@ def test_load_rejects_truncated(tmp_path):
     pytest.param(_VALID[:100], id="truncated-header"),
     pytest.param(_VALID[:140], id="truncated-body"),
     pytest.param(_VALID + b"\0", id="trailing-bytes"),
-    pytest.param(_VALID + _npy(np.zeros(2)), id="third-record"),
-    pytest.param(_npy(_BODY.astype(np.int64)), id="int64-body"),
-    pytest.param(_npy(_BODY, np.zeros(2, dtype=np.float32)), id="float32-reference"),
-    pytest.param(_npy(_BODY.ravel()), id="1-d-body"),
-    pytest.param(_npy(np.ones((3, 1))), id="one-column-body"),
-    pytest.param(_npy(_BODY, np.zeros((2, 1))), id="2-d-reference"),
-    pytest.param(_npy(_BODY, np.zeros(3)), id="reference-length"),
+    pytest.param(_npy(_BODY, np.zeros(2)), id="two-records"),
+    pytest.param(_VALID + _npy(np.zeros(2)), id="fourth-record"),
+    pytest.param(_npy(_BODY.astype(np.int64), np.zeros(2), _SV), id="int64-body"),
+    pytest.param(_npy(_BODY, np.zeros(2, dtype=np.float32), _SV), id="float32-reference"),
+    pytest.param(_npy(_BODY, np.zeros(2), _SV.astype(np.float32)), id="float32-singular-values"),
+    pytest.param(_npy(_BODY.ravel(), np.zeros(2), _SV), id="1-d-body"),
+    pytest.param(_npy(np.ones((3, 1)), np.zeros(0), np.zeros(0)), id="one-column-body"),
+    pytest.param(_npy(_BODY, np.zeros((2, 1)), _SV), id="2-d-reference"),
+    pytest.param(_npy(_BODY, np.zeros(3), _SV), id="reference-length"),
+    pytest.param(_npy(_BODY, np.zeros(2), np.ones(3)), id="singular-values-length"),
 ])
 def test_load_rejects_malformed_file(tmp_path, content):
     path = tmp_path / "bad.sys"
