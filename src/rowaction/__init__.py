@@ -22,7 +22,6 @@ from .linalg import (
     frobenius_norm_sq,
     least_norm,
     least_squares,
-    matvec,
     min_singular_value,
     norm_inf,
 )

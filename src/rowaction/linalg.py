@@ -47,14 +47,6 @@ def as_vector(v) -> np.ndarray:
     return v
 
 
-def matvec(A, v) -> np.ndarray:
-    A = as_matrix(A)
-    v = as_vector(v)
-    if v.shape[0] != A.shape[1]:
-        raise ValueError(f"dimension mismatch: matrix has {A.shape[1]} columns, vector has {v.shape[0]}")
-    return A @ v
-
-
 def norm_inf(v) -> float:
     v = as_vector(v)
     if v.size == 0:

@@ -28,16 +28,18 @@ rules are checked against the same pre-update residual.
 `time_to_threshold` times solves that record no telemetry, so its seconds
 measure the solver alone.
 
-A uniform draw never needs a residual to pick its row, so uniform steps
-always run in blocks: one RNG call draws a block's rows, the iterates are
-projected one by one, and one call per block gives all their residuals.
-With telemetry that call is a stacked gemv (`linalg.matvecs`), whose rows
-have the bits of `A @ x - b`, so every record equals the step-by-step one.
-Without telemetry it is one gemm per BLOCK_STEPS = 64 steps, with a guard
-band around the threshold. Either way the iteration count, the stop reason,
-x and the records equal, bit for bit, those of a loop that takes one step
-and one `A @ x - b` at a time. Only the RNG and the block's iterates run up
-to a block past the stop point, and nothing exposes them.
+With telemetry both loops buffer a block of iterates, their residuals and
+their rows, and `_records` turns each block into records, greedy or uniform.
+A greedy step needs its residual to pick the next row, so it takes it with
+its own gemv. A uniform draw does not, so uniform steps run in blocks: one
+RNG call draws a block's rows, the iterates are projected one by one, and
+one call gives all their residuals: with telemetry a stacked gemv
+(`linalg.matvecs`, the bits of `A @ x - b`), else one gemm per
+BLOCK_STEPS = 64 steps with a guard band around the threshold. Either way
+the iteration count, the stop reason, x and the records equal, bit for bit,
+those of a loop that takes one step, one `A @ x - b` and one record at a
+time. Only the RNG and a uniform block's iterates run up to a block past the
+stop point, and nothing exposes them.
 """
 
 import csv
@@ -213,34 +215,40 @@ def _trials(sys, rule, stop, seeds, x0, telemetry):
 
 def _loop(sys, x, r, k, stop, records):
     """Iterate greedily from x_k, whose residual is r = A x_k - b, until
-    `stop` fires. Appends one record per iteration to `records` unless it is
-    None. Returns the final x, its residual, its k and the stop reason."""
+    `stop` fires. Unless `records` is None, buffers each step and appends the
+    records of each full block, and of the rest at the stop, by `_records`.
+    Returns the final x, its residual, its k and the stop reason."""
     threshold = stop.residual_inf_threshold
+    a, b = sys.a, sys.b
+    if records is not None:
+        s = min(BLOCK_STEPS, max(1, BLOCK_ENTRIES // sys.m))
+        # x_k and its residual sit in row len(rows) of the buffers
+        iterates, residuals, rows = np.empty((s, sys.n)), np.empty((s, sys.m)), []
+        iterates[0], residuals[0] = x, r
     while True:
-        residual_inf = float(np.abs(r).max())
-        if threshold is not None and residual_inf <= threshold:
-            return x, r, k, STOP_RESIDUAL_THRESHOLD
+        if threshold is not None and float(np.abs(r).max()) <= threshold:
+            reason = STOP_RESIDUAL_THRESHOLD
+            break
         if k >= stop.max_iterations:
-            return x, r, k, STOP_MAX_ITERATIONS
+            reason = STOP_MAX_ITERATIONS
+            break
 
         i = select_motzkin(r)
-
-        if records is not None:
-            gamma = None
-            error_sq = None
-            if sys.reference is not None:
-                d = r - sys.error_vec  # A(x_k - reference)
-                d_inf_sq = float(np.abs(d).max()) ** 2
-                if d_inf_sq > 0.0:
-                    gamma = float(np.dot(d, d)) / d_inf_sq
-                diff = x - sys.reference
-                error_sq = float(np.dot(diff, diff))
-            records.append(IterationRecord(k, i, residual_inf, float(np.dot(r, r)),
-                                           gamma, error_sq, float(r[i]) ** 2))
-
-        x = _project(sys.a, sys.b, x, i)
-        r = sys.a @ x - sys.b
+        if records is None:
+            x = _project(a, b, x, i)
+            r = a @ x - b
+        else:
+            rows.append(i)
+            if len(rows) == s:
+                _records(sys, iterates, residuals, rows, k + 1 - s, records)
+                rows = []
+            x = _project(a, b, x, i, out=iterates[len(rows)])
+            r = np.matmul(a, x, out=residuals[len(rows)])
+            r -= b
         k += 1
+    if records is not None:
+        _records(sys, iterates, residuals, rows, k - len(rows), records)
+    return x, r, k, reason
 
 
 def _blocked_uniform(sys, x, r, k, stop, rng, records):
@@ -255,10 +263,9 @@ def _blocked_uniform(sys, x, r, k, stop, rng, records):
 
     - With records, s = min(BLOCK_STEPS, max(1, BLOCK_ENTRIES // m)), so the
       residual buffer stays within 256 KB. The stacked gemv `linalg.matvecs`
-      gives each residual the bits of `A @ x - b`, and `_block_records`
-      computes the block's telemetry columns from them, each equal to the
-      one `_loop`'s expression gives. Records stop at the first iterate at
-      or below the threshold.
+      gives each residual the bits of `A @ x - b`, and `_records` turns them
+      into the block's records, up to the first iterate at or below the
+      threshold.
     - Without records, s = BLOCK_STEPS and one gemm gives the residuals.
       gemm and gemv may differ in the last bits of a sup norm v, by less
       than g = 2 (n+2) eps (||x||_2 + ||b||_inf + v) on unit rows
@@ -266,10 +273,7 @@ def _blocked_uniform(sys, x, r, k, stop, rng, records):
       threshold by more than g is checked again with the gemv. Without a
       threshold no residual is taken.
 
-    Either way the count, the stop reason, x and the records equal, bit for
-    bit, those of one step and one `A @ x - b` at a time. The RNG and the
-    buffer run up to s - 1 steps past the stop point, and nothing exposes
-    them.
+    The results keep the bit-for-bit contract of the module docstring.
     """
     threshold = stop.residual_inf_threshold
     if threshold is not None and float(np.abs(r).max()) <= threshold:
@@ -292,8 +296,14 @@ def _blocked_uniform(sys, x, r, k, stop, rng, records):
         for j, i in enumerate(rows, 1):
             x = _project(a, b, x, i, out=iterates[j])
         if records is not None:
-            hit = _block_records(sys, iterates[:steps + 1], residuals[:steps + 1], rows, k,
-                                 threshold, records)
+            block = linalg.matvecs(a, iterates[1:steps + 1], out=residuals[1:steps + 1])
+            block -= b
+            hit = None
+            if threshold is not None:
+                below = np.flatnonzero(np.abs(block).max(axis=1) <= threshold)
+                if below.size:
+                    hit = int(below[0]) + 1
+            _records(sys, iterates, residuals, rows[:hit], k, records)
             if hit is not None:
                 return iterates[hit].copy(), k + hit, STOP_RESIDUAL_THRESHOLD
             residuals[0] = residuals[steps]
@@ -310,43 +320,29 @@ def _blocked_uniform(sys, x, r, k, stop, rng, records):
     return iterates[0].copy(), k, STOP_MAX_ITERATIONS
 
 
-def _block_records(sys, iterates, residuals, rows, k, threshold, records):
-    """Fill residuals[1:] with the residuals of iterates[1:], whose rows 0
-    hold x_k and its residual, then append the records of x_k, x_{k+1}, ...
-    up to the first iterate at or below the threshold. Returns that iterate's
-    index, or None when no iterate reaches the threshold.
-
-    Each column keeps the expression of `_loop`'s record: the sup norms are
-    exact maxima, the squared norms come from `linalg.row_norms_sq` (the dot
-    kernel of `np.dot`), and gamma and the squares are Python-float
-    arithmetic.
-    """
-    linalg.matvecs(sys.a, iterates[1:], out=residuals[1:])
-    residuals[1:] -= sys.b
-    residual_inf = np.abs(residuals).max(axis=1)
-    hit = None
-    if threshold is not None:
-        below = np.flatnonzero(residual_inf[1:] <= threshold)
-        if below.size:
-            hit = int(below[0]) + 1
-    t = len(rows) if hit is None else hit
+def _records(sys, iterates, residuals, rows, k, records):
+    """Append to `records` the records of x_k, x_{k+1}, ..., one per selected
+    row in `rows`, whose iterates and residuals A x - b lead `iterates` and
+    `residuals`. Each column has the bits of the step-by-step expression: the
+    sup norms are exact maxima, the squared norms come from
+    `linalg.row_norms_sq` (the dot kernel of `np.dot`), and gamma and the
+    squares are Python-float arithmetic."""
+    t = len(rows)
     r = residuals[:t]
-    rows = rows[:t]
     selected = r[np.arange(t), rows].tolist()
     if sys.reference is None:
         gammas = error_sqs = [None] * t
     else:
         d = r - sys.error_vec  # A(x_j - reference)
-        d_inf_sqs = [v ** 2 for v in np.abs(d).max(axis=1).tolist()]
-        gammas = [dd / sq if sq > 0.0 else None
-                  for dd, sq in zip(linalg.row_norms_sq(d).tolist(), d_inf_sqs)]
+        dds = linalg.row_norms_sq(d).tolist()
+        gammas = [dd / v ** 2 if v ** 2 > 0.0 else None
+                  for dd, v in zip(dds, np.abs(d, out=d).max(axis=1).tolist())]
         error_sqs = linalg.row_norms_sq(iterates[:t] - sys.reference).tolist()
     records.extend(
         IterationRecord(k + j, i, v, r2, gamma, error_sq, r_i ** 2)
         for j, (i, v, r2, gamma, error_sq, r_i) in enumerate(zip(
-            rows, residual_inf[:t].tolist(), linalg.row_norms_sq(r).tolist(), gammas,
+            rows, np.abs(r).max(axis=1).tolist(), linalg.row_norms_sq(r).tolist(), gammas,
             error_sqs, selected)))
-    return hit
 
 
 @dataclass(frozen=True)

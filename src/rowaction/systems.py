@@ -115,8 +115,8 @@ class LinearSystem:
     Invariants checked at construction: unit row norms (within 1e-12),
     m >= n, finite entries, n singular values when they are present, and when
     a reference is present the stored error vector equals A @ reference - b
-    componentwise (within 1e-10). Arrays are locked read-only; systems are
-    safe to share across runs.
+    componentwise (within 1e-10). The stored arrays are read-only views of
+    the coerced inputs; systems are safe to share across runs.
     """
 
     a: np.ndarray
@@ -128,6 +128,8 @@ class LinearSystem:
     def __post_init__(self):
         a = linalg.as_matrix(self.a)
         b = linalg.as_vector(self.b)
+        ref, err, sv = (None if v is None else linalg.as_vector(v)
+                        for v in (self.reference, self.error_vec, self.singular_values))
         m, n = a.shape
         if m < n:
             raise ValueError(f"system must be overdetermined (m >= n), got {m} x {n}")
@@ -137,27 +139,26 @@ class LinearSystem:
         bad = np.abs(row_norms - 1.0).max()
         if bad > ROW_NORM_TOL:
             raise ValueError(f"rows must have unit norm within {ROW_NORM_TOL}, worst deviation {bad:.3e}")
-        if self.reference is not None:
-            ref = linalg.as_vector(self.reference)
+        if ref is not None:
             if ref.shape[0] != n:
                 raise ValueError(f"reference length {ref.shape[0]} does not match {n} columns")
-            if self.error_vec is None:
+            if err is None:
                 raise ValueError("a system with a reference solution must carry its error vector")
-            err = linalg.as_vector(self.error_vec)
             if err.shape[0] != m:
                 raise ValueError(f"error vector length {err.shape[0]} does not match {m} rows")
             drift = np.abs(a @ ref - b - err).max()
             if drift > REFERENCE_RESIDUAL_TOL:
                 raise ValueError(f"error_vec disagrees with A @ reference - b by {drift:.3e}")
-        elif self.error_vec is not None:
+        elif err is not None:
             raise ValueError("error_vec requires a reference solution")
-        if self.singular_values is not None and linalg.as_vector(self.singular_values).shape != (n,):
+        if sv is not None and sv.shape != (n,):
             raise ValueError(f"a system with {n} columns needs {n} singular values")
-        for arr in (a, b, self.reference, self.error_vec, self.singular_values):
+        for name, arr in zip(("a", "b", "reference", "error_vec", "singular_values"),
+                             (a, b, ref, err, sv)):
             if arr is not None:
-                arr.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+                view = arr.view()
+                view.setflags(write=False)
+                object.__setattr__(self, name, view)
 
     @property
     def m(self) -> int:
@@ -169,7 +170,7 @@ class LinearSystem:
 
     def residual(self, x) -> np.ndarray:
         """A @ x - b."""
-        return linalg.matvec(self.a, x) - self.b
+        return self.a @ linalg.as_vector(x) - self.b
 
     def error_inf(self) -> float:
         """Sup norm of the reference residual; requires a reference solution."""

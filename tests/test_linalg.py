@@ -10,30 +10,6 @@ from rowaction import linalg, systems
 from oracles import least_squares_oracle, min_singular_value_oracle
 
 
-def test_matvec_identity():
-    out = linalg.matvec([[1, 0], [0, 1]], [3, -2])
-    assert np.array_equal(out, [3, -2])
-
-
-def test_matvec_ones():
-    assert np.array_equal(linalg.matvec([[1, 1]], [1, 1]), [2])
-
-
-def test_matvec_hand_case():
-    out = linalg.matvec([[2, 1], [0, 3], [1, 1]], [1, 2])
-    assert np.array_equal(out, [4, 6, 3])
-
-
-def test_matvec_dimension_mismatch():
-    with pytest.raises(ValueError):
-        linalg.matvec([[1, 2], [3, 4]], [1, 2, 3])
-
-
-def test_matvec_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        linalg.matvec([[1, np.nan]], [1, 1])
-
-
 def test_norm_inf_sign_invariance():
     assert linalg.norm_inf([3, -4]) == 4.0
 

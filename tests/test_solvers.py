@@ -513,6 +513,33 @@ def test_telemetry_block_hybrid_continuation_equals_reference_loop(tmp_path, sha
         assert ref.state.iteration - ref.switch_iteration > 2 * telemetry_block(sys_.m)
 
 
+@pytest.mark.parametrize("shape", BLOCK_SHAPES)
+def test_greedy_telemetry_blocks_equal_reference_loop(tmp_path, shape):
+    # greedy steps buffer their records in blocks of s steps too: motzkin and
+    # a hybrid prefix cut by caps around s, and stopped by a threshold exactly
+    # at a block boundary (nothing left in the buffer) and mid-block
+    sys_ = gaussian_system(*shape, noise_std=0.0, seed=1)
+    s, x0, path = telemetry_block(sys_.m), np.full(sys_.n, 1000.0), tmp_path / "telemetry.csv"
+    motzkin, seeds = SelectionRule("motzkin"), [1, 2]
+    levels = [rec.residual_inf for rec in reference_run(sys_, motzkin, StopRule(4 * s + 1), x0).records]
+    new_lows = [k for k in range(s, len(levels)) if levels[k] < min(levels[:k])]
+    # the first new low at a boundary, and the first mid-block one (none when s == 1)
+    stops = [next(k for k in new_lows if k % s == 0)] + [k for k in new_lows if k % s][:1]
+    assert len(stops) == (1 if s == 1 else 2)
+    never = SelectionRule("hybrid", hybrid_threshold=0.5 * min(levels))  # a prefix cut by the cap
+    for cap in sorted({0, 1, s - 1, s, s + 1, 2 * s + 1}):
+        for rule in (motzkin, never):
+            for ref in assert_matches_reference(sys_, rule, StopRule(cap), seeds, x0, path):
+                assert (ref.state.iteration, ref.switch_iteration) == (cap, None)
+    for k in stops:
+        for ref in assert_matches_reference(sys_, motzkin, StopRule(4 * s + 1, levels[k]), seeds,
+                                            x0, path):
+            assert (ref.state.iteration, ref.stop_reason) == (k, STOP_RESIDUAL_THRESHOLD)
+        hybrid = SelectionRule("hybrid", hybrid_threshold=levels[k])
+        for ref in assert_matches_reference(sys_, hybrid, StopRule(k + s + 1), seeds, x0, path):
+            assert (ref.switch_iteration, ref.state.iteration) == (k, k + s + 1)
+
+
 # --------------------------------------------------------------------------
 # the blocked stop test of uniform solves without telemetry
 

@@ -145,6 +145,22 @@ def test_system_arrays_are_read_only():
         sys_.a[0, 0] = 5.0
 
 
+def test_system_stores_read_only_float_arrays_of_any_input():
+    sys_ = systems.LinearSystem([[1, 0], [0, 1]], [1, 2], reference=[1, 2], error_vec=[0, 0],
+                                singular_values=[1, 1])
+    for name in ("a", "b", "reference", "error_vec", "singular_values"):
+        arr = getattr(sys_, name)
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.float64, name
+        assert not arr.flags.writeable, name
+    # a caller's float64 arrays are stored without a copy and stay writeable
+    inputs = (np.eye(2), np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.zeros(2), np.ones(2))
+    sys_ = systems.LinearSystem(*inputs)
+    for arr, stored in zip(inputs, (sys_.a, sys_.b, sys_.reference, sys_.error_vec,
+                                    sys_.singular_values)):
+        assert arr.flags.writeable and not stored.flags.writeable
+        assert np.shares_memory(arr, stored)
+
+
 def test_save_load_round_trip(tmp_path):
     spec = systems.GeneratorSpec("gaussian-noise", m=30, n=4, noise_std=0.5, seed=2)
     sys_ = systems.generate(spec)
