@@ -304,7 +304,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse reports its own errors on stderr
         return int(exc.code or 0)
-    except (linalg.RankError, systems.DegenerateRowError) as exc:
+    except (linalg.RankError, systems.DegenerateRowError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except (ValueError, OSError) as exc:

@@ -7,7 +7,7 @@ single selected equation. With unit-norm rows the projection is
 
 and the selection rule is what distinguishes the methods:
 
-  motzkin      pick the row with the largest squared residual entry
+  motzkin      pick the row with the largest residual entry |r_i|
                (ties broken to the smallest index),
   rk-uniform   pick uniformly at random (on unit rows this is also the
                norm-weighted draw of randomized Kaczmarz),
@@ -24,22 +24,22 @@ prefix, once and shares it across all the seeds it is given.
 Each performed iteration emits one IterationRecord, a named tuple whose
 fields are the telemetry CSV columns, measured at the iterate *before* the
 update, so record k describes x_k and the step producing x_{k+1}. Stopping
-rules are checked against the same pre-update residual.
-`time_to_threshold` times solves that record no telemetry, so its seconds
-measure the solver alone.
+rules are checked against the same pre-update residual, and each residual's
+sup norm is taken once, for the stop test and the record alike: a greedy
+step reads it as the |r_i| it selects. `time_to_threshold` times solves that
+record no telemetry, so its seconds measure the solver alone.
 
-With telemetry both loops buffer a block of iterates, their residuals and
-their rows, and `_records` turns each block into records, greedy or uniform.
-A greedy step needs its residual to pick the next row, so it takes it with
-its own gemv. A uniform draw does not, so uniform steps run in blocks: one
-RNG call draws a block's rows, the iterates are projected one by one, and
-one call gives all their residuals: with telemetry a stacked gemv
-(`linalg.matvecs`, the bits of `A @ x - b`), else one gemm per
-BLOCK_STEPS = 64 steps with a guard band around the threshold. Either way
-the iteration count, the stop reason, x and the records equal, bit for bit,
-those of a loop that takes one step, one `A @ x - b` and one record at a
-time. Only the RNG and a uniform block's iterates run up to a block past the
-stop point, and nothing exposes them.
+Both loops buffer a block of iterates and their residuals, and with
+telemetry `_records` turns each block into records. A greedy step needs its
+residual to pick the next row, so it takes it with its own gemv. A uniform
+draw does not, so uniform steps run in blocks: one RNG call draws a block's
+rows, the iterates are projected one by one, and one call gives all their
+residuals, a stacked gemv with telemetry (`linalg.matvecs`, the bits of
+`A @ x - b`), else a gemm, and one guarded search finds the first to stop.
+Either way the iteration count, the stop reason, x and the records equal,
+bit for bit, those of a loop that takes one step, one `A @ x - b` and one
+record at a time. Only the RNG and a uniform block's iterates run up to a
+block past the stop point, and nothing exposes them.
 """
 
 import csv
@@ -59,10 +59,10 @@ SELECTION_KINDS = ("motzkin", "rk-uniform", "hybrid")
 STOP_RESIDUAL_THRESHOLD = "residual-threshold"
 STOP_MAX_ITERATIONS = "max-iterations"
 
-# steps per block of a uniform solve
+# steps per block of a uniform solve, and at most per telemetry block
 BLOCK_STEPS = 64
-# residual entries per block of a uniform solve with telemetry (256 KB of
-# float64): a block has min(BLOCK_STEPS, max(1, BLOCK_ENTRIES // m)) steps
+# residual entries per block of a solve with telemetry (256 KB of float64);
+# `_block_steps` turns it into steps
 BLOCK_ENTRIES = 32768
 
 
@@ -124,9 +124,9 @@ class RunResult:
 
 
 def select_motzkin(r) -> int:
-    """Index of the largest squared residual entry, smallest index on ties."""
-    r = np.asarray(r, dtype=float)
-    return int(np.argmax(r * r))
+    """Index of the largest residual entry in absolute value, smallest index
+    on ties. Nothing is squared, so no entry underflows or overflows."""
+    return int(np.argmax(np.abs(np.asarray(r, dtype=float))))
 
 
 def project_step(sys: LinearSystem, x, i: int) -> np.ndarray:
@@ -213,120 +213,118 @@ def _trials(sys, rule, stop, seeds, x0, telemetry):
                         switch_iteration)
 
 
+def _block_steps(m):
+    """Steps per telemetry block on m rows: at most BLOCK_STEPS, and at most
+    BLOCK_ENTRIES residual entries unless one step alone has more."""
+    return min(BLOCK_STEPS, max(1, BLOCK_ENTRIES // m))
+
+
 def _loop(sys, x, r, k, stop, records):
     """Iterate greedily from x_k, whose residual is r = A x_k - b, until
-    `stop` fires. Unless `records` is None, buffers each step and appends the
-    records of each full block, and of the rest at the stop, by `_records`.
-    Returns the final x, its residual, its k and the stop reason."""
+    `stop` fires. The selected entry |r_i| is the residual sup norm, so the
+    stop test and the record read it from the one scan of the selection.
+    Each step's iterate and residual go into block buffers, one step deep
+    when `records` is None; else `_records` appends the records of each
+    full block, and of the rest at the stop. Returns the final x, its
+    residual, its k and the stop reason."""
     threshold = stop.residual_inf_threshold
     a, b = sys.a, sys.b
-    if records is not None:
-        s = min(BLOCK_STEPS, max(1, BLOCK_ENTRIES // sys.m))
-        # x_k and its residual sit in row len(rows) of the buffers
-        iterates, residuals, rows = np.empty((s, sys.n)), np.empty((s, sys.m)), []
-        iterates[0], residuals[0] = x, r
+    s = 1 if records is None else _block_steps(sys.m)
+    # x_k and its residual sit in row len(rows) of the buffers
+    iterates, residuals, rows, levels = np.empty((s, sys.n)), np.empty((s, sys.m)), [], []
+    iterates[0], residuals[0] = x, r
     while True:
-        if threshold is not None and float(np.abs(r).max()) <= threshold:
+        i = select_motzkin(r)
+        level = abs(float(r[i]))
+        if threshold is not None and level <= threshold:
             reason = STOP_RESIDUAL_THRESHOLD
             break
         if k >= stop.max_iterations:
             reason = STOP_MAX_ITERATIONS
             break
 
-        i = select_motzkin(r)
-        if records is None:
-            x = _project(a, b, x, i)
-            r = a @ x - b
-        else:
-            rows.append(i)
-            if len(rows) == s:
-                _records(sys, iterates, residuals, rows, k + 1 - s, records)
-                rows = []
-            x = _project(a, b, x, i, out=iterates[len(rows)])
-            r = np.matmul(a, x, out=residuals[len(rows)])
-            r -= b
+        rows.append(i)
+        levels.append(level)
+        if len(rows) == s:
+            if records is not None:
+                _records(sys, iterates, residuals, rows, levels, k + 1 - s, records)
+            rows, levels = [], []
+        x = _project(a, b, x, i, out=iterates[len(rows)])
+        r = np.matmul(a, x, out=residuals[len(rows)])
+        r -= b
         k += 1
     if records is not None:
-        _records(sys, iterates, residuals, rows, k - len(rows), records)
+        _records(sys, iterates, residuals, rows, levels, k - len(rows), records)
     return x, r, k, reason
 
 
 def _blocked_uniform(sys, x, r, k, stop, rng, records):
     """Iterate with uniform draws from x_k, whose residual is r = A x_k - b,
-    until `stop` fires, a block of s steps at a time. Appends one record per
+    until `stop` fires, a block of steps at a time. Appends one record per
     iteration to `records` unless it is None. Returns the final x, its k and
     the stop reason.
 
-    One `rng.integers(m, size=s)` call draws a block's rows, the same values
-    as s scalar draws. The iterates are projected one by one, as in `_loop`,
-    into a buffer, and one call then gives the residuals of the whole block:
-
-    - With records, s = min(BLOCK_STEPS, max(1, BLOCK_ENTRIES // m)), so the
-      residual buffer stays within 256 KB. The stacked gemv `linalg.matvecs`
-      gives each residual the bits of `A @ x - b`, and `_records` turns them
-      into the block's records, up to the first iterate at or below the
-      threshold.
-    - Without records, s = BLOCK_STEPS and one gemm gives the residuals.
-      gemm and gemv may differ in the last bits of a sup norm v, by less
-      than g = 2 (n+2) eps (||x||_2 + ||b||_inf + v) on unit rows
-      (|a_i . x| <= ||x||_2). So every iterate whose gemm v is not above the
-      threshold by more than g is checked again with the gemv. Without a
-      threshold no residual is taken.
-
-    The results keep the bit-for-bit contract of the module docstring.
+    One `rng.integers(m, size=s)` call draws a block's s rows, the same
+    values as s scalar draws, and the iterates are projected one by one into
+    a buffer. Their residuals come from one call: with records the stacked
+    gemv `linalg.matvecs` (the bits of `A @ x - b`) over `_block_steps(m)`
+    steps, so the buffer stays within 256 KB, else one gemm over BLOCK_STEPS.
+    One pass takes their sup norms v, which the stop search and `_records`
+    read. gemm and gemv may differ in the last bits of v, by less than
+    g = 2 (n+2) eps (||x||_2 + ||b||_inf + v) on unit rows, where
+    |a_i . x| <= ||x||_2. So the search checks every iterate whose v is not
+    above the threshold by more than g again with the gemv, and the first
+    that passes stops the run. The results keep the bit-for-bit contract of
+    the module docstring.
     """
     threshold = stop.residual_inf_threshold
-    if threshold is not None and float(np.abs(r).max()) <= threshold:
+    level = float(np.abs(r).max())
+    if threshold is not None and level <= threshold:
         return x, k, STOP_RESIDUAL_THRESHOLD
     a, b = sys.a, sys.b
-    s = BLOCK_STEPS if records is None else min(BLOCK_STEPS, max(1, BLOCK_ENTRIES // sys.m))
+    s = BLOCK_STEPS if records is None else _block_steps(sys.m)
     # row 0 holds x_k and its residual, rows 1..s the block's iterates and theirs
-    iterates = np.empty((s + 1, sys.n))
-    iterates[0] = x
-    if records is not None or threshold is not None:
-        residuals = np.empty((s + 1, sys.m))
-        residuals[0] = r
-    if records is None and threshold is not None:
-        band = 2 * (sys.n + 2) * np.finfo(float).eps
-        b_inf = float(np.abs(b).max())
+    iterates, residuals = np.empty((s + 1, sys.n)), np.empty((s + 1, sys.m))
+    iterates[0], residuals[0] = x, r
+    band = 2 * (sys.n + 2) * np.finfo(float).eps
+    b_inf = float(np.abs(b).max())
     while k < stop.max_iterations:
         steps = min(s, stop.max_iterations - k)
         rows = rng.integers(sys.m, size=steps).tolist()
         x = iterates[0]
         for j, i in enumerate(rows, 1):
             x = _project(a, b, x, i, out=iterates[j])
+        block = residuals[1:steps + 1]
+        if records is None:
+            np.matmul(iterates[1:steps + 1], a.T, out=block)
+        else:
+            linalg.matvecs(a, iterates[1:steps + 1], out=block)
+        block -= b
+        # in place unless `_records` still reads the residuals
+        v = np.abs(block, out=block if records is None else None).max(axis=1)
+        hit = None
+        if threshold is not None:
+            guard = band * (np.sqrt(linalg.row_norms_sq(iterates[1:steps + 1])) + b_inf + v)
+            hit = next((j for j in (np.flatnonzero(~(v - guard > threshold)) + 1).tolist()
+                        if float(np.abs(a @ iterates[j] - b).max()) <= threshold), None)
         if records is not None:
-            block = linalg.matvecs(a, iterates[1:steps + 1], out=residuals[1:steps + 1])
-            block -= b
-            hit = None
-            if threshold is not None:
-                below = np.flatnonzero(np.abs(block).max(axis=1) <= threshold)
-                if below.size:
-                    hit = int(below[0]) + 1
-            _records(sys, iterates, residuals, rows[:hit], k, records)
-            if hit is not None:
-                return iterates[hit].copy(), k + hit, STOP_RESIDUAL_THRESHOLD
-            residuals[0] = residuals[steps]
-        elif threshold is not None:
-            block = np.matmul(iterates[1:steps + 1], a.T, out=residuals[1:steps + 1])
-            block -= b
-            v = np.abs(block, out=block).max(axis=1)
-            guard = band * (np.linalg.norm(iterates[1:steps + 1], axis=1) + b_inf + v)
-            for j in (np.flatnonzero(~(v - guard > threshold)) + 1).tolist():
-                if float(np.abs(a @ iterates[j] - b).max()) <= threshold:
-                    return iterates[j].copy(), k + j, STOP_RESIDUAL_THRESHOLD
+            _records(sys, iterates, residuals, rows[:hit], [level, *v.tolist()], k, records)
+            residuals[0], level = residuals[steps], float(v[-1])
+        if hit is not None:
+            return iterates[hit].copy(), k + hit, STOP_RESIDUAL_THRESHOLD
         iterates[0] = iterates[steps]
         k += steps
     return iterates[0].copy(), k, STOP_MAX_ITERATIONS
 
 
-def _records(sys, iterates, residuals, rows, k, records):
+def _records(sys, iterates, residuals, rows, levels, k, records):
     """Append to `records` the records of x_k, x_{k+1}, ..., one per selected
-    row in `rows`, whose iterates and residuals A x - b lead `iterates` and
-    `residuals`. Each column has the bits of the step-by-step expression: the
-    sup norms are exact maxima, the squared norms come from
+    row in `rows`, whose iterates, residuals A x - b and their sup norms lead
+    `iterates`, `residuals` and `levels`. Each column has the bits of the
+    step-by-step expression: the squared norms come from
     `linalg.row_norms_sq` (the dot kernel of `np.dot`), and gamma and the
-    squares are Python-float arithmetic."""
+    squares are Python-float arithmetic, which raises OverflowError where a
+    square passes the float range."""
     t = len(rows)
     r = residuals[:t]
     selected = r[np.arange(t), rows].tolist()
@@ -341,8 +339,7 @@ def _records(sys, iterates, residuals, rows, k, records):
     records.extend(
         IterationRecord(k + j, i, v, r2, gamma, error_sq, r_i ** 2)
         for j, (i, v, r2, gamma, error_sq, r_i) in enumerate(zip(
-            rows, np.abs(r).max(axis=1).tolist(), linalg.row_norms_sq(r).tolist(), gammas,
-            error_sqs, selected)))
+            rows, levels, linalg.row_norms_sq(r).tolist(), gammas, error_sqs, selected)))
 
 
 @dataclass(frozen=True)

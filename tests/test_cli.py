@@ -409,6 +409,38 @@ ENDATA
     assert not (tmp_path / "x.txt").exists()
 
 
+def pure_noise_system(tmp_path, noise_std):
+    path = tmp_path / "noise.sys"
+    assert run_cli("generate", "--kind", "pure-noise", "--m", "50", "--n", "3",
+                   "--noise-std", noise_std, "--seed", "1", "--out", str(path)) == 0
+    return path
+
+
+def test_telemetry_overflow_is_numerical_error(tmp_path, capsys):
+    # residual entries near 1e200: their squares pass the float range
+    system = pure_noise_system(tmp_path, "1e200")
+    with pytest.warns(RuntimeWarning, match="overflow"):  # numpy's, in the squared norms
+        code = run_cli("solve", "--system", str(system), "--max-iterations", "3", "--seed", "0",
+                       "--out", str(tmp_path / "runs"))
+    assert code == cli.NUMERICAL_ERROR
+    assert "numerical failure: " in capsys.readouterr().err
+
+
+def test_motzkin_selects_the_largest_residual_when_squares_underflow(tmp_path):
+    # residual entries near 1e-170: their squares are zero or subnormal
+    system, out = pure_noise_system(tmp_path, "1e-170"), tmp_path / "runs"
+    assert run_cli("solve", "--system", str(system), "--max-iterations", "20", "--seed", "0",
+                   "--out", str(out)) == 0
+    sys_ = systems.load_system(system)
+    x = np.zeros(sys_.n)
+    records = solvers.read_telemetry_csv(out / "motzkin_trial0.csv")
+    assert len(records) == 20
+    for rec in records:
+        r = np.abs(sys_.a @ x - sys_.b)
+        assert (rec.selected_row, rec.residual_inf) == (int(np.argmax(r)), float(r.max()))
+        x = solvers.project_step(sys_, x, rec.selected_row)
+
+
 def test_kahan_type_system_is_numerical_error(tmp_path, capsys, monkeypatch):
     # a rank test on the QR diagonal passed this system, with reference entries of 4e14
     monkeypatch.setattr(systems, "build_unnormalized", lambda spec: kahan_type_pair())

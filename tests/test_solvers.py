@@ -29,10 +29,12 @@ def test_select_motzkin_tie_breaks_to_smallest_index():
 
 def test_select_motzkin_plain_max():
     assert solvers.select_motzkin([0.0, 0.0, 5.0]) == 2
+    assert solvers.select_motzkin([1e-170, 3e-170]) == 1  # squares underflow to 0
 
 
 def test_select_motzkin_squares_not_values():
     assert solvers.select_motzkin([0.1, -0.2, 0.15]) == 1
+    assert solvers.select_motzkin([1e200, -3e200]) == 1  # squares overflow to inf
 
 
 def test_select_motzkin_scale_invariance():
@@ -445,8 +447,7 @@ def test_hybrid_switch_edge_cases_equal_reference_loop(tmp_path):
 # uniform draws with telemetry, run in blocks
 
 
-def telemetry_block(m):
-    return min(solvers.BLOCK_STEPS, max(1, solvers.BLOCK_ENTRIES // m))
+telemetry_block = solvers._block_steps
 
 
 def test_telemetry_block_keeps_its_residual_buffer_within_256_kb():
@@ -622,7 +623,7 @@ def test_blocked_hybrid_continuation_equals_reference_loop():
 
 @st.composite
 def untimed_cases(draw):
-    """A small system, rk-uniform or hybrid, and a cap up to 400 whose
+    """A small system, any selection rule, and a cap up to 400 whose
     threshold, when present, is a residual level the reference run reaches."""
     m = draw(st.integers(2, 40))
     n = draw(st.integers(1, min(m, 6)))
@@ -634,8 +635,9 @@ def untimed_cases(draw):
         sys_ = systems.LinearSystem(sys_.a, sys_.b)
     x0 = rng.normal(size=n) if draw(st.booleans()) else None
     start_inf = max(float(np.abs(sys_.residual(np.zeros(n) if x0 is None else x0)).max()), 1e-3)
-    rule = (SelectionRule("hybrid", draw(st.floats(0.05, 1.1)) * start_inf)
-            if draw(st.booleans()) else SelectionRule("rk-uniform"))
+    kind = draw(st.sampled_from(solvers.SELECTION_KINDS))
+    rule = (SelectionRule(kind, draw(st.floats(0.05, 1.1)) * start_inf) if kind == "hybrid"
+            else SelectionRule(kind))
     cap = draw(st.integers(0, 400))
     seed = draw(st.integers(0, 2**64 - 1))
     threshold = None
