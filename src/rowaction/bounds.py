@@ -195,22 +195,18 @@ def sigma_min_gaussian_estimate(m: int, n: int) -> float:
     return math.sqrt(m / n) - 1.0
 
 
-def bound_inputs_from_system(sys: LinearSystem, x0=None,
-                             gamma_seq=None) -> BoundInputs:
+def bound_inputs_from_system(sys: LinearSystem, gamma_seq=None) -> BoundInputs:
     """Collect the bound inputs of a system: its stored sigma_min, the
-    reference residual sup norm, and the initial squared error from x0 (zero
-    vector by default). Requires a reference solution and singular values."""
+    reference residual sup norm, and the initial squared error of the zero
+    start. Requires a reference solution and singular values."""
     if sys.reference is None or sys.singular_values is None:
         raise ValueError("bound inputs require a system with a reference solution and singular values")
-    if x0 is None:
-        x0 = np.zeros(sys.n)
-    diff = linalg.as_vector(x0) - sys.reference
     return BoundInputs(
         m=sys.m,
         n=sys.n,
         sigma_min=float(sys.singular_values[-1]),
         error_inf=sys.error_inf(),
-        initial_error_sq=float(np.dot(diff, diff)),
+        initial_error_sq=float(np.dot(sys.reference, sys.reference)),
         frobenius_sq=linalg.frobenius_norm_sq(sys.a),
         gamma_seq=None if gamma_seq is None else tuple(gamma_seq),
     )

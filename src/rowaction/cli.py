@@ -132,12 +132,17 @@ def cmd_solve(args) -> int:
     rules = [solvers.SelectionRule(name, _resolve_threshold(args.hybrid_threshold, sys_))
              if name == "hybrid" else solvers.SelectionRule(name) for name in args.solver]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     summary_rows = []
     seeds = range(args.seed, args.seed + args.trials)
     for rule in rules:
         name = rule.kind
-        for trial, result in enumerate(solvers.run_trials(sys_, rule, stop, seeds)):
+        results = solvers.run_trials(sys_, rule, stop, seeds)
+        for trial in range(args.trials):
+            try:
+                result = next(results)
+            except OverflowError as exc:
+                raise OverflowError(f"{name} trial {trial}: {exc}") from exc
+            out.mkdir(parents=True, exist_ok=True)  # only once there is a file to write
             path = out / f"{name}_trial{trial}.csv"
             if name == "motzkin" and trial:
                 # a motzkin run ignores its seed, so every trial has trial 0's rows
@@ -205,10 +210,7 @@ def cmd_timing(args) -> int:
     _check_run_flags(args)
     sys_ = systems.load_system(args.system)
     threshold = _resolve_threshold(args.threshold, sys_)
-    solvers.StopRule(args.max_iterations, threshold)  # reject bad values before --out exists
     problem = Path(args.system).stem
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for name in args.solver:
         summary = solvers.time_to_threshold(sys_, solvers.SelectionRule(name), threshold, args.trials,
@@ -217,6 +219,8 @@ def cmd_timing(args) -> int:
                      f"{summary.mean_iterations:.2f}", summary.trials, summary.censored])
         print(f"{problem} {name}: mean_iterations={summary.mean_iterations:.2f} "
               f"mean_seconds={summary.mean_seconds:.4f} censored={summary.censored}/{summary.trials}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     path = out / "timing.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

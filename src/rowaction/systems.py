@@ -2,7 +2,8 @@
 
 A `LinearSystem` always carries a row-normalized matrix (every row has unit
 Euclidean norm), the matching right-hand side, and optionally a reference
-solution with its residual vector and the matrix's singular values.
+solution, from which it derives its error vector A @ reference - b, and the
+matrix's singular values.
 Synthetic systems come from `generate`; arbitrary (A, b) pairs go through
 `normalize_rows`, or `from_unnormalized`, whose one gelsd solve
 (`linalg.lstsq`, rank tolerance `linalg.RANK_RTOL`) gives both the
@@ -15,13 +16,14 @@ index samples use a partial Fisher-Yates shuffle. Equal specs (seed
 included) produce bitwise-equal systems.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
 
 ROW_NORM_TOL = 1e-12
+# read only by the benchmark's stacked-system check in perfbench/workloads.py
 REFERENCE_RESIDUAL_TOL = 1e-10
 
 GENERATOR_KINDS = ("gaussian-noise", "spiky-noise", "correlated", "pure-noise")
@@ -113,46 +115,36 @@ class LinearSystem:
     solution and the singular values of its matrix (non-increasing).
 
     Invariants checked at construction: unit row norms (within 1e-12),
-    m >= n, finite entries, n singular values when they are present, and when
-    a reference is present the stored error vector equals A @ reference - b
-    componentwise (within 1e-10). The stored arrays are read-only views of
+    m >= n, finite entries, and n singular values when they are present.
+    `error_vec` is not an argument: it is derived once as A @ reference - b
+    (None without a reference). The stored arrays are read-only views of
     the coerced inputs; systems are safe to share across runs.
     """
 
     a: np.ndarray
     b: np.ndarray
     reference: np.ndarray | None = None
-    error_vec: np.ndarray | None = None
     singular_values: np.ndarray | None = None
+    error_vec: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         a = linalg.as_matrix(self.a)
         b = linalg.as_vector(self.b)
-        ref, err, sv = (None if v is None else linalg.as_vector(v)
-                        for v in (self.reference, self.error_vec, self.singular_values))
+        ref, sv = (None if v is None else linalg.as_vector(v)
+                   for v in (self.reference, self.singular_values))
         m, n = a.shape
         if m < n:
             raise ValueError(f"system must be overdetermined (m >= n), got {m} x {n}")
         if b.shape[0] != m:
             raise ValueError(f"rhs length {b.shape[0]} does not match {m} rows")
-        row_norms = np.sqrt((a * a).sum(axis=1))
-        bad = np.abs(row_norms - 1.0).max()
+        bad = np.abs(np.sqrt(linalg.row_norms_sq(a)) - 1.0).max()
         if bad > ROW_NORM_TOL:
             raise ValueError(f"rows must have unit norm within {ROW_NORM_TOL}, worst deviation {bad:.3e}")
-        if ref is not None:
-            if ref.shape[0] != n:
-                raise ValueError(f"reference length {ref.shape[0]} does not match {n} columns")
-            if err is None:
-                raise ValueError("a system with a reference solution must carry its error vector")
-            if err.shape[0] != m:
-                raise ValueError(f"error vector length {err.shape[0]} does not match {m} rows")
-            drift = np.abs(a @ ref - b - err).max()
-            if drift > REFERENCE_RESIDUAL_TOL:
-                raise ValueError(f"error_vec disagrees with A @ reference - b by {drift:.3e}")
-        elif err is not None:
-            raise ValueError("error_vec requires a reference solution")
+        if ref is not None and ref.shape[0] != n:
+            raise ValueError(f"reference length {ref.shape[0]} does not match {n} columns")
         if sv is not None and sv.shape != (n,):
             raise ValueError(f"a system with {n} columns needs {n} singular values")
+        err = None if ref is None else a @ ref - b
         for name, arr in zip(("a", "b", "reference", "error_vec", "singular_values"),
                              (a, b, ref, err, sv)):
             if arr is not None:
@@ -231,11 +223,10 @@ def generate(spec: GeneratorSpec) -> LinearSystem:
 
 def from_unnormalized(A, b) -> LinearSystem:
     """Normalize an (A, b) pair and attach the least-squares solution of the
-    normalized system as reference, with its residual as error_vec, and the
-    singular values of the normalized matrix, all from one linalg.lstsq."""
+    normalized system as reference and the singular values of the normalized
+    matrix, both from one linalg.lstsq; the system derives error_vec itself."""
     An, bn = normalize_rows(A, b)
-    reference, singular_values = linalg.lstsq(An, bn)
-    return LinearSystem(An, bn, reference, An @ reference - bn, singular_values)
+    return LinearSystem(An, bn, *linalg.lstsq(An, bn))
 
 
 # --------------------------------------------------------------------------
@@ -271,5 +262,4 @@ def load_system(path) -> LinearSystem:
         except (ValueError, EOFError) as exc:
             raise ValueError(f"{path}: not a system file ({exc}); regenerate it with "
                              "`rowaction generate` or `rowaction netlib-prep`") from exc
-    A, b = body[:, :-1], body[:, -1]
-    return LinearSystem(A, b, reference, A @ reference - b, singular_values)
+    return LinearSystem(body[:, :-1], body[:, -1], reference, singular_values)

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rowaction import bounds, solvers, systems
@@ -288,6 +289,59 @@ def test_empirical_gamma_dominates_observed_run():
     curve = bounds.motzkin_bound_empirical_gamma(inp, len(gammas))
     for rec in result.records:
         assert rec.error_sq <= curve.values[rec.k] * (1 + 1e-9)
+
+
+@st.composite
+def _generated_runs(draw):
+    """A generated system of any kind and a starting point x0 at a drawn
+    scale from 0.1 to 10."""
+    kind = draw(st.sampled_from(systems.GENERATOR_KINDS))
+    n = draw(st.integers(2, 16))
+    m = draw(st.integers(n + 1, 12 * n + 1))
+    spiky = kind == "spiky-noise"
+    spec = systems.GeneratorSpec(
+        kind, m=m, n=n, noise_std=10.0 ** draw(st.floats(-4.0, 0.0)),
+        spike_count=draw(st.integers(1, min(m, 5))) if spiky else 0,
+        spike_magnitude=draw(st.floats(0.5, 20.0)) if spiky else 0.0,
+        seed=draw(st.integers(0, 2**32 - 1)))
+    x0 = draw(st.floats(0.1, 10.0)) * np.random.default_rng(spec.seed).standard_normal(n)
+    return systems.generate(spec), x0
+
+
+@settings(max_examples=100)
+@given(run=_generated_runs())
+def test_motzkin_guarantees_hold_on_every_generator_kind(run):
+    # the paper's deterministic results for a motzkin run stopped at
+    # 4||e||_inf, each with slack at most 1e-9 ||x_0 - x||^2
+    sys_, x0 = run
+
+    def error_sq(x):
+        return float(np.dot(x - sys_.reference, x - sys_.reference))
+
+    e_inf = sys_.error_inf()
+    result = solvers.run(sys_, solvers.SelectionRule("motzkin"),
+                         solvers.StopRule(100_000, residual_inf_threshold=4 * e_inf), x0=x0)
+    assert result.stop_reason == solvers.STOP_RESIDUAL_THRESHOLD
+    e0 = error_sq(x0)
+    slack = 1e-9 * e0
+    errors = [rec.error_sq for rec in result.records] + [error_sq(result.state.x)]
+    assert [rec.k for rec in result.records] == list(range(result.state.iteration))
+    # every record is of a step taken while ||r_k||_inf > 4||e||_inf. Projecting
+    # onto row i leaves ||x_k-x||^2 - r_i^2 + 2 r_i e_i, so the first bound holds
+    # for every step, and the paper's decrease follows from it
+    for rec, now, after in zip(result.records, errors, errors[1:]):
+        assert after <= now - rec.residual_inf * (rec.residual_inf - 2 * e_inf) + slack
+        assert after <= now - rec.residual_inf ** 2 / 2 + slack
+    inp = dataclasses.replace(bounds.bound_inputs_from_system(sys_), initial_error_sq=e0)
+    at_stop, one_more_step = bounds.final_error_bounds(inp)
+    assert errors[-1] <= at_stop + slack
+    one_more = solvers.run(sys_, solvers.SelectionRule("motzkin"), solvers.StopRule(1), x0=result.state.x)
+    assert error_sq(one_more.state.x) <= one_more_step + slack
+    gammas = [rec.gamma for rec in result.records]
+    assert all(1 - 1e-9 <= g <= sys_.m * (1 + 1e-9) for g in gammas)
+    curve = bounds.motzkin_bound_empirical_gamma(dataclasses.replace(inp, gamma_seq=tuple(gammas)),
+                                                 len(gammas))
+    assert all(error <= bound + slack for error, bound in zip(errors, curve.values))
 
 
 def test_write_curves_csv(tmp_path):

@@ -418,12 +418,19 @@ def pure_noise_system(tmp_path, noise_std):
 
 def test_telemetry_overflow_is_numerical_error(tmp_path, capsys):
     # residual entries near 1e200: their squares pass the float range
-    system = pure_noise_system(tmp_path, "1e200")
+    system, out = pure_noise_system(tmp_path, "1e200"), tmp_path / "runs"
     with pytest.warns(RuntimeWarning, match="overflow"):  # numpy's, in the squared norms
         code = run_cli("solve", "--system", str(system), "--max-iterations", "3", "--seed", "0",
-                       "--out", str(tmp_path / "runs"))
+                       "--out", str(out))
     assert code == cli.NUMERICAL_ERROR
-    assert "numerical failure: " in capsys.readouterr().err
+    assert "numerical failure: motzkin trial 0: " in capsys.readouterr().err
+    # the first solver fails before its first file, so --out is never made
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = run_cli("solve", "--system", str(system), "--solver", "rk-uniform", "--solver", "motzkin",
+                       "--max-iterations", "3", "--seed", "0", "--out", str(out))
+    assert code == cli.NUMERICAL_ERROR
+    assert "numerical failure: rk-uniform trial 0: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_motzkin_selects_the_largest_residual_when_squares_underflow(tmp_path):

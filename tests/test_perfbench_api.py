@@ -3,6 +3,7 @@ between benchmark revisions, so a change to the library must keep every name
 it uses. These tests read perfbench's modules and never edit them."""
 
 import ast
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rowaction import solvers, systems
+from rowaction import cli, solvers, systems
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -60,3 +61,19 @@ def test_microbenchmarks_and_run_results(monkeypatch):
     assert (result.state.iteration, result.stop_reason, len(result.records)) == \
         (5, solvers.STOP_MAX_ITERATIONS, 5)
     assert result.state.x.shape == (sys_.n,)
+
+
+def test_stacked_system_checks_pass(monkeypatch, tmp_path):
+    # Pipeline._check_stacked reads .a, .b, .reference and .error_vec of a
+    # loaded system and of an overdetermine result; load_reference runs it
+    # without the tracer or the speed probe
+    workloads = load("workloads", monkeypatch)
+    wl = dataclasses.replace(workloads.WORKLOADS["netlib-stacked"], mps_rows=6, mps_cols=10, mps_band=3)
+    tally = workloads.Tally()
+    pipeline = workloads.Pipeline(wl, 5, tmp_path / "work", tracer=None, tally=tally, speed=None)
+    pipeline.make_inputs()
+    assert cli.main(["netlib-prep", "--mps", str(pipeline.mps_path),
+                     "--noise-std", str(workloads.TRANSFORM_NOISE_STD), "--seed", "5",
+                     "--out", str(pipeline.system_path)]) == 0
+    pipeline.load_reference()
+    assert tally.attempted > 0 and tally.failed == 0

@@ -84,7 +84,7 @@ def test_project_step_index_error():
 def test_identity_system_solves_in_exactly_n_iterations():
     n = 6
     b = np.array([3.0, -1.5, 2.0, 0.5, -4.0, 1.0])
-    sys_ = systems.LinearSystem(np.eye(n), b, reference=b, error_vec=np.zeros(n))
+    sys_ = systems.LinearSystem(np.eye(n), b, reference=b)
     result = solvers.run(sys_, SelectionRule("motzkin"), StopRule(100, residual_inf_threshold=0.0))
     assert result.state.iteration == n
     assert np.array_equal(result.state.x, b)
@@ -212,7 +212,7 @@ def test_x0_length_validation():
 def test_time_to_threshold_identity_counts():
     n = 5
     b = np.array([2.0, -1.0, 3.0, 0.5, -0.25])
-    sys_ = systems.LinearSystem(np.eye(n), b, reference=b, error_vec=np.zeros(n))
+    sys_ = systems.LinearSystem(np.eye(n), b, reference=b)
     summary = solvers.time_to_threshold(sys_, SelectionRule("motzkin"), 0.0, trials=4, seed=1)
     assert summary.iterations == [n] * 4
     assert summary.censored == 0

@@ -133,10 +133,7 @@ def test_linear_system_validation():
     with pytest.raises(ValueError):
         systems.LinearSystem(np.eye(2)[:, :1].T, np.array([1.0]))  # m < n
     with pytest.raises(ValueError):
-        systems.LinearSystem(np.eye(2), np.zeros(2), reference=np.zeros(2))  # missing error_vec
-    with pytest.raises(ValueError):
-        systems.LinearSystem(np.eye(2), np.zeros(2), reference=np.zeros(2),
-                             error_vec=np.ones(2))  # inconsistent error_vec
+        systems.LinearSystem(np.eye(2), np.zeros(2), reference=np.zeros(3))  # reference length
 
 
 def test_system_arrays_are_read_only():
@@ -146,17 +143,15 @@ def test_system_arrays_are_read_only():
 
 
 def test_system_stores_read_only_float_arrays_of_any_input():
-    sys_ = systems.LinearSystem([[1, 0], [0, 1]], [1, 2], reference=[1, 2], error_vec=[0, 0],
-                                singular_values=[1, 1])
+    sys_ = systems.LinearSystem([[1, 0], [0, 1]], [1, 2], reference=[1, 2], singular_values=[1, 1])
     for name in ("a", "b", "reference", "error_vec", "singular_values"):
         arr = getattr(sys_, name)
         assert isinstance(arr, np.ndarray) and arr.dtype == np.float64, name
         assert not arr.flags.writeable, name
     # a caller's float64 arrays are stored without a copy and stay writeable
-    inputs = (np.eye(2), np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.zeros(2), np.ones(2))
+    inputs = (np.eye(2), np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.ones(2))
     sys_ = systems.LinearSystem(*inputs)
-    for arr, stored in zip(inputs, (sys_.a, sys_.b, sys_.reference, sys_.error_vec,
-                                    sys_.singular_values)):
+    for arr, stored in zip(inputs, (sys_.a, sys_.b, sys_.reference, sys_.singular_values)):
         assert arr.flags.writeable and not stored.flags.writeable
         assert np.shares_memory(arr, stored)
 
@@ -180,7 +175,7 @@ def test_save_rejects_system_without_reference_or_singular_values(tmp_path):
     full = systems.generate(systems.GeneratorSpec("gaussian-noise", m=30, n=4, seed=2))
     path = tmp_path / "plain.sys"
     for sys_ in (systems.LinearSystem(full.a, full.b),
-                 systems.LinearSystem(full.a, full.b, full.reference, full.error_vec)):
+                 systems.LinearSystem(full.a, full.b, full.reference)):
         with pytest.raises(ValueError, match="needs a system with a reference and singular values"):
             systems.save_system(path, sys_)
         assert not path.exists()
@@ -217,7 +212,7 @@ def _systems(draw):
     b = draw(hnp.arrays(np.float64, m, elements=_entries))
     ref = draw(hnp.arrays(np.float64, n, elements=_entries))
     singular_values = draw(hnp.arrays(np.float64, n, elements=st.floats(0, 1e6, allow_subnormal=True)))
-    return systems.LinearSystem(a, b, ref, a @ ref - b, singular_values)
+    return systems.LinearSystem(a, b, ref, singular_values)
 
 
 @settings(max_examples=60, deadline=None)
