@@ -72,18 +72,14 @@ def parse_mps(text: str) -> MpsProblem:
     non-finite coefficients.
     """
     name = ""
-    row_names: list[str] = []
+    rows: dict[str, int] = {}  # name -> index, in declaration order
     row_senses: list[str] = []
     row_lines: list[int] = []
-    row_index: dict[str, int] = {}
-    col_names: list[str] = []
-    col_index: dict[str, int] = {}
+    cols: dict[str, int] = {}
     coefficients: dict[tuple[int, int], float] = {}
     rhs: dict[int, float] = {}
     section = None
-    warned_ignored: set[str] = set()
-    saw = {"NAME": False, "ROWS": False, "COLUMNS": False}
-    ended = False
+    seen: set[str] = set()
 
     def number(token: str, lineno: int) -> float:
         try:
@@ -95,34 +91,25 @@ def parse_mps(text: str) -> MpsProblem:
         return value
 
     def row_of(token: str, lineno: int) -> int:
-        if token not in row_index:
+        if token not in rows:
             raise MpsParseError(lineno, f"row {token!r} referenced before declaration")
-        return row_index[token]
+        return rows[token]
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if ended:
-            break
         if raw.startswith("*") or not raw.strip():
             continue
         tokens = raw.split()
         if not raw[0].isspace():
-            keyword = tokens[0]
-            if keyword not in SECTIONS:
-                raise MpsParseError(lineno, f"unknown section keyword {keyword!r}")
-            if keyword == "ENDATA":
-                ended = True
-                continue
-            if keyword == "NAME":
+            section = tokens[0]
+            if section not in SECTIONS:
+                raise MpsParseError(lineno, f"unknown section keyword {section!r}")
+            if section == "ENDATA":
+                break
+            if section == "NAME":
                 name = tokens[1] if len(tokens) > 1 else ""
-                saw["NAME"] = True
-                section = None
-                continue
-            section = keyword
-            if keyword in saw:
-                saw[keyword] = True
-            if keyword in ("RANGES", "BOUNDS") and keyword not in warned_ignored:
-                warned_ignored.add(keyword)
-                warnings.warn(f"MPS section {keyword} is read but ignored", stacklevel=2)
+            elif section in ("RANGES", "BOUNDS") and section not in seen:
+                warnings.warn(f"MPS section {section} is read but ignored", stacklevel=2)
+            seen.add(section)
             continue
 
         if section == "ROWS":
@@ -131,10 +118,9 @@ def parse_mps(text: str) -> MpsProblem:
             sense, rname = tokens
             if sense not in ROW_SENSES:
                 raise MpsParseError(lineno, f"unknown row sense {sense!r}")
-            if rname in row_index:
+            if rname in rows:
                 raise MpsParseError(lineno, f"row {rname!r} declared twice")
-            row_index[rname] = len(row_names)
-            row_names.append(rname)
+            rows[rname] = len(rows)
             row_senses.append(sense)
             row_lines.append(lineno)
         elif section == "COLUMNS":
@@ -142,32 +128,26 @@ def parse_mps(text: str) -> MpsProblem:
                 continue  # integrality markers carry no coefficients
             if len(tokens) < 3 or len(tokens) % 2 == 0:
                 raise MpsParseError(lineno, f"expected 'col row value [row value]', got {raw.strip()!r}")
-            cname = tokens[0]
-            if cname not in col_index:
-                col_index[cname] = len(col_names)
-                col_names.append(cname)
-            j = col_index[cname]
+            j = cols.setdefault(tokens[0], len(cols))
             for rname, val in zip(tokens[1::2], tokens[2::2]):
                 key = (row_of(rname, lineno), j)
                 coefficients[key] = coefficients.get(key, 0.0) + number(val, lineno)
         elif section == "RHS":
             if len(tokens) % 2 == 1:
                 pairs = tokens[1:]  # first token is the RHS set name
-            elif tokens[0] in row_index:
+            elif tokens[0] in rows:
                 pairs = tokens
             else:
                 raise MpsParseError(lineno, f"malformed RHS line {raw.strip()!r}")
             for rname, val in zip(pairs[0::2], pairs[1::2]):
                 rhs[row_of(rname, lineno)] = number(val, lineno)
-        elif section in ("RANGES", "BOUNDS"):
-            continue
-        else:
+        elif section not in ("RANGES", "BOUNDS"):  # NAME, or no section yet
             raise MpsParseError(lineno, "data line outside of any section")
 
-    for required, present in saw.items():
-        if not present:
+    for required in ("NAME", "ROWS", "COLUMNS"):
+        if required not in seen:
             raise MpsParseError(1, f"missing required section {required}")
-    return MpsProblem(name, row_names, row_senses, row_lines, col_names, coefficients, rhs)
+    return MpsProblem(name, list(rows), row_senses, row_lines, list(cols), coefficients, rhs)
 
 
 def load_mps(path) -> MpsProblem:
@@ -183,16 +163,13 @@ def extract_system(problem: MpsProblem) -> tuple[np.ndarray, np.ndarray]:
     rows = problem.constraint_rows()
     if not rows or not problem.col_names:
         raise ValueError("MPS problem has no constraint rows or no columns")
-    position = {r: i for i, r in enumerate(rows)}
-    A = np.zeros((len(rows), len(problem.col_names)))
+    A = np.zeros((len(problem.row_names), len(problem.col_names)))
     for (r, c), v in problem.coefficients.items():
-        if r in position:
-            A[position[r], c] += v
-    b = np.zeros(len(rows))
+        A[r, c] += v
+    b = np.zeros(len(problem.row_names))
     for r, v in problem.rhs.items():
-        if r in position:
-            b[position[r]] = v
-    return A, b
+        b[r] = v
+    return A[rows], b[rows]
 
 
 def overdetermine(A, b, spec: TransformSpec = TransformSpec()) -> LinearSystem:

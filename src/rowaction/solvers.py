@@ -191,26 +191,26 @@ def _trials(sys, rule, stop, seeds, x0, telemetry):
             raise ValueError(f"x0 length {x.shape[0]} does not match {sys.n} columns")
     r = sys.a @ x - sys.b
     k, stop_reason, prefix = 0, None, []
-    if rule.kind != "rk-uniform":
+    if rule.kind == "rk-uniform":
+        level = float(np.abs(r).max())
+    else:
         greedy_stop = stop
         if rule.kind == "hybrid":
             # residual <= hybrid threshold ends the prefix: a stop when the stop
             # threshold or the cap also holds there, else the switch
             greedy_stop = StopRule(stop.max_iterations,
                                    max(stop.residual_inf_threshold or 0.0, rule.hybrid_threshold))
-        x, r, k, stop_reason = _loop(sys, x, r, 0, greedy_stop, prefix if telemetry else None)
+        x, r, k, level, stop_reason = _loop(sys, x, r, greedy_stop, prefix if telemetry else None)
     for seed in seeds:
         rng = make_rng(seed)
         records = list(prefix)
         if rule.kind == "motzkin":
             yield RunResult(SolverState(x.copy(), k), records, stop_reason)
             continue
-        x_t, k_t, reason_t = _blocked_uniform(sys, x, r, k, stop, rng,
+        x_t, k_t, reason_t = _blocked_uniform(sys, x, r, level, k, stop, rng,
                                               records if telemetry else None)
-        moved = k_t > k
-        switch_iteration = k if rule.kind == "hybrid" and moved else None
-        yield RunResult(SolverState(x_t if moved else x.copy(), k_t), records, reason_t,
-                        switch_iteration)
+        switch_iteration = k if rule.kind == "hybrid" and k_t > k else None
+        yield RunResult(SolverState(x_t, k_t), records, reason_t, switch_iteration)
 
 
 def _block_steps(m):
@@ -219,15 +219,15 @@ def _block_steps(m):
     return min(BLOCK_STEPS, max(1, BLOCK_ENTRIES // m))
 
 
-def _loop(sys, x, r, k, stop, records):
-    """Iterate greedily from x_k, whose residual is r = A x_k - b, until
+def _loop(sys, x, r, stop, records):
+    """Iterate greedily from x_0, whose residual is r = A x_0 - b, until
     `stop` fires. The selected entry |r_i| is the residual sup norm, so the
     stop test and the record read it from the one scan of the selection.
     Each step's iterate and residual go into block buffers, one step deep
     when `records` is None; else `_records` appends the records of each
     full block, and of the rest at the stop. Returns the final x, its
-    residual, its k and the stop reason."""
-    threshold = stop.residual_inf_threshold
+    residual, its k, its residual sup norm and the stop reason."""
+    threshold, k = stop.residual_inf_threshold, 0
     a, b = sys.a, sys.b
     s = 1 if records is None else _block_steps(sys.m)
     # x_k and its residual sit in row len(rows) of the buffers
@@ -247,22 +247,22 @@ def _loop(sys, x, r, k, stop, records):
         levels.append(level)
         if len(rows) == s:
             if records is not None:
-                _records(sys, iterates, residuals, rows, levels, k + 1 - s, records)
+                _records(sys, iterates, residuals, rows, levels, records)
             rows, levels = [], []
         x = _project(a, b, x, i, out=iterates[len(rows)])
         r = np.matmul(a, x, out=residuals[len(rows)])
         r -= b
         k += 1
     if records is not None:
-        _records(sys, iterates, residuals, rows, levels, k - len(rows), records)
-    return x, r, k, reason
+        _records(sys, iterates, residuals, rows, levels, records)
+    return x, r, k, level, reason
 
 
-def _blocked_uniform(sys, x, r, k, stop, rng, records):
-    """Iterate with uniform draws from x_k, whose residual is r = A x_k - b,
-    until `stop` fires, a block of steps at a time. Appends one record per
-    iteration to `records` unless it is None. Returns the final x, its k and
-    the stop reason.
+def _blocked_uniform(sys, x, r, level, k, stop, rng, records):
+    """Iterate with uniform draws from x_k, whose residual r = A x_k - b has
+    sup norm `level`, until `stop` fires, a block of steps at a time.
+    Appends one record per iteration to `records` unless it is None.
+    Returns a copy of the final x, its k and the stop reason.
 
     One `rng.integers(m, size=s)` call draws a block's s rows, the same
     values as s scalar draws, and the iterates are projected one by one into
@@ -278,9 +278,8 @@ def _blocked_uniform(sys, x, r, k, stop, rng, records):
     the module docstring.
     """
     threshold = stop.residual_inf_threshold
-    level = float(np.abs(r).max())
     if threshold is not None and level <= threshold:
-        return x, k, STOP_RESIDUAL_THRESHOLD
+        return x.copy(), k, STOP_RESIDUAL_THRESHOLD
     a, b = sys.a, sys.b
     s = BLOCK_STEPS if records is None else _block_steps(sys.m)
     # row 0 holds x_k and its residual, rows 1..s the block's iterates and theirs
@@ -308,7 +307,7 @@ def _blocked_uniform(sys, x, r, k, stop, rng, records):
             hit = next((j for j in (np.flatnonzero(~(v - guard > threshold)) + 1).tolist()
                         if float(np.abs(a @ iterates[j] - b).max()) <= threshold), None)
         if records is not None:
-            _records(sys, iterates, residuals, rows[:hit], [level, *v.tolist()], k, records)
+            _records(sys, iterates, residuals, rows[:hit], [level, *v.tolist()], records)
             residuals[0], level = residuals[steps], float(v[-1])
         if hit is not None:
             return iterates[hit].copy(), k + hit, STOP_RESIDUAL_THRESHOLD
@@ -317,15 +316,16 @@ def _blocked_uniform(sys, x, r, k, stop, rng, records):
     return iterates[0].copy(), k, STOP_MAX_ITERATIONS
 
 
-def _records(sys, iterates, residuals, rows, levels, k, records):
-    """Append to `records` the records of x_k, x_{k+1}, ..., one per selected
-    row in `rows`, whose iterates, residuals A x - b and their sup norms lead
-    `iterates`, `residuals` and `levels`. Each column has the bits of the
-    step-by-step expression: the squared norms come from
-    `linalg.row_norms_sq` (the dot kernel of `np.dot`), and gamma and the
-    squares are Python-float arithmetic, which raises OverflowError where a
-    square passes the float range."""
-    t = len(rows)
+def _records(sys, iterates, residuals, rows, levels, records):
+    """Append to `records` the records of x_k, x_{k+1}, ... (k = len(records):
+    every records list starts at x_0), one per selected row in `rows`, whose
+    iterates, residuals A x - b and their sup norms lead `iterates`,
+    `residuals` and `levels`. Each column has the bits of the step-by-step
+    expression: the squared norms come from `linalg.row_norms_sq` (the dot
+    kernel of `np.dot`), and gamma and the squares are Python-float
+    arithmetic, which raises OverflowError where a square passes the float
+    range."""
+    k, t = len(records), len(rows)
     r = residuals[:t]
     selected = r[np.arange(t), rows].tolist()
     if sys.reference is None:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rowaction import bounds, solvers, systems
+from rowaction import bounds, mps, solvers, systems
 from rowaction.bounds import BoundInputs
 
 
@@ -291,11 +291,35 @@ def test_empirical_gamma_dominates_observed_run():
         assert rec.error_sq <= curve.values[rec.k] * (1 + 1e-9)
 
 
+def _banded_mps(rows, cols, rng):
+    """MPS text of `rows` equality rows over `cols` columns, row i carrying a
+    band from column i to column i + cols - rows with two-decimal
+    coefficients of at least 0.05 in magnitude, so the leading entries form
+    a staircase and the rows are independent."""
+    band = cols - rows + 1
+    lines = ["NAME BANDED", "ROWS", " N  COST", *(f" E  R{i}" for i in range(rows)), "COLUMNS"]
+    for i in range(rows):
+        magnitudes = np.round(rng.uniform(0.05, 1.0, band), 2)
+        signs = rng.choice([-1.0, 1.0], band)
+        lines += [f"    X{i + d}  R{i}  {c}" for d, c in enumerate(signs * magnitudes)]
+    lines += ["RHS", *(f"    RHS  R{i}  {v}" for i, v in enumerate(np.round(rng.uniform(-1, 1, rows), 2)))]
+    return "\n".join([*lines, "ENDATA"])
+
+
 @st.composite
 def _generated_runs(draw):
-    """A generated system of any kind and a starting point x0 at a drawn
-    scale from 0.1 to 10."""
-    kind = draw(st.sampled_from(systems.GENERATOR_KINDS))
+    """A generated system of any kind, or a netlib-prep system stacked from
+    banded MPS text, and a starting point x0 at a drawn scale from 0.1 to
+    10."""
+    kind = draw(st.sampled_from((*systems.GENERATOR_KINDS, "netlib-prep")))
+    if kind == "netlib-prep":
+        rows = draw(st.integers(2, 10))
+        cols = draw(st.integers(rows + 1, 3 * rows))
+        seed = draw(st.integers(0, 2**32 - 1))
+        problem = mps.parse_mps(_banded_mps(rows, cols, np.random.default_rng(seed)))
+        spec = mps.TransformSpec(noise_std=10.0 ** draw(st.floats(-6.0, -1.0)), seed=seed)
+        x0 = draw(st.floats(0.1, 10.0)) * np.random.default_rng(seed).standard_normal(cols)
+        return mps.overdetermine(*mps.extract_system(problem), spec), x0
     n = draw(st.integers(2, 16))
     m = draw(st.integers(n + 1, 12 * n + 1))
     spiky = kind == "spiky-noise"

@@ -117,6 +117,35 @@ def test_ranges_and_bounds_ignored_with_warning():
     assert np.array_equal(b, [2.0])
 
 
+def test_ranges_and_bounds_warn_once_each_when_repeated():
+    ignored = """\
+    RANGES
+        RNG  R1  1.0
+    BOUNDS
+     UP BND  X1  4.0
+    """
+    text = MINIMAL.replace("    ENDATA", ignored + ignored + "    ENDATA")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parse(text)
+    assert [str(w.message) for w in caught] == ["MPS section RANGES is read but ignored",
+                                                "MPS section BOUNDS is read but ignored"]
+
+
+def test_data_line_after_name_is_an_error():
+    with pytest.raises(mps.MpsParseError, match="line 2: data line outside of any section"):
+        parse(MINIMAL.replace("    ROWS\n", "        X1  R1  1.0\n    ROWS\n", 1))
+
+
+def test_marker_lines_add_no_column_or_coefficient():
+    marked = MINIMAL.replace("        X2  R1  1.0\n", "        MARKER  'MARKER'  'INTORG'\n"
+                                                    "        X2  R1  1.0\n"
+                                                    "        MARKER  'MARKER'  'INTEND'\n")
+    problem, plain = parse(marked), parse(MINIMAL)
+    assert problem.col_names == plain.col_names == ["X1", "X2"]
+    assert problem.coefficients == plain.coefficients
+
+
 def test_comment_lines_skipped():
     problem = parse("* leading comment\n" + dedent(MINIMAL))
     assert problem.name == "TEST"
