@@ -26,6 +26,7 @@ import csv
 import itertools
 import shutil
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -132,29 +133,35 @@ def cmd_solve(args) -> int:
     rules = [solvers.SelectionRule(name, _resolve_threshold(args.hybrid_threshold, sys_))
              if name == "hybrid" else solvers.SelectionRule(name) for name in args.solver]
     out = Path(args.out)
-    summary_rows = []
+    summary_rows, written = [], []
     seeds = range(args.seed, args.seed + args.trials)
-    for rule in rules:
-        name = rule.kind
-        results = solvers.run_trials(sys_, rule, stop, seeds)
-        for trial in range(args.trials):
-            try:
-                result = next(results)
-            except OverflowError as exc:
-                raise OverflowError(f"{name} trial {trial}: {exc}") from exc
-            if trial == 0:
-                first = result
-            out.mkdir(parents=True, exist_ok=True)  # only once there is a file to write
-            path = out / f"{name}_trial{trial}.csv"
-            if trial and result.records == first.records:
-                # equal records select the same rows from the same start: equal bytes too
-                shutil.copyfile(out / f"{name}_trial0.csv", path)
-            else:
-                solvers.write_telemetry_csv(path, result.records)
-            diff = result.state.x - sys_.reference
-            summary_rows.append([name, trial, result.state.iteration,
-                                 repr(float(np.dot(diff, diff))), result.stop_reason])
-            print(f"wrote {path}")
+    with warnings.catch_warnings(record=True) as caught:  # numpy's, dropped on overflow
+        for rule in rules:
+            name = rule.kind
+            results = solvers.run_trials(sys_, rule, stop, seeds)
+            for trial in range(args.trials):
+                try:
+                    result = next(results)
+                except OverflowError as exc:  # no file of this invocation stays
+                    for path in written:
+                        path.unlink()
+                    raise OverflowError(f"{name} trial {trial}: {exc}") from exc
+                if trial == 0:
+                    first = result
+                out.mkdir(parents=True, exist_ok=True)  # only once there is a file to write
+                path = out / f"{name}_trial{trial}.csv"
+                if trial and result.records == first.records:
+                    # equal records select the same rows from the same start: equal bytes too
+                    shutil.copyfile(out / f"{name}_trial0.csv", path)
+                else:
+                    solvers.write_telemetry_csv(path, result.records)
+                written.append(path)
+                diff = result.state.x - sys_.reference
+                summary_rows.append([name, trial, result.state.iteration,
+                                     repr(float(np.dot(diff, diff))), result.stop_reason])
+                print(f"wrote {path}")
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     with open(out / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["solver", "trial", "iterations", "final_error_sq", "stop_reason"])

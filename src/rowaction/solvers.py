@@ -29,17 +29,17 @@ sup norm is taken once, for the stop test and the record alike: a greedy
 step reads it as the |r_i| it selects. `time_to_threshold` times solves that
 record no telemetry, so its seconds measure the solver alone.
 
-Both loops buffer a block of iterates and their residuals, and with
-telemetry `_records` turns each block into records. A greedy step needs its
-residual to pick the next row, so it takes it with its own gemv. A uniform
-draw does not, so uniform steps run in blocks: one RNG call draws a block's
-rows, the iterates are projected one by one, and one call gives all their
-residuals, a stacked gemv with telemetry (`linalg.matvecs`, the bits of
-`A @ x - b`), else a gemm, and one guarded search finds the first to stop.
-Either way the iteration count, the stop reason, x and the records equal,
-bit for bit, those of a loop that takes one step, one `A @ x - b` and one
-record at a time. Only the RNG and a uniform block's iterates run up to a
-block past the stop point, and nothing exposes them.
+Both loops buffer a block of iterates, and with telemetry `_records` turns
+each block and its residuals into records. A greedy step needs its residual
+to pick the next row, so it takes it with its own gemv. A uniform draw does
+not, so uniform steps run in blocks: one RNG call draws a block's rows and
+the iterates are projected one by one. With telemetry one stacked gemv
+(`linalg.matvecs`, the bits of `A @ x - b`) gives all their residuals;
+without, only a threshold needs any, and a few witness rows show most
+iterates above it. Either way the iteration count, the stop reason, x and
+the records equal, bit for bit, those of a loop that takes one step, one
+`A @ x - b` and one record at a time. Only the RNG and a uniform block's
+iterates run up to a block past the stop point, and nothing exposes them.
 """
 
 import csv
@@ -266,16 +266,10 @@ def _blocked_uniform(sys, x, r, level, k, stop, rng, records):
 
     One `rng.integers(m, size=s)` call draws a block's s rows, the same
     values as s scalar draws, and the iterates are projected one by one into
-    a buffer. Their residuals come from one call: with records the stacked
-    gemv `linalg.matvecs` (the bits of `A @ x - b`) over `_block_steps(m)`
-    steps, so the buffer stays within 256 KB, else one gemm over BLOCK_STEPS.
-    One pass takes their sup norms v, which the stop search and `_records`
-    read. gemm and gemv may differ in the last bits of v, by less than
-    g = 2 (n+2) eps (||x||_2 + ||b||_inf + v) on unit rows, where
-    |a_i . x| <= ||x||_2. So the search checks every iterate whose v is not
-    above the threshold by more than g again with the gemv, and the first
-    that passes stops the run. The results keep the bit-for-bit contract of
-    the module docstring.
+    a buffer. With records, `linalg.matvecs` (the bits of `A @ x - b`) gives
+    their residuals over `_block_steps(m)` steps, within 256 KB, and one pass
+    takes the sup norms that the stop test and `_records` read. Without
+    records a block has BLOCK_STEPS steps, and only `_screen` reads residuals.
     """
     threshold = stop.residual_inf_threshold
     if threshold is not None and level <= threshold:
@@ -283,37 +277,56 @@ def _blocked_uniform(sys, x, r, level, k, stop, rng, records):
     a, b = sys.a, sys.b
     s = BLOCK_STEPS if records is None else _block_steps(sys.m)
     # row 0 holds x_k and its residual, rows 1..s the block's iterates and theirs
-    iterates, residuals = np.empty((s + 1, sys.n)), np.empty((s + 1, sys.m))
-    iterates[0], residuals[0] = x, r
-    band = 2 * (sys.n + 2) * np.finfo(float).eps
-    b_inf = float(np.abs(b).max())
+    iterates = np.vstack([x, np.empty((s, sys.n))])
+    residuals = None if records is None else np.vstack([r, np.empty((s, sys.m))])
+    witness, b_inf = [select_motzkin(r)], float(np.abs(b).max())
     while k < stop.max_iterations:
         steps = min(s, stop.max_iterations - k)
         rows = rng.integers(sys.m, size=steps).tolist()
         x = iterates[0]
         for j, i in enumerate(rows, 1):
             x = _project(a, b, x, i, out=iterates[j])
-        block = residuals[1:steps + 1]
-        if records is None:
-            np.matmul(iterates[1:steps + 1], a.T, out=block)
-        else:
-            linalg.matvecs(a, iterates[1:steps + 1], out=block)
-        block -= b
-        # in place unless `_records` still reads the residuals
-        v = np.abs(block, out=block if records is None else None).max(axis=1)
         hit = None
-        if threshold is not None:
-            guard = band * (np.sqrt(linalg.row_norms_sq(iterates[1:steps + 1])) + b_inf + v)
-            hit = next((j for j in (np.flatnonzero(~(v - guard > threshold)) + 1).tolist()
-                        if float(np.abs(a @ iterates[j] - b).max()) <= threshold), None)
         if records is not None:
-            _records(sys, iterates, residuals, rows[:hit], [level, *v.tolist()], records)
-            residuals[0], level = residuals[steps], float(v[-1])
+            block = linalg.matvecs(a, iterates[1:steps + 1], out=residuals[1:steps + 1])
+            block -= b
+            v = np.abs(block).max(axis=1).tolist()
+            if threshold is not None:
+                hit = next((j for j, v_j in enumerate(v, 1) if v_j <= threshold), None)
+            _records(sys, iterates, residuals, rows[:hit], [level, *v], records)
+            residuals[0], level = residuals[steps], v[-1]
+        elif threshold is not None:
+            hit = _screen(a, b, b_inf, iterates[:steps + 1], threshold, witness)
         if hit is not None:
             return iterates[hit].copy(), k + hit, STOP_RESIDUAL_THRESHOLD
         iterates[0] = iterates[steps]
         k += steps
     return iterates[0].copy(), k, STOP_MAX_ITERATIONS
+
+
+def _screen(a, b, b_inf, iterates, threshold, witness):
+    """The first j >= 1 whose `A @ x_j - b`, x_j = iterates[j], has sup norm
+    at most `threshold`, else None. One product gives each x_j's largest
+    entry v on the `witness` rows, off the gemv's by less than g = 2 (n+2)
+    eps (||x_j||_2 + ||b||_inf + v) on unit rows, so x_j with v - g above the
+    threshold does not stop. The first other x_j gets the gemv: it stops, or
+    its largest entry's row joins `witness` and raises v of the x_j after it."""
+    band = 2 * (a.shape[1] + 2) * np.finfo(float).eps
+    xs = iterates[1:]
+    v = np.abs(xs @ a[witness].T - b[witness]).max(axis=1)
+    slack = np.sqrt(linalg.row_norms_sq(xs)) + b_inf
+    j = 0  # x_1 .. x_j are settled
+    while True:
+        unproved = np.flatnonzero(~(v[j:] - band * (slack[j:] + v[j:]) > threshold))
+        if not unproved.size:
+            return None
+        j += 1 + int(unproved[0])
+        r = a @ iterates[j] - b
+        i = select_motzkin(r)
+        if abs(float(r[i])) <= threshold:
+            return j
+        witness.append(i)
+        np.maximum(v[j:], np.abs(xs[j:] @ a[i] - b[i]), out=v[j:])
 
 
 def _records(sys, iterates, residuals, rows, levels, records):
@@ -377,10 +390,10 @@ def time_to_threshold(sys: LinearSystem,
 
     Runs `trials` independent solves with derived seeds (seed + t), each
     capped at max_iterations and timed on its own, recording no telemetry.
-    A uniform solve checks its stop test in blocks of BLOCK_STEPS = 64 steps
-    by one gemm; its counts equal those of the step-by-step loop exactly, and
-    its RNG advances past the stop point, which nothing exposes. Trials that
-    never reach the threshold are reported as censored rather than failing.
+    A uniform solve takes BLOCK_STEPS = 64 steps at a time and screens them
+    on a few witness rows; its counts equal those of the step-by-step loop
+    exactly, and its RNG advances past the stop point, which nothing exposes.
+    Trials that never reach the threshold are reported as censored.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")

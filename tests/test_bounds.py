@@ -309,8 +309,8 @@ def _banded_mps(rows, cols, rng):
 @st.composite
 def _generated_runs(draw):
     """A generated system of any kind, or a netlib-prep system stacked from
-    banded MPS text, and a starting point x0 at a drawn scale from 0.1 to
-    10."""
+    banded MPS text, and a starting point x0 whose residual lies a drawn
+    10^2 to 10^6 times ||e||_inf from the reference's, so it takes steps."""
     kind = draw(st.sampled_from((*systems.GENERATOR_KINDS, "netlib-prep")))
     if kind == "netlib-prep":
         rows = draw(st.integers(2, 10))
@@ -318,18 +318,20 @@ def _generated_runs(draw):
         seed = draw(st.integers(0, 2**32 - 1))
         problem = mps.parse_mps(_banded_mps(rows, cols, np.random.default_rng(seed)))
         spec = mps.TransformSpec(noise_std=10.0 ** draw(st.floats(-6.0, -1.0)), seed=seed)
-        x0 = draw(st.floats(0.1, 10.0)) * np.random.default_rng(seed).standard_normal(cols)
-        return mps.overdetermine(*mps.extract_system(problem), spec), x0
-    n = draw(st.integers(2, 16))
-    m = draw(st.integers(n + 1, 12 * n + 1))
-    spiky = kind == "spiky-noise"
-    spec = systems.GeneratorSpec(
-        kind, m=m, n=n, noise_std=10.0 ** draw(st.floats(-4.0, 0.0)),
-        spike_count=draw(st.integers(1, min(m, 5))) if spiky else 0,
-        spike_magnitude=draw(st.floats(0.5, 20.0)) if spiky else 0.0,
-        seed=draw(st.integers(0, 2**32 - 1)))
-    x0 = draw(st.floats(0.1, 10.0)) * np.random.default_rng(spec.seed).standard_normal(n)
-    return systems.generate(spec), x0
+        sys_ = mps.overdetermine(*mps.extract_system(problem), spec)
+    else:
+        n = draw(st.integers(2, 16))
+        m = draw(st.integers(n + 1, 12 * n + 1))
+        spiky = kind == "spiky-noise"
+        seed = draw(st.integers(0, 2**32 - 1))
+        sys_ = systems.generate(systems.GeneratorSpec(
+            kind, m=m, n=n, noise_std=10.0 ** draw(st.floats(-4.0, 0.0)),
+            spike_count=draw(st.integers(1, min(m, 5))) if spiky else 0,
+            spike_magnitude=draw(st.floats(0.5, 20.0)) if spiky else 0.0, seed=seed))
+    # ||A(x0 - x)||_inf = c ||e||_inf, so ||r_0||_inf >= (c - 1) ||e||_inf > 4 ||e||_inf
+    direction = np.random.default_rng(seed).standard_normal(sys_.n)
+    c = 10.0 ** draw(st.floats(2.0, 6.0))
+    return sys_, sys_.reference + c * sys_.error_inf() / np.abs(sys_.a @ direction).max() * direction
 
 
 @settings(max_examples=100)
@@ -346,6 +348,7 @@ def test_motzkin_guarantees_hold_on_every_generator_kind(run):
     result = solvers.run(sys_, solvers.SelectionRule("motzkin"),
                          solvers.StopRule(100_000, residual_inf_threshold=4 * e_inf), x0=x0)
     assert result.stop_reason == solvers.STOP_RESIDUAL_THRESHOLD
+    assert result.records  # every example takes steps
     e0 = error_sq(x0)
     slack = 1e-9 * e0
     errors = [rec.error_sq for rec in result.records] + [error_sq(result.state.x)]

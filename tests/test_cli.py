@@ -1,4 +1,6 @@
 import csv
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -419,18 +421,57 @@ def pure_noise_system(tmp_path, noise_std):
 def test_telemetry_overflow_is_numerical_error(tmp_path, capsys):
     # residual entries near 1e200: their squares pass the float range
     system, out = pure_noise_system(tmp_path, "1e200"), tmp_path / "runs"
-    with pytest.warns(RuntimeWarning, match="overflow"):  # numpy's, in the squared norms
-        code = run_cli("solve", "--system", str(system), "--max-iterations", "3", "--seed", "0",
-                       "--out", str(out))
-    assert code == cli.NUMERICAL_ERROR
-    assert "numerical failure: motzkin trial 0: " in capsys.readouterr().err
+
+    def solve(*solver_flags):
+        # numpy warns of the overflow in the squared norms; the message says it all
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("solve", "--system", str(system), *solver_flags, "--max-iterations", "3",
+                           "--seed", "0", "--out", str(out))
+        assert code == cli.NUMERICAL_ERROR
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        return capsys.readouterr().err.splitlines()
+
+    [line] = solve()
+    assert line.startswith("numerical failure: motzkin trial 0: ")
     # the first solver fails before its first file, so --out is never made
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        code = run_cli("solve", "--system", str(system), "--solver", "rk-uniform", "--solver", "motzkin",
-                       "--max-iterations", "3", "--seed", "0", "--out", str(out))
-    assert code == cli.NUMERICAL_ERROR
-    assert "numerical failure: rk-uniform trial 0: " in capsys.readouterr().err
+    [line] = solve("--solver", "rk-uniform", "--solver", "motzkin")
+    assert line.startswith("numerical failure: rk-uniform trial 0: ")
     assert not out.exists()
+
+
+def test_telemetry_overflow_that_is_no_failure_still_warns(tmp_path):
+    # entries near 5e152: their squares fit the float range, sums of 400 do not
+    system, out = tmp_path / "noise.sys", tmp_path / "runs"
+    assert run_cli("generate", "--kind", "pure-noise", "--m", "400", "--n", "3", "--noise-std", "5e152",
+                   "--seed", "1", "--out", str(system)) == 0
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert run_cli("solve", "--system", str(system), "--max-iterations", "3", "--seed", "0",
+                       "--out", str(out)) == 0
+    assert math.inf in [rec.residual_2sq for rec in solvers.read_telemetry_csv(out / "motzkin_trial0.csv")]
+
+
+def test_numerical_failure_of_a_later_solver_leaves_no_file(system_file, tmp_path, capsys,
+                                                             monkeypatch):
+    out = tmp_path / "runs"
+    out.mkdir()
+    (out / "kept.csv").write_text("not this invocation's\n")
+    run_trials = solvers.run_trials
+
+    def failing_hybrid(sys_, rule, stop, seeds, x0=None):
+        results = run_trials(sys_, rule, stop, seeds, x0)
+        if rule.kind == "hybrid":
+            yield next(results)
+            raise OverflowError("int too large to convert to float")
+        yield from results
+
+    monkeypatch.setattr(solvers, "run_trials", failing_hybrid)
+    code = run_cli("solve", "--system", str(system_file), "--solver", "motzkin", "--solver", "hybrid",
+                   "--trials", "2", "--max-iterations", "30", "--seed", "0", "--out", str(out))
+    assert code == cli.NUMERICAL_ERROR
+    assert "numerical failure: hybrid trial 1: " in capsys.readouterr().err
+    # motzkin's two CSVs and hybrid's first were written, then removed
+    assert [p.name for p in out.iterdir()] == ["kept.csv"]
 
 
 def test_motzkin_selects_the_largest_residual_when_squares_underflow(tmp_path):

@@ -1,0 +1,51 @@
+import hashlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "digests.py"
+
+
+@pytest.fixture(scope="module")
+def digests():
+    spec = importlib.util.spec_from_file_location("digests", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_digests_cover_every_output_and_repeat(digests, tmp_path, capsys):
+    runs = []
+    for name in ("a", "b"):
+        assert digests.main(["--out", str(tmp_path / name)]) == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    assert runs[0] == runs[1]
+    *lines, last = runs[0]
+    assert lines == sorted(lines)
+    assert last == "list " + hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+    out = tmp_path / "a"
+    paths = [line.split()[0] for line in lines]
+    assert sorted(paths) == sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert {"solve-gauss-stop/hybrid_trial2.csv", "bounds-bandm/motzkin_empirical_gamma.csv",
+            "timing-gauss-censored/timing.csv"} <= set(paths)
+
+
+def test_digests_refuse_a_directory_with_files(digests, tmp_path):
+    (tmp_path / "old.csv").write_text("x\n")
+    with pytest.raises(SystemExit) as exc:
+        digests.main(["--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+def test_timing_digest_leaves_out_mean_seconds(digests, tmp_path):
+    header = "problem,solver,mean_seconds,mean_iterations,trials,censored\r\n"
+
+    def timing_digest(row):
+        path = tmp_path / f"{len(list(tmp_path.iterdir()))}" / "timing.csv"
+        path.parent.mkdir()
+        path.write_text(header + row + "\r\n", newline="")
+        return digests.digest(path)
+
+    assert timing_digest("g,rk-uniform,0.004422,603.67,3,0") == timing_digest("g,rk-uniform,0.1,603.67,3,0")
+    assert timing_digest("g,rk-uniform,0.004422,603.67,3,0") != timing_digest("g,rk-uniform,0.004422,603.33,3,0")

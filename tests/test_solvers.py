@@ -566,7 +566,21 @@ def assert_untimed_solve_matches_reference(sys_, rule, stop, seed, x0=None):
     return ref
 
 
-def test_blocked_stop_at_exact_threshold_equals_reference_loop():
+@pytest.fixture()
+def screens(monkeypatch):
+    """One (rows at entry, witness list) pair per block that `_screen`
+    checks: the witness rows it starts the block with, and the list it grows."""
+    calls, screen = [], solvers._screen
+
+    def spy(a, b, b_inf, iterates, threshold, witness):
+        calls.append((list(witness), witness))
+        return screen(a, b, b_inf, iterates, threshold, witness)
+
+    monkeypatch.setattr(solvers, "_screen", spy)
+    return calls
+
+
+def test_blocked_stop_at_exact_threshold_equals_reference_loop(screens):
     sys_ = gaussian_system(m=2000, n=50, noise_std=0.01, seed=1)
     rule, seed, s = SelectionRule("rk-uniform"), 5, solvers.BLOCK_STEPS
     ref = reference_run(sys_, rule, StopRule(1000), seed=seed)
@@ -575,20 +589,60 @@ def test_blocked_stop_at_exact_threshold_equals_reference_loop():
     for rec in ref.records:
         xs.append(project_step(sys_, xs[-1], rec.selected_row))
 
-    def gemm_level(k):  # the sup norm of A x_k - b as the block gemm gives it
+    def screen_level(k):
+        # the sup norm of A x_k - b over the witness rows, as the screen's one
+        # product of x_k's block with them gives it in a solve to levels[k]
+        screens.clear()
+        assert_untimed_solve_matches_reference(sys_, rule, StopRule(200_000, levels[k]), seed)
         start = (k - 1) // s * s + 1
-        block = np.array(xs[start:start + s]) @ sys_.a.T - sys_.b
+        rows = screens[(k - 1) // s][0]
+        block = np.array(xs[start:start + s]) @ sys_.a[rows].T - sys_.b[rows]
         return float(np.abs(block[k - start]).max())
 
-    # from k = 100 on, a new lowest residual whose gemm sup norm lies above the
-    # gemv one: without the guard band the blocked solve would step past it
+    # from k = 100 on, a new lowest residual whose screened sup norm lies above
+    # the gemv one: without the guard band the blocked solve would step past it
     k = next(k for k in range(100, len(levels) - s)
-             if levels[k] < min(levels[:k]) and gemm_level(k) > levels[k])
+             if levels[k] < min(levels[:k]) and screen_level(k) > levels[k])
     assert 0 < (k - 1) % s < s - 1  # mid-block
     for threshold in (levels[k], np.nextafter(levels[k], 0.0), np.nextafter(levels[k], np.inf)):
         got = assert_untimed_solve_matches_reference(sys_, rule, StopRule(200_000, threshold), seed)
         if threshold == levels[k]:
             assert (got.state.iteration, got.stop_reason) == (k, STOP_RESIDUAL_THRESHOLD)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_blocked_censored_run_grows_its_witness_rows(screens, seed):
+    # just below every level of 3 blocks and 5 steps: the start's largest row
+    # does not show every iterate above it, so failed checks add rows
+    sys_ = gaussian_system(m=2000, n=50, noise_std=0.01, seed=1)
+    rule, cap = SelectionRule("rk-uniform"), 3 * solvers.BLOCK_STEPS + 5
+    lowest = min(rec.residual_inf for rec in reference_run(sys_, rule, StopRule(cap + 1), seed=seed).records)
+    ref = assert_untimed_solve_matches_reference(sys_, rule, StopRule(cap, np.nextafter(lowest, 0.0)), seed)
+    assert (ref.state.iteration, ref.stop_reason) == (cap, STOP_MAX_ITERATIONS)
+    assert len(screens) == 4 and len(screens[-1][1]) > 1
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_blocked_stop_as_the_largest_entry_moves_equals_reference_loop(screens, seed):
+    # spiky noise: the largest residual entry moves between rows, so a run to
+    # its lowest level, or censored just below it, adds witness rows
+    sys_ = systems.generate(systems.GeneratorSpec("spiky-noise", m=2000, n=50, noise_std=0.01,
+                                                  spike_count=20, spike_magnitude=5.0, seed=1))
+    rule, cap = SelectionRule("rk-uniform"), 2000
+    ref = reference_run(sys_, rule, StopRule(cap + 1), seed=seed)
+    x, largest = np.zeros(sys_.n), set()
+    for rec in ref.records:
+        largest.add(select_motzkin(sys_.a @ x - sys_.b))
+        x = project_step(sys_, x, rec.selected_row)
+    assert len(largest) > 1
+    levels = [rec.residual_inf for rec in ref.records]
+    k = int(np.argmin(levels))
+    for threshold, at, stop_reason in ((levels[k], k, STOP_RESIDUAL_THRESHOLD),
+                                       (np.nextafter(levels[k], 0.0), cap, STOP_MAX_ITERATIONS)):
+        screens.clear()
+        got = assert_untimed_solve_matches_reference(sys_, rule, StopRule(cap, threshold), seed)
+        assert (got.state.iteration, got.stop_reason) == (at, stop_reason)
+        assert len(screens[-1][1]) > 1
 
 
 @pytest.mark.parametrize("cap", [0, 1, 63, 64, 65, 129])

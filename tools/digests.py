@@ -1,0 +1,88 @@
+"""Print a sha256 digest of every file the rowaction CLI writes for a fixed
+set of commands, to show that a change leaves its outputs byte-identical.
+
+    PYTHONPATH=src python tools/digests.py --out DIR
+
+runs, through `rowaction.cli.main` in this process and on a generated
+2000x50 system and a netlib-prep one, `generate`, `netlib-prep`, `solve`
+(three solvers, three trials: to the cap, to 4 ||e||_inf, and to
+20 ||e||_inf with a hybrid switch at 8 ||e||_inf), `bounds --empirical-gamma`
+and `timing` (to 4 ||e||_inf, and to ||e||_inf under a cap). It writes under
+DIR, which must be new or empty, and prints one `path sha256` line per file,
+sorted, then `list sha256` over those lines. PYTHONPATH picks the tree under
+test, so two trees compare by their list lines. timing.csv is digested
+without its mean_seconds column, the one measured time among the outputs.
+The run takes a few seconds.
+"""
+
+import argparse
+import contextlib
+import csv
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+from rowaction import cli, systems
+
+MPS = Path(__file__).resolve().parents[1] / "tests" / "data" / "bandm_style.mps"
+
+
+def run(*argv) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([str(arg) for arg in argv])
+    if code != 0:
+        raise SystemExit(f"rowaction {' '.join(map(str, argv))} exited with {code}")
+
+
+def write_outputs(out: Path) -> None:
+    gauss, bandm = out / "gauss.sys", out / "bandm.sys"
+    run("generate", "--kind", "gaussian-noise", "--m", 2000, "--n", 50, "--noise-std", 0.01,
+        "--seed", 1, "--out", gauss)
+    run("netlib-prep", "--mps", MPS, "--seed", 5, "--out", bandm)
+    for system in (gauss, bandm):
+        name = system.stem
+        e_inf = systems.load_system(system).error_inf()
+        for stop, flags in (("cap", []), ("stop", ["--stop-residual-inf", repr(4 * e_inf)]),
+                            ("switch", ["--stop-residual-inf", repr(20 * e_inf),
+                                        "--hybrid-threshold", repr(8 * e_inf)])):
+            run("solve", "--system", system, "--solver", "motzkin", "--solver", "rk-uniform",
+                "--solver", "hybrid", "--trials", 3, "--max-iterations", 2000, "--seed", 1,
+                *flags, "--out", out / f"solve-{name}-{stop}")
+        run("bounds", "--system", system, "--telemetry", out / f"solve-{name}-cap" / "motzkin_trial0.csv",
+            "--empirical-gamma", "--iterations", 200, "--out", out / f"bounds-{name}")
+        run("timing", "--system", system, "--trials", 3, "--seed", 1, "--out", out / f"timing-{name}")
+        # at ||e||_inf, where trials may reach the cap
+        run("timing", "--system", system, "--threshold", repr(e_inf), "--trials", 3,
+            "--max-iterations", 3000, "--seed", 1, "--out", out / f"timing-{name}-censored")
+
+
+def digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.name == "timing.csv":  # without the measured seconds
+        rows = list(csv.reader(io.StringIO(data.decode())))
+        drop = rows[0].index("mean_seconds")
+        buf = io.StringIO()
+        csv.writer(buf).writerows([cell for i, cell in enumerate(row) if i != drop] for row in rows)
+        data = buf.getvalue().encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="sha256 digests of the rowaction CLI's outputs")
+    parser.add_argument("--out", required=True, type=Path, help="new or empty directory")
+    out = parser.parse_args(argv).out
+    if out.exists() and any(out.iterdir()):
+        parser.error(f"{out} is not empty")
+    out.mkdir(parents=True, exist_ok=True)
+    write_outputs(out)
+    lines = sorted(f"{path.relative_to(out).as_posix()} {digest(path)}"
+                   for path in out.rglob("*") if path.is_file())
+    listing = "".join(f"{line}\n" for line in lines)
+    print(listing, end="")
+    print(f"list {hashlib.sha256(listing.encode()).hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
