@@ -159,14 +159,14 @@ def cmd_solve(args) -> int:
                 diff = result.state.x - sys_.reference
                 summary_rows.append([name, trial, result.state.iteration,
                                      repr(float(np.dot(diff, diff))), result.stop_reason])
-                print(f"wrote {path}")
     for w in caught:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     with open(out / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["solver", "trial", "iterations", "final_error_sq", "stop_reason"])
         writer.writerows(summary_rows)
-    print(f"wrote {out / 'summary.csv'}")
+    for path in [*written, out / "summary.csv"]:  # once no file can be removed
+        print(f"wrote {path}")
     return 0
 
 

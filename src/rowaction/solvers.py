@@ -310,7 +310,7 @@ def _screen(a, b, b_inf, iterates, threshold, witness):
     entry v on the `witness` rows, off the gemv's by less than g = 2 (n+2)
     eps (||x_j||_2 + ||b||_inf + v) on unit rows, so x_j with v - g above the
     threshold does not stop. The first other x_j gets the gemv: it stops, or
-    its largest entry's row joins `witness` and raises v of the x_j after it."""
+    its largest entry's new row joins `witness` and raises v of the x_j after it."""
     band = 2 * (a.shape[1] + 2) * np.finfo(float).eps
     xs = iterates[1:]
     v = np.abs(xs @ a[witness].T - b[witness]).max(axis=1)
@@ -325,8 +325,9 @@ def _screen(a, b, b_inf, iterates, threshold, witness):
         i = select_motzkin(r)
         if abs(float(r[i])) <= threshold:
             return j
-        witness.append(i)
-        np.maximum(v[j:], np.abs(xs[j:] @ a[i] - b[i]), out=v[j:])
+        if i not in witness:  # a witness row's entries are in v already
+            witness.append(i)
+            np.maximum(v[j:], np.abs(xs[j:] @ a[i] - b[i]), out=v[j:])
 
 
 def _records(sys, iterates, residuals, rows, levels, records):

@@ -13,7 +13,9 @@ least-squares reference and the singular values. `save_system` and
 Randomness is reproducible by construction: all draws come from a seeded
 PCG64 stream, Gaussian variates use Box-Muller over uniforms, and distinct
 index samples use a partial Fisher-Yates shuffle. Equal specs (seed
-included) produce bitwise-equal systems.
+included) produce bitwise-equal systems. `generate` scales and normalizes
+the matrix in place, in the two buffers of `normal_draws`, so it peaks at
+about twice the matrix (with the row-norm temporary or gelsd's copy).
 """
 
 from dataclasses import dataclass, field
@@ -48,15 +50,17 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def normal_draws(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Standard normal variates via Box-Muller over uniform draws."""
-    if size == 0:
-        return np.zeros(0)
-    half = (size + 1) // 2
-    u1 = 1.0 - rng.random(half)  # in (0, 1], keeps the log finite
-    u2 = rng.random(half)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    z = np.concatenate([radius * np.cos(2.0 * np.pi * u2), radius * np.sin(2.0 * np.pi * u2)])
-    return z[:size]
+    """Standard normal variates by Box-Muller over uniform draws u1, u2, in two
+    buffers: the output, whose first half holds the radius sqrt(-2 log(1 - u1))
+    until the halves take radius * cos and radius * sin, and one for 2 pi u2."""
+    radius, sine = z = np.empty((2, (size + 1) // 2))
+    np.subtract(1.0, rng.random(out=radius), out=radius)  # in (0, 1], keeps the log finite
+    np.sqrt(np.multiply(np.log(radius, out=radius), -2.0, out=radius), out=radius)
+    angle = rng.random(radius.size)
+    angle *= 2.0 * np.pi
+    np.multiply(np.sin(angle, out=sine), radius, out=sine)
+    np.multiply(np.cos(angle, out=angle), radius, out=radius)
+    return z.reshape(-1)[:size]
 
 
 def sample_distinct(rng: np.random.Generator, population: int, count: int) -> np.ndarray:
@@ -176,12 +180,17 @@ class LinearSystem:
 
 
 def normalize_rows(A, b) -> tuple[np.ndarray, np.ndarray]:
-    """Scale each equation so its matrix row has unit Euclidean norm.
+    """Scale each equation so its matrix row has unit Euclidean norm, in copies.
 
     Dividing row i and b_i by ||a_i|| preserves the solution set of every
     equation. Raises DegenerateRowError (with the row index) if a row norm
     falls below 1e-12.
     """
+    return _normalize_in_place(np.array(A, dtype=float), np.array(b, dtype=float))
+
+
+def _normalize_in_place(A, b) -> tuple[np.ndarray, np.ndarray]:
+    """normalize_rows of float arrays that no caller keeps, divided in place."""
     A = linalg.as_matrix(A)
     b = linalg.as_vector(b)
     if b.shape[0] != A.shape[0]:
@@ -190,7 +199,7 @@ def normalize_rows(A, b) -> tuple[np.ndarray, np.ndarray]:
     small = np.nonzero(norms < ROW_NORM_TOL)[0]
     if small.size:
         raise DegenerateRowError(int(small[0]))
-    return A / norms[:, None], b / norms
+    return np.divide(A, norms[:, None], out=A), np.divide(b, norms, out=b)
 
 
 def build_unnormalized(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -201,10 +210,12 @@ def build_unnormalized(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
     """
     rng = make_rng(spec.seed)
     m, n = spec.m, spec.n
+    A = normal_draws(rng, m * n).reshape(m, n)
     if spec.kind == "correlated":
-        A = spec.row_mean + spec.row_std * normal_draws(rng, m * n).reshape(m, n)
+        A *= spec.row_std
+        A += spec.row_mean
     else:
-        A = normal_draws(rng, m * n).reshape(m, n) / np.sqrt(n)
+        A /= np.sqrt(n)
     if spec.kind == "pure-noise":
         b = spec.noise_std * normal_draws(rng, m)
     elif spec.kind == "spiky-noise":
@@ -217,8 +228,9 @@ def build_unnormalized(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def generate(spec: GeneratorSpec) -> LinearSystem:
-    """Build, normalize, and annotate a synthetic system (see from_unnormalized)."""
-    return from_unnormalized(*build_unnormalized(spec))
+    """Build, normalize (in place), and annotate a synthetic system (see from_unnormalized)."""
+    A, b = _normalize_in_place(*build_unnormalized(spec))
+    return LinearSystem(A, b, *linalg.lstsq(A, b))
 
 
 def from_unnormalized(A, b) -> LinearSystem:

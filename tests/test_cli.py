@@ -469,9 +469,12 @@ def test_numerical_failure_of_a_later_solver_leaves_no_file(system_file, tmp_pat
     code = run_cli("solve", "--system", str(system_file), "--solver", "motzkin", "--solver", "hybrid",
                    "--trials", "2", "--max-iterations", "30", "--seed", "0", "--out", str(out))
     assert code == cli.NUMERICAL_ERROR
-    assert "numerical failure: hybrid trial 1: " in capsys.readouterr().err
-    # motzkin's two CSVs and hybrid's first were written, then removed
+    captured = capsys.readouterr()
+    assert "numerical failure: hybrid trial 1: " in captured.err
+    # motzkin's two CSVs and hybrid's first were written, then removed, and
+    # stdout names none of them
     assert [p.name for p in out.iterdir()] == ["kept.csv"]
+    assert "wrote" not in captured.out and ".csv" not in captured.out
 
 
 def test_motzkin_selects_the_largest_residual_when_squares_underflow(tmp_path):

@@ -28,7 +28,8 @@ def test_digests_cover_every_output_and_repeat(digests, tmp_path, capsys):
     paths = [line.split()[0] for line in lines]
     assert sorted(paths) == sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
     assert {"solve-gauss-stop/hybrid_trial2.csv", "bounds-bandm/motzkin_empirical_gamma.csv",
-            "timing-gauss-censored/timing.csv"} <= set(paths)
+            "timing-gauss-censored/timing.csv", "large.sys", "solve-large-stop/hybrid_trial1.csv",
+            "bounds-large/motzkin_empirical_gamma.csv", "timing-large/timing.csv"} <= set(paths)
 
 
 def test_digests_refuse_a_directory_with_files(digests, tmp_path):

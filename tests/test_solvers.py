@@ -642,7 +642,9 @@ def test_blocked_stop_as_the_largest_entry_moves_equals_reference_loop(screens, 
         screens.clear()
         got = assert_untimed_solve_matches_reference(sys_, rule, StopRule(cap, threshold), seed)
         assert (got.state.iteration, got.stop_reason) == (at, stop_reason)
-        assert len(screens[-1][1]) > 1
+        witness = screens[-1][1]
+        assert len(witness) > 1
+        assert len(set(witness)) == len(witness), f"a row joined the witnesses twice: {witness}"
 
 
 @pytest.mark.parametrize("cap", [0, 1, 63, 64, 65, 129])

@@ -1,5 +1,6 @@
 import io
 import re
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -303,3 +304,84 @@ def test_normal_draws_moments():
     assert abs(z.mean()) < 0.01
     assert abs(z.std() - 1.0) < 0.01
     assert abs((z < 0).mean() - 0.5) < 0.005
+
+
+# --------------------------------------------------------------------------
+# in-place construction against the allocate-per-step expressions it replaced
+
+
+def allocating_normal_draws(rng, size):
+    """normal_draws as it was before it filled one output buffer: a new array
+    at every step. Kept verbatim as the reference for its bits."""
+    if size == 0:
+        return np.zeros(0)
+    half = (size + 1) // 2
+    u1 = 1.0 - rng.random(half)  # in (0, 1], keeps the log finite
+    u2 = rng.random(half)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    z = np.concatenate([radius * np.cos(2.0 * np.pi * u2), radius * np.sin(2.0 * np.pi * u2)])
+    return z[:size]
+
+
+def allocating_generate(spec):
+    """generate as it was before it scaled and normalized in place."""
+    rng = systems.make_rng(spec.seed)
+    m, n = spec.m, spec.n
+    if spec.kind == "correlated":
+        A = spec.row_mean + spec.row_std * allocating_normal_draws(rng, m * n).reshape(m, n)
+    else:
+        A = allocating_normal_draws(rng, m * n).reshape(m, n) / np.sqrt(n)
+    if spec.kind == "pure-noise":
+        b = spec.noise_std * allocating_normal_draws(rng, m)
+    elif spec.kind == "spiky-noise":
+        b = A @ np.ones(n)
+        spikes = systems.sample_distinct(rng, m, spec.spike_count)
+        b[spikes] += spec.spike_magnitude
+    else:
+        b = A @ np.ones(n) + spec.noise_std * allocating_normal_draws(rng, m)
+    norms = np.sqrt((A * A).sum(axis=1))
+    An, bn = A / norms[:, None], b / norms
+    return systems.LinearSystem(An, bn, *linalg.lstsq(An, bn))
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 999, 1000, 1001, 10**6])
+def test_normal_draws_equal_the_allocating_expression(size):
+    got_rng, want_rng = systems.make_rng(size), systems.make_rng(size)
+    got, want = systems.normal_draws(got_rng, size), allocating_normal_draws(want_rng, size)
+    assert got.shape == (size,) and got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", systems.GENERATOR_KINDS)
+@pytest.mark.parametrize("m, n", [(2000, 50), (37, 5), (2001, 7)])
+def test_generate_equals_the_allocating_construction(kind, m, n):
+    spec = systems.GeneratorSpec(kind, m=m, n=n, noise_std=0.01, spike_count=3, spike_magnitude=5.0,
+                                 row_mean=0.7, row_std=0.3, seed=m + n)
+    got, want = systems.generate(spec), allocating_generate(spec)
+    for name in ("a", "b", "reference", "singular_values", "error_vec"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_normalize_rows_and_from_unnormalized_leave_their_inputs_unchanged():
+    rng = np.random.default_rng(2)
+    A, b = rng.normal(size=(30, 4)), rng.normal(size=30)
+    A0, b0 = A.copy(), b.copy()
+    An, bn = systems.normalize_rows(A, b)
+    assert A.tobytes() == A0.tobytes() and b.tobytes() == b0.tobytes()
+    sys_ = systems.from_unnormalized(A, b)
+    assert A.tobytes() == A0.tobytes() and b.tobytes() == b0.tobytes()
+    assert sys_.a.tobytes() == An.tobytes() and sys_.b.tobytes() == bn.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["gaussian-noise", "correlated"])
+def test_generate_peaks_at_about_twice_the_matrix(kind):
+    # the draws fill one buffer, which is scaled and normalized in place; the
+    # rest of the peak is the row-norm temporary or gelsd's copy of A
+    m, n = 4000, 100
+    tracemalloc.start()
+    try:
+        systems.generate(systems.GeneratorSpec(kind, m=m, n=n, noise_std=0.01, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * m * n * 8, f"peak {peak / (m * n * 8):.2f} x the matrix"

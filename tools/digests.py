@@ -7,12 +7,14 @@ runs, through `rowaction.cli.main` in this process and on a generated
 2000x50 system and a netlib-prep one, `generate`, `netlib-prep`, `solve`
 (three solvers, three trials: to the cap, to 4 ||e||_inf, and to
 20 ||e||_inf with a hybrid switch at 8 ||e||_inf), `bounds --empirical-gamma`
-and `timing` (to 4 ||e||_inf, and to ||e||_inf under a cap). It writes under
-DIR, which must be new or empty, and prints one `path sha256` line per file,
-sorted, then `list sha256` over those lines. PYTHONPATH picks the tree under
-test, so two trees compare by their list lines. timing.csv is digested
-without its mean_seconds column, the one measured time among the outputs.
-The run takes a few seconds.
+and `timing` (to 4 ||e||_inf, and to ||e||_inf under a cap). On a generated
+10000x100 system it runs `generate`, `solve` (three solvers, two trials, a
+cap of 200: to the cap and to 4 ||e||_inf), `bounds --empirical-gamma` and
+`timing` (two trials). It writes under DIR, which must be new or empty, and
+prints one `path sha256` line per file, sorted, then `list sha256` over
+those lines. PYTHONPATH picks the tree under test, so two trees compare by
+their list lines. timing.csv is digested without its mean_seconds column,
+the one measured time among the outputs. The run takes a few seconds.
 """
 
 import argparse
@@ -36,25 +38,34 @@ def run(*argv) -> None:
 
 
 def write_outputs(out: Path) -> None:
-    gauss, bandm = out / "gauss.sys", out / "bandm.sys"
-    run("generate", "--kind", "gaussian-noise", "--m", 2000, "--n", 50, "--noise-std", 0.01,
-        "--seed", 1, "--out", gauss)
+    gauss, bandm, large = out / "gauss.sys", out / "bandm.sys", out / "large.sys"
+    for system, m, n in ((gauss, 2000, 50), (large, 10000, 100)):
+        run("generate", "--kind", "gaussian-noise", "--m", m, "--n", n, "--noise-std", 0.01,
+            "--seed", 1, "--out", system)
     run("netlib-prep", "--mps", MPS, "--seed", 5, "--out", bandm)
     for system in (gauss, bandm):
-        name = system.stem
         e_inf = systems.load_system(system).error_inf()
-        for stop, flags in (("cap", []), ("stop", ["--stop-residual-inf", repr(4 * e_inf)]),
-                            ("switch", ["--stop-residual-inf", repr(20 * e_inf),
-                                        "--hybrid-threshold", repr(8 * e_inf)])):
-            run("solve", "--system", system, "--solver", "motzkin", "--solver", "rk-uniform",
-                "--solver", "hybrid", "--trials", 3, "--max-iterations", 2000, "--seed", 1,
-                *flags, "--out", out / f"solve-{name}-{stop}")
-        run("bounds", "--system", system, "--telemetry", out / f"solve-{name}-cap" / "motzkin_trial0.csv",
-            "--empirical-gamma", "--iterations", 200, "--out", out / f"bounds-{name}")
-        run("timing", "--system", system, "--trials", 3, "--seed", 1, "--out", out / f"timing-{name}")
+        solve_and_bound(out, system, 3, 2000, [
+            ("cap", []), ("stop", ["--stop-residual-inf", repr(4 * e_inf)]),
+            ("switch", ["--stop-residual-inf", repr(20 * e_inf), "--hybrid-threshold", repr(8 * e_inf)])])
         # at ||e||_inf, where trials may reach the cap
         run("timing", "--system", system, "--threshold", repr(e_inf), "--trials", 3,
-            "--max-iterations", 3000, "--seed", 1, "--out", out / f"timing-{name}-censored")
+            "--max-iterations", 3000, "--seed", 1, "--out", out / f"timing-{system.stem}-censored")
+    e_inf = systems.load_system(large).error_inf()
+    solve_and_bound(out, large, 2, 200, [("cap", []), ("stop", ["--stop-residual-inf", repr(4 * e_inf)])])
+
+
+def solve_and_bound(out: Path, system: Path, trials: int, cap: int, variants) -> None:
+    """`solve` with the three solvers once per (name, flags) variant, then
+    `bounds` on motzkin's first trial of the first variant and `timing`."""
+    name = system.stem
+    for stop, flags in variants:
+        run("solve", "--system", system, "--solver", "motzkin", "--solver", "rk-uniform",
+            "--solver", "hybrid", "--trials", trials, "--max-iterations", cap, "--seed", 1,
+            *flags, "--out", out / f"solve-{name}-{stop}")
+    run("bounds", "--system", system, "--telemetry", out / f"solve-{name}-{variants[0][0]}" / "motzkin_trial0.csv",
+        "--empirical-gamma", "--iterations", 200, "--out", out / f"bounds-{name}")
+    run("timing", "--system", system, "--trials", trials, "--seed", 1, "--out", out / f"timing-{name}")
 
 
 def digest(path: Path) -> str:
