@@ -5,6 +5,19 @@ these few operations: matrix-vector products, norms, and `lstsq`, one LAPACK
 gelsd solve (SVD-based, so it never squares the condition number the way the
 normal equations would) that gives a system's reference and all its singular
 values at once; its rank test is RANK_RTOL on sigma / sigma_max.
+
+`residuals` gives a stack of iterates their residuals A x - b with the bits
+of one `A @ x - b` each. It walks A in slabs of about SLAB_BYTES, so that
+one slab, read once from memory, serves every iterate while it sits in a
+core's L2 cache. The slab edges fall on multiples of 64 rows, which keeps
+the bits: the gemv kernel of OpenBLAS sums the rows of a group of 4 in one
+order and the leftover rows in another, so an edge at a multiple of 4 puts
+every row in the kind of group it has in the whole matrix (64 leaves room
+for kernels that group 8 or 16). A slab of one row would go to numpy's dot
+kernel instead of gemv, so a single last row joins the slab before it.
+This was checked on the bundled OpenBLAS (scipy-openblas 0.3.31, Haswell
+kernels) over contiguous and strided matrices, and tests/test_linalg.py
+checks it on whatever BLAS numpy loads.
 """
 
 import math
@@ -13,6 +26,9 @@ import numpy as np
 
 # Singular values at most this fraction of the largest count as zero.
 RANK_RTOL = 1e-6
+# bytes of A per slab of `residuals`; a sweep of 256 KB to 2 MB slabs over
+# 4000-20000 rows found 1 MB as fast as any (BENCH_slab_residuals.json)
+SLAB_BYTES = 2**20
 
 
 class RankError(ArithmeticError):
@@ -65,15 +81,30 @@ def frobenius_norm_sq(A) -> float:
     return math.fsum(row_norms_sq(A).tolist())
 
 
-def matvecs(A, X, out=None) -> np.ndarray:
-    """The rows A @ x for each row x of X, into `out` when given; no checks.
+def slab_rows(n) -> int:
+    """Rows of an n-column matrix per slab of `residuals`: SLAB_BYTES of
+    them, rounded down to a multiple of 64, and at least 64."""
+    return max(1, SLAB_BYTES // (8 * 64 * n)) * 64
 
-    numpy's matmul of the stack X[:, None, :] with A.T makes one gemv call per
-    stacked item, the very call of `A @ x`, so each row has the bits of
-    `A @ x`. The gemm `X @ A.T` does not: its entries may differ in the last
-    bits.
+
+def residuals(A, b, X, out) -> np.ndarray:
+    """The rows A @ x - b for each row x of X, into `out`; no checks.
+
+    For each slab of `slab_rows(n)` rows of A (the last one may have fewer,
+    or one more), numpy's matmul of the stack X[:, None, :] with the slab's
+    transpose makes one gemv call per stacked item, the call of `A @ x` on
+    those rows, and b's slab is subtracted while the products are in cache.
+    Each row has the bits of `A @ x - b` (see the module docstring). A
+    matrix of one slab makes the single stacked call over all of A. The
+    gemm `X @ A.T` would not keep the bits: its entries may differ in the
+    last bits.
     """
-    return np.matmul(X[:, None, :], A.T, out=None if out is None else out[:, None, :])[:, 0, :]
+    m, step = A.shape[0], slab_rows(A.shape[1])
+    edges = [0, *range(step, m - 1, step), m]
+    for lo, hi in zip(edges, edges[1:]):
+        np.matmul(X[:, None, :], A[lo:hi].T, out=out[:, None, lo:hi])
+        out[:, lo:hi] -= b[lo:hi]
+    return out
 
 
 def row_norms_sq(M) -> np.ndarray:

@@ -33,12 +33,13 @@ Both loops buffer a block of iterates, and with telemetry `_records` turns
 each block and its residuals into records. A greedy step needs its residual
 to pick the next row, so it takes it with its own gemv. A uniform draw does
 not, so uniform steps run in blocks: one RNG call draws a block's rows and
-the iterates are projected one by one. With telemetry one stacked gemv
-(`linalg.matvecs`, the bits of `A @ x - b`) gives all their residuals;
-without, only a threshold needs any, and a few witness rows show most
-iterates above it. Either way the iteration count, the stop reason, x and
-the records equal, bit for bit, those of a loop that takes one step, one
-`A @ x - b` and one record at a time. Only the RNG and a uniform block's
+the iterates are projected one by one. With telemetry `linalg.residuals`
+gives all their residuals with the bits of `A @ x - b`, reading each
+cache-sized slab of A once for the whole block; without, only a threshold
+needs any, and a few witness rows show most iterates above it. Either way
+the iteration count, the stop reason, x and the records equal, bit for bit,
+those of a loop that takes one step, one `A @ x - b` and one record at a
+time. Only the RNG and a uniform block's
 iterates run up to a block past the stop point, and nothing exposes them.
 """
 
@@ -266,10 +267,11 @@ def _blocked_uniform(sys, x, r, level, k, stop, rng, records):
 
     One `rng.integers(m, size=s)` call draws a block's s rows, the same
     values as s scalar draws, and the iterates are projected one by one into
-    a buffer. With records, `linalg.matvecs` (the bits of `A @ x - b`) gives
-    their residuals over `_block_steps(m)` steps, within 256 KB, and one pass
-    takes the sup norms that the stop test and `_records` read. Without
-    records a block has BLOCK_STEPS steps, and only `_screen` reads residuals.
+    a buffer. With records, `linalg.residuals` (the bits of `A @ x - b`)
+    gives their residuals over `_block_steps(m)` steps, within 256 KB, and
+    one pass takes the sup norms that the stop test and `_records` read.
+    Without records a block has BLOCK_STEPS steps, and only `_screen` reads
+    residuals.
     """
     threshold = stop.residual_inf_threshold
     if threshold is not None and level <= threshold:
@@ -288,8 +290,7 @@ def _blocked_uniform(sys, x, r, level, k, stop, rng, records):
             x = _project(a, b, x, i, out=iterates[j])
         hit = None
         if records is not None:
-            block = linalg.matvecs(a, iterates[1:steps + 1], out=residuals[1:steps + 1])
-            block -= b
+            block = linalg.residuals(a, b, iterates[1:steps + 1], residuals[1:steps + 1])
             v = np.abs(block).max(axis=1).tolist()
             if threshold is not None:
                 hit = next((j for j, v_j in enumerate(v, 1) if v_j <= threshold), None)

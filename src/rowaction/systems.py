@@ -274,4 +274,5 @@ def load_system(path) -> LinearSystem:
         except (ValueError, EOFError) as exc:
             raise ValueError(f"{path}: not a system file ({exc}); regenerate it with "
                              "`rowaction generate` or `rowaction netlib-prep`") from exc
-    return LinearSystem(body[:, :-1], body[:, -1], reference, singular_values)
+    # a contiguous b: a solve subtracts it from every residual it takes
+    return LinearSystem(body[:, :-1], np.ascontiguousarray(body[:, -1]), reference, singular_values)

@@ -29,7 +29,9 @@ def test_digests_cover_every_output_and_repeat(digests, tmp_path, capsys):
     assert sorted(paths) == sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
     assert {"solve-gauss-stop/hybrid_trial2.csv", "bounds-bandm/motzkin_empirical_gamma.csv",
             "timing-gauss-censored/timing.csv", "large.sys", "solve-large-stop/hybrid_trial1.csv",
-            "bounds-large/motzkin_empirical_gamma.csv", "timing-large/timing.csv"} <= set(paths)
+            "bounds-large/motzkin_empirical_gamma.csv", "timing-large/timing.csv", "slabs.sys",
+            "solve-slabs-stop/rk-uniform_trial1.csv",
+            "bounds-slabs/motzkin_empirical_gamma.csv"} <= set(paths)
 
 
 def test_digests_refuse_a_directory_with_files(digests, tmp_path):

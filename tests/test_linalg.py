@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rowaction import linalg, systems
@@ -210,8 +210,8 @@ def test_frobenius_equals_row_norm_sum_exactly():
 
 STACKED_CONTRACT = ("the stacked products must equal their one-row forms bit for bit: "
                     "randomized-Kaczmarz telemetry takes a block's residuals with "
-                    "linalg.matvecs and its squared norms with linalg.row_norms_sq, and "
-                    "every telemetry CSV byte rests on them equalling `A @ x` and np.dot")
+                    "linalg.residuals and its squared norms with linalg.row_norms_sq, and "
+                    "every telemetry CSV byte rests on them equalling `A @ x - b` and np.dot")
 
 
 def stacked_operands(m, n, strided, seed, rows=5):
@@ -224,10 +224,7 @@ def stacked_operands(m, n, strided, seed, rows=5):
 
 
 def assert_stacked_products_exact(A, X, b):
-    residuals = np.empty((X.shape[0], A.shape[0]))
-    linalg.matvecs(A, X, out=residuals)
-    assert np.array_equal(residuals, linalg.matvecs(A, X)), STACKED_CONTRACT
-    residuals -= b
+    residuals = linalg.residuals(A, b, X, np.empty((X.shape[0], A.shape[0])))
     for x, r in zip(X, residuals):
         assert r.tobytes() == (A @ x - b).tobytes(), STACKED_CONTRACT
     for M in (residuals, X):
@@ -255,3 +252,37 @@ def test_stacked_products_equal_gemv_and_dot_small(m, n, rows, strided, seed):
 def test_frobenius_equals_fsum_of_row_dots_bit_for_bit(m, n, strided):
     A, _, _ = stacked_operands(m, n, strided, seed=7)
     assert linalg.frobenius_norm_sq(A) == math.fsum(float(np.dot(row, row)) for row in A)
+
+
+def test_slab_rows_are_a_positive_multiple_of_64_within_the_slab_bytes():
+    for n in range(1, 5001):
+        rows = linalg.slab_rows(n)
+        assert rows >= 64 and rows % 64 == 0, n
+        # as many as fit in SLAB_BYTES, or 64 when not even those fit
+        assert rows == 64 or rows * 8 * n <= linalg.SLAB_BYTES < (rows + 64) * 8 * n, n
+
+
+@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize("rows", [1, 2, 3, 8, 64])
+@pytest.mark.parametrize("m, n", [(10000, 100), (20000, 50), (4100, 70)])
+def test_residuals_over_several_slabs_equal_gemv(m, n, rows, strided):
+    # the real slab size: several slabs and a partial last one
+    assert m > 2 * linalg.slab_rows(n) and m % linalg.slab_rows(n) and m % 64
+    assert_stacked_products_exact(*stacked_operands(m, n, strided, seed=m + rows, rows=rows))
+
+
+# m = 64 k + 1 would leave a one-row slab, which numpy's matmul sends to its
+# dot kernel instead of gemv; that row joins the slab before it. The last
+# example has one column.
+@example(m=65, n=9, rows=3, strided=False, seed=65)
+@example(m=129, n=9, rows=3, strided=True, seed=129)
+@example(m=577, n=40, rows=4, strided=False, seed=577)
+@example(m=128, n=1, rows=1, strided=True, seed=128)
+@settings(max_examples=80)
+@given(m=st.integers(1, 600), n=st.integers(1, 40), rows=st.integers(1, 4),
+       strided=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_residuals_on_64_row_slabs_equal_gemv(m, n, rows, strided, seed):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "SLAB_BYTES", 1)
+        assert linalg.slab_rows(n) == 64
+        assert_stacked_products_exact(*stacked_operands(m, n, strided, seed, rows))

@@ -541,6 +541,33 @@ def test_greedy_telemetry_blocks_equal_reference_loop(tmp_path, shape):
             assert (ref.switch_iteration, ref.state.iteration) == (k, k + s + 1)
 
 
+@pytest.mark.parametrize("shape", [(2000, 50), (1281, 20)])
+def test_telemetry_blocks_over_several_slabs_equal_reference_loop(tmp_path, monkeypatch, shape):
+    # 64-row slabs of linalg.residuals: 2000 rows end in a partial slab of 16
+    # rows, and 1281 rows in one of 65, whose single last row joins the slab
+    # before it; caps around block ends, and a threshold met mid-block
+    monkeypatch.setattr(linalg, "SLAB_BYTES", 1)
+    sys_ = gaussian_system(*shape, noise_std=0.01, seed=1)
+    assert linalg.slab_rows(sys_.n) == 64 and sys_.m > 3 * 64
+    s, path, seeds = telemetry_block(sys_.m), tmp_path / "telemetry.csv", [2, 3]
+    greedy = reference_run(sys_, SelectionRule("motzkin"), StopRule(20))
+    rk, hybrid = SelectionRule("rk-uniform"), SelectionRule("hybrid", greedy.records[2].residual_inf)
+    for rule, start in ((rk, 0), (hybrid, 2)):  # the hybrid switches at k = 2
+        for cap in sorted({start + c for c in (0, 1, s - 1, s, s + 1, 2 * s + 1)}):
+            for ref in assert_matches_reference(sys_, rule, StopRule(cap), seeds, None, path):
+                assert ref.state.iteration == cap
+        ref = reference_run(sys_, rule, StopRule(600), seed=5)
+        assert ref.switch_iteration == (None if rule is rk else start)
+        levels = [rec.residual_inf for rec in ref.records]
+        # a new lowest residual past the second block, mid-block: the k-th
+        # iterate is row (k - start - 1) % s + 1 of its block
+        k = next(k for k in range(start + 2 * s + 1, len(levels))
+                 if levels[k] < min(levels[:k]) and 0 < (k - start - 1) % s < s - 1)
+        refs = assert_matches_reference(sys_, rule, StopRule(600, levels[k]), [5, 6], None, path)
+        assert (refs[0].state.iteration, refs[0].stop_reason, refs[0].switch_iteration) == \
+            (k, STOP_RESIDUAL_THRESHOLD, ref.switch_iteration)
+
+
 # --------------------------------------------------------------------------
 # the blocked stop test of uniform solves without telemetry
 

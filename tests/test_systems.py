@@ -172,6 +172,18 @@ def test_save_load_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_load_gives_a_contiguous_read_only_rhs_with_the_saved_bits(tmp_path):
+    # the file holds [A | b]; b is copied out of it, so that a solve subtracts
+    # it at unit stride, while A stays a strided view of the body
+    sys_ = systems.generate(systems.GeneratorSpec("gaussian-noise", m=300, n=7, noise_std=0.5, seed=4))
+    path = tmp_path / "sys.sys"
+    systems.save_system(path, sys_)
+    loaded = systems.load_system(path)
+    assert loaded.b.flags.c_contiguous and not loaded.b.flags.writeable
+    assert loaded.b.tobytes() == sys_.b.tobytes()
+    assert loaded.a.strides == ((sys_.n + 1) * 8, 8)
+
+
 def test_save_rejects_system_without_reference_or_singular_values(tmp_path):
     full = systems.generate(systems.GeneratorSpec("gaussian-noise", m=30, n=4, seed=2))
     path = tmp_path / "plain.sys"

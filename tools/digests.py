@@ -10,11 +10,13 @@ runs, through `rowaction.cli.main` in this process and on a generated
 and `timing` (to 4 ||e||_inf, and to ||e||_inf under a cap). On a generated
 10000x100 system it runs `generate`, `solve` (three solvers, two trials, a
 cap of 200: to the cap and to 4 ||e||_inf), `bounds --empirical-gamma` and
-`timing` (two trials). It writes under DIR, which must be new or empty, and
-prints one `path sha256` line per file, sorted, then `list sha256` over
-those lines. PYTHONPATH picks the tree under test, so two trees compare by
-their list lines. timing.csv is digested without its mean_seconds column,
-the one measured time among the outputs. The run takes a few seconds.
+`timing` (two trials), and the same on a generated 4100x70 system with a cap
+of 300, whose residuals span several slabs of `linalg.residuals` (the last
+one partial) in blocks of 7 steps. It writes under DIR, which must be new or
+empty, and prints one `path sha256` line per file, sorted, then
+`list sha256` over those lines. PYTHONPATH picks the tree under test, so two
+trees compare by their list lines. timing.csv is digested without its mean_seconds column,
+the one measured time among the outputs. The run takes under ten seconds.
 """
 
 import argparse
@@ -38,8 +40,8 @@ def run(*argv) -> None:
 
 
 def write_outputs(out: Path) -> None:
-    gauss, bandm, large = out / "gauss.sys", out / "bandm.sys", out / "large.sys"
-    for system, m, n in ((gauss, 2000, 50), (large, 10000, 100)):
+    gauss, bandm, large, slabs = (out / f"{name}.sys" for name in ("gauss", "bandm", "large", "slabs"))
+    for system, m, n in ((gauss, 2000, 50), (large, 10000, 100), (slabs, 4100, 70)):
         run("generate", "--kind", "gaussian-noise", "--m", m, "--n", n, "--noise-std", 0.01,
             "--seed", 1, "--out", system)
     run("netlib-prep", "--mps", MPS, "--seed", 5, "--out", bandm)
@@ -51,8 +53,9 @@ def write_outputs(out: Path) -> None:
         # at ||e||_inf, where trials may reach the cap
         run("timing", "--system", system, "--threshold", repr(e_inf), "--trials", 3,
             "--max-iterations", 3000, "--seed", 1, "--out", out / f"timing-{system.stem}-censored")
-    e_inf = systems.load_system(large).error_inf()
-    solve_and_bound(out, large, 2, 200, [("cap", []), ("stop", ["--stop-residual-inf", repr(4 * e_inf)])])
+    for system, cap in ((large, 200), (slabs, 300)):
+        e_inf = systems.load_system(system).error_inf()
+        solve_and_bound(out, system, 2, cap, [("cap", []), ("stop", ["--stop-residual-inf", repr(4 * e_inf)])])
 
 
 def solve_and_bound(out: Path, system: Path, trials: int, cap: int, variants) -> None:
