@@ -17,6 +17,7 @@ assertions in the test suite use only the constant-free inequalities.
 """
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,8 @@ from . import linalg
 from .systems import LinearSystem
 
 GAMMA_RANGE_TOL = 1e-9
+# curve rows per write of `write_curves_csv` (about 10 KB of text)
+CSV_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -151,22 +154,22 @@ def gaussian_rate_bound(inp: BoundInputs, num_iterations: int, conjectured: bool
     _check_num_iterations(num_iterations)
     if inp.m < 2:
         raise ValueError("gaussian rate bound requires m >= 2")
-    s2 = inp.sigma_min ** 2
-    noise = 0.5 * inp.error_inf ** 2
-    values = np.empty(num_iterations + 1)
-    values[0] = inp.initial_error_sq
-    clamped = False
+    # on Python floats, with the float64 array's operations in the same order
+    m, s2 = inp.m, float(inp.sigma_min ** 2)
+    noise = float(0.5 * inp.error_inf ** 2)
+    value = float(inp.initial_error_sq)
+    values, clamped = [value], False
     for k in range(num_iterations):
         if conjectured:
-            f = math.log(inp.m) * s2 / (4.0 * inp.m)
+            f = math.log(m) * s2 / (4.0 * m)
         else:
-            m_prime = max(2, inp.m - k)
-            f = math.log(m_prime) * s2 / (4.0 * inp.n * inp.m)
+            f = math.log(max(2, m - k)) * s2 / (4.0 * inp.n * m)
         f, c = _clamp_factor(f)
         clamped = clamped or c
-        values[k + 1] = (1.0 - f) * values[k] + noise
+        value = (1.0 - f) * value + noise
+        values.append(value)
     name = "gaussian-rate-conjectured" if conjectured else "gaussian-rate"
-    return BoundCurve(name, values, clamped)
+    return BoundCurve(name, np.array(values), clamped)
 
 
 def gamma_expectation_bound(m: int, n: int, sampled_norms_sq) -> float:
@@ -213,10 +216,17 @@ def bound_inputs_from_system(sys: LinearSystem, gamma_seq=None) -> BoundInputs:
 
 
 def write_curves_csv(path, curves: list[BoundCurve]) -> None:
-    """Curve export, schema `k,value,name`, curves concatenated in order."""
+    """Curve export, schema `k,value,name`, curves concatenated in order, in
+    the bytes that `csv.writer` gives: a value as the repr of its float, the
+    name quoted as the csv module quotes it, every line ended by \\r\\n. The
+    rows are formatted as text and written CSV_CHUNK_ROWS to a `write`."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "value", "name"])
+        fh.write("k,value,name\r\n")
         for curve in curves:
-            for k, v in enumerate(curve.values):
-                writer.writerow([k, repr(float(v)), curve.name])
+            name = io.StringIO()
+            csv.writer(name).writerow(["", curve.name])  # ",name\r\n", quoted where needed
+            end = name.getvalue()
+            values = np.asarray(curve.values, dtype=float)
+            for start in range(0, len(values), CSV_CHUNK_ROWS):
+                fh.write("".join([f"{k},{v!r}{end}" for k, v in
+                                  enumerate(values[start:start + CSV_CHUNK_ROWS].tolist(), start)]))

@@ -153,6 +153,17 @@ def cmd_solve(args) -> int:
                 if trial and result.records == first.records:
                     # equal records select the same rows from the same start: equal bytes too
                     shutil.copyfile(out / f"{name}_trial0.csv", path)
+                elif trial and result.switch_iteration:
+                    # trial 0's header and greedy prefix rows, which every trial shares, then
+                    # this trial's own rows, streamed in small buffers from a file of them alone
+                    s, rest = result.switch_iteration, path.with_name(path.name + ".rest")
+                    solvers.write_telemetry_csv(rest, result.records[s:])
+                    with (open(out / f"{name}_trial0.csv", "rb") as head, open(rest, "rb") as tail,
+                          open(path, "wb") as fh):
+                        fh.writelines(itertools.islice(head, s + 1))
+                        tail.readline()  # its own header
+                        shutil.copyfileobj(tail, fh)
+                    rest.unlink()
                 else:
                     solvers.write_telemetry_csv(path, result.records)
                 written.append(path)

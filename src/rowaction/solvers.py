@@ -65,6 +65,8 @@ BLOCK_STEPS = 64
 # residual entries per block of a solve with telemetry (256 KB of float64);
 # `_block_steps` turns it into steps
 BLOCK_ENTRIES = 32768
+# telemetry rows per write of `write_telemetry_csv` (about 30 KB of text)
+CSV_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -339,22 +341,30 @@ def _records(sys, iterates, residuals, rows, levels, records):
     expression: the squared norms come from `linalg.row_norms_sq` (the dot
     kernel of `np.dot`), and gamma and the squares are Python-float
     arithmetic, which raises OverflowError where a square passes the float
-    range."""
+    range; its message names the iteration and the square."""
     k, t = len(records), len(rows)
     r = residuals[:t]
     selected = r[np.arange(t), rows].tolist()
-    if sys.reference is None:
-        gammas = error_sqs = [None] * t
-    else:
-        d = r - sys.error_vec  # A(x_j - reference)
-        dds = linalg.row_norms_sq(d).tolist()
-        gammas = [dd / v ** 2 if v ** 2 > 0.0 else None
-                  for dd, v in zip(dds, np.abs(d, out=d).max(axis=1).tolist())]
-        error_sqs = linalg.row_norms_sq(iterates[:t] - sys.reference).tolist()
-    records.extend(
-        IterationRecord(k + j, i, v, r2, gamma, error_sq, r_i ** 2)
-        for j, (i, v, r2, gamma, error_sq, r_i) in enumerate(zip(
-            rows, levels, linalg.row_norms_sq(r).tolist(), gammas, error_sqs, selected)))
+    gammas = error_sqs = d_infs = [None] * t
+    try:
+        if sys.reference is not None:
+            d = r - sys.error_vec  # A(x_j - reference)
+            dds = linalg.row_norms_sq(d).tolist()
+            d_infs = np.abs(d, out=d).max(axis=1).tolist()
+            gammas = [dd / v ** 2 if v ** 2 > 0.0 else None for dd, v in zip(dds, d_infs)]
+            error_sqs = linalg.row_norms_sq(iterates[:t] - sys.reference).tolist()
+        records.extend(
+            IterationRecord(k + j, i, v, r2, gamma, error_sq, r_i ** 2)
+            for j, (i, v, r2, gamma, error_sq, r_i) in enumerate(zip(
+                rows, levels, linalg.row_norms_sq(r).tolist(), gammas, error_sqs, selected)))
+    except OverflowError as exc:  # off the normal path: find the first square past the range
+        for j, (d_inf, r_i) in enumerate(zip(d_infs, selected)):
+            for column, term, value in (("gamma's denominator", "||A(x_k - reference)||_inf", d_inf),
+                                        ("selected_residual_sq", "r_i", r_i)):
+                if value is not None and value * value == math.inf:
+                    raise OverflowError(f"iteration {k + j}: {column}, the square of {term} = "
+                                        f"{value!r}, passes the float range") from exc
+        raise
 
 
 @dataclass(frozen=True)
@@ -419,13 +429,18 @@ def time_to_threshold(sys: LinearSystem,
 
 
 def write_telemetry_csv(path, records: list[IterationRecord]) -> None:
-    """A TELEMETRY_COLUMNS header, then one row per record. The csv module
-    writes a float as its repr and None as an empty field, so the bytes are
-    deterministic for equal records."""
+    """A TELEMETRY_COLUMNS header, then one row per record, in the bytes that
+    `csv.writer` gives: each field as `str`, so a float as its repr, None as
+    an empty field, and every line ended by \\r\\n. The bytes are deterministic
+    for equal records. The rows are formatted as text and written
+    CSV_CHUNK_ROWS to a `write`."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TELEMETRY_COLUMNS)
-        writer.writerows(records)
+        fh.write(",".join(TELEMETRY_COLUMNS) + "\r\n")
+        for start in range(0, len(records), CSV_CHUNK_ROWS):
+            chunk = records[start:start + CSV_CHUNK_ROWS]
+            rows = "".join([f"{k},{i},{v!r},{r2!r},{gamma!r},{error_sq!r},{r_i_sq!r}\r\n"
+                            for k, i, v, r2, gamma, error_sq, r_i_sq in chunk])
+            fh.write(rows.replace("None", ""))  # no number prints "None": each is a None field
 
 
 def read_telemetry_csv(path) -> list[IterationRecord]:

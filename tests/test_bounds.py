@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from rowaction import bounds, mps, solvers, systems
 from rowaction.bounds import BoundInputs
+
+from test_solvers import EDGE_FLOATS, row_counts
 
 
 def inputs(m=10, n=4, sigma_min=1.0, error_inf=0.0, initial_error_sq=1.0,
@@ -163,6 +166,52 @@ def test_final_error_bounds_difference_is_eight_error_sq():
         ii, iii = bounds.final_error_bounds(inputs(m=7, sigma_min=0.9,
                                                    frobenius_sq=7.0, error_inf=e))
         assert iii - ii == pytest.approx(8 * e ** 2, rel=1e-12)
+
+
+def reference_gaussian_rate(inp, num_iterations, conjectured=False):
+    """gaussian_rate_bound's recursion before it ran on Python floats: numpy
+    scalars read from and written to the array each step. Kept verbatim as
+    the reference."""
+    s2 = inp.sigma_min ** 2
+    noise = 0.5 * inp.error_inf ** 2
+    values = np.empty(num_iterations + 1)
+    values[0] = inp.initial_error_sq
+    clamped = False
+    for k in range(num_iterations):
+        if conjectured:
+            f = math.log(inp.m) * s2 / (4.0 * inp.m)
+        else:
+            m_prime = max(2, inp.m - k)
+            f = math.log(m_prime) * s2 / (4.0 * inp.n * inp.m)
+        f, c = bounds._clamp_factor(f)
+        clamped = clamped or c
+        values[k + 1] = (1.0 - f) * values[k] + noise
+    name = "gaussian-rate-conjectured" if conjectured else "gaussian-rate"
+    return bounds.BoundCurve(name, values, clamped)
+
+
+@st.composite
+def gaussian_rate_cases(draw):
+    m, n = draw(st.integers(2, 80)), draw(st.integers(1, 12))
+    # above s^2 = 4 m / log m the conjectured factor clamps; numpy scalars as a system gives them
+    sigma_min = draw(st.floats(0.01, 12.0))
+    number = draw(st.sampled_from([float, np.float64]))
+    inp = inputs(m=m, n=n, sigma_min=number(sigma_min), error_inf=number(draw(st.floats(0.0, 2.0))),
+                 initial_error_sq=number(draw(st.floats(0.0, 1e3))),
+                 frobenius_sq=sigma_min ** 2 * draw(st.floats(1.0, 4.0)))
+    return inp, draw(st.integers(0, 100)), draw(st.booleans())
+
+
+@given(case=gaussian_rate_cases())
+@example(case=(inputs(m=16, sigma_min=math.sqrt(64 / math.log(16)), frobenius_sq=64 / math.log(16) + 1), 4, True))
+@example(case=(inputs(m=3, n=2, sigma_min=1.5, frobenius_sq=3.0, error_inf=0.25), 6, False))
+def test_gaussian_rate_equals_reference_loop(case):
+    inp, num_iterations, conjectured = case
+    got = bounds.gaussian_rate_bound(inp, num_iterations, conjectured)
+    want = reference_gaussian_rate(inp, num_iterations, conjectured)
+    assert (got.name, got.clamped) == (want.name, want.clamped)
+    assert got.values.dtype == want.values.dtype
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_gaussian_rate_full_contraction_boundary():
@@ -380,3 +429,51 @@ def test_write_curves_csv(tmp_path):
     assert len(lines) == 7
     assert lines[1].endswith(",rk")
     assert lines[-1].endswith(",motzkin-worst-case")
+
+
+def test_write_curves_csv_golden_bytes(tmp_path):
+    # pins the format: a value as its float's shortest round-trip repr, the
+    # name quoted as the csv module quotes it, lines ended by \r\n
+    curves = [bounds.BoundCurve("rk", np.array([0.1 + 0.2, -0.0, 5e-324])),
+              bounds.BoundCurve('a "b", c', np.array([1e16, np.inf])),
+              bounds.BoundCurve("empty", np.array([])),
+              bounds.BoundCurve("ints", np.array([3, -1]))]
+    path = tmp_path / "golden.csv"
+    bounds.write_curves_csv(path, curves)
+    assert path.read_bytes() == (
+        b"k,value,name\r\n"
+        b"0,0.30000000000000004,rk\r\n"
+        b"1,-0.0,rk\r\n"
+        b"2,5e-324,rk\r\n"
+        b'0,1e+16,"a ""b"", c"\r\n'
+        b'1,inf,"a ""b"", c"\r\n'
+        b"0,3.0,ints\r\n"
+        b"1,-1.0,ints\r\n")
+
+
+def reference_write_curves_csv(path, curves):
+    """write_curves_csv before it wrote its rows as text, a chunk at a time.
+    Kept verbatim as the reference."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "value", "name"])
+        for curve in curves:
+            for k, v in enumerate(curve.values):
+                writer.writerow([k, repr(float(v)), curve.name])
+
+
+curves_to_write = st.lists(st.builds(
+    lambda name, pool, rows: bounds.BoundCurve(name, np.resize(np.array(pool), rows)),
+    # names that need quoting: a comma, a quote, a space, a line break, or nothing at all
+    st.sampled_from(["rk", "a,b", 'say "x"', "two words", " lead", "cr\rlf\n", ""])
+    | st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6),
+    st.lists(EDGE_FLOATS, min_size=1, max_size=8), row_counts(bounds.CSV_CHUNK_ROWS)), max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(curves=curves_to_write)
+def test_write_curves_csv_equals_csv_writer_bytes(tmp_path_factory, curves):
+    path = tmp_path_factory.mktemp("curves")
+    bounds.write_curves_csv(path / "got.csv", curves)
+    reference_write_curves_csv(path / "want.csv", curves)
+    assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()

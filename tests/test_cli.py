@@ -167,6 +167,24 @@ def test_repeated_solver_is_config_error(system_file, tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threshold, cap, switch", [(None, 300, 7), (0.2, 300, 7), (0.25, 300, None),
+                                                    (None, 1, None)])
+def test_hybrid_trials_equal_library_telemetry(system_file, tmp_path, threshold, cap, switch):
+    # trials after the first take the header and greedy prefix rows from trial 0's file
+    out = tmp_path / "runs"
+    flags = [] if threshold is None else ["--stop-residual-inf", str(threshold)]
+    assert run_cli("solve", "--system", str(system_file), "--solver", "hybrid", "--trials", "3",
+                   "--hybrid-threshold", "0.3", "--max-iterations", str(cap), *flags,
+                   "--seed", "4", "--out", str(out)) == 0
+    sys_ = systems.load_system(system_file)
+    for trial in range(3):
+        result = solvers.run(sys_, SelectionRule("hybrid", 0.3), StopRule(cap, threshold), seed=4 + trial)
+        assert result.switch_iteration == switch
+        solvers.write_telemetry_csv(tmp_path / "library.csv", result.records)
+        assert (out / f"hybrid_trial{trial}.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+    assert sorted(p.name for p in out.iterdir()) == [f"hybrid_trial{t}.csv" for t in range(3)] + ["summary.csv"]
+
+
 def test_hybrid_switch_visible_in_telemetry(system_file, tmp_path):
     out = tmp_path / "hyb"
     code = run_cli("solve", "--system", str(system_file), "--solver", "hybrid",
@@ -432,11 +450,14 @@ def test_telemetry_overflow_is_numerical_error(tmp_path, capsys):
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         return capsys.readouterr().err.splitlines()
 
+    # the iteration and the square that passed the float range are named too
+    where = "iteration 0: gamma's denominator, the square of ||A(x_k - reference)||_inf = "
     [line] = solve()
-    assert line.startswith("numerical failure: motzkin trial 0: ")
+    assert line.startswith("numerical failure: motzkin trial 0: " + where)
+    assert line.endswith(", passes the float range")
     # the first solver fails before its first file, so --out is never made
     [line] = solve("--solver", "rk-uniform", "--solver", "motzkin")
-    assert line.startswith("numerical failure: rk-uniform trial 0: ")
+    assert line.startswith("numerical failure: rk-uniform trial 0: " + where)
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib.util
 from pathlib import Path
@@ -31,7 +32,13 @@ def test_digests_cover_every_output_and_repeat(digests, tmp_path, capsys):
             "timing-gauss-censored/timing.csv", "large.sys", "solve-large-stop/hybrid_trial1.csv",
             "bounds-large/motzkin_empirical_gamma.csv", "timing-large/timing.csv", "slabs.sys",
             "solve-slabs-stop/rk-uniform_trial1.csv",
-            "bounds-slabs/motzkin_empirical_gamma.csv"} <= set(paths)
+            "bounds-slabs/motzkin_empirical_gamma.csv", "bounds-gauss-2000/gaussian_rate.csv",
+            "banded-1.sys", "banded-2.sys"} <= set(paths)
+    # randomized-Kaczmarz trials stop at 4 ||e||_inf across the slabs, and curves have 2001 points
+    with open(out / "solve-slabs-stop" / "summary.csv", newline="") as fh:
+        assert {row["stop_reason"] for row in csv.DictReader(fh)
+                if row["solver"] == "rk-uniform"} == {"residual-threshold"}
+    assert len((out / "bounds-gauss-2000" / "rk_bound.csv").read_bytes().splitlines()) == 1 + 2001
 
 
 def test_digests_refuse_a_directory_with_files(digests, tmp_path):

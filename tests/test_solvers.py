@@ -1,3 +1,7 @@
+import csv
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -281,6 +285,76 @@ def test_telemetry_csv_golden_bytes(tmp_path):
         b"0,3,0.30000000000000004,-0.0,5e-324,1e+16,0.1\r\n"
         b"1,0,1e+16,5e-324,,,-0.0\r\n")
     assert solvers.read_telemetry_csv(path) == records
+
+
+def reference_write_telemetry_csv(path, records):
+    """write_telemetry_csv before it wrote its rows as text, a chunk at a
+    time. Kept verbatim as the reference."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(solvers.TELEMETRY_COLUMNS)
+        writer.writerows(records)
+
+
+# floats whose text is the most likely to go wrong: nan, infinities, signed
+# zeros, subnormals, the switch to an exponent at 1e16 and near 1e-5
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-320,
+                     2.2250738585072014e-308, 1e16, 9999999999999998.0, -1e16, 1e-05,
+                     9.999999999999999e-06, 1.0000000000000002e-05, 0.0001, 0.1 + 0.2]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.floats(5e-6, 5e-5),
+    st.floats(),
+)
+
+telemetry_records = st.builds(
+    IterationRecord, k=st.just(0), selected_row=st.integers(0, 10**6), residual_inf=EDGE_FLOATS,
+    residual_2sq=EDGE_FLOATS, gamma=st.none() | EDGE_FLOATS, error_sq=st.none() | EDGE_FLOATS,
+    selected_residual_sq=EDGE_FLOATS)
+
+
+def row_counts(chunk):
+    """Row counts on both sides of several boundaries of `chunk`-row writes, no rows included."""
+    return st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk, 3 * chunk + 1]) \
+        | st.integers(0, 3 * chunk + 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pool=st.lists(telemetry_records, min_size=1, max_size=8), rows=row_counts(solvers.CSV_CHUNK_ROWS))
+def test_telemetry_csv_equals_csv_writer_bytes(tmp_path_factory, pool, rows):
+    records = [pool[j % len(pool)]._replace(k=j) for j in range(rows)]
+    path = tmp_path_factory.mktemp("telemetry")
+    solvers.write_telemetry_csv(path / "got.csv", records)
+    reference_write_telemetry_csv(path / "want.csv", records)
+    assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()
+
+
+def test_telemetry_csv_peaks_no_higher_than_the_csv_writer(tmp_path):
+    records = solvers.run(gaussian_system(), SelectionRule("rk-uniform"), StopRule(2000), seed=1).records
+    assert len(records) == 2000
+
+    def peak(write):
+        tracemalloc.start()
+        try:
+            write(tmp_path / "t.csv", records)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(solvers.write_telemetry_csv) <= peak(reference_write_telemetry_csv)
+
+
+def test_overflow_names_its_iteration_and_square():
+    # reference 2e200 and e = A reference - b = (-1e200, 1e200); numpy's overflow warnings are beside the point
+    sys_ = systems.from_unnormalized(np.ones((2, 1)), np.array([3e200, 1e200]))
+    with np.errstate(over="ignore"):
+        # at the reference gamma has no value, and r_i^2 = e_i^2 passes the float range
+        with pytest.raises(OverflowError, match=r"^iteration 0: selected_residual_sq, the square of r_i = "):
+            solvers.run(sys_, SelectionRule("motzkin"), StopRule(3), x0=sys_.reference)
+        # from x = 0, A(x - reference) near -2e200 comes first, in gamma's column
+        with pytest.raises(OverflowError, match=r"^iteration 0: gamma's denominator, the square of "
+                                                r"\|\|A\(x_k - reference\)\|\|_inf = 1\.99+\d*e\+200, "):
+            solvers.run(sys_, SelectionRule("rk-uniform"), StopRule(3), seed=1)
 
 
 # --------------------------------------------------------------------------

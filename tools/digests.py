@@ -7,15 +7,20 @@ runs, through `rowaction.cli.main` in this process and on a generated
 2000x50 system and a netlib-prep one, `generate`, `netlib-prep`, `solve`
 (three solvers, three trials: to the cap, to 4 ||e||_inf, and to
 20 ||e||_inf with a hybrid switch at 8 ||e||_inf), `bounds --empirical-gamma`
-and `timing` (to 4 ||e||_inf, and to ||e||_inf under a cap). On a generated
-10000x100 system it runs `generate`, `solve` (three solvers, two trials, a
-cap of 200: to the cap and to 4 ||e||_inf), `bounds --empirical-gamma` and
-`timing` (two trials), and the same on a generated 4100x70 system with a cap
-of 300, whose residuals span several slabs of `linalg.residuals` (the last
-one partial) in blocks of 7 steps. It writes under DIR, which must be new or
-empty, and prints one `path sha256` line per file, sorted, then
-`list sha256` over those lines. PYTHONPATH picks the tree under test, so two
-trees compare by their list lines. timing.csv is digested without its mean_seconds column,
+and `timing` (to 4 ||e||_inf, and to ||e||_inf under a cap); on the 2000x50
+system also `bounds --empirical-gamma` over 2000 iterations, the benchmark's
+curve length. On a generated 10000x100 system it runs `generate`, `solve`
+(three solvers, two trials, a cap of 200: to the cap and to 4 ||e||_inf),
+`bounds --empirical-gamma` and `timing` (two trials), and the same on a
+generated 4100x70 system with a cap of 300, raised to 3000 for the stop at
+4 ||e||_inf so that randomized-Kaczmarz trials reach it; its residuals span
+several slabs of `linalg.residuals` (the last one partial) in blocks of 7
+steps. Last, `netlib-prep` at seeds 1 and 2 on the benchmark's banded
+120x180 MPS file (band 61), written by `write_banded_mps` of
+perfbench/workloads.py. It writes under DIR, which must be new or empty,
+and prints one `path sha256` line per file, sorted, then `list sha256` over
+those lines. PYTHONPATH picks the tree under test, so two trees compare by
+their list lines. timing.csv is digested without its mean_seconds column,
 the one measured time among the outputs. The run takes under ten seconds.
 """
 
@@ -23,13 +28,16 @@ import argparse
 import contextlib
 import csv
 import hashlib
+import importlib.util
 import io
 import sys
 from pathlib import Path
 
 from rowaction import cli, systems
 
-MPS = Path(__file__).resolve().parents[1] / "tests" / "data" / "bandm_style.mps"
+ROOT = Path(__file__).resolve().parents[1]
+MPS = ROOT / "tests" / "data" / "bandm_style.mps"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def run(*argv) -> None:
@@ -53,14 +61,35 @@ def write_outputs(out: Path) -> None:
         # at ||e||_inf, where trials may reach the cap
         run("timing", "--system", system, "--threshold", repr(e_inf), "--trials", 3,
             "--max-iterations", 3000, "--seed", 1, "--out", out / f"timing-{system.stem}-censored")
-    for system, cap in ((large, 200), (slabs, 300)):
+    run("bounds", "--system", gauss, "--telemetry", out / "solve-gauss-cap" / "motzkin_trial0.csv",
+        "--empirical-gamma", "--iterations", 2000, "--out", out / "bounds-gauss-2000")
+    for system, cap, stop_cap in ((large, 200, 200), (slabs, 300, 3000)):
         e_inf = systems.load_system(system).error_inf()
-        solve_and_bound(out, system, 2, cap, [("cap", []), ("stop", ["--stop-residual-inf", repr(4 * e_inf)])])
+        solve_and_bound(out, system, 2, cap, [
+            ("cap", []), ("stop", ["--stop-residual-inf", repr(4 * e_inf), "--max-iterations", stop_cap])])
+    banded = out / "banded.mps"
+    load_workloads().write_banded_mps(banded, seed=1, rows=120, cols=180, band=61)
+    for seed in (1, 2):
+        run("netlib-prep", "--mps", banded, "--seed", seed, "--out", out / f"banded-{seed}.sys")
+
+
+def load_workloads():
+    """perfbench/workloads.py as a module, imported by path without leaving a
+    bytecode cache beside it."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    dont_write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write_bytecode
+    return module
 
 
 def solve_and_bound(out: Path, system: Path, trials: int, cap: int, variants) -> None:
     """`solve` with the three solvers once per (name, flags) variant, then
-    `bounds` on motzkin's first trial of the first variant and `timing`."""
+    `bounds` on motzkin's first trial of the first variant and `timing`.
+    A variant's flags come last, so its own --max-iterations overrides `cap`."""
     name = system.stem
     for stop, flags in variants:
         run("solve", "--system", system, "--solver", "motzkin", "--solver", "rk-uniform",
