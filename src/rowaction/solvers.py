@@ -30,17 +30,19 @@ step reads it as the |r_i| it selects. `time_to_threshold` times solves that
 record no telemetry, so its seconds measure the solver alone.
 
 Both loops buffer a block of iterates, and with telemetry `_records` turns
-each block and its residuals into records. A greedy step needs its residual
-to pick the next row, so it takes it with its own gemv. A uniform draw does
-not, so uniform steps run in blocks: one RNG call draws a block's rows and
-the iterates are projected one by one. With telemetry `linalg.residuals`
-gives all their residuals with the bits of `A @ x - b`, reading each
-cache-sized slab of A once for the whole block; without, only a threshold
-needs any, and a few witness rows show most iterates above it. Either way
-the iteration count, the stop reason, x and the records equal, bit for bit,
-those of a loop that takes one step, one `A @ x - b` and one record at a
-time. Only the RNG and a uniform block's
-iterates run up to a block past the stop point, and nothing exposes them.
+each block and its residuals into records. A step is one `a[i]`, one `.dot`
+and one scaled add into a row view of the buffer, with b_i a Python float;
+lists of A's rows and of b would hold 1.4 MB at 10000x100 for a whole solve
+and raise its peak RSS. A greedy step selects by `abs(r).argmax()`, into
+one reused vector, from the residual its own gemv takes. Uniform steps run
+in blocks, whose rows one RNG call draws and whose b_i one gather takes.
+With telemetry `linalg.residuals` gives all their residuals with the bits of
+`A @ x - b`, reading each cache-sized slab of A once for the whole block;
+without, only a threshold needs any, and a few witness rows show most
+iterates above it. Either way the count, the stop reason, x and the records
+equal, bit for bit, those of a loop of one step, one `A @ x - b` and one
+record at a time; only the RNG and a uniform block's iterates run up to a
+block past the stop point, which nothing exposes.
 """
 
 import csv
@@ -133,16 +135,11 @@ def select_motzkin(r) -> int:
 
 
 def project_step(sys: LinearSystem, x, i: int) -> np.ndarray:
-    """Project x onto the hyperplane of equation i (rows are unit norm)."""
+    """x + (b_i - a_i . x) a_i, x projected onto equation i's hyperplane (unit rows)."""
     if not 0 <= i < sys.m:
         raise IndexError(f"row index {i} out of range for {sys.m} rows")
-    return _project(sys.a, sys.b, np.asarray(x, dtype=float), i)
-
-
-def _project(a, b, x, i, out=None):
-    """x + (b_i - a_i . x) a_i, into `out` when given; no checks."""
-    a_i = a[i]
-    return np.add(x, (b[i] - float(np.dot(a_i, x))) * a_i, out=out)
+    x, a_i = np.asarray(x, dtype=float), sys.a[i]
+    return x + (sys.b.item(i) - a_i.dot(x)) * a_i
 
 
 def run(sys: LinearSystem,
@@ -224,11 +221,10 @@ def _block_steps(m):
 
 def _loop(sys, x, r, stop, records):
     """Iterate greedily from x_0, whose residual is r = A x_0 - b, until
-    `stop` fires. The selected entry |r_i| is the residual sup norm, so the
-    stop test and the record read it from the one scan of the selection.
-    Each step's iterate and residual go into block buffers, one step deep
-    when `records` is None; else `_records` appends the records of each
-    full block, and of the rest at the stop. Returns the final x, its
+    `stop` fires; the selected |r_i| is the sup norm that the stop test and
+    the record read. Iterates and residuals go into block buffers, one step
+    deep when `records` is None; else `_records` appends each full block's
+    records, and the rest at the stop. Returns the final x, a copy of its
     residual, its k, its residual sup norm and the stop reason."""
     threshold, k = stop.residual_inf_threshold, 0
     a, b = sys.a, sys.b
@@ -236,9 +232,10 @@ def _loop(sys, x, r, stop, records):
     # x_k and its residual sit in row len(rows) of the buffers
     iterates, residuals, rows, levels = np.empty((s, sys.n)), np.empty((s, sys.m)), [], []
     iterates[0], residuals[0] = x, r
+    xs, rs, abs_r = list(iterates), list(residuals), np.empty(sys.m)
     while True:
-        i = select_motzkin(r)
-        level = abs(float(r[i]))
+        i = int(np.abs(r, out=abs_r).argmax())  # select_motzkin(r)
+        level = abs_r.item(i)
         if threshold is not None and level <= threshold:
             reason = STOP_RESIDUAL_THRESHOLD
             break
@@ -252,13 +249,14 @@ def _loop(sys, x, r, stop, records):
             if records is not None:
                 _records(sys, iterates, residuals, rows, levels, records)
             rows, levels = [], []
-        x = _project(a, b, x, i, out=iterates[len(rows)])
-        r = np.matmul(a, x, out=residuals[len(rows)])
+        a_i = a[i]
+        x = np.add(x, (b.item(i) - a_i.dot(x)) * a_i, out=xs[len(rows)])
+        r = np.matmul(a, x, out=rs[len(rows)])
         r -= b
         k += 1
     if records is not None:
         _records(sys, iterates, residuals, rows, levels, records)
-    return x, r, k, level, reason
+    return x, r.copy(), k, level, reason
 
 
 def _blocked_uniform(sys, x, r, level, k, stop, rng, records):
@@ -268,12 +266,13 @@ def _blocked_uniform(sys, x, r, level, k, stop, rng, records):
     Returns a copy of the final x, its k and the stop reason.
 
     One `rng.integers(m, size=s)` call draws a block's s rows, the same
-    values as s scalar draws, and the iterates are projected one by one into
-    a buffer. With records, `linalg.residuals` (the bits of `A @ x - b`)
-    gives their residuals over `_block_steps(m)` steps, within 256 KB, and
-    one pass takes the sup norms that the stop test and `_records` read.
-    Without records a block has BLOCK_STEPS steps, and only `_screen` reads
-    residuals.
+    values as s scalar draws, and one gather their b_i; each step is then one
+    `a[i]`, one `.dot` and one scaled add into the next row of a buffer.
+    With records, `linalg.residuals` (the bits of `A @ x - b`) gives their
+    residuals over `_block_steps(m)` steps, within 256 KB, and their sup
+    norms, max(|max r|, |min r|), need no copy of the block and are +0.0 on
+    a zero residual. Without records a block has BLOCK_STEPS steps, and only
+    `_screen` reads residuals.
     """
     threshold = stop.residual_inf_threshold
     if threshold is not None and level <= threshold:
@@ -281,19 +280,21 @@ def _blocked_uniform(sys, x, r, level, k, stop, rng, records):
     a, b = sys.a, sys.b
     s = BLOCK_STEPS if records is None else _block_steps(sys.m)
     # row 0 holds x_k and its residual, rows 1..s the block's iterates and theirs
-    iterates = np.vstack([x, np.empty((s, sys.n))])
-    residuals = None if records is None else np.vstack([r, np.empty((s, sys.m))])
+    iterates = np.tile(x, (s + 1, 1))
+    xs = list(iterates)
+    residuals = None if records is None else np.tile(r, (s + 1, 1))
     witness, b_inf = [select_motzkin(r)], float(np.abs(b).max())
     while k < stop.max_iterations:
         steps = min(s, stop.max_iterations - k)
-        rows = rng.integers(sys.m, size=steps).tolist()
-        x = iterates[0]
-        for j, i in enumerate(rows, 1):
-            x = _project(a, b, x, i, out=iterates[j])
+        drawn = rng.integers(sys.m, size=steps)
+        x, rows = xs[0], drawn.tolist()
+        for i, b_i, out in zip(rows, b[drawn].tolist(), xs[1:]):
+            a_i = a[i]
+            x = np.add(x, (b_i - a_i.dot(x)) * a_i, out=out)
         hit = None
         if records is not None:
             block = linalg.residuals(a, b, iterates[1:steps + 1], residuals[1:steps + 1])
-            v = np.abs(block).max(axis=1).tolist()
+            v = np.maximum(np.abs(block.max(axis=1)), np.abs(block.min(axis=1))).tolist()
             if threshold is not None:
                 hit = next((j for j, v_j in enumerate(v, 1) if v_j <= threshold), None)
             _records(sys, iterates, residuals, rows[:hit], [level, *v], records)
@@ -325,8 +326,8 @@ def _screen(a, b, b_inf, iterates, threshold, witness):
             return None
         j += 1 + int(unproved[0])
         r = a @ iterates[j] - b
-        i = select_motzkin(r)
-        if abs(float(r[i])) <= threshold:
+        i = int(np.abs(r, out=r).argmax())  # select_motzkin(r)
+        if r.item(i) <= threshold:
             return j
         if i not in witness:  # a witness row's entries are in v already
             witness.append(i)
@@ -337,18 +338,20 @@ def _records(sys, iterates, residuals, rows, levels, records):
     """Append to `records` the records of x_k, x_{k+1}, ... (k = len(records):
     every records list starts at x_0), one per selected row in `rows`, whose
     iterates, residuals A x - b and their sup norms lead `iterates`,
-    `residuals` and `levels`. Each column has the bits of the step-by-step
-    expression: the squared norms come from `linalg.row_norms_sq` (the dot
-    kernel of `np.dot`), and gamma and the squares are Python-float
-    arithmetic, which raises OverflowError where a square passes the float
-    range; its message names the iteration and the square."""
+    `residuals` and `levels`; with a reference it overwrites those residual
+    rows. Each column has the bits of the step-by-step expression: the
+    squared norms come from `linalg.row_norms_sq` (the dot kernel of
+    `np.dot`), and gamma and the squares are Python-float arithmetic, which
+    raises OverflowError where a square passes the float range; its message
+    names the iteration and the square."""
     k, t = len(records), len(rows)
     r = residuals[:t]
     selected = r[np.arange(t), rows].tolist()
+    r2s = linalg.row_norms_sq(r).tolist()
     gammas = error_sqs = d_infs = [None] * t
     try:
         if sys.reference is not None:
-            d = r - sys.error_vec  # A(x_j - reference)
+            d = np.subtract(r, sys.error_vec, out=r)  # A(x_j - reference), once r is read
             dds = linalg.row_norms_sq(d).tolist()
             d_infs = np.abs(d, out=d).max(axis=1).tolist()
             gammas = [dd / v ** 2 if v ** 2 > 0.0 else None for dd, v in zip(dds, d_infs)]
@@ -356,7 +359,7 @@ def _records(sys, iterates, residuals, rows, levels, records):
         records.extend(
             IterationRecord(k + j, i, v, r2, gamma, error_sq, r_i ** 2)
             for j, (i, v, r2, gamma, error_sq, r_i) in enumerate(zip(
-                rows, levels, linalg.row_norms_sq(r).tolist(), gammas, error_sqs, selected)))
+                rows, levels, r2s, gammas, error_sqs, selected)))
     except OverflowError as exc:  # off the normal path: find the first square past the range
         for j, (d_inf, r_i) in enumerate(zip(d_infs, selected)):
             for column, term, value in (("gamma's denominator", "||A(x_k - reference)||_inf", d_inf),
@@ -409,16 +412,13 @@ def time_to_threshold(sys: LinearSystem,
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    iterations: list[int] = []
-    seconds: list[float] = []
-    censored_mask: list[bool] = []
+    iterations, seconds, censored_mask = [], [], []
     stop = StopRule(max_iterations=max_iterations, residual_inf_threshold=threshold)
     for t in range(trials):
         t0 = time.process_time()
         result = next(_trials(sys, rule, stop, [seed + t], None, telemetry=False))
-        dt = time.process_time() - t0
+        seconds.append(time.process_time() - t0)
         iterations.append(result.state.iteration)
-        seconds.append(dt)
         censored_mask.append(result.stop_reason != STOP_RESIDUAL_THRESHOLD)
     return TimingSummary(trials=trials, iterations=iterations, seconds=seconds,
                          censored_mask=censored_mask)

@@ -33,7 +33,12 @@ def test_digests_cover_every_output_and_repeat(digests, tmp_path, capsys):
             "bounds-large/motzkin_empirical_gamma.csv", "timing-large/timing.csv", "slabs.sys",
             "solve-slabs-stop/rk-uniform_trial1.csv",
             "bounds-slabs/motzkin_empirical_gamma.csv", "bounds-gauss-2000/gaussian_rate.csv",
-            "banded-1.sys", "banded-2.sys"} <= set(paths)
+            "banded-1.sys", "banded-2.sys", "readme/gauss.sys", "readme/band.sys",
+            "readme/runs/hybrid_trial2.csv", "readme/runs/summary.csv",
+            "readme/curves/motzkin_empirical_gamma.csv", "readme/timing/timing.csv"} <= set(paths)
+    # 18 of the 144 files come from the README's examples, which leave no link to tests/data behind
+    assert len(paths) == 144 and sum(path.startswith("readme/") for path in paths) == 18
+    assert not (out / "readme" / "tests").exists()
     # randomized-Kaczmarz trials stop at 4 ||e||_inf across the slabs, and curves have 2001 points
     with open(out / "solve-slabs-stop" / "summary.csv", newline="") as fh:
         assert {row["stop_reason"] for row in csv.DictReader(fh)

@@ -12,7 +12,8 @@ ROOT = Path(__file__).parent.parent
 
 def readme_commands() -> list[list[str]]:
     """Each `rowaction ...` command of the README's CLI section, continuation
-    lines joined, as an argv without the program name."""
+    lines joined, as an argv without the program name. tools/digests.py runs
+    the same list."""
     section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     commands = []
     for block in re.findall(r"^```\n(.*?)^```$", section, flags=re.S | re.M):

@@ -77,6 +77,7 @@ def test_project_step_lands_on_hyperplane():
         i = int(rng.integers(sys_.m))
         out = solvers.project_step(sys_, x, i)
         assert abs(np.dot(sys_.a[i], out) - sys_.b[i]) <= 1e-12
+        assert out.tobytes() == (x + (sys_.b[i] - float(np.dot(sys_.a[i], x))) * sys_.a[i]).tobytes()
 
 
 def test_project_step_index_error():
@@ -415,7 +416,9 @@ def reference_run(sys, rule, stop, x0=None, seed=0):
             error_sq=error_sq,
         ))
 
-        x = project_step(sys, x, i)
+        # the projection as its own expression, not project_step, so that the
+        # loops are checked against these bits and not against themselves
+        x = x + (sys.b[i] - float(np.dot(sys.a[i], x))) * sys.a[i]
         r = sys.a @ x - sys.b
         k += 1
 
@@ -640,6 +643,68 @@ def test_telemetry_blocks_over_several_slabs_equal_reference_loop(tmp_path, monk
         refs = assert_matches_reference(sys_, rule, StopRule(600, levels[k]), [5, 6], None, path)
         assert (refs[0].state.iteration, refs[0].stop_reason, refs[0].switch_iteration) == \
             (k, STOP_RESIDUAL_THRESHOLD, ref.switch_iteration)
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES[:2])
+def test_loaded_system_runs_equal_reference_loop(tmp_path, shape):
+    # load_system gives A as a strided view of [A | b] and b as a contiguous
+    # copy, the system that the CLI and the benchmark solve: each rule to a
+    # cap past two blocks, and to a threshold met mid-block
+    systems.save_system(tmp_path / "system.sys", gaussian_system(*shape, noise_std=0.01, seed=1))
+    sys_ = systems.load_system(tmp_path / "system.sys")
+    assert not sys_.a.flags.c_contiguous and sys_.b.flags.c_contiguous
+    s, path, seeds = telemetry_block(sys_.m), tmp_path / "telemetry.csv", [2, 3]
+    greedy = reference_run(sys_, SelectionRule("motzkin"), StopRule(20))
+    hybrid = SelectionRule("hybrid", greedy.records[2].residual_inf)
+    for rule, start in ((SelectionRule("motzkin"), 0), (SelectionRule("rk-uniform"), 0), (hybrid, 2)):
+        for ref in assert_matches_reference(sys_, rule, StopRule(start + 2 * s + 1), seeds, None, path):
+            assert ref.state.iteration == start + 2 * s + 1
+        levels = [rec.residual_inf for rec in reference_run(sys_, rule, StopRule(600), seed=5).records]
+        # a new lowest residual past the first block, mid-block in both loops
+        k = next(k for k in range(start + s + 1, len(levels))
+                 if levels[k] < min(levels[:k]) and 0 < (k - start - 1) % s < s - 1 and k % s)
+        refs = assert_matches_reference(sys_, rule, StopRule(600, levels[k]), [5, 6], None, path)
+        assert (refs[0].state.iteration, refs[0].stop_reason) == (k, STOP_RESIDUAL_THRESHOLD)
+        assert_untimed_solve_matches_reference(sys_, rule, StopRule(600, levels[k]), 5)
+
+
+def test_zero_residual_in_a_block_equals_reference_loop(tmp_path):
+    # orthonormal rows of both signs: once every row is selected, A x = b
+    # exactly, so later iterates of the block have a zero residual, whose
+    # sup norm the records give as 0.0, never -0.0, and whose gamma is None
+    b = np.array([3.0, -1.5, 2.0, 0.5, -4.0, 1.0])
+    a = np.diag([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    sys_ = systems.LinearSystem(a, b, reference=a @ b)
+    path = tmp_path / "telemetry.csv"
+    for rule in (SelectionRule("motzkin"), SelectionRule("rk-uniform"), SelectionRule("hybrid", 3.5)):
+        for stop in (StopRule(100), StopRule(100, 0.0)):
+            for ref in assert_matches_reference(sys_, rule, stop, [1, 2], None, path):
+                zeros = [rec for rec in ref.records if rec.residual_inf == 0.0]
+                assert bool(zeros) == (stop.residual_inf_threshold is None)
+                assert all(math.copysign(1.0, rec.residual_inf) == 1.0 and rec.gamma is None
+                           for rec in zeros)
+            assert_untimed_solve_matches_reference(sys_, rule, stop, 1)
+    assert "-0.0" not in path.read_text()
+
+
+def test_telemetry_takes_no_block_sized_temporary():
+    # the residual buffer of a block is the one block-sized allocation: the sup
+    # norms and A(x_j - reference) reuse it, and the greedy loop's residual
+    # leaves its buffer behind
+    sys_ = gaussian_system(m=2000, n=50, noise_std=0.01, seed=1)
+    s = telemetry_block(sys_.m)
+    for rule in (SelectionRule("motzkin"), SelectionRule("rk-uniform")):
+        solvers.run(sys_, rule, StopRule(s))
+        tracemalloc.start()
+        try:
+            solvers.run(sys_, rule, StopRule(s), seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (s + 1) * sys_.m * 8, (rule.kind, peak)
+    r0 = sys_.a @ np.zeros(sys_.n) - sys_.b
+    x, r, *_ = solvers._loop(sys_, np.zeros(sys_.n), r0, StopRule(5), [])
+    assert r.base is None and r.tobytes() == (sys_.a @ x - sys_.b).tobytes()
 
 
 # --------------------------------------------------------------------------

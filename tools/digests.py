@@ -17,11 +17,14 @@ generated 4100x70 system with a cap of 300, raised to 3000 for the stop at
 several slabs of `linalg.residuals` (the last one partial) in blocks of 7
 steps. Last, `netlib-prep` at seeds 1 and 2 on the benchmark's banded
 120x180 MPS file (band 61), written by `write_banded_mps` of
-perfbench/workloads.py. It writes under DIR, which must be new or empty,
-and prints one `path sha256` line per file, sorted, then `list sha256` over
-those lines. PYTHONPATH picks the tree under test, so two trees compare by
-their list lines. timing.csv is digested without its mean_seconds column,
-the one measured time among the outputs. The run takes under ten seconds.
+perfbench/workloads.py, and then the README's CLI examples, taken from it
+by `readme_commands` of tests/test_readme.py and run as they are written in
+DIR/readme, with tests/data linked in while they run. It writes under DIR,
+which must be new or empty, and prints one `path sha256` line per file,
+sorted, then `list sha256` over those lines. PYTHONPATH picks the tree
+under test, so two trees compare by their list lines. timing.csv is
+digested without its mean_seconds column, the one measured time among the
+outputs. The run takes under ten seconds.
 """
 
 import argparse
@@ -30,6 +33,7 @@ import csv
 import hashlib
 import importlib.util
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -38,6 +42,7 @@ from rowaction import cli, systems
 ROOT = Path(__file__).resolve().parents[1]
 MPS = ROOT / "tests" / "data" / "bandm_style.mps"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
+README_TESTS = ROOT / "tests" / "test_readme.py"
 
 
 def run(*argv) -> None:
@@ -68,15 +73,27 @@ def write_outputs(out: Path) -> None:
         solve_and_bound(out, system, 2, cap, [
             ("cap", []), ("stop", ["--stop-residual-inf", repr(4 * e_inf), "--max-iterations", stop_cap])])
     banded = out / "banded.mps"
-    load_workloads().write_banded_mps(banded, seed=1, rows=120, cols=180, band=61)
+    load_module(WORKLOADS).write_banded_mps(banded, seed=1, rows=120, cols=180, band=61)
     for seed in (1, 2):
         run("netlib-prep", "--mps", banded, "--seed", seed, "--out", out / f"banded-{seed}.sys")
+    readme = out / "readme"
+    (readme / "tests").mkdir(parents=True)
+    (readme / "tests" / "data").symlink_to(MPS.parent, target_is_directory=True)
+    cwd = os.getcwd()
+    os.chdir(readme)
+    try:
+        for argv in load_module(README_TESTS).readme_commands():
+            run(*argv)
+    finally:
+        os.chdir(cwd)
+        (readme / "tests" / "data").unlink()
+        (readme / "tests").rmdir()
 
 
-def load_workloads():
-    """perfbench/workloads.py as a module, imported by path without leaving a
-    bytecode cache beside it."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+def load_module(path: Path):
+    """The Python file at `path` as a module, imported by path without
+    leaving a bytecode cache beside it."""
+    spec = importlib.util.spec_from_file_location(f"digests_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     dont_write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
