@@ -87,28 +87,28 @@ def _check_num_iterations(num_iterations: int) -> None:
         raise ValueError(f"num_iterations must be nonnegative, got {num_iterations}")
 
 
+def _geometric_curve(name, inp, num_iterations, factor, horizon) -> BoundCurve:
+    """factor^k * E0 + horizon for k = 0..num_iterations, the factor clamped to [0, 1]."""
+    _check_num_iterations(num_iterations)
+    factor, clamped = _clamp_factor(factor)
+    values = factor ** np.arange(num_iterations + 1) * inp.initial_error_sq + horizon
+    return BoundCurve(name, values, clamped)
+
+
 def rk_bound(inp: BoundInputs, num_iterations: int) -> BoundCurve:
     """Expected-error bound for randomized Kaczmarz on a noisy system:
     (1 - s^2/F^2)^k * E0 + (F^2/s^2) * e_inf^2."""
-    _check_num_iterations(num_iterations)
     s2 = inp.sigma_min ** 2
-    factor, clamped = _clamp_factor(1.0 - s2 / inp.frobenius_sq)
-    horizon = (inp.frobenius_sq / s2) * inp.error_inf ** 2
-    k = np.arange(num_iterations + 1)
-    values = factor ** k * inp.initial_error_sq + horizon
-    return BoundCurve("rk", values, clamped)
+    return _geometric_curve("rk", inp, num_iterations, 1.0 - s2 / inp.frobenius_sq,
+                            (inp.frobenius_sq / s2) * inp.error_inf ** 2)
 
 
 def motzkin_bound_worst_case(inp: BoundInputs, num_iterations: int) -> BoundCurve:
     """Greedy-selection bound with the coarse dynamic range gamma_k = m:
     (1 - s^2/(4m))^k * E0 + 2 m s^-2 e_inf^2."""
-    _check_num_iterations(num_iterations)
     s2 = inp.sigma_min ** 2
-    factor, clamped = _clamp_factor(1.0 - s2 / (4.0 * inp.m))
-    horizon = 2.0 * inp.m / s2 * inp.error_inf ** 2
-    k = np.arange(num_iterations + 1)
-    values = factor ** k * inp.initial_error_sq + horizon
-    return BoundCurve("motzkin-worst-case", values, clamped)
+    return _geometric_curve("motzkin-worst-case", inp, num_iterations, 1.0 - s2 / (4.0 * inp.m),
+                            2.0 * inp.m / s2 * inp.error_inf ** 2)
 
 
 def motzkin_bound_empirical_gamma(inp: BoundInputs, num_iterations: int) -> BoundCurve:

@@ -24,7 +24,6 @@ happens here (the test suite owns the assertions).
 import argparse
 import csv
 import itertools
-import shutil
 import sys
 import warnings
 from pathlib import Path
@@ -146,26 +145,11 @@ def cmd_solve(args) -> int:
                     for path in written:
                         path.unlink()
                     raise OverflowError(f"{name} trial {trial}: {exc}") from exc
-                if trial == 0:
-                    first = result
                 out.mkdir(parents=True, exist_ok=True)  # only once there is a file to write
                 path = out / f"{name}_trial{trial}.csv"
-                if trial and result.records == first.records:
-                    # equal records select the same rows from the same start: equal bytes too
-                    shutil.copyfile(out / f"{name}_trial0.csv", path)
-                elif trial and result.switch_iteration:
-                    # trial 0's header and greedy prefix rows, which every trial shares, then
-                    # this trial's own rows, streamed in small buffers from a file of them alone
-                    s, rest = result.switch_iteration, path.with_name(path.name + ".rest")
-                    solvers.write_telemetry_csv(rest, result.records[s:])
-                    with (open(out / f"{name}_trial0.csv", "rb") as head, open(rest, "rb") as tail,
-                          open(path, "wb") as fh):
-                        fh.writelines(itertools.islice(head, s + 1))
-                        tail.readline()  # its own header
-                        shutil.copyfileobj(tail, fh)
-                    rest.unlink()
-                else:
-                    solvers.write_telemetry_csv(path, result.records)
+                solvers.write_telemetry_csv(path, result.records, like=first if trial else None)
+                if trial == 0:
+                    first = path, result.records
                 written.append(path)
                 diff = result.state.x - sys_.reference
                 summary_rows.append([name, trial, result.state.iteration,

@@ -46,7 +46,9 @@ block past the stop point, which nothing exposes.
 """
 
 import csv
+import itertools
 import math
+import shutil
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -428,19 +430,31 @@ def time_to_threshold(sys: LinearSystem,
 # telemetry CSV
 
 
-def write_telemetry_csv(path, records: list[IterationRecord]) -> None:
+def write_telemetry_csv(path, records: list[IterationRecord], like=None) -> None:
     """A TELEMETRY_COLUMNS header, then one row per record, in the bytes that
     `csv.writer` gives: each field as `str`, so a float as its repr, None as
-    an empty field, and every line ended by \\r\\n. The bytes are deterministic
-    for equal records. The rows are formatted as text and written
-    CSV_CHUNK_ROWS to a `write`."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TELEMETRY_COLUMNS) + "\r\n")
-        for start in range(0, len(records), CSV_CHUNK_ROWS):
+    an empty field, and every line ended by \\r\\n. The rows are formatted as
+    text and written CSV_CHUNK_ROWS to a `write`. `like` is the `(path,
+    records)` of an earlier call: the header and the rows of the leading
+    records that are the same objects in both lists, as `run_trials` shares
+    them, are copied from that file, whole when all its records are shared."""
+    earlier, earlier_records = like or (None, ())
+    same = itertools.takewhile(lambda pair: pair[0] is pair[1], zip(records, earlier_records))
+    shared = sum(1 for _ in same)
+    with open(path, "wb") as fh:
+        if earlier is None:
+            fh.write(",".join(TELEMETRY_COLUMNS).encode() + b"\r\n")
+        else:
+            with open(earlier, "rb") as src:
+                if shared == len(earlier_records):
+                    shutil.copyfileobj(src, fh)
+                else:
+                    fh.writelines(itertools.islice(src, shared + 1))  # the header and shared rows
+        for start in range(shared, len(records), CSV_CHUNK_ROWS):
             chunk = records[start:start + CSV_CHUNK_ROWS]
             rows = "".join([f"{k},{i},{v!r},{r2!r},{gamma!r},{error_sq!r},{r_i_sq!r}\r\n"
                             for k, i, v, r2, gamma, error_sq, r_i_sq in chunk])
-            fh.write(rows.replace("None", ""))  # no number prints "None": each is a None field
+            fh.write(rows.replace("None", "").encode())  # no number prints "None": each is a None field
 
 
 def read_telemetry_csv(path) -> list[IterationRecord]:

@@ -185,6 +185,20 @@ def test_hybrid_trials_equal_library_telemetry(system_file, tmp_path, threshold,
     assert sorted(p.name for p in out.iterdir()) == [f"hybrid_trial{t}.csv" for t in range(3)] + ["summary.csv"]
 
 
+def test_solve_leaves_a_file_it_did_not_write_alone(system_file, tmp_path):
+    # a file in --out named as trial 1's file plus a suffix survives hybrid trials that switch
+    out = tmp_path / "runs"
+    out.mkdir()
+    stray = out / "hybrid_trial1.csv.rest"
+    stray.write_bytes(b"not telemetry\n")
+    assert run_cli("solve", "--system", str(system_file), "--solver", "hybrid", "--trials", "2",
+                   "--hybrid-threshold", "0.3", "--max-iterations", "300", "--seed", "4",
+                   "--out", str(out)) == 0
+    sys_ = systems.load_system(system_file)
+    assert solvers.run(sys_, SelectionRule("hybrid", 0.3), StopRule(300), seed=5).switch_iteration == 7
+    assert stray.read_bytes() == b"not telemetry\n"
+
+
 def test_hybrid_switch_visible_in_telemetry(system_file, tmp_path):
     out = tmp_path / "hyb"
     code = run_cli("solve", "--system", str(system_file), "--solver", "hybrid",

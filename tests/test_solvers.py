@@ -345,6 +345,44 @@ def test_telemetry_csv_peaks_no_higher_than_the_csv_writer(tmp_path):
     assert peak(solvers.write_telemetry_csv) <= peak(reference_write_telemetry_csv)
 
 
+def fresh_records(count, start=0):
+    """`count` distinct record objects for rows start, start+1, ..., some with None fields."""
+    return [IterationRecord(k, (7 * k) % 11, 1.0 / (k + 1), 0.1 * k, None if k % 3 else 1.5 + k,
+                            None if k % 5 == 4 else 2.0 ** -k, k / 3) for k in range(start, start + count)]
+
+
+@pytest.mark.parametrize("earlier_rows, shared, rows", [
+    (5, 0, 5),      # nothing shared: the header alone is copied
+    (5, 3, 6),      # some rows shared, then rows of its own
+    (5, 5, 5),      # every row shared: the whole file is copied
+    (5, 3, 3),      # the earlier file is longer
+    (3, 3, 6),      # the earlier file is shorter, and copied whole
+    (0, 0, 4),      # the earlier file is a header alone
+    (5, 0, 0),      # no records
+    (600, 300, 700),  # the shared rows and the formatted ones span chunks
+])
+def test_like_writes_the_bytes_of_a_fresh_write(tmp_path, earlier_rows, shared, rows):
+    earlier = fresh_records(earlier_rows)
+    records = earlier[:shared] + fresh_records(rows - shared, start=shared)
+    solvers.write_telemetry_csv(tmp_path / "earlier.csv", earlier)
+    solvers.write_telemetry_csv(tmp_path / "got.csv", records, like=(tmp_path / "earlier.csv", earlier))
+    solvers.write_telemetry_csv(tmp_path / "want.csv", records)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_like_shares_rows_by_identity_not_equality(tmp_path):
+    # the second records compare equal (0.0 == -0.0) but are distinct objects, so its row is formatted
+    earlier = fresh_records(3)
+    earlier[1] = earlier[1]._replace(residual_2sq=0.0)
+    records = [earlier[0], earlier[1]._replace(residual_2sq=-0.0), earlier[2]]
+    assert earlier[1].residual_2sq == 0.0 and records == earlier
+    solvers.write_telemetry_csv(tmp_path / "earlier.csv", earlier)
+    solvers.write_telemetry_csv(tmp_path / "got.csv", records, like=(tmp_path / "earlier.csv", earlier))
+    assert (tmp_path / "got.csv").read_bytes().splitlines()[2] == b"1,7,0.5,-0.0,,0.5,0.3333333333333333"
+    solvers.write_telemetry_csv(tmp_path / "want.csv", records)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_overflow_names_its_iteration_and_square():
     # reference 2e200 and e = A reference - b = (-1e200, 1e200); numpy's overflow warnings are beside the point
     sys_ = systems.from_unnormalized(np.ones((2, 1)), np.array([3e200, 1e200]))
