@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .systems import LinearSystem, _normalize_in_place, make_rng, normal_draws
+from .systems import LinearSystem, _normalize_in_place, check_finite, make_rng, normal_draws
 
 ROW_SENSES = ("N", "E", "L", "G")
 SECTIONS = ("NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA")
@@ -58,8 +58,7 @@ class TransformSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
+        check_finite("noise_std", self.noise_std, nonnegative=True)
 
 
 def parse_mps(text: str) -> MpsProblem:
@@ -178,10 +177,11 @@ def overdetermine(A, b, spec: TransformSpec = TransformSpec()) -> LinearSystem:
 
     Computes the least-norm solution x_ln of A x = b, stacks [A; I] with
     right-hand side [b; x_ln + eps] (eps Gaussian with spec.noise_std),
-    row-normalizes in place, and attaches the least-squares solution of the stacked
-    system as reference. With noise_std = 0 the stacked system is consistent
-    and the reference recovers x_ln. RankError can come only from A (its
-    index is a row of A): the identity rows keep the stacked sigma_min >= 1.
+    row-normalizes in place, and makes the system, whose reference is the
+    least-squares solution of the stacked system. With noise_std = 0 the
+    stacked system is consistent and the reference recovers x_ln. RankError
+    can come only from A (its index is a row of A): the identity rows keep
+    the stacked sigma_min >= 1.
     """
     A = linalg.as_matrix(A)
     b = linalg.as_vector(b)
@@ -190,5 +190,5 @@ def overdetermine(A, b, spec: TransformSpec = TransformSpec()) -> LinearSystem:
         raise ValueError(f"transform requires an underdetermined system, got {rows} x {cols}")
     x_ln = linalg.least_norm(A, b)
     eps = spec.noise_std * normal_draws(make_rng(spec.seed), cols)
-    A, b = _normalize_in_place(np.vstack([A, np.eye(cols)]), np.concatenate([b, x_ln + eps]))
-    return LinearSystem(A, b, *linalg.lstsq(A, b))
+    A, b = np.vstack([A, np.eye(cols)]), np.concatenate([b, x_ln + eps])
+    return LinearSystem(*_normalize_in_place(A, b))

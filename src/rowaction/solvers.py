@@ -96,7 +96,7 @@ class StopRule:
     def __post_init__(self):
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
-        if self.residual_inf_threshold is not None and self.residual_inf_threshold < 0:
+        if self.residual_inf_threshold is not None and not self.residual_inf_threshold >= 0:
             raise ValueError("residual_inf_threshold must be nonnegative")
 
 
@@ -107,15 +107,15 @@ class SolverState:
 
 
 class IterationRecord(NamedTuple):
-    """One telemetry row; the fields are the CSV columns in order. gamma and
-    error_sq are None without a reference, gamma also where A x_k = A x_ref."""
+    """One telemetry row; the fields are the CSV columns in order. gamma is
+    None where A x_k = A x_ref, since the dynamic range has no value there."""
 
     k: int
     selected_row: int
     residual_inf: float
     residual_2sq: float
     gamma: float | None
-    error_sq: float | None
+    error_sq: float
     selected_residual_sq: float
 
 
@@ -152,9 +152,8 @@ def run(sys: LinearSystem,
     """Iterate a selection rule until a stopping rule fires.
 
     Args:
-        sys: row-normalized system; when it carries a reference solution the
-            telemetry also records gamma (residual dynamic range) and the
-            squared error to the reference.
+        sys: row-normalized system; the telemetry records gamma (residual
+            dynamic range) and the squared error against its reference.
         rule: row selection rule; hybrid switches motzkin -> rk-uniform the
             first time the residual sup norm is <= rule.hybrid_threshold.
         stop: iteration cap plus optional residual threshold. The threshold
@@ -340,24 +339,22 @@ def _records(sys, iterates, residuals, rows, levels, records):
     """Append to `records` the records of x_k, x_{k+1}, ... (k = len(records):
     every records list starts at x_0), one per selected row in `rows`, whose
     iterates, residuals A x - b and their sup norms lead `iterates`,
-    `residuals` and `levels`; with a reference it overwrites those residual
-    rows. Each column has the bits of the step-by-step expression: the
-    squared norms come from `linalg.row_norms_sq` (the dot kernel of
-    `np.dot`), and gamma and the squares are Python-float arithmetic, which
-    raises OverflowError where a square passes the float range; its message
-    names the iteration and the square."""
+    `residuals` and `levels`; it overwrites those residual rows with
+    A(x_j - reference). Each column has the bits of the step-by-step
+    expression: the squared norms come from `linalg.row_norms_sq` (the dot
+    kernel of `np.dot`), and gamma and the squares are Python-float
+    arithmetic, which raises OverflowError where a square passes the float
+    range; its message names the iteration and the square."""
     k, t = len(records), len(rows)
     r = residuals[:t]
     selected = r[np.arange(t), rows].tolist()
     r2s = linalg.row_norms_sq(r).tolist()
-    gammas = error_sqs = d_infs = [None] * t
+    d = np.subtract(r, sys.error_vec, out=r)  # A(x_j - reference), once r is read
+    dds = linalg.row_norms_sq(d).tolist()
+    d_infs = np.abs(d, out=d).max(axis=1).tolist()
+    error_sqs = linalg.row_norms_sq(iterates[:t] - sys.reference).tolist()
     try:
-        if sys.reference is not None:
-            d = np.subtract(r, sys.error_vec, out=r)  # A(x_j - reference), once r is read
-            dds = linalg.row_norms_sq(d).tolist()
-            d_infs = np.abs(d, out=d).max(axis=1).tolist()
-            gammas = [dd / v ** 2 if v ** 2 > 0.0 else None for dd, v in zip(dds, d_infs)]
-            error_sqs = linalg.row_norms_sq(iterates[:t] - sys.reference).tolist()
+        gammas = [dd / v ** 2 if v ** 2 > 0.0 else None for dd, v in zip(dds, d_infs)]
         records.extend(
             IterationRecord(k + j, i, v, r2, gamma, error_sq, r_i ** 2)
             for j, (i, v, r2, gamma, error_sq, r_i) in enumerate(zip(
@@ -366,7 +363,7 @@ def _records(sys, iterates, residuals, rows, levels, records):
         for j, (d_inf, r_i) in enumerate(zip(d_infs, selected)):
             for column, term, value in (("gamma's denominator", "||A(x_k - reference)||_inf", d_inf),
                                         ("selected_residual_sq", "r_i", r_i)):
-                if value is not None and value * value == math.inf:
+                if value * value == math.inf:
                     raise OverflowError(f"iteration {k + j}: {column}, the square of {term} = "
                                         f"{value!r}, passes the float range") from exc
         raise
@@ -377,10 +374,13 @@ class TimingSummary:
     """Per-trial iteration counts and process times for one solver reaching a
     residual threshold; censored_mask marks trials that hit the cap instead."""
 
-    trials: int
     iterations: list[int]
     seconds: list[float]
     censored_mask: list[bool]
+
+    @property
+    def trials(self) -> int:
+        return len(self.iterations)
 
     @property
     def censored(self) -> int:
@@ -422,8 +422,7 @@ def time_to_threshold(sys: LinearSystem,
         seconds.append(time.process_time() - t0)
         iterations.append(result.state.iteration)
         censored_mask.append(result.stop_reason != STOP_RESIDUAL_THRESHOLD)
-    return TimingSummary(trials=trials, iterations=iterations, seconds=seconds,
-                         censored_mask=censored_mask)
+    return TimingSummary(iterations=iterations, seconds=seconds, censored_mask=censored_mask)
 
 
 # --------------------------------------------------------------------------
@@ -459,7 +458,8 @@ def write_telemetry_csv(path, records: list[IterationRecord], like=None) -> None
 
 def read_telemetry_csv(path) -> list[IterationRecord]:
     """Records of a telemetry CSV; blank rows are skipped, and a malformed
-    row raises ValueError naming the path and the line."""
+    row, an empty field other than gamma included, raises ValueError naming
+    the path and the line."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -473,8 +473,7 @@ def read_telemetry_csv(path) -> list[IterationRecord]:
                 k, i, residual_inf, residual_2sq, gamma, error_sq, selected_residual_sq = row
                 records.append(IterationRecord(
                     int(k), int(i), float(residual_inf), float(residual_2sq),
-                    float(gamma) if gamma else None, float(error_sq) if error_sq else None,
-                    float(selected_residual_sq)))
+                    float(gamma) if gamma else None, float(error_sq), float(selected_residual_sq)))
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return records

@@ -1,14 +1,14 @@
 """Construction and bookkeeping of the linear systems the solvers consume.
 
 A `LinearSystem` always carries a row-normalized matrix (every row has unit
-Euclidean norm), the matching right-hand side, and optionally a reference
-solution, from which it derives its error vector A @ reference - b, and the
-matrix's singular values.
+Euclidean norm), the matching right-hand side, a reference solution, from
+which it derives its error vector A @ reference - b, and the matrix's
+singular values. Built from A and b alone, it takes the least-squares
+reference and the singular values from one gelsd solve (`linalg.lstsq`,
+rank tolerance `linalg.RANK_RTOL`); `load_system` passes the stored ones.
 Synthetic systems come from `generate`; arbitrary (A, b) pairs go through
-`normalize_rows`, or `from_unnormalized`, whose one gelsd solve
-(`linalg.lstsq`, rank tolerance `linalg.RANK_RTOL`) gives both the
-least-squares reference and the singular values. `save_system` and
-`load_system` keep a system in a binary file of three float64 `.npy` records.
+`normalize_rows`, or `from_unnormalized`. `save_system` and `load_system`
+keep a system in a binary file of three float64 `.npy` records.
 
 Randomness is reproducible by construction: all draws come from a seeded
 PCG64 stream, Gaussian variates use Box-Muller over uniforms, and distinct
@@ -19,6 +19,7 @@ matrix in place, in the two buffers of `normal_draws`, so it peaks at about
 twice the matrix (with the row-norm temporary or gelsd's copy).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,12 @@ def sample_distinct(rng: np.random.Generator, population: int, count: int) -> np
 # domain types
 
 
+def check_finite(name: str, value: float, nonnegative: bool = False) -> None:
+    """Raise ValueError naming `name` unless `value` is finite (and >= 0 if asked)."""
+    if not (math.isfinite(value) and (value >= 0 or not nonnegative)):
+        raise ValueError(f"{name} must be finite{' and nonnegative' if nonnegative else ''}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Parameters of a synthetic system.
@@ -110,33 +117,32 @@ class GeneratorSpec:
             raise ValueError(f"generator requires m > n >= 1, got m={self.m}, n={self.n}")
         if self.spike_count > self.m or self.spike_count < 0:
             raise ValueError(f"spike_count must be in [0, m], got {self.spike_count}")
-        if self.noise_std < 0 or self.row_std < 0:
-            raise ValueError("noise_std and row_std must be nonnegative")
+        for name in ("noise_std", "row_std", "row_mean", "spike_magnitude"):
+            check_finite(name, getattr(self, name), nonnegative=name.endswith("_std"))
 
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """A row-normalized overdetermined system, optionally with a reference
-    solution and the singular values of its matrix (non-increasing).
+    """A row-normalized overdetermined system with its reference solution
+    and the singular values of its matrix, given both or neither: then one
+    linalg.lstsq (gelsd) gives them, or raises RankError on a rank-deficient A.
 
     Invariants checked at construction: unit row norms (within 1e-12),
-    m >= n, finite entries, and n singular values when they are present.
-    `error_vec` is not an argument: it is derived once as A @ reference - b
-    (None without a reference). The stored arrays are read-only views of
-    the coerced inputs; systems are safe to share across runs.
+    m >= n, finite entries, an n-vector reference, and n positive,
+    non-increasing singular values. `error_vec` is not an argument: it is
+    derived once as A @ reference - b. The stored arrays are read-only
+    views of the coerced inputs; systems are safe to share across runs.
     """
 
     a: np.ndarray
     b: np.ndarray
     reference: np.ndarray | None = None
     singular_values: np.ndarray | None = None
-    error_vec: np.ndarray | None = field(init=False, default=None)
+    error_vec: np.ndarray = field(init=False)
 
     def __post_init__(self):
         a = linalg.as_matrix(self.a)
         b = linalg.as_vector(self.b)
-        ref, sv = (None if v is None else linalg.as_vector(v)
-                   for v in (self.reference, self.singular_values))
         m, n = a.shape
         if m < n:
             raise ValueError(f"system must be overdetermined (m >= n), got {m} x {n}")
@@ -145,17 +151,19 @@ class LinearSystem:
         bad = np.abs(np.sqrt(linalg.row_norms_sq(a)) - 1.0).max()
         if bad > ROW_NORM_TOL:
             raise ValueError(f"rows must have unit norm within {ROW_NORM_TOL}, worst deviation {bad:.3e}")
-        if ref is not None and ref.shape[0] != n:
+        if (self.reference is None) != (self.singular_values is None):
+            raise ValueError("give a system both its reference and its singular values, or neither")
+        ref, sv = (linalg.lstsq(a, b) if self.reference is None
+                   else map(linalg.as_vector, (self.reference, self.singular_values)))
+        if ref.shape[0] != n:
             raise ValueError(f"reference length {ref.shape[0]} does not match {n} columns")
-        if sv is not None and sv.shape != (n,):
-            raise ValueError(f"a system with {n} columns needs {n} singular values")
-        err = None if ref is None else a @ ref - b
+        if sv.shape != (n,) or not (sv[-1] > 0 and (sv[:-1] >= sv[1:]).all()):
+            raise ValueError(f"a system with {n} columns needs {n} positive, non-increasing singular values")
         for name, arr in zip(("a", "b", "reference", "error_vec", "singular_values"),
-                             (a, b, ref, err, sv)):
-            if arr is not None:
-                view = arr.view()
-                view.setflags(write=False)
-                object.__setattr__(self, name, view)
+                             (a, b, ref, a @ ref - b, sv)):
+            view = arr.view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
     @property
     def m(self) -> int:
@@ -170,9 +178,7 @@ class LinearSystem:
         return self.a @ linalg.as_vector(x) - self.b
 
     def error_inf(self) -> float:
-        """Sup norm of the reference residual; requires a reference solution."""
-        if self.error_vec is None:
-            raise ValueError("system has no reference solution / error vector")
+        """Sup norm of the reference residual."""
         return linalg.norm_inf(self.error_vec)
 
 
@@ -229,17 +235,15 @@ def build_unnormalized(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def generate(spec: GeneratorSpec) -> LinearSystem:
-    """Build, normalize (in place), and annotate a synthetic system (see from_unnormalized)."""
-    A, b = _normalize_in_place(*build_unnormalized(spec))
-    return LinearSystem(A, b, *linalg.lstsq(A, b))
+    """Build and normalize (in place) a synthetic system (see from_unnormalized)."""
+    return LinearSystem(*_normalize_in_place(*build_unnormalized(spec)))
 
 
 def from_unnormalized(A, b) -> LinearSystem:
-    """Normalize an (A, b) pair and attach the least-squares solution of the
-    normalized system as reference and the singular values of the normalized
-    matrix, both from one linalg.lstsq; the system derives error_vec itself."""
-    An, bn = normalize_rows(A, b)
-    return LinearSystem(An, bn, *linalg.lstsq(An, bn))
+    """Normalize an (A, b) pair into a system, which takes the least-squares
+    solution of the normalized system as its reference and the singular
+    values of the normalized matrix from one linalg.lstsq."""
+    return LinearSystem(*normalize_rows(A, b))
 
 
 # --------------------------------------------------------------------------
@@ -249,9 +253,7 @@ def from_unnormalized(A, b) -> LinearSystem:
 def save_system(path, sys: LinearSystem) -> None:
     """Write [A | b] as one m x (n+1) float64 .npy record, then the reference
     and the singular values as one record each. Equal systems give equal
-    bytes. A system without a reference or singular values raises ValueError."""
-    if sys.reference is None or sys.singular_values is None:
-        raise ValueError("a system file needs a system with a reference and singular values")
+    bytes."""
     with open(path, "wb") as fh:
         for record in (np.column_stack([sys.a, sys.b]), sys.reference, sys.singular_values):
             np.save(fh, record, allow_pickle=False)
@@ -259,8 +261,8 @@ def save_system(path, sys: LinearSystem) -> None:
 
 def load_system(path) -> LinearSystem:
     """Read a save_system file. Anything else (an empty, truncated or text file,
-    another record count, a wrong record dtype or shape, trailing bytes)
-    raises ValueError with the path."""
+    another record count, a wrong record dtype or shape, trailing bytes, or
+    content that LinearSystem rejects) raises ValueError with the path."""
     records = []
     with open(path, "rb") as fh:
         try:
@@ -272,8 +274,8 @@ def load_system(path) -> LinearSystem:
                     and reference.shape == singular_values.shape == (body.shape[1] - 1,)):
                 raise ValueError("expected float64 records [A | b] of shape (m, n+1), "
                                  "then the reference and the singular values of shape (n,)")
+            # a contiguous b: a solve subtracts it from every residual it takes
+            return LinearSystem(body[:, :-1], np.ascontiguousarray(body[:, -1]), reference, singular_values)
         except (ValueError, EOFError) as exc:
             raise ValueError(f"{path}: not a system file ({exc}); regenerate it with "
                              "`rowaction generate` or `rowaction netlib-prep`") from exc
-    # a contiguous b: a solve subtracts it from every residual it takes
-    return LinearSystem(body[:, :-1], np.ascontiguousarray(body[:, -1]), reference, singular_values)

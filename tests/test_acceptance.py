@@ -147,7 +147,7 @@ def test_criterion_05_consistent_exactness():
 
     n = 8
     b = np.array([4.0, -3.0, 2.5, -2.0, 1.5, -1.0, 0.5, -0.25])
-    identity = systems.LinearSystem(np.eye(n), b, reference=b)
+    identity = systems.LinearSystem(np.eye(n), b, reference=b, singular_values=np.ones(n))
     ident_run = solvers.run(identity, SelectionRule("motzkin"),
                             StopRule(100, residual_inf_threshold=0.0))
     ok_ident = ident_run.state.iteration == n and np.array_equal(ident_run.state.x, b)

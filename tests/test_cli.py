@@ -235,7 +235,7 @@ def test_bounds_empirical_gamma_stops_at_first_missing_gamma(system_file, tmp_pa
     # a gap at k=2 must not shift the k=3 gamma onto k=2
     records = [solvers.IterationRecord(k=k, selected_row=0, residual_inf=1.0, residual_2sq=1.0,
                                        selected_residual_sq=1.0, gamma=None if k == 2 else 2.0,
-                                       error_sq=None)
+                                       error_sq=1.0)
                for k in range(4)]
     telemetry = tmp_path / "telemetry.csv"
     solvers.write_telemetry_csv(telemetry, records)
@@ -247,6 +247,7 @@ def test_bounds_empirical_gamma_stops_at_first_missing_gamma(system_file, tmp_pa
         assert [int(r["k"]) for r in csv.DictReader(fh)] == [0, 1, 2]
 
 
+SYSTEM = "<system file>"  # stands for the system_file fixture in parametrized argv
 HEADER = ",".join(solvers.TELEMETRY_COLUMNS)
 ROW = "0,1,1.0,1.0,2.0,0.5,1.0"
 
@@ -289,6 +290,36 @@ def test_bad_values_write_nothing(system_file, tmp_path, argv):
     out = tmp_path / "out"
     code = run_cli(*argv, "--system", str(system_file), "--out", str(out))
     assert code == cli.CONFIG_ERROR
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["timing", "--system", SYSTEM, "--threshold", "nan", "--trials", "2", "--max-iterations", "50000"],
+     "residual_inf_threshold must be nonnegative"),
+    (["solve", "--system", SYSTEM, "--stop-residual-inf", "nan"], "residual_inf_threshold must be nonnegative"),
+    (["generate", "--kind", "gaussian-noise", "--m", "20", "--n", "2", "--noise-std", "nan"],
+     "noise_std must be finite and nonnegative, got nan"),
+    (["netlib-prep", "--mps", str(DATA / "bandm_style.mps"), "--noise-std", "nan"],
+     "noise_std must be finite and nonnegative, got nan"),
+], ids=["timing-threshold", "solve-stop-residual-inf", "generate-noise-std", "netlib-prep-noise-std"])
+def test_non_finite_value_is_config_error_naming_its_field(system_file, tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    argv = [str(system_file) if arg == SYSTEM else arg for arg in argv]
+    assert run_cli(*argv, "--seed", "1", "--out", str(out)) == cli.CONFIG_ERROR
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_increasing_singular_values_are_config_error_naming_the_file(system_file, tmp_path, capsys):
+    # stored in increasing order, the last one would be read as sigma_min
+    sys_ = systems.load_system(system_file)
+    bad = tmp_path / "increasing.sys"
+    with open(bad, "wb") as fh:
+        for record in (np.column_stack([sys_.a, sys_.b]), sys_.reference, sys_.singular_values[::-1]):
+            np.save(fh, record, allow_pickle=False)
+    out = tmp_path / "curves"
+    assert run_cli("bounds", "--system", str(bad), "--out", str(out)) == cli.CONFIG_ERROR
+    assert f"error: {bad}: not a system file (" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -635,9 +666,6 @@ def test_config_boolean_rejects_other_words(system_file, tmp_path, capsys, value
     assert code == cli.CONFIG_ERROR
     assert "'empirical_gamma' takes true/false/1/0/yes/no" in capsys.readouterr().err
     assert not out.exists()
-
-
-SYSTEM = "<system file>"  # stands for the system_file fixture in parametrized argv
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import math
 import os
 import warnings
 from pathlib import Path
@@ -199,6 +200,12 @@ def test_content_after_endata_ignored():
 def test_transform_spec_validation():
     with pytest.raises(ValueError):
         mps.TransformSpec(noise_std=-1e-3)
+
+
+@pytest.mark.parametrize("noise_std", [math.nan, math.inf, -math.inf])
+def test_transform_spec_rejects_non_finite_noise_naming_the_field(noise_std):
+    with pytest.raises(ValueError, match="^noise_std must be finite and nonnegative"):
+        mps.TransformSpec(noise_std=noise_std)
 
 
 def test_overdetermine_single_row_zero_noise():

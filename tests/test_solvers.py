@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -89,7 +90,7 @@ def test_project_step_index_error():
 def test_identity_system_solves_in_exactly_n_iterations():
     n = 6
     b = np.array([3.0, -1.5, 2.0, 0.5, -4.0, 1.0])
-    sys_ = systems.LinearSystem(np.eye(n), b, reference=b)
+    sys_ = systems.LinearSystem(np.eye(n), b, reference=b, singular_values=np.ones(n))
     result = solvers.run(sys_, SelectionRule("motzkin"), StopRule(100, residual_inf_threshold=0.0))
     assert result.state.iteration == n
     assert np.array_equal(result.state.x, b)
@@ -217,7 +218,7 @@ def test_x0_length_validation():
 def test_time_to_threshold_identity_counts():
     n = 5
     b = np.array([2.0, -1.0, 3.0, 0.5, -0.25])
-    sys_ = systems.LinearSystem(np.eye(n), b, reference=b)
+    sys_ = systems.LinearSystem(np.eye(n), b, reference=b, singular_values=np.ones(n))
     summary = solvers.time_to_threshold(sys_, SelectionRule("motzkin"), 0.0, trials=4, seed=1)
     assert summary.iterations == [n] * 4
     assert summary.censored == 0
@@ -246,6 +247,24 @@ def test_time_to_threshold_censoring():
     assert np.isnan(summary.mean_iterations)
 
 
+def test_timing_summary_counts_its_trials_from_its_lists():
+    summary = solvers.TimingSummary(iterations=[3, 5, 7], seconds=[0.1, 0.2, 0.3],
+                                    censored_mask=[False, True, False])
+    assert (summary.trials, summary.censored, summary.mean_iterations) == (3, 1, 5.0)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, -1.0, -math.inf])
+def test_stop_rule_rejects_a_threshold_that_is_not_nonnegative(threshold):
+    with pytest.raises(ValueError, match="^residual_inf_threshold must be nonnegative"):
+        StopRule(10, threshold)
+
+
+def test_stop_rule_accepts_an_infinite_threshold():
+    sys_ = gaussian_system()
+    assert solvers.run(sys_, SelectionRule("motzkin"), StopRule(10, math.inf)).stop_reason == \
+        STOP_RESIDUAL_THRESHOLD
+
+
 def test_telemetry_csv_round_trip(tmp_path):
     sys_ = gaussian_system(seed=2)
     result = solvers.run(sys_, SelectionRule("motzkin"), StopRule(30))
@@ -260,15 +279,14 @@ def test_telemetry_csv_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_telemetry_csv_empty_optionals(tmp_path):
-    sys_ = systems.LinearSystem(np.eye(2), np.array([1.0, 2.0]))  # no reference
-    result = solvers.run(sys_, SelectionRule("motzkin"), StopRule(2))
+def test_telemetry_csv_empty_gamma_reads_as_none_and_empty_error_sq_is_malformed(tmp_path):
+    header = ",".join(solvers.TELEMETRY_COLUMNS)
     path = tmp_path / "t.csv"
-    solvers.write_telemetry_csv(path, result.records)
-    rows = path.read_text().splitlines()[1:]
-    assert all(",," in row for row in rows)  # gamma and error_sq both empty
-    back = solvers.read_telemetry_csv(path)
-    assert back[0].gamma is None and back[0].error_sq is None
+    path.write_text(f"{header}\n0,1,2.0,4.0,,0.5,4.0\n")
+    assert solvers.read_telemetry_csv(path)[0].gamma is None
+    path.write_text(f"{header}\n0,1,2.0,4.0,1.5,0.5,4.0\n1,0,1.0,1.0,1.0,,1.0\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: "):
+        solvers.read_telemetry_csv(path)
 
 
 def test_telemetry_csv_golden_bytes(tmp_path):
@@ -277,14 +295,14 @@ def test_telemetry_csv_golden_bytes(tmp_path):
         IterationRecord(k=0, selected_row=3, residual_inf=0.1 + 0.2, residual_2sq=-0.0,
                         gamma=5e-324, error_sq=1e16, selected_residual_sq=0.1),
         IterationRecord(k=1, selected_row=0, residual_inf=1e16, residual_2sq=5e-324,
-                        gamma=None, error_sq=None, selected_residual_sq=-0.0),
+                        gamma=None, error_sq=0.0, selected_residual_sq=-0.0),
     ]
     path = tmp_path / "golden.csv"
     solvers.write_telemetry_csv(path, records)
     assert path.read_bytes() == (
         b"k,selected_row,residual_inf,residual_2sq,gamma,error_sq,selected_residual_sq\r\n"
         b"0,3,0.30000000000000004,-0.0,5e-324,1e+16,0.1\r\n"
-        b"1,0,1e+16,5e-324,,,-0.0\r\n")
+        b"1,0,1e+16,5e-324,,0.0,-0.0\r\n")
     assert solvers.read_telemetry_csv(path) == records
 
 
@@ -436,14 +454,12 @@ def reference_run(sys, rule, stop, x0=None, seed=0):
             i = int(rng.integers(sys.m))
 
         gamma = None
-        error_sq = None
-        if sys.reference is not None:
-            d = r - sys.error_vec  # A(x_k - reference)
-            d_inf_sq = float(np.abs(d).max()) ** 2
-            if d_inf_sq > 0.0:
-                gamma = float(np.dot(d, d)) / d_inf_sq
-            diff = x - sys.reference
-            error_sq = float(np.dot(diff, diff))
+        d = r - sys.error_vec  # A(x_k - reference)
+        d_inf_sq = float(np.abs(d).max()) ** 2
+        if d_inf_sq > 0.0:
+            gamma = float(np.dot(d, d)) / d_inf_sq
+        diff = x - sys.reference
+        error_sq = float(np.dot(diff, diff))
         records.append(IterationRecord(
             k=k,
             selected_row=i,
@@ -496,8 +512,6 @@ def solve_cases(draw):
     A = rng.normal(size=(m, n))
     b = A @ rng.normal(size=n) + draw(st.sampled_from([0.0, 0.01, 1.0])) * rng.normal(size=m)
     sys_ = systems.from_unnormalized(A, b)
-    if not draw(st.booleans()):
-        sys_ = systems.LinearSystem(sys_.a, sys_.b)
     x0 = rng.normal(size=n) if draw(st.booleans()) else None
     start_inf = max(float(np.abs(sys_.residual(np.zeros(n) if x0 is None else x0)).max()), 1e-3)
     kind = draw(st.sampled_from(solvers.SELECTION_KINDS))
@@ -712,7 +726,7 @@ def test_zero_residual_in_a_block_equals_reference_loop(tmp_path):
     # sup norm the records give as 0.0, never -0.0, and whose gamma is None
     b = np.array([3.0, -1.5, 2.0, 0.5, -4.0, 1.0])
     a = np.diag([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-    sys_ = systems.LinearSystem(a, b, reference=a @ b)
+    sys_ = systems.LinearSystem(a, b, reference=a @ b, singular_values=np.ones(6))
     path = tmp_path / "telemetry.csv"
     for rule in (SelectionRule("motzkin"), SelectionRule("rk-uniform"), SelectionRule("hybrid", 3.5)):
         for stop in (StopRule(100), StopRule(100, 0.0)):
@@ -891,8 +905,6 @@ def untimed_cases(draw):
     A = rng.normal(size=(m, n))
     b = A @ rng.normal(size=n) + draw(st.sampled_from([0.0, 0.01, 1.0])) * rng.normal(size=m)
     sys_ = systems.from_unnormalized(A, b)
-    if not draw(st.booleans()):
-        sys_ = systems.LinearSystem(sys_.a, sys_.b)
     x0 = rng.normal(size=n) if draw(st.booleans()) else None
     start_inf = max(float(np.abs(sys_.residual(np.zeros(n) if x0 is None else x0)).max()), 1e-3)
     kind = draw(st.sampled_from(solvers.SELECTION_KINDS))

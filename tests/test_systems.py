@@ -134,7 +134,11 @@ def test_linear_system_validation():
     with pytest.raises(ValueError):
         systems.LinearSystem(np.eye(2)[:, :1].T, np.array([1.0]))  # m < n
     with pytest.raises(ValueError):
-        systems.LinearSystem(np.eye(2), np.zeros(2), reference=np.zeros(3))  # reference length
+        systems.LinearSystem(np.eye(2), np.zeros(2), np.zeros(3), np.ones(2))  # reference length
+    for sv in ([1.0, 2.0], [1.0, 0.0], [1.0, -1.0], [np.inf, 1.0]):  # positive, non-increasing
+        with pytest.raises(ValueError):
+            systems.LinearSystem(np.eye(2), np.ones(2), np.ones(2), sv)
+    systems.LinearSystem(np.eye(2), np.ones(2), np.ones(2), [1.0, 1.0])  # ties are non-increasing
 
 
 def test_system_arrays_are_read_only():
@@ -184,14 +188,71 @@ def test_load_gives_a_contiguous_read_only_rhs_with_the_saved_bits(tmp_path):
     assert loaded.a.strides == ((sys_.n + 1) * 8, 8)
 
 
-def test_save_rejects_system_without_reference_or_singular_values(tmp_path):
+def test_system_takes_its_reference_and_singular_values_both_or_neither():
     full = systems.generate(systems.GeneratorSpec("gaussian-noise", m=30, n=4, seed=2))
-    path = tmp_path / "plain.sys"
-    for sys_ in (systems.LinearSystem(full.a, full.b),
-                 systems.LinearSystem(full.a, full.b, full.reference)):
-        with pytest.raises(ValueError, match="needs a system with a reference and singular values"):
-            systems.save_system(path, sys_)
-        assert not path.exists()
+    for given in ({"reference": full.reference}, {"singular_values": full.singular_values}):
+        with pytest.raises(ValueError, match="both its reference and its singular values, or neither"):
+            systems.LinearSystem(full.a, full.b, **given)
+
+
+@pytest.mark.parametrize("kind", systems.GENERATOR_KINDS)
+def test_system_of_a_and_b_alone_has_the_bytes_of_generate_and_from_unnormalized(kind):
+    spec = systems.GeneratorSpec(kind, m=60, n=5, noise_std=0.1, spike_count=3, spike_magnitude=2.0, seed=9)
+    generated = systems.generate(spec)
+    built = systems.from_unnormalized(*systems.build_unnormalized(spec))
+    own = systems.LinearSystem(generated.a, generated.b)
+    for name in ("a", "b", "reference", "singular_values", "error_vec"):
+        assert getattr(own, name).tobytes() == getattr(generated, name).tobytes(), name
+        assert getattr(own, name).tobytes() == getattr(built, name).tobytes(), name
+
+
+def test_rank_deficient_system_of_a_and_b_alone_raises_rank_error():
+    with pytest.raises(linalg.RankError, match=r"^column 1 depends on the columns before it"):
+        systems.LinearSystem(np.tile([1.0, 0.0], (4, 1)), np.ones(4))
+
+
+def test_load_system_runs_no_gelsd(tmp_path, monkeypatch):
+    sys_ = systems.generate(systems.GeneratorSpec("gaussian-noise", m=30, n=4, seed=2))
+    path = tmp_path / "s.sys"
+    systems.save_system(path, sys_)
+
+    def no_gelsd(*args, **kwargs):
+        raise AssertionError("gelsd ran")
+    monkeypatch.setattr(linalg, "lstsq", no_gelsd)
+    monkeypatch.setattr(np.linalg, "lstsq", no_gelsd)
+    loaded = systems.load_system(path)
+    assert loaded.reference.tobytes() == sys_.reference.tobytes()
+    assert loaded.singular_values.tobytes() == sys_.singular_values.tobytes()
+
+
+@pytest.mark.parametrize("case", ["nan entry", "non-unit row", "increasing singular values",
+                                  "zero singular value"])
+def test_load_system_names_the_file_for_content_the_system_rejects(tmp_path, case):
+    sys_ = systems.generate(systems.GeneratorSpec("gaussian-noise", m=30, n=4, seed=2))
+    body, sv = np.column_stack([sys_.a, sys_.b]), sys_.singular_values.copy()
+    if case == "nan entry":
+        body[3, 1] = np.nan
+    elif case == "non-unit row":
+        body[3, :-1] *= 2.0
+    elif case == "increasing singular values":
+        sv = sv[::-1].copy()
+    else:
+        sv[-1] = 0.0
+    path = tmp_path / "bad.sys"
+    with open(path, "wb") as fh:
+        for record in (body, sys_.reference, sv):
+            np.save(fh, record, allow_pickle=False)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not a system file \(.+\); regenerate it"):
+        systems.load_system(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("noise_std", np.nan), ("noise_std", np.inf), ("row_std", np.nan), ("row_std", -0.5),
+    ("row_mean", np.nan), ("row_mean", -np.inf), ("spike_magnitude", np.nan), ("spike_magnitude", np.inf),
+])
+def test_generator_spec_rejects_non_finite_values_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+        systems.GeneratorSpec("spiky-noise", m=10, n=2, **{field: value})
 
 
 def kahan_type_pair(n=90, theta=1.2):
@@ -224,7 +285,9 @@ def _systems(draw):
     a, _ = systems.normalize_rows(raw, np.zeros(m))
     b = draw(hnp.arrays(np.float64, m, elements=_entries))
     ref = draw(hnp.arrays(np.float64, n, elements=_entries))
-    singular_values = draw(hnp.arrays(np.float64, n, elements=st.floats(0, 1e6, allow_subnormal=True)))
+    # positive and non-increasing, as a system requires
+    singular_values = np.sort(draw(hnp.arrays(np.float64, n, elements=st.floats(
+        0, 1e6, exclude_min=True, allow_subnormal=True))))[::-1]
     return systems.LinearSystem(a, b, ref, singular_values)
 
 
