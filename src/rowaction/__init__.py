@@ -33,6 +33,7 @@ from .solvers import (
     SolverState,
     StopRule,
     TimingSummary,
+    TrialPool,
     project_step,
     run,
     run_trials,

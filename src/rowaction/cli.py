@@ -8,7 +8,9 @@ Subcommands:
   timing        mean time/iterations to a residual threshold, solver vs solver
 
 solve, bounds and timing read their system only from --system, a file
-written by generate or netlib-prep.
+written by generate or netlib-prep. solve computes trials on --jobs threads
+and writes every file on the main thread in (solver, trial) order, first to
+a temporary directory in --out, moved into place once every trial succeeded.
 
 Every flag can also come from one `key = value` config file, given as
 --config PATH or --config=PATH. Each line becomes a `--key=value` flag ahead of
@@ -24,7 +26,10 @@ happens here (the test suite owns the assertions).
 import argparse
 import csv
 import itertools
+import os
+import shutil
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -126,42 +131,58 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     _check_run_flags(args)
+    if args.jobs is not None and args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     sys_ = systems.load_system(args.system)
     stop = solvers.StopRule(max_iterations=args.max_iterations,
                             residual_inf_threshold=args.stop_residual_inf)
     rules = [solvers.SelectionRule(name, _resolve_threshold(args.hybrid_threshold, sys_))
              if name == "hybrid" else solvers.SelectionRule(name) for name in args.solver]
-    out = Path(args.out)
-    summary_rows, written = [], []
+    jobs = min(args.jobs or len(os.sched_getaffinity(0)), len(rules) * args.trials)
+    out, tmp = Path(args.out), None
+    summary_rows, names = [], []
     seeds = range(args.seed, args.seed + args.trials)
-    with warnings.catch_warnings(record=True) as caught:  # numpy's, dropped on overflow
-        for rule in rules:
-            name = rule.kind
-            results = solvers.run_trials(sys_, rule, stop, seeds)
-            for trial in range(args.trials):
-                try:
-                    result = next(results)
-                except OverflowError as exc:  # no file of this invocation stays
-                    for path in written:
-                        path.unlink()
-                    raise OverflowError(f"{name} trial {trial}: {exc}") from exc
-                out.mkdir(parents=True, exist_ok=True)  # only once there is a file to write
-                path = out / f"{name}_trial{trial}.csv"
-                solvers.write_telemetry_csv(path, result.records, like=first if trial else None)
-                if trial == 0:
-                    first = path, result.records
-                written.append(path)
-                diff = result.state.x - sys_.reference
-                summary_rows.append([name, trial, result.state.iteration,
-                                     repr(float(np.dot(diff, diff))), result.stop_reason])
+    with warnings.catch_warnings(record=True) as caught:  # numpy's, dropped on failure
+        pool = solvers.TrialPool(jobs)
+        try:
+            # every solver's first part starts before any result is written
+            streams = [(rule.kind, solvers.run_trials(sys_, rule, stop, seeds, pool=pool)) for rule in rules]
+            for name, results in streams:
+                for trial in range(args.trials):
+                    try:
+                        result = next(results)
+                    except OverflowError as exc:
+                        raise OverflowError(f"{name} trial {trial}: {exc}") from exc
+                    if tmp is None:  # only once there is a file to write
+                        out.mkdir(parents=True, exist_ok=True)
+                        tmp = Path(tempfile.mkdtemp(prefix=".solve-", dir=out))
+                    names.append(f"{name}_trial{trial}.csv")
+                    solvers.write_telemetry_csv(tmp / names[-1], result.records,
+                                                like=first if trial else None)
+                    if trial == 0:
+                        first = tmp / names[-1], result.records
+                    diff = result.state.x - sys_.reference
+                    summary_rows.append([name, trial, result.state.iteration,
+                                         repr(float(np.dot(diff, diff))), result.stop_reason])
+                results.close()  # frees the solver's shared part before the next solver's files
+            names.append("summary.csv")
+            with open(tmp / names[-1], "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["solver", "trial", "iterations", "final_error_sq", "stop_reason"])
+                writer.writerows(summary_rows)
+        except BaseException:  # no file of this invocation stays, and none is replaced
+            if tmp is not None:
+                shutil.rmtree(tmp)
+            raise
+        finally:
+            pool.shutdown()
+    for name in names:  # summary.csv last
+        os.replace(tmp / name, out / name)
+    tmp.rmdir()
     for w in caught:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["solver", "trial", "iterations", "final_error_sq", "stop_reason"])
-        writer.writerows(summary_rows)
-    for path in [*written, out / "summary.csv"]:  # once no file can be removed
-        print(f"wrote {path}")
+    for name in names:
+        print(f"wrote {out / name}")
     return 0
 
 
@@ -266,6 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=".")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="threads computing trials; defaults to the usable cores")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bounds", allow_abbrev=False, help="evaluate bound curves for a system")

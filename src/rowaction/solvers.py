@@ -19,7 +19,13 @@ Two loops perform every run: a step-by-step greedy loop, and a blocked loop
 for uniform selection. A hybrid run is a greedy prefix, stopped at the
 switch, plus a uniform continuation from the switch iterate. The greedy rule
 never draws from the RNG, so `run_trials` computes a motzkin run, or a hybrid
-prefix, once and shares it across all the seeds it is given.
+prefix, once and shares it across all the seeds it is given. With a
+TrialPool of several jobs it computes the seeds' continuations on its
+threads, each with its own RNG and buffers, so they are independent and
+their bits do not depend on the thread that ran them; numpy releases the
+GIL in the gemvs that take most of a telemetry step. Results still come in
+seed order, and the caller writes their files on its own thread, so the
+files' order, and a wrapper around the writer, see one thread.
 
 Each performed iteration emits one IterationRecord, a named tuple whose
 fields are the telemetry CSV columns, measured at the iterate *before* the
@@ -45,10 +51,12 @@ record at a time; only the RNG and a uniform block's iterates run up to a
 block past the stop point, which nothing exposes.
 """
 
+import collections
 import csv
 import itertools
 import math
 import shutil
+import threading
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -173,45 +181,163 @@ def run_trials(sys: LinearSystem,
                rule: SelectionRule,
                stop: StopRule,
                seeds,
-               x0=None) -> Iterator[RunResult]:
-    """Yield `run(sys, rule, stop, x0, seed)` for each seed in turn, lazily.
+               x0=None,
+               pool=None) -> Iterator[RunResult]:
+    """Yield `run(sys, rule, stop, x0, seed)` for each seed, in seed order.
 
     The seed-independent part is computed once: the whole run for motzkin,
-    the greedy prefix up to the switch for hybrid. Each result has its own
-    iterate and records list; hybrid results share the prefix's records.
+    the greedy prefix up to the switch for hybrid. Each seed's uniform
+    continuation starts from it, with its own iterate and records list;
+    hybrid results share the prefix's records. This call submits that part
+    to `pool`, a TrialPool, which, once done, submits the first `pool.jobs`
+    continuations; each result taken submits one more, so at most
+    `pool.jobs` are computed ahead of the one the caller holds. Without a
+    pool each runs on the calling thread when a result first needs it.
     """
-    return _trials(sys, rule, stop, seeds, x0, telemetry=True)
+    return _trials(sys, rule, stop, seeds, x0, telemetry=True, pool=pool)
 
 
-def _trials(sys, rule, stop, seeds, x0, telemetry):
+class TrialPool:
+    """`jobs - 1` worker threads, plus each thread that waits in `result`:
+    it runs its own task if no thread has taken it yet, else queued tasks,
+    oldest first, until its own is done. So `TrialPool(1)` starts no thread,
+    and a task runs when its result is first asked for. A task's `then`
+    runs on the thread that ran the task; `shutdown` fails the tasks no
+    thread has taken and joins the workers."""
+
+    def __init__(self, jobs: int = 1):
+        self.jobs, self._queue, self._cond, self._open = jobs, collections.deque(), threading.Condition(), True
+        self._workers = [threading.Thread(target=self._work, daemon=True) for _ in range(jobs - 1)]
+        for worker in self._workers:
+            worker.start()
+
+    def submit(self, fn, *args, then=None) -> "_Task":
+        task = _Task(fn, args, then)
+        with self._cond:
+            if not self._open:
+                raise RuntimeError("the pool is shut down")
+            self._queue.append(task)
+            self._cond.notify_all()
+        return task
+
+    def result(self, task: "_Task"):
+        """The task's value, or its exception raised."""
+        while not task.done:
+            with self._cond:
+                if task in self._queue:
+                    self._queue.remove(task)
+                    run = task
+                elif self._queue:
+                    run = self._queue.popleft()
+                else:
+                    self._cond.wait_for(lambda: task.done or self._queue)
+                    continue
+            self._run(run)
+        if task.error is not None:
+            raise task.error
+        return task.value
+
+    def shutdown(self) -> None:
+        with self._cond:
+            self._open = False
+            for task in self._queue:  # so that no thread waits for one
+                task.value, task.error, task.done = None, RuntimeError("the pool was shut down first"), True
+            self._queue.clear()
+            self._cond.notify_all()
+        for worker in self._workers:
+            worker.join()
+
+    def _work(self):
+        while True:
+            with self._cond:
+                self._cond.wait_for(lambda: self._queue or not self._open)
+                if not self._queue:
+                    return
+                task = self._queue.popleft()
+            self._run(task)
+
+    def _run(self, task):
+        try:
+            task.value, task.error = task.fn(*task.args), None
+        except Exception as exc:  # raised again to the thread that asks for the result
+            task.value, task.error = None, exc
+        with self._cond:
+            task.done = True
+            self._cond.notify_all()
+        if task.then is not None:
+            task.then(task)
+
+
+class _Task:
+    def __init__(self, fn, args, then):
+        self.fn, self.args, self.then, self.done = fn, args, then, False
+
+
+def _trials(sys, rule, stop, seeds, x0, telemetry, pool=None):
     if x0 is None:
         x = np.zeros(sys.n)
     else:
         x = linalg.as_vector(x0).copy()
         if x.shape[0] != sys.n:
             raise ValueError(f"x0 length {x.shape[0]} does not match {sys.n} columns")
+    seeds, pool = list(seeds), pool or TrialPool()
+    continuations, lock = [], threading.Lock()
+
+    def fill(head, upto):
+        """Submit the continuations of the seeds before index `upto`, once `head`
+        is done; `head` is an argument, so no reference cycle runs through its `then`."""
+        with lock:
+            while rule.kind != "motzkin" and head.error is None and len(continuations) < min(upto, len(seeds)):
+                try:
+                    continuations.append(pool.submit(_continue, sys, rule, stop, head.value,
+                                                     seeds[len(continuations)], telemetry))
+                except RuntimeError:  # the pool is shut down: its owner takes no more results
+                    return
+
+    head = pool.submit(_head, sys, rule, stop, x, telemetry, then=lambda done: fill(done, pool.jobs))
+
+    def results():
+        x, _, k, _, stop_reason, prefix = pool.result(head)
+        for t, seed in enumerate(seeds):
+            if rule.kind == "motzkin":
+                make_rng(seed)  # a bad seed fails for every rule
+                yield RunResult(SolverState(x.copy(), k), list(prefix), stop_reason)
+                continue
+            fill(head, t + 1)
+            result, continuations[t] = pool.result(continuations[t]), None
+            fill(head, t + 1 + pool.jobs)
+            yield result
+            del result  # the caller's now, so it may go before the next one is computed
+
+    return results()
+
+
+def _head(sys, rule, stop, x, telemetry):
+    """The seed-independent part of a run from x_0 = x: its final or switch
+    iterate, that iterate's residual, k and residual sup norm, the stop
+    reason (None where uniform steps follow) and the greedy records."""
     r = sys.a @ x - sys.b
-    k, stop_reason, prefix = 0, None, []
+    prefix = []
     if rule.kind == "rk-uniform":
-        level = float(np.abs(r).max())
-    else:
-        greedy_stop = stop
-        if rule.kind == "hybrid":
-            # residual <= hybrid threshold ends the prefix: a stop when the stop
-            # threshold or the cap also holds there, else the switch
-            greedy_stop = StopRule(stop.max_iterations,
-                                   max(stop.residual_inf_threshold or 0.0, rule.hybrid_threshold))
-        x, r, k, level, stop_reason = _loop(sys, x, r, greedy_stop, prefix if telemetry else None)
-    for seed in seeds:
-        rng = make_rng(seed)
-        records = list(prefix)
-        if rule.kind == "motzkin":
-            yield RunResult(SolverState(x.copy(), k), records, stop_reason)
-            continue
-        x_t, k_t, reason_t = _blocked_uniform(sys, x, r, level, k, stop, rng,
-                                              records if telemetry else None)
-        switch_iteration = k if rule.kind == "hybrid" and k_t > k else None
-        yield RunResult(SolverState(x_t, k_t), records, reason_t, switch_iteration)
+        return x, r, 0, float(np.abs(r).max()), None, prefix
+    greedy_stop = stop
+    if rule.kind == "hybrid":
+        # residual <= hybrid threshold ends the prefix: a stop when the stop
+        # threshold or the cap also holds there, else the switch
+        greedy_stop = StopRule(stop.max_iterations,
+                               max(stop.residual_inf_threshold or 0.0, rule.hybrid_threshold))
+    x, r, k, level, stop_reason = _loop(sys, x, r, greedy_stop, prefix if telemetry else None)
+    return x, r, k, level, stop_reason, prefix
+
+
+def _continue(sys, rule, stop, head, seed, telemetry):
+    """The result of one seed: uniform steps from the head's iterate."""
+    x, r, k, level, _, prefix = head
+    records = list(prefix)
+    x_t, k_t, reason_t = _blocked_uniform(sys, x, r, level, k, stop, make_rng(seed),
+                                          records if telemetry else None)
+    switch_iteration = k if rule.kind == "hybrid" and k_t > k else None
+    return RunResult(SolverState(x_t, k_t), records, reason_t, switch_iteration)
 
 
 def _block_steps(m):

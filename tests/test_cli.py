@@ -1,5 +1,7 @@
 import csv
 import math
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -481,7 +483,11 @@ def pure_noise_system(tmp_path, noise_std):
     return path
 
 
-def test_telemetry_overflow_is_numerical_error(tmp_path, capsys):
+# two threads with trials for both: their numpy warnings are dropped or kept as one thread's
+TWO_JOBS = ("--jobs", "2", "--trials", "2")
+
+
+def test_telemetry_overflow_is_numerical_error(tmp_path, capsys, flags=()):
     # residual entries near 1e200: their squares pass the float range
     system, out = pure_noise_system(tmp_path, "1e200"), tmp_path / "runs"
 
@@ -490,7 +496,7 @@ def test_telemetry_overflow_is_numerical_error(tmp_path, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = run_cli("solve", "--system", str(system), *solver_flags, "--max-iterations", "3",
-                           "--seed", "0", "--out", str(out))
+                           "--seed", "0", *flags, "--out", str(out))
         assert code == cli.NUMERICAL_ERROR
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         return capsys.readouterr().err.splitlines()
@@ -506,15 +512,23 @@ def test_telemetry_overflow_is_numerical_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_telemetry_overflow_that_is_no_failure_still_warns(tmp_path):
+def test_telemetry_overflow_is_numerical_error_on_two_jobs(tmp_path, capsys):
+    test_telemetry_overflow_is_numerical_error(tmp_path, capsys, TWO_JOBS)
+
+
+def test_telemetry_overflow_that_is_no_failure_still_warns(tmp_path, flags=()):
     # entries near 5e152: their squares fit the float range, sums of 400 do not
     system, out = tmp_path / "noise.sys", tmp_path / "runs"
     assert run_cli("generate", "--kind", "pure-noise", "--m", "400", "--n", "3", "--noise-std", "5e152",
                    "--seed", "1", "--out", str(system)) == 0
     with pytest.warns(RuntimeWarning, match="overflow"):
         assert run_cli("solve", "--system", str(system), "--max-iterations", "3", "--seed", "0",
-                       "--out", str(out)) == 0
+                       *flags, "--out", str(out)) == 0
     assert math.inf in [rec.residual_2sq for rec in solvers.read_telemetry_csv(out / "motzkin_trial0.csv")]
+
+
+def test_telemetry_overflow_that_is_no_failure_still_warns_on_two_jobs(tmp_path):
+    test_telemetry_overflow_that_is_no_failure_still_warns(tmp_path, TWO_JOBS)
 
 
 def test_numerical_failure_of_a_later_solver_leaves_no_file(system_file, tmp_path, capsys,
@@ -524,8 +538,8 @@ def test_numerical_failure_of_a_later_solver_leaves_no_file(system_file, tmp_pat
     (out / "kept.csv").write_text("not this invocation's\n")
     run_trials = solvers.run_trials
 
-    def failing_hybrid(sys_, rule, stop, seeds, x0=None):
-        results = run_trials(sys_, rule, stop, seeds, x0)
+    def failing_hybrid(sys_, rule, stop, seeds, x0=None, pool=None):
+        results = run_trials(sys_, rule, stop, seeds, x0, pool)
         if rule.kind == "hybrid":
             yield next(results)
             raise OverflowError("int too large to convert to float")
@@ -541,6 +555,114 @@ def test_numerical_failure_of_a_later_solver_leaves_no_file(system_file, tmp_pat
     # stdout names none of them
     assert [p.name for p in out.iterdir()] == ["kept.csv"]
     assert "wrote" not in captured.out and ".csv" not in captured.out
+
+
+@pytest.mark.parametrize("flags", [[], ["--jobs", "1"], ["--jobs", "2"]])
+def test_failing_later_solver_keeps_older_files_of_the_same_names(system_file, tmp_path, capsys,
+                                                                  monkeypatch, flags):
+    out = tmp_path / "runs"
+    out.mkdir()
+    (out / "motzkin_trial0.csv").write_bytes(b"an older run's telemetry\n")
+    (out / "summary.csv").write_bytes(b"an older run's summary\n")
+    run_trials = solvers.run_trials
+
+    def failing_hybrid(sys_, rule, stop, seeds, x0=None, pool=None):
+        results = run_trials(sys_, rule, stop, seeds, x0, pool)
+        if rule.kind == "hybrid":
+            yield next(results)
+            raise OverflowError("int too large to convert to float")
+        yield from results
+
+    monkeypatch.setattr(solvers, "run_trials", failing_hybrid)
+    code = run_cli("solve", "--system", str(system_file), "--solver", "motzkin", "--solver", "hybrid",
+                   "--trials", "2", "--max-iterations", "30", "--seed", "0", *flags, "--out", str(out))
+    assert code == cli.NUMERICAL_ERROR
+    assert "numerical failure: hybrid trial 1: int too large" in capsys.readouterr().err
+    # no file is replaced, and no temporary file stays
+    assert sorted(p.name for p in out.iterdir()) == ["motzkin_trial0.csv", "summary.csv"]
+    assert (out / "motzkin_trial0.csv").read_bytes() == b"an older run's telemetry\n"
+    assert (out / "summary.csv").read_bytes() == b"an older run's summary\n"
+
+
+def test_first_failure_in_solver_and_trial_order_is_named(system_file, tmp_path, capsys, monkeypatch):
+    # rk-uniform trial 1 fails last in time, and first in (solver, trial) order
+    out = tmp_path / "runs"
+    fails = {("rk-uniform", 1): ("late", 0.3), ("rk-uniform", 2): ("early", 0),
+             ("hybrid", 0): ("early", 0), ("hybrid", 1): ("early", 0)}
+    continue_ = solvers._continue
+
+    def failing(sys_, rule, stop, head, seed, telemetry):
+        if (rule.kind, seed) in fails:
+            message, seconds = fails[rule.kind, seed]
+            time.sleep(seconds)
+            raise OverflowError(message)
+        return continue_(sys_, rule, stop, head, seed, telemetry)
+
+    monkeypatch.setattr(solvers, "_continue", failing)
+    code = run_cli("solve", "--system", str(system_file), "--solver", "rk-uniform", "--solver", "hybrid",
+                   "--trials", "3", "--max-iterations", "30", "--seed", "0", "--jobs", "4", "--out", str(out))
+    assert code == cli.NUMERICAL_ERROR
+    assert capsys.readouterr().err == "numerical failure: rk-uniform trial 1: late\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("jobs", ["1", "2", "4"])
+def test_solve_bytes_do_not_depend_on_jobs(system_file, tmp_path, jobs):
+    # three solvers, three trials: rk-uniform trials stop at the threshold, and hybrid ones switch
+    def solve(out, jobs):
+        assert run_cli("solve", "--system", str(system_file), "--solver", "motzkin", "--solver", "rk-uniform",
+                       "--solver", "hybrid", "--trials", "3", "--hybrid-threshold", "0.3",
+                       "--stop-residual-inf", "0.2", "--max-iterations", "300", "--seed", "4",
+                       "--jobs", jobs, "--out", str(out)) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    got, serial = solve(tmp_path / "got", jobs), solve(tmp_path / "serial", "1")
+    assert got == serial and len(got) == 10
+    sys_ = systems.load_system(system_file)
+    rules = [SelectionRule("motzkin"), SelectionRule("rk-uniform"), SelectionRule("hybrid", 0.3)]
+    for rule in rules:
+        for trial in range(3):
+            result = solvers.run(sys_, rule, StopRule(300, 0.2), seed=4 + trial)
+            solvers.write_telemetry_csv(tmp_path / "library.csv", result.records)
+            assert got[f"{rule.kind}_trial{trial}.csv"] == (tmp_path / "library.csv").read_bytes()
+    with open(tmp_path / "got" / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["solver"], r["trial"]) for r in rows] == [(rule.kind, str(t)) for rule in rules for t in range(3)]
+    assert {r["stop_reason"] for r in rows if r["solver"] == "rk-uniform"} == {"residual-threshold"}
+    hybrid = solvers.run(sys_, rules[2], StopRule(300, 0.2), seed=4)
+    assert hybrid.switch_iteration == 7
+
+
+def test_one_job_starts_no_thread(system_file, tmp_path, monkeypatch):
+    def no_thread(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert run_cli("solve", "--system", str(system_file), "--solver", "motzkin", "--solver", "rk-uniform",
+                   "--solver", "hybrid", "--trials", "3", "--max-iterations", "50", "--seed", "1",
+                   "--jobs", "1", "--out", str(tmp_path / "runs")) == 0
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_config_error(system_file, tmp_path, capsys, jobs):
+    out = tmp_path / "runs"
+    code = run_cli("solve", "--system", str(system_file), "--max-iterations", "20", "--seed", "1",
+                   "--jobs", jobs, "--out", str(out))
+    assert code == cli.CONFIG_ERROR
+    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_sets_jobs(system_file, tmp_path):
+    config = tmp_path / "solve.cfg"
+    config.write_text("solver = motzkin, rk-uniform\ntrials = 2\nmax-iterations = 40\njobs = 2\n")
+    for name, flags in (("cfg", ["--config", str(config)]),
+                        ("flags", ["--solver", "motzkin", "--solver", "rk-uniform", "--trials", "2",
+                                   "--max-iterations", "40", "--jobs", "1"])):
+        assert run_cli("solve", "--system", str(system_file), *flags, "--seed", "3",
+                       "--out", str(tmp_path / name)) == 0
+    assert {p.name: p.read_bytes() for p in (tmp_path / "cfg").iterdir()} == \
+        {p.name: p.read_bytes() for p in (tmp_path / "flags").iterdir()}
 
 
 def test_motzkin_selects_the_largest_residual_when_squares_underflow(tmp_path):

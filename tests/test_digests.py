@@ -16,12 +16,25 @@ def digests():
     return module
 
 
-def test_digests_cover_every_output_and_repeat(digests, tmp_path, capsys):
+def test_digests_cover_every_output_and_repeat(digests, tmp_path, capsys, monkeypatch):
+    # the default --jobs, then one thread and three: the list depends on none of them
+    solves, main = [], digests.cli.main
+
+    def spy(argv):
+        if argv[0] == "solve":
+            solves.append(argv)
+        return main(argv)
+
+    monkeypatch.setattr(digests.cli, "main", spy)
     runs = []
-    for name in ("a", "b"):
-        assert digests.main(["--out", str(tmp_path / name)]) == 0
+    for name, flags in (("a", []), ("b", ["--jobs", "1"]), ("c", ["--jobs", "3"])):
+        solves.clear()
+        assert digests.main(["--out", str(tmp_path / name), *flags]) == 0
         runs.append(capsys.readouterr().out.splitlines())
-    assert runs[0] == runs[1]
+        # every solve, the README's included, gets the flag
+        jobs = [argv[argv.index("--jobs") + 1] if "--jobs" in argv else None for argv in solves]
+        assert jobs == [flags[1] if flags else None] * 11
+    assert runs[0] == runs[1] == runs[2]
     *lines, last = runs[0]
     assert lines == sorted(lines)
     assert last == "list " + hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()

@@ -77,3 +77,20 @@ def test_stacked_system_checks_pass(monkeypatch, tmp_path):
                      "--out", str(pipeline.system_path)]) == 0
     pipeline.load_reference()
     assert tally.attempted > 0 and tally.failed == 0
+
+
+def test_parallel_solve_keeps_every_span_on_the_main_thread(monkeypatch, tmp_path):
+    # the tracer keeps one span stack; a span opened on a worker thread would
+    # break the nesting that the --trace 1 self-time check relies on
+    spans = load("spans", monkeypatch)
+    system = tmp_path / "sys.bin"
+    assert cli.main(["generate", "--kind", "gaussian-noise", "--m", "300", "--n", "20",
+                     "--noise-std", "0.01", "--seed", "2", "--out", str(system)]) == 0
+    tracer = spans.Tracer("test")
+    with tracer.installed(), tracer.span("cli.solve"):
+        assert cli.main(["solve", "--system", str(system), "--solver", "motzkin", "--solver", "rk-uniform",
+                         "--solver", "hybrid", "--trials", "3", "--max-iterations", "400", "--seed", "1",
+                         "--jobs", "2", "--out", str(tmp_path / "runs")]) == 0
+    writes = [s for s in tracer.spans if s.name == "solvers.write_telemetry_csv"]
+    assert len(writes) == 9 and all(s.parent == 0 for s in writes)
+    assert spans.worst_self_time_gap(tracer, 0) <= 1e-6

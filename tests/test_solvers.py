@@ -1,6 +1,9 @@
 import csv
 import math
 import re
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -757,6 +760,117 @@ def test_telemetry_takes_no_block_sized_temporary():
     r0 = sys_.a @ np.zeros(sys_.n) - sys_.b
     x, r, *_ = solvers._loop(sys_, np.zeros(sys_.n), r0, StopRule(5), [])
     assert r.base is None and r.tobytes() == (sys_.a @ x - sys_.b).tobytes()
+
+
+# --------------------------------------------------------------------------
+# trials on a TrialPool
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_pool_holds_at_most_jobs_plus_one_trials(jobs, monkeypatch):
+    # one trial's records and buffers, then eight trials taken one at a time
+    # by a caller that lets the workers compute every trial they may: at most
+    # `jobs` of them ahead of the one being taken
+    sys_ = gaussian_system(m=200, n=20, noise_std=0.05, seed=3)
+    rule, stop, seeds = SelectionRule("rk-uniform"), StopRule(1000), range(8)
+    running, continue_ = [], solvers._continue
+
+    def counted(*args):
+        running.append(args[4])
+        try:
+            return continue_(*args)
+        finally:
+            running.remove(args[4])
+
+    monkeypatch.setattr(solvers, "_continue", counted)
+
+    def one_trial():
+        assert len(solvers.run(sys_, rule, stop, seed=0).records) == 1000
+
+    def all_trials():
+        pool = solvers.TrialPool(jobs)
+        try:
+            results = solvers.run_trials(sys_, rule, stop, seeds, pool=pool)
+            for _ in seeds:
+                result = next(results)
+                deadline = time.monotonic() + 30
+                while running or (jobs > 1 and pool._queue):  # until the workers are idle
+                    assert time.monotonic() < deadline
+                    time.sleep(0.002)
+                del result
+        finally:
+            pool.shutdown()
+
+    one_trial()
+    trial = traced_peak(one_trial)
+    peak = traced_peak(all_trials)
+    assert peak <= (jobs + 1) * trial, (peak, trial)
+
+
+def test_pool_stress_more_workers_than_cores(monkeypatch):
+    # six workers and a thread switch every microsecond: every continuation
+    # runs once, and the results come in seed order with the bits of serial runs
+    sys_ = gaussian_system(seed=6)
+    rules = [SelectionRule("motzkin"), SelectionRule("rk-uniform"), SelectionRule("hybrid", 0.3)]
+    stop, seeds = StopRule(60), [9, 2, 7, 4, 1, 11, 0, 5, 3, 10, 6, 8]
+    want = {rule.kind: [solvers.run(sys_, rule, stop, seed=seed) for seed in seeds] for rule in rules}
+    ran, got, continue_ = [], {}, solvers._continue
+
+    def counted(*args):
+        ran.append((args[1].kind, args[4]))
+        return continue_(*args)
+
+    def consume():
+        pool = solvers.TrialPool(6)
+        try:
+            streams = [(rule.kind, solvers.run_trials(sys_, rule, stop, seeds, pool=pool)) for rule in rules]
+            for kind, results in streams:
+                got[kind] = list(results)
+        finally:
+            pool.shutdown()
+
+    monkeypatch.setattr(solvers, "_continue", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        consumer = threading.Thread(target=consume)
+        consumer.start()
+        consumer.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not consumer.is_alive()
+    assert sorted(ran) == sorted((kind, seed) for kind in ("rk-uniform", "hybrid") for seed in seeds)
+    for kind, results in want.items():
+        assert [(r.records, r.state.x.tobytes(), r.stop_reason, r.switch_iteration) for r in got[kind]] == \
+            [(r.records, r.state.x.tobytes(), r.stop_reason, r.switch_iteration) for r in results]
+
+
+def test_pool_of_one_job_starts_no_thread_and_runs_tasks_when_asked(monkeypatch):
+    def no_thread(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    pool, ran = solvers.TrialPool(1), []
+    task = pool.submit(ran.append, 1, then=lambda done: ran.append(2))
+    assert ran == []
+    assert pool.result(task) is None and ran == [1, 2]
+    failing, dropped = pool.submit(int, "x"), pool.submit(int, "1")
+    with pytest.raises(ValueError):
+        pool.result(failing)
+    pool.shutdown()
+    with pytest.raises(RuntimeError, match="shut down first"):
+        pool.result(dropped)
+    with pytest.raises(RuntimeError, match="is shut down"):
+        pool.submit(int, "1")
 
 
 # --------------------------------------------------------------------------
