@@ -33,7 +33,6 @@ from .solvers import (
     SolverState,
     StopRule,
     TimingSummary,
-    TrialPool,
     project_step,
     run,
     run_trials,

@@ -8,9 +8,16 @@ Subcommands:
   timing        mean time/iterations to a residual threshold, solver vs solver
 
 solve, bounds and timing read their system only from --system, a file
-written by generate or netlib-prep. solve computes trials on --jobs threads
-and writes every file on the main thread in (solver, trial) order, first to
-a temporary directory in --out, moved into place once every trial succeeded.
+written by generate or netlib-prep. solve computes its trials in --jobs
+worker processes, forked once per invocation so that they share the loaded
+system, not a pickled copy. Each solver's seed-independent head is one
+task, and each trial's continuation another, started once its head is
+done. The worker that computes a trial also writes its telemetry CSV, into
+a temporary directory in --out; the parent writes summary.csv there and
+moves every file into place in (solver, trial) order, summary.csv last,
+once every trial succeeded. --jobs 1 runs the same tasks in the parent,
+starting no process and no thread. timing stays serial: it measures
+process time.
 
 Every flag can also come from one `key = value` config file, given as
 --config PATH or --config=PATH. Each line becomes a `--key=value` flag ahead of
@@ -25,12 +32,16 @@ happens here (the test suite owns the assertions).
 
 import argparse
 import csv
+import ctypes
+import functools
 import itertools
+import multiprocessing
 import os
 import shutil
 import sys
 import tempfile
 import warnings
+from concurrent import futures
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +52,8 @@ from . import mps as mps_mod
 
 CONFIG_ERROR = 2
 NUMERICAL_ERROR = 3
+
+MADV_POPULATE_WRITE = 23  # <sys/mman.h>, Linux
 
 COMMANDS = ("generate", "solve", "bounds", "netlib-prep", "timing")
 
@@ -139,51 +152,141 @@ def cmd_solve(args) -> int:
     rules = [solvers.SelectionRule(name, _resolve_threshold(args.hybrid_threshold, sys_))
              if name == "hybrid" else solvers.SelectionRule(name) for name in args.solver]
     jobs = min(args.jobs or len(os.sched_getaffinity(0)), len(rules) * args.trials)
-    out, tmp = Path(args.out), None
-    summary_rows, names = [], []
     seeds = range(args.seed, args.seed + args.trials)
-    with warnings.catch_warnings(record=True) as caught:  # numpy's, dropped on failure
-        pool = solvers.TrialPool(jobs)
-        try:
-            # every solver's first part starts before any result is written
-            streams = [(rule.kind, solvers.run_trials(sys_, rule, stop, seeds, pool=pool)) for rule in rules]
-            for name, results in streams:
-                for trial in range(args.trials):
-                    try:
-                        result = next(results)
-                    except OverflowError as exc:
-                        raise OverflowError(f"{name} trial {trial}: {exc}") from exc
-                    if tmp is None:  # only once there is a file to write
-                        out.mkdir(parents=True, exist_ok=True)
-                        tmp = Path(tempfile.mkdtemp(prefix=".solve-", dir=out))
-                    names.append(f"{name}_trial{trial}.csv")
-                    solvers.write_telemetry_csv(tmp / names[-1], result.records,
-                                                like=first if trial else None)
-                    if trial == 0:
-                        first = tmp / names[-1], result.records
-                    diff = result.state.x - sys_.reference
-                    summary_rows.append([name, trial, result.state.iteration,
-                                         repr(float(np.dot(diff, diff))), result.stop_reason])
-                results.close()  # frees the solver's shared part before the next solver's files
-            names.append("summary.csv")
-            with open(tmp / names[-1], "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["solver", "trial", "iterations", "final_error_sq", "stop_reason"])
-                writer.writerows(summary_rows)
-        except BaseException:  # no file of this invocation stays, and none is replaced
-            if tmp is not None:
-                shutil.rmtree(tmp)
-            raise
-        finally:
-            pool.shutdown()
-    for name in names:  # summary.csv last
+    out = Path(args.out)
+    made = [path for path in (out, *out.parents) if not path.exists()]  # removed again on failure
+    out.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix=".solve-", dir=out))
+    try:
+        if jobs == 1:
+            summary_rows, caught = _solve_trials(functools.partial(_inline, sys_), rules, stop, seeds, tmp)
+        else:
+            with futures.ProcessPoolExecutor(jobs, multiprocessing.get_context("fork"),
+                                             _adopt, (sys_,)) as pool:
+                summary_rows, caught = _solve_trials(functools.partial(pool.submit, _in_worker),
+                                                     rules, stop, seeds, tmp)
+            _rewrite_heap()
+        with open(tmp / "summary.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["solver", "trial", "iterations", "final_error_sq", "stop_reason"])
+            writer.writerows(summary_rows)
+    except BaseException:  # no file of this invocation stays, and none is replaced
+        shutil.rmtree(tmp)
+        for path in made:
+            path.rmdir()
+        raise
+    names = [f"{rule.kind}_trial{trial}.csv" for rule in rules for trial in range(args.trials)]
+    for name in [*names, "summary.csv"]:  # summary.csv last
         os.replace(tmp / name, out / name)
     tmp.rmdir()
-    for w in caught:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    for name in names:
+    for warning in caught:
+        warnings.warn_explicit(*warning)
+    for name in [*names, "summary.csv"]:
         print(f"wrote {out / name}")
     return 0
+
+
+def _solve_trials(submit, rules, stop, seeds, tmp):
+    """Every solver's `_head_task`, then each trial's `_trial_task` once its
+    head is done, through `submit(task, *args)`, a future of `_task`. Returns
+    the summary rows and the warnings caught, once each, in (solver, trial)
+    order; raises the first failure in that order, an overflow named by its
+    trial, once every task has ended."""
+    heads = {submit(_head_task, rule, stop): rule for rule in rules}
+    trials, pending = {}, set(heads)
+    while pending:
+        done, pending = futures.wait(pending, return_when=futures.FIRST_COMPLETED)
+        for head in done & heads.keys():
+            if head.exception() is None:
+                rule = heads[head]
+                for trial, seed in enumerate(seeds):
+                    trials[rule, trial] = submit(_trial_task, rule, stop, head.result()[0], seed,
+                                                 tmp / f"{rule.kind}_trial{trial}.csv")
+                    pending.add(trials[rule, trial])
+    summary_rows, caught = [], {}
+    for head, rule in heads.items():
+        caught.update(dict.fromkeys(_result(head, rule.kind, 0)[1]))
+        for trial in range(len(seeds)):
+            fields, warned = _result(trials[rule, trial], rule.kind, trial)
+            summary_rows.append([rule.kind, trial, *fields])
+            caught.update(dict.fromkeys(warned))
+    return summary_rows, list(caught)
+
+
+def _result(future, name, trial):
+    try:
+        return future.result()
+    except OverflowError as exc:
+        raise OverflowError(f"{name} trial {trial}: {exc}") from exc
+
+
+def _head_task(sys_, rule, stop):
+    """A solver's seed-independent part from x_0 = 0, `solvers._head`, with
+    its records formatted once, as the text that each trial's file repeats."""
+    *head, records = solvers._head(sys_, rule, stop, np.zeros(sys_.n), telemetry=True)
+    return *head, solvers.telemetry_rows(records)
+
+
+def _trial_task(sys_, rule, stop, head, seed, path):
+    """One trial, `solvers._continue` from the head, written to `path`;
+    returns its summary fields."""
+    *state, rows = head
+    result = solvers._continue(sys_, rule, stop, (*state, []), seed, telemetry=True)
+    solvers.write_telemetry_csv(path, result.records, rows)
+    diff = result.state.x - sys_.reference
+    return [result.state.iteration, repr(float(np.dot(diff, diff))), result.stop_reason]
+
+
+def _task(fn, sys_, *args):
+    """fn(sys_, *args) and the warnings it raised, as warn_explicit's
+    arguments: a worker's warnings do not reach the parent's filters, so
+    the parent re-emits them, and only once the solve succeeded."""
+    with warnings.catch_warnings(record=True) as caught:
+        value = fn(sys_, *args)
+    return value, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+def _inline(sys_, fn, *args):
+    """A done future of `_task(fn, sys_, *args)`, run on this thread."""
+    future = futures.Future()
+    try:
+        future.set_result(_task(fn, sys_, *args))
+    except Exception as exc:  # raised again, as a worker's would be, by future.result()
+        future.set_exception(exc)
+    return future
+
+
+def _rewrite_heap() -> None:
+    """Make the heap writable again once the workers have exited. A fork
+    write-protects every page the parent had, and each stays protected
+    until the parent's next write to it traps. The next stage that runs in
+    this process reuses the freed heap page by page: in the benchmark,
+    `bounds` after a 10000x100 `solve` took about 1.5k such traps, 2 us
+    each on a 2-core Xeon VM. One madvise(MADV_POPULATE_WRITE), Linux 5.14
+    and later, takes them in the kernel at once; where it or /proc is
+    missing, only that cost stays."""
+    try:
+        with open("/proc/self/maps") as fh:
+            spans = [line.split()[0] for line in fh if line.rstrip().endswith(" [heap]")]
+    except OSError:
+        return
+    madvise = ctypes.CDLL(None).madvise
+    madvise.argtypes, madvise.restype = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int], ctypes.c_int
+    for span in spans:
+        start, end = (int(address, 16) for address in span.split("-"))
+        madvise(start, end - start, MADV_POPULATE_WRITE)  # on failure the traps stay, nothing else
+
+
+_system = None  # set only in a forked worker, by _adopt: the system the fork handed over
+
+
+def _adopt(sys_):
+    global _system
+    _system = sys_
+
+
+def _in_worker(fn, *args):
+    return _task(fn, _system, *args)
 
 
 def cmd_bounds(args) -> int:
@@ -288,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=".")
     p.add_argument("--jobs", type=int, default=None,
-                   help="threads computing trials; defaults to the usable cores")
+                   help="worker processes computing and writing trials; defaults to the usable cores")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bounds", allow_abbrev=False, help="evaluate bound curves for a system")

@@ -18,14 +18,12 @@ and the selection rule is what distinguishes the methods:
 Two loops perform every run: a step-by-step greedy loop, and a blocked loop
 for uniform selection. A hybrid run is a greedy prefix, stopped at the
 switch, plus a uniform continuation from the switch iterate. The greedy rule
-never draws from the RNG, so `run_trials` computes a motzkin run, or a hybrid
-prefix, once and shares it across all the seeds it is given. With a
-TrialPool of several jobs it computes the seeds' continuations on its
-threads, each with its own RNG and buffers, so they are independent and
-their bits do not depend on the thread that ran them; numpy releases the
-GIL in the gemvs that take most of a telemetry step. Results still come in
-seed order, and the caller writes their files on its own thread, so the
-files' order, and a wrapper around the writer, see one thread.
+never draws from the RNG, so a run splits into a seed-independent head
+(`_head`: the motzkin run, or the hybrid prefix) and one continuation per
+seed (`_continue`). `run_trials` computes the head once and the seeds'
+continuations one at a time. `solve` runs the same two functions as tasks
+in forked worker processes (see `cli`); each continuation has its own RNG
+and buffers, so its bits do not depend on the process that ran it.
 
 Each performed iteration emits one IterationRecord, a named tuple whose
 fields are the telemetry CSV columns, measured at the iterate *before* the
@@ -51,12 +49,8 @@ record at a time; only the RNG and a uniform block's iterates run up to a
 block past the stop point, which nothing exposes.
 """
 
-import collections
 import csv
-import itertools
 import math
-import shutil
-import threading
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -181,135 +175,27 @@ def run_trials(sys: LinearSystem,
                rule: SelectionRule,
                stop: StopRule,
                seeds,
-               x0=None,
-               pool=None) -> Iterator[RunResult]:
-    """Yield `run(sys, rule, stop, x0, seed)` for each seed, in seed order.
+               x0=None) -> Iterator[RunResult]:
+    """Yield `run(sys, rule, stop, x0, seed)` for each seed in turn, lazily.
 
     The seed-independent part is computed once: the whole run for motzkin,
     the greedy prefix up to the switch for hybrid. Each seed's uniform
     continuation starts from it, with its own iterate and records list;
-    hybrid results share the prefix's records. This call submits that part
-    to `pool`, a TrialPool, which, once done, submits the first `pool.jobs`
-    continuations; each result taken submits one more, so at most
-    `pool.jobs` are computed ahead of the one the caller holds. Without a
-    pool each runs on the calling thread when a result first needs it.
+    hybrid results share the prefix's records.
     """
-    return _trials(sys, rule, stop, seeds, x0, telemetry=True, pool=pool)
+    return _trials(sys, rule, stop, seeds, x0, telemetry=True)
 
 
-class TrialPool:
-    """`jobs - 1` worker threads, plus each thread that waits in `result`:
-    it runs its own task if no thread has taken it yet, else queued tasks,
-    oldest first, until its own is done. So `TrialPool(1)` starts no thread,
-    and a task runs when its result is first asked for. A task's `then`
-    runs on the thread that ran the task; `shutdown` fails the tasks no
-    thread has taken and joins the workers."""
-
-    def __init__(self, jobs: int = 1):
-        self.jobs, self._queue, self._cond, self._open = jobs, collections.deque(), threading.Condition(), True
-        self._workers = [threading.Thread(target=self._work, daemon=True) for _ in range(jobs - 1)]
-        for worker in self._workers:
-            worker.start()
-
-    def submit(self, fn, *args, then=None) -> "_Task":
-        task = _Task(fn, args, then)
-        with self._cond:
-            if not self._open:
-                raise RuntimeError("the pool is shut down")
-            self._queue.append(task)
-            self._cond.notify_all()
-        return task
-
-    def result(self, task: "_Task"):
-        """The task's value, or its exception raised."""
-        while not task.done:
-            with self._cond:
-                if task in self._queue:
-                    self._queue.remove(task)
-                    run = task
-                elif self._queue:
-                    run = self._queue.popleft()
-                else:
-                    self._cond.wait_for(lambda: task.done or self._queue)
-                    continue
-            self._run(run)
-        if task.error is not None:
-            raise task.error
-        return task.value
-
-    def shutdown(self) -> None:
-        with self._cond:
-            self._open = False
-            for task in self._queue:  # so that no thread waits for one
-                task.value, task.error, task.done = None, RuntimeError("the pool was shut down first"), True
-            self._queue.clear()
-            self._cond.notify_all()
-        for worker in self._workers:
-            worker.join()
-
-    def _work(self):
-        while True:
-            with self._cond:
-                self._cond.wait_for(lambda: self._queue or not self._open)
-                if not self._queue:
-                    return
-                task = self._queue.popleft()
-            self._run(task)
-
-    def _run(self, task):
-        try:
-            task.value, task.error = task.fn(*task.args), None
-        except Exception as exc:  # raised again to the thread that asks for the result
-            task.value, task.error = None, exc
-        with self._cond:
-            task.done = True
-            self._cond.notify_all()
-        if task.then is not None:
-            task.then(task)
-
-
-class _Task:
-    def __init__(self, fn, args, then):
-        self.fn, self.args, self.then, self.done = fn, args, then, False
-
-
-def _trials(sys, rule, stop, seeds, x0, telemetry, pool=None):
+def _trials(sys, rule, stop, seeds, x0, telemetry):
     if x0 is None:
         x = np.zeros(sys.n)
     else:
         x = linalg.as_vector(x0).copy()
         if x.shape[0] != sys.n:
             raise ValueError(f"x0 length {x.shape[0]} does not match {sys.n} columns")
-    seeds, pool = list(seeds), pool or TrialPool()
-    continuations, lock = [], threading.Lock()
-
-    def fill(head, upto):
-        """Submit the continuations of the seeds before index `upto`, once `head`
-        is done; `head` is an argument, so no reference cycle runs through its `then`."""
-        with lock:
-            while rule.kind != "motzkin" and head.error is None and len(continuations) < min(upto, len(seeds)):
-                try:
-                    continuations.append(pool.submit(_continue, sys, rule, stop, head.value,
-                                                     seeds[len(continuations)], telemetry))
-                except RuntimeError:  # the pool is shut down: its owner takes no more results
-                    return
-
-    head = pool.submit(_head, sys, rule, stop, x, telemetry, then=lambda done: fill(done, pool.jobs))
-
-    def results():
-        x, _, k, _, stop_reason, prefix = pool.result(head)
-        for t, seed in enumerate(seeds):
-            if rule.kind == "motzkin":
-                make_rng(seed)  # a bad seed fails for every rule
-                yield RunResult(SolverState(x.copy(), k), list(prefix), stop_reason)
-                continue
-            fill(head, t + 1)
-            result, continuations[t] = pool.result(continuations[t]), None
-            fill(head, t + 1 + pool.jobs)
-            yield result
-            del result  # the caller's now, so it may go before the next one is computed
-
-    return results()
+    head = _head(sys, rule, stop, x, telemetry)
+    for seed in seeds:
+        yield _continue(sys, rule, stop, head, seed, telemetry)
 
 
 def _head(sys, rule, stop, x, telemetry):
@@ -331,11 +217,14 @@ def _head(sys, rule, stop, x, telemetry):
 
 
 def _continue(sys, rule, stop, head, seed, telemetry):
-    """The result of one seed: uniform steps from the head's iterate."""
-    x, r, k, level, _, prefix = head
-    records = list(prefix)
-    x_t, k_t, reason_t = _blocked_uniform(sys, x, r, level, k, stop, make_rng(seed),
-                                          records if telemetry else None)
+    """The result of one seed: uniform steps from the head's iterate, none
+    for motzkin. Its records are the head's records, then those of its
+    steps, numbered on from the head's k even where the head's are left out."""
+    x, r, k, level, stop_reason, prefix = head
+    rng, records = make_rng(seed), list(prefix)  # a bad seed fails for every rule
+    if rule.kind == "motzkin":
+        return RunResult(SolverState(x.copy(), k), records, stop_reason)
+    x_t, k_t, reason_t = _blocked_uniform(sys, x, r, level, k, stop, rng, records if telemetry else None)
     switch_iteration = k if rule.kind == "hybrid" and k_t > k else None
     return RunResult(SolverState(x_t, k_t), records, reason_t, switch_iteration)
 
@@ -374,7 +263,7 @@ def _loop(sys, x, r, stop, records):
         levels.append(level)
         if len(rows) == s:
             if records is not None:
-                _records(sys, iterates, residuals, rows, levels, records)
+                _records(sys, len(records), iterates, residuals, rows, levels, records)
             rows, levels = [], []
         a_i = a[i]
         x = np.add(x, (b.item(i) - a_i.dot(x)) * a_i, out=xs[len(rows)])
@@ -382,7 +271,7 @@ def _loop(sys, x, r, stop, records):
         r -= b
         k += 1
     if records is not None:
-        _records(sys, iterates, residuals, rows, levels, records)
+        _records(sys, len(records), iterates, residuals, rows, levels, records)
     return x, r.copy(), k, level, reason
 
 
@@ -424,7 +313,7 @@ def _blocked_uniform(sys, x, r, level, k, stop, rng, records):
             v = np.maximum(np.abs(block.max(axis=1)), np.abs(block.min(axis=1))).tolist()
             if threshold is not None:
                 hit = next((j for j, v_j in enumerate(v, 1) if v_j <= threshold), None)
-            _records(sys, iterates, residuals, rows[:hit], [level, *v], records)
+            _records(sys, k, iterates, residuals, rows[:hit], [level, *v], records)
             residuals[0], level = residuals[steps], v[-1]
         elif threshold is not None:
             hit = _screen(a, b, b_inf, iterates[:steps + 1], threshold, witness)
@@ -461,17 +350,16 @@ def _screen(a, b, b_inf, iterates, threshold, witness):
             np.maximum(v[j:], np.abs(xs[j:] @ a[i] - b[i]), out=v[j:])
 
 
-def _records(sys, iterates, residuals, rows, levels, records):
-    """Append to `records` the records of x_k, x_{k+1}, ... (k = len(records):
-    every records list starts at x_0), one per selected row in `rows`, whose
-    iterates, residuals A x - b and their sup norms lead `iterates`,
-    `residuals` and `levels`; it overwrites those residual rows with
+def _records(sys, k, iterates, residuals, rows, levels, records):
+    """Append to `records` the records of x_k, x_{k+1}, ..., one per selected
+    row in `rows`, whose iterates, residuals A x - b and their sup norms lead
+    `iterates`, `residuals` and `levels`; it overwrites those residual rows with
     A(x_j - reference). Each column has the bits of the step-by-step
     expression: the squared norms come from `linalg.row_norms_sq` (the dot
     kernel of `np.dot`), and gamma and the squares are Python-float
     arithmetic, which raises OverflowError where a square passes the float
     range; its message names the iteration and the square."""
-    k, t = len(records), len(rows)
+    t = len(rows)
     r = residuals[:t]
     selected = r[np.arange(t), rows].tolist()
     r2s = linalg.row_norms_sq(r).tolist()
@@ -555,31 +443,30 @@ def time_to_threshold(sys: LinearSystem,
 # telemetry CSV
 
 
-def write_telemetry_csv(path, records: list[IterationRecord], like=None) -> None:
-    """A TELEMETRY_COLUMNS header, then one row per record, in the bytes that
+def write_telemetry_csv(path, records: list[IterationRecord], rows: bytes = b"") -> None:
+    """A TELEMETRY_COLUMNS header, then `rows`, the `telemetry_rows` of the
+    records before `records`, then one row per record, in the bytes that
     `csv.writer` gives: each field as `str`, so a float as its repr, None as
     an empty field, and every line ended by \\r\\n. The rows are formatted as
-    text and written CSV_CHUNK_ROWS to a `write`. `like` is the `(path,
-    records)` of an earlier call: the header and the rows of the leading
-    records that are the same objects in both lists, as `run_trials` shares
-    them, are copied from that file, whole when all its records are shared."""
-    earlier, earlier_records = like or (None, ())
-    same = itertools.takewhile(lambda pair: pair[0] is pair[1], zip(records, earlier_records))
-    shared = sum(1 for _ in same)
+    text and written CSV_CHUNK_ROWS to a `write`. Trials that share records
+    pass their text as `rows`, so each shared row is formatted once."""
     with open(path, "wb") as fh:
-        if earlier is None:
-            fh.write(",".join(TELEMETRY_COLUMNS).encode() + b"\r\n")
-        else:
-            with open(earlier, "rb") as src:
-                if shared == len(earlier_records):
-                    shutil.copyfileobj(src, fh)
-                else:
-                    fh.writelines(itertools.islice(src, shared + 1))  # the header and shared rows
-        for start in range(shared, len(records), CSV_CHUNK_ROWS):
-            chunk = records[start:start + CSV_CHUNK_ROWS]
-            rows = "".join([f"{k},{i},{v!r},{r2!r},{gamma!r},{error_sq!r},{r_i_sq!r}\r\n"
-                            for k, i, v, r2, gamma, error_sq, r_i_sq in chunk])
-            fh.write(rows.replace("None", "").encode())  # no number prints "None": each is a None field
+        fh.write(",".join(TELEMETRY_COLUMNS).encode() + b"\r\n")
+        fh.write(rows)
+        fh.writelines(_row_chunks(records))
+
+
+def telemetry_rows(records: list[IterationRecord]) -> bytes:
+    """The rows that `write_telemetry_csv` writes for `records`."""
+    return b"".join(_row_chunks(records))
+
+
+def _row_chunks(records):
+    for start in range(0, len(records), CSV_CHUNK_ROWS):
+        chunk = records[start:start + CSV_CHUNK_ROWS]
+        rows = "".join([f"{k},{i},{v!r},{r2!r},{gamma!r},{error_sq!r},{r_i_sq!r}\r\n"
+                        for k, i, v, r2, gamma, error_sq, r_i_sq in chunk])
+        yield rows.replace("None", "").encode()  # no number prints "None": each is a None field
 
 
 def read_telemetry_csv(path) -> list[IterationRecord]:

@@ -1,5 +1,7 @@
 import csv
 import math
+import multiprocessing
+import os
 import threading
 import time
 import warnings
@@ -483,37 +485,45 @@ def pure_noise_system(tmp_path, noise_std):
     return path
 
 
-# two threads with trials for both: their numpy warnings are dropped or kept as one thread's
+# two worker processes with trials for both: their numpy warnings are dropped, or kept once each
 TWO_JOBS = ("--jobs", "2", "--trials", "2")
+
+
+def overflowing_solve(system, out, capsys, *flags):
+    """stderr's lines of a solve that fails; numpy warns of the overflow in
+    the squared norms, and no such warning reaches the caller."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("solve", "--system", str(system), *flags, "--max-iterations", "3",
+                       "--seed", "0", "--out", str(out))
+    assert code == cli.NUMERICAL_ERROR
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    return capsys.readouterr().err.splitlines()
+
+
+# the iteration and the square that passed the float range are named too
+OVERFLOW_AT_0 = "iteration 0: gamma's denominator, the square of ||A(x_k - reference)||_inf = "
 
 
 def test_telemetry_overflow_is_numerical_error(tmp_path, capsys, flags=()):
     # residual entries near 1e200: their squares pass the float range
     system, out = pure_noise_system(tmp_path, "1e200"), tmp_path / "runs"
-
-    def solve(*solver_flags):
-        # numpy warns of the overflow in the squared norms; the message says it all
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = run_cli("solve", "--system", str(system), *solver_flags, "--max-iterations", "3",
-                           "--seed", "0", *flags, "--out", str(out))
-        assert code == cli.NUMERICAL_ERROR
-        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
-        return capsys.readouterr().err.splitlines()
-
-    # the iteration and the square that passed the float range are named too
-    where = "iteration 0: gamma's denominator, the square of ||A(x_k - reference)||_inf = "
-    [line] = solve()
-    assert line.startswith("numerical failure: motzkin trial 0: " + where)
+    [line] = overflowing_solve(system, out, capsys, *flags)
+    assert line.startswith("numerical failure: motzkin trial 0: " + OVERFLOW_AT_0)
     assert line.endswith(", passes the float range")
-    # the first solver fails before its first file, so --out is never made
-    [line] = solve("--solver", "rk-uniform", "--solver", "motzkin")
-    assert line.startswith("numerical failure: rk-uniform trial 0: " + where)
+    # the first solver fails, and the --out that the run made is removed again
+    [line] = overflowing_solve(system, out, capsys, "--solver", "rk-uniform", "--solver", "motzkin", *flags)
+    assert line.startswith("numerical failure: rk-uniform trial 0: " + OVERFLOW_AT_0)
     assert not out.exists()
 
 
 def test_telemetry_overflow_is_numerical_error_on_two_jobs(tmp_path, capsys):
     test_telemetry_overflow_is_numerical_error(tmp_path, capsys, TWO_JOBS)
+    # rk-uniform's trials overflow in continuations that the workers compute
+    out = tmp_path / "rk"
+    [line] = overflowing_solve(tmp_path / "noise.sys", out, capsys, "--solver", "rk-uniform", *TWO_JOBS)
+    assert line.startswith("numerical failure: rk-uniform trial 0: " + OVERFLOW_AT_0)
+    assert not out.exists()
 
 
 def test_telemetry_overflow_that_is_no_failure_still_warns(tmp_path, flags=()):
@@ -529,6 +539,30 @@ def test_telemetry_overflow_that_is_no_failure_still_warns(tmp_path, flags=()):
 
 def test_telemetry_overflow_that_is_no_failure_still_warns_on_two_jobs(tmp_path):
     test_telemetry_overflow_that_is_no_failure_still_warns(tmp_path, TWO_JOBS)
+    # both rk-uniform trials overflow in workers, and the caller sees the warning once
+    out = tmp_path / "rk"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("solve", "--system", str(tmp_path / "noise.sys"), "--solver", "rk-uniform",
+                       "--max-iterations", "3", "--seed", "0", *TWO_JOBS, "--out", str(out)) == 0
+    overflows = [(str(w.message), w.filename, w.lineno) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(overflows) == 1 and "overflow" in overflows[0][0]
+    for trial in range(2):
+        records = solvers.read_telemetry_csv(out / f"rk-uniform_trial{trial}.csv")
+        assert math.inf in [rec.residual_2sq for rec in records]
+
+
+def fail_hybrid_trial_one(monkeypatch):
+    """Make hybrid trial 1 (seed 1) fail in `solvers._continue`, the function
+    its task calls; a forked worker inherits the patch."""
+    continue_ = solvers._continue
+
+    def failing(sys_, rule, stop, head, seed, telemetry):
+        if (rule.kind, seed) == ("hybrid", 1):
+            raise OverflowError("int too large to convert to float")
+        return continue_(sys_, rule, stop, head, seed, telemetry)
+
+    monkeypatch.setattr(solvers, "_continue", failing)
 
 
 def test_numerical_failure_of_a_later_solver_leaves_no_file(system_file, tmp_path, capsys,
@@ -536,16 +570,7 @@ def test_numerical_failure_of_a_later_solver_leaves_no_file(system_file, tmp_pat
     out = tmp_path / "runs"
     out.mkdir()
     (out / "kept.csv").write_text("not this invocation's\n")
-    run_trials = solvers.run_trials
-
-    def failing_hybrid(sys_, rule, stop, seeds, x0=None, pool=None):
-        results = run_trials(sys_, rule, stop, seeds, x0, pool)
-        if rule.kind == "hybrid":
-            yield next(results)
-            raise OverflowError("int too large to convert to float")
-        yield from results
-
-    monkeypatch.setattr(solvers, "run_trials", failing_hybrid)
+    fail_hybrid_trial_one(monkeypatch)
     code = run_cli("solve", "--system", str(system_file), "--solver", "motzkin", "--solver", "hybrid",
                    "--trials", "2", "--max-iterations", "30", "--seed", "0", "--out", str(out))
     assert code == cli.NUMERICAL_ERROR
@@ -564,16 +589,7 @@ def test_failing_later_solver_keeps_older_files_of_the_same_names(system_file, t
     out.mkdir()
     (out / "motzkin_trial0.csv").write_bytes(b"an older run's telemetry\n")
     (out / "summary.csv").write_bytes(b"an older run's summary\n")
-    run_trials = solvers.run_trials
-
-    def failing_hybrid(sys_, rule, stop, seeds, x0=None, pool=None):
-        results = run_trials(sys_, rule, stop, seeds, x0, pool)
-        if rule.kind == "hybrid":
-            yield next(results)
-            raise OverflowError("int too large to convert to float")
-        yield from results
-
-    monkeypatch.setattr(solvers, "run_trials", failing_hybrid)
+    fail_hybrid_trial_one(monkeypatch)
     code = run_cli("solve", "--system", str(system_file), "--solver", "motzkin", "--solver", "hybrid",
                    "--trials", "2", "--max-iterations", "30", "--seed", "0", *flags, "--out", str(out))
     assert code == cli.NUMERICAL_ERROR
@@ -582,6 +598,19 @@ def test_failing_later_solver_keeps_older_files_of_the_same_names(system_file, t
     assert sorted(p.name for p in out.iterdir()) == ["motzkin_trial0.csv", "summary.csv"]
     assert (out / "motzkin_trial0.csv").read_bytes() == b"an older run's telemetry\n"
     assert (out / "summary.csv").read_bytes() == b"an older run's summary\n"
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["succeeds", "later-solver-fails"])
+def test_solve_leaves_no_process_or_thread_running(system_file, tmp_path, monkeypatch, fails):
+    if fails:
+        fail_hybrid_trial_one(monkeypatch)
+    threads = threading.active_count()
+    code = run_cli("solve", "--system", str(system_file), "--solver", "motzkin", "--solver", "hybrid",
+                   "--trials", "2", "--max-iterations", "30", "--seed", "0", "--jobs", "2",
+                   "--out", str(tmp_path / "runs"))
+    assert code == (cli.NUMERICAL_ERROR if fails else 0)
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
 
 
 def test_first_failure_in_solver_and_trial_order_is_named(system_file, tmp_path, capsys, monkeypatch):
@@ -603,7 +632,7 @@ def test_first_failure_in_solver_and_trial_order_is_named(system_file, tmp_path,
                    "--trials", "3", "--max-iterations", "30", "--seed", "0", "--jobs", "4", "--out", str(out))
     assert code == cli.NUMERICAL_ERROR
     assert capsys.readouterr().err == "numerical failure: rk-uniform trial 1: late\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("jobs", ["1", "2", "4"])
@@ -637,7 +666,12 @@ def test_one_job_starts_no_thread(system_file, tmp_path, monkeypatch):
     def no_thread(self):
         raise AssertionError("a thread was started")
 
+    def no_process(*args):
+        raise AssertionError("a process was started")
+
     monkeypatch.setattr(threading.Thread, "start", no_thread)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+    monkeypatch.setattr(os, "fork", no_process)
     assert run_cli("solve", "--system", str(system_file), "--solver", "motzkin", "--solver", "rk-uniform",
                    "--solver", "hybrid", "--trials", "3", "--max-iterations", "50", "--seed", "1",
                    "--jobs", "1", "--out", str(tmp_path / "runs")) == 0

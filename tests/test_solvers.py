@@ -1,9 +1,6 @@
 import csv
 import math
 import re
-import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -373,33 +370,26 @@ def fresh_records(count, start=0):
 
 
 @pytest.mark.parametrize("earlier_rows, shared, rows", [
-    (5, 0, 5),      # nothing shared: the header alone is copied
+    (5, 0, 5),      # nothing shared: the shared text is empty
     (5, 3, 6),      # some rows shared, then rows of its own
-    (5, 5, 5),      # every row shared: the whole file is copied
+    (5, 5, 5),      # every row shared: the text is the earlier file's rows
     (5, 3, 3),      # the earlier file is longer
-    (3, 3, 6),      # the earlier file is shorter, and copied whole
+    (3, 3, 6),      # the earlier file is shorter, and shared whole
     (0, 0, 4),      # the earlier file is a header alone
     (5, 0, 0),      # no records
     (600, 300, 700),  # the shared rows and the formatted ones span chunks
 ])
 def test_like_writes_the_bytes_of_a_fresh_write(tmp_path, earlier_rows, shared, rows):
+    # a file written like an earlier one whose leading records it shares: their
+    # rows come from text formatted once, the leading part of the earlier file's rows
     earlier = fresh_records(earlier_rows)
     records = earlier[:shared] + fresh_records(rows - shared, start=shared)
+    header = ",".join(solvers.TELEMETRY_COLUMNS).encode() + b"\r\n"
+    text = solvers.telemetry_rows(earlier[:shared])
     solvers.write_telemetry_csv(tmp_path / "earlier.csv", earlier)
-    solvers.write_telemetry_csv(tmp_path / "got.csv", records, like=(tmp_path / "earlier.csv", earlier))
-    solvers.write_telemetry_csv(tmp_path / "want.csv", records)
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-
-
-def test_like_shares_rows_by_identity_not_equality(tmp_path):
-    # the second records compare equal (0.0 == -0.0) but are distinct objects, so its row is formatted
-    earlier = fresh_records(3)
-    earlier[1] = earlier[1]._replace(residual_2sq=0.0)
-    records = [earlier[0], earlier[1]._replace(residual_2sq=-0.0), earlier[2]]
-    assert earlier[1].residual_2sq == 0.0 and records == earlier
-    solvers.write_telemetry_csv(tmp_path / "earlier.csv", earlier)
-    solvers.write_telemetry_csv(tmp_path / "got.csv", records, like=(tmp_path / "earlier.csv", earlier))
-    assert (tmp_path / "got.csv").read_bytes().splitlines()[2] == b"1,7,0.5,-0.0,,0.5,0.3333333333333333"
+    assert (tmp_path / "earlier.csv").read_bytes() == header + solvers.telemetry_rows(earlier)
+    assert (tmp_path / "earlier.csv").read_bytes().startswith(header + text)
+    solvers.write_telemetry_csv(tmp_path / "got.csv", records[shared:], text)
     solvers.write_telemetry_csv(tmp_path / "want.csv", records)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
@@ -760,117 +750,6 @@ def test_telemetry_takes_no_block_sized_temporary():
     r0 = sys_.a @ np.zeros(sys_.n) - sys_.b
     x, r, *_ = solvers._loop(sys_, np.zeros(sys_.n), r0, StopRule(5), [])
     assert r.base is None and r.tobytes() == (sys_.a @ x - sys_.b).tobytes()
-
-
-# --------------------------------------------------------------------------
-# trials on a TrialPool
-
-
-def traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-@pytest.mark.parametrize("jobs", [1, 2, 3])
-def test_pool_holds_at_most_jobs_plus_one_trials(jobs, monkeypatch):
-    # one trial's records and buffers, then eight trials taken one at a time
-    # by a caller that lets the workers compute every trial they may: at most
-    # `jobs` of them ahead of the one being taken
-    sys_ = gaussian_system(m=200, n=20, noise_std=0.05, seed=3)
-    rule, stop, seeds = SelectionRule("rk-uniform"), StopRule(1000), range(8)
-    running, continue_ = [], solvers._continue
-
-    def counted(*args):
-        running.append(args[4])
-        try:
-            return continue_(*args)
-        finally:
-            running.remove(args[4])
-
-    monkeypatch.setattr(solvers, "_continue", counted)
-
-    def one_trial():
-        assert len(solvers.run(sys_, rule, stop, seed=0).records) == 1000
-
-    def all_trials():
-        pool = solvers.TrialPool(jobs)
-        try:
-            results = solvers.run_trials(sys_, rule, stop, seeds, pool=pool)
-            for _ in seeds:
-                result = next(results)
-                deadline = time.monotonic() + 30
-                while running or (jobs > 1 and pool._queue):  # until the workers are idle
-                    assert time.monotonic() < deadline
-                    time.sleep(0.002)
-                del result
-        finally:
-            pool.shutdown()
-
-    one_trial()
-    trial = traced_peak(one_trial)
-    peak = traced_peak(all_trials)
-    assert peak <= (jobs + 1) * trial, (peak, trial)
-
-
-def test_pool_stress_more_workers_than_cores(monkeypatch):
-    # six workers and a thread switch every microsecond: every continuation
-    # runs once, and the results come in seed order with the bits of serial runs
-    sys_ = gaussian_system(seed=6)
-    rules = [SelectionRule("motzkin"), SelectionRule("rk-uniform"), SelectionRule("hybrid", 0.3)]
-    stop, seeds = StopRule(60), [9, 2, 7, 4, 1, 11, 0, 5, 3, 10, 6, 8]
-    want = {rule.kind: [solvers.run(sys_, rule, stop, seed=seed) for seed in seeds] for rule in rules}
-    ran, got, continue_ = [], {}, solvers._continue
-
-    def counted(*args):
-        ran.append((args[1].kind, args[4]))
-        return continue_(*args)
-
-    def consume():
-        pool = solvers.TrialPool(6)
-        try:
-            streams = [(rule.kind, solvers.run_trials(sys_, rule, stop, seeds, pool=pool)) for rule in rules]
-            for kind, results in streams:
-                got[kind] = list(results)
-        finally:
-            pool.shutdown()
-
-    monkeypatch.setattr(solvers, "_continue", counted)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        consumer = threading.Thread(target=consume)
-        consumer.start()
-        consumer.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not consumer.is_alive()
-    assert sorted(ran) == sorted((kind, seed) for kind in ("rk-uniform", "hybrid") for seed in seeds)
-    for kind, results in want.items():
-        assert [(r.records, r.state.x.tobytes(), r.stop_reason, r.switch_iteration) for r in got[kind]] == \
-            [(r.records, r.state.x.tobytes(), r.stop_reason, r.switch_iteration) for r in results]
-
-
-def test_pool_of_one_job_starts_no_thread_and_runs_tasks_when_asked(monkeypatch):
-    def no_thread(self):
-        raise AssertionError("a thread was started")
-
-    monkeypatch.setattr(threading.Thread, "start", no_thread)
-    pool, ran = solvers.TrialPool(1), []
-    task = pool.submit(ran.append, 1, then=lambda done: ran.append(2))
-    assert ran == []
-    assert pool.result(task) is None and ran == [1, 2]
-    failing, dropped = pool.submit(int, "x"), pool.submit(int, "1")
-    with pytest.raises(ValueError):
-        pool.result(failing)
-    pool.shutdown()
-    with pytest.raises(RuntimeError, match="shut down first"):
-        pool.result(dropped)
-    with pytest.raises(RuntimeError, match="is shut down"):
-        pool.submit(int, "1")
 
 
 # --------------------------------------------------------------------------
