@@ -35,7 +35,6 @@ from .solvers import (
     TimingSummary,
     project_step,
     run,
-    run_trials,
     select_motzkin,
     time_to_threshold,
 )

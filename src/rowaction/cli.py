@@ -8,16 +8,17 @@ Subcommands:
   timing        mean time/iterations to a residual threshold, solver vs solver
 
 solve, bounds and timing read their system only from --system, a file
-written by generate or netlib-prep. solve computes its trials in --jobs
-worker processes, forked once per invocation so that they share the loaded
-system, not a pickled copy. Each solver's seed-independent head is one
-task, and each trial's continuation another, started once its head is
+written by generate or netlib-prep. solve computes its trials in one
+worker process per CPU it may run on (os.sched_getaffinity), at most one per
+trial, forked once per invocation so that they share the loaded system, not
+a pickled copy; taskset limits them. Each solver's seed-independent head is
+one task, and each trial's continuation another, started once its head is
 done. The worker that computes a trial also writes its telemetry CSV, into
 a temporary directory in --out; the parent writes summary.csv there and
 moves every file into place in (solver, trial) order, summary.csv last,
-once every trial succeeded. --jobs 1 runs the same tasks in the parent,
-starting no process and no thread. timing stays serial: it measures
-process time.
+once every trial succeeded. With one worker the same tasks run in the
+parent, starting no process and no thread. timing stays serial: it
+measures process time.
 
 Every flag can also come from one `key = value` config file, given as
 --config PATH or --config=PATH. Each line becomes a `--key=value` flag ahead of
@@ -144,14 +145,12 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     _check_run_flags(args)
-    if args.jobs is not None and args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     sys_ = systems.load_system(args.system)
     stop = solvers.StopRule(max_iterations=args.max_iterations,
                             residual_inf_threshold=args.stop_residual_inf)
     rules = [solvers.SelectionRule(name, _resolve_threshold(args.hybrid_threshold, sys_))
              if name == "hybrid" else solvers.SelectionRule(name) for name in args.solver]
-    jobs = min(args.jobs or len(os.sched_getaffinity(0)), len(rules) * args.trials)
+    jobs = min(len(os.sched_getaffinity(0)), len(rules) * args.trials)
     seeds = range(args.seed, args.seed + args.trials)
     out = Path(args.out)
     made = [path for path in (out, *out.parents) if not path.exists()]  # removed again on failure
@@ -187,27 +186,26 @@ def cmd_solve(args) -> int:
 
 
 def _solve_trials(submit, rules, stop, seeds, tmp):
-    """Every solver's `_head_task`, then each trial's `_trial_task` once its
-    head is done, through `submit(task, *args)`, a future of `_task`. Returns
-    the summary rows and the warnings caught, once each, in (solver, trial)
-    order; raises the first failure in that order, an overflow named by its
-    trial, once every task has ended."""
-    heads = {submit(_head_task, rule, stop): rule for rule in rules}
-    trials, pending = {}, set(heads)
-    while pending:
-        done, pending = futures.wait(pending, return_when=futures.FIRST_COMPLETED)
-        for head in done & heads.keys():
-            if head.exception() is None:
-                rule = heads[head]
-                for trial, seed in enumerate(seeds):
-                    trials[rule, trial] = submit(_trial_task, rule, stop, head.result()[0], seed,
-                                                 tmp / f"{rule.kind}_trial{trial}.csv")
-                    pending.add(trials[rule, trial])
+    """Every solver's `_head_task`, then each trial's `_trial_task` as soon
+    as its head is done, through `submit(task, *args)`, a future of `_task`;
+    no trial is submitted once a head at or before its solver is known to
+    have failed. Returns the summary rows and the warnings caught, once
+    each, in (solver, trial) order; raises the first failure in that order,
+    an overflow named by its trial."""
+    heads = [submit(_head_task, rule, stop) for rule in rules]
+    trials = {}
+    for head in futures.as_completed(heads):
+        at = heads.index(head)
+        if any(h.done() and h.exception() is not None for h in heads[:at + 1]):
+            continue  # the first failure in order is reported, and these trials come after it
+        for trial, seed in enumerate(seeds):
+            trials[at, trial] = submit(_trial_task, rules[at], stop, head.result()[0], seed,
+                                       tmp / f"{rules[at].kind}_trial{trial}.csv")
     summary_rows, caught = [], {}
-    for head, rule in heads.items():
+    for at, (head, rule) in enumerate(zip(heads, rules)):
         caught.update(dict.fromkeys(_result(head, rule.kind, 0)[1]))
         for trial in range(len(seeds)):
-            fields, warned = _result(trials[rule, trial], rule.kind, trial)
+            fields, warned = _result(trials[at, trial], rule.kind, trial)
             summary_rows.append([rule.kind, trial, *fields])
             caught.update(dict.fromkeys(warned))
     return summary_rows, list(caught)
@@ -221,17 +219,18 @@ def _result(future, name, trial):
 
 
 def _head_task(sys_, rule, stop):
-    """A solver's seed-independent part from x_0 = 0, `solvers._head`, with
-    its records formatted once, as the text that each trial's file repeats."""
-    *head, records = solvers._head(sys_, rule, stop, np.zeros(sys_.n), telemetry=True)
-    return *head, solvers.telemetry_rows(records)
+    """A solver's seed-independent part from x_0 = 0, `solvers._head`: its
+    state, and its records formatted once, as the text that each trial's
+    file repeats."""
+    state, records = solvers._head(sys_, rule, stop, np.zeros(sys_.n), telemetry=True)
+    return state, solvers.telemetry_rows(records)
 
 
 def _trial_task(sys_, rule, stop, head, seed, path):
     """One trial, `solvers._continue` from the head, written to `path`;
     returns its summary fields."""
-    *state, rows = head
-    result = solvers._continue(sys_, rule, stop, (*state, []), seed, telemetry=True)
+    state, rows = head
+    result = solvers._continue(sys_, rule, stop, state, seed, telemetry=True)
     solvers.write_telemetry_csv(path, result.records, rows)
     diff = result.state.x - sys_.reference
     return [result.state.iteration, repr(float(np.dot(diff, diff))), result.stop_reason]
@@ -390,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=".")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes computing and writing trials; defaults to the usable cores")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bounds", allow_abbrev=False, help="evaluate bound curves for a system")

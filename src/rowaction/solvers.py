@@ -20,10 +20,11 @@ for uniform selection. A hybrid run is a greedy prefix, stopped at the
 switch, plus a uniform continuation from the switch iterate. The greedy rule
 never draws from the RNG, so a run splits into a seed-independent head
 (`_head`: the motzkin run, or the hybrid prefix) and one continuation per
-seed (`_continue`). `run_trials` computes the head once and the seeds'
-continuations one at a time. `solve` runs the same two functions as tasks
-in forked worker processes (see `cli`); each continuation has its own RNG
-and buffers, so its bits do not depend on the process that ran it.
+seed (`_continue`). `run` and `time_to_threshold` compute one head and
+one continuation per solve. `solve` computes each solver's head once and
+runs every trial's continuation from it, as tasks in forked worker
+processes or inline (see `cli`); each continuation has its own RNG and
+buffers, so its bits do not depend on the process that ran it.
 
 Each performed iteration emits one IterationRecord, a named tuple whose
 fields are the telemetry CSV columns, measured at the iterate *before* the
@@ -52,7 +53,6 @@ block past the stop point, which nothing exposes.
 import csv
 import math
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -168,60 +168,39 @@ def run(sys: LinearSystem,
         RunResult with the final state, one record per performed iteration,
         the stop reason, and the hybrid switch iteration when it happened.
     """
-    return next(run_trials(sys, rule, stop, [seed], x0))
-
-
-def run_trials(sys: LinearSystem,
-               rule: SelectionRule,
-               stop: StopRule,
-               seeds,
-               x0=None) -> Iterator[RunResult]:
-    """Yield `run(sys, rule, stop, x0, seed)` for each seed in turn, lazily.
-
-    The seed-independent part is computed once: the whole run for motzkin,
-    the greedy prefix up to the switch for hybrid. Each seed's uniform
-    continuation starts from it, with its own iterate and records list;
-    hybrid results share the prefix's records.
-    """
-    return _trials(sys, rule, stop, seeds, x0, telemetry=True)
-
-
-def _trials(sys, rule, stop, seeds, x0, telemetry):
-    if x0 is None:
-        x = np.zeros(sys.n)
-    else:
-        x = linalg.as_vector(x0).copy()
-        if x.shape[0] != sys.n:
-            raise ValueError(f"x0 length {x.shape[0]} does not match {sys.n} columns")
-    head = _head(sys, rule, stop, x, telemetry)
-    for seed in seeds:
-        yield _continue(sys, rule, stop, head, seed, telemetry)
+    x = np.zeros(sys.n) if x0 is None else linalg.as_vector(x0).copy()
+    if x.shape[0] != sys.n:
+        raise ValueError(f"x0 length {x.shape[0]} does not match {sys.n} columns")
+    state, records = _head(sys, rule, stop, x, telemetry=True)
+    result = _continue(sys, rule, stop, state, seed, telemetry=True)
+    result.records[:0] = records
+    return result
 
 
 def _head(sys, rule, stop, x, telemetry):
-    """The seed-independent part of a run from x_0 = x: its final or switch
-    iterate, that iterate's residual, k and residual sup norm, the stop
-    reason (None where uniform steps follow) and the greedy records."""
+    """The seed-independent part of a run from x_0 = x, as (state, records):
+    the state that `_continue` takes, which is the final or switch iterate,
+    that iterate's residual, k and residual sup norm, and the stop reason
+    (None where uniform steps follow); and the greedy records."""
     r = sys.a @ x - sys.b
-    prefix = []
+    records = []
     if rule.kind == "rk-uniform":
-        return x, r, 0, float(np.abs(r).max()), None, prefix
+        return (x, r, 0, float(np.abs(r).max()), None), records
     greedy_stop = stop
     if rule.kind == "hybrid":
         # residual <= hybrid threshold ends the prefix: a stop when the stop
         # threshold or the cap also holds there, else the switch
         greedy_stop = StopRule(stop.max_iterations,
                                max(stop.residual_inf_threshold or 0.0, rule.hybrid_threshold))
-    x, r, k, level, stop_reason = _loop(sys, x, r, greedy_stop, prefix if telemetry else None)
-    return x, r, k, level, stop_reason, prefix
+    return _loop(sys, x, r, greedy_stop, records if telemetry else None), records
 
 
-def _continue(sys, rule, stop, head, seed, telemetry):
-    """The result of one seed: uniform steps from the head's iterate, none
-    for motzkin. Its records are the head's records, then those of its
-    steps, numbered on from the head's k even where the head's are left out."""
-    x, r, k, level, stop_reason, prefix = head
-    rng, records = make_rng(seed), list(prefix)  # a bad seed fails for every rule
+def _continue(sys, rule, stop, state, seed, telemetry):
+    """The result of one seed: uniform steps from a head's state, none for
+    motzkin. Its records are only those of its own steps, numbered on from
+    the head's k; `run` puts the head's records in front of them."""
+    x, r, k, level, stop_reason = state
+    rng, records = make_rng(seed), []  # a bad seed fails for every rule
     if rule.kind == "motzkin":
         return RunResult(SolverState(x.copy(), k), records, stop_reason)
     x_t, k_t, reason_t = _blocked_uniform(sys, x, r, level, k, stop, rng, records if telemetry else None)
@@ -432,7 +411,8 @@ def time_to_threshold(sys: LinearSystem,
     stop = StopRule(max_iterations=max_iterations, residual_inf_threshold=threshold)
     for t in range(trials):
         t0 = time.process_time()
-        result = next(_trials(sys, rule, stop, [seed + t], None, telemetry=False))
+        state, _ = _head(sys, rule, stop, np.zeros(sys.n), telemetry=False)
+        result = _continue(sys, rule, stop, state, seed + t, telemetry=False)
         seconds.append(time.process_time() - t0)
         iterations.append(result.state.iteration)
         censored_mask.append(result.stop_reason != STOP_RESIDUAL_THRESHOLD)

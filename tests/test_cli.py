@@ -22,6 +22,12 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+def set_cpus(monkeypatch, count):
+    """Give the process `count` CPUs, as taskset would: `solve` forks
+    min(count, solvers x trials) workers, and runs its tasks inline at 1."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
 @pytest.fixture()
 def system_file(tmp_path):
     path = tmp_path / "sys.txt"
@@ -441,12 +447,17 @@ def test_timing_rejects_hybrid_solver(system_file, tmp_path, capsys):
     assert "argument --solver: invalid choice: 'hybrid'" in capsys.readouterr().err
 
 
-def test_config_file_unknown_key(tmp_path):
+def test_config_file_unknown_key(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("bogus = 1\n")
     code = run_cli("generate", "--config", str(config), "--kind", "gaussian-noise",
                    "--seed", "1", "--out", str(tmp_path / "x.txt"))
     assert code == cli.CONFIG_ERROR
+    # solve takes its worker count from the CPU affinity, and has no jobs flag
+    config.write_text("jobs = 2\n")
+    code = run_cli("solve", "--config", str(config), "--system", str(tmp_path / "x.txt"), "--seed", "1")
+    assert code == cli.CONFIG_ERROR
+    assert "unrecognized arguments: --jobs=2" in capsys.readouterr().err
 
 
 def test_bad_flags_exit_code(tmp_path, capsys):
@@ -485,8 +496,8 @@ def pure_noise_system(tmp_path, noise_std):
     return path
 
 
-# two worker processes with trials for both: their numpy warnings are dropped, or kept once each
-TWO_JOBS = ("--jobs", "2", "--trials", "2")
+# under two CPUs, two trials give two worker processes, whose numpy warnings are dropped, or kept once each
+TWO_TRIALS = ("--trials", "2")
 
 
 def overflowing_solve(system, out, capsys, *flags):
@@ -517,11 +528,12 @@ def test_telemetry_overflow_is_numerical_error(tmp_path, capsys, flags=()):
     assert not out.exists()
 
 
-def test_telemetry_overflow_is_numerical_error_on_two_jobs(tmp_path, capsys):
-    test_telemetry_overflow_is_numerical_error(tmp_path, capsys, TWO_JOBS)
+def test_telemetry_overflow_is_numerical_error_on_two_jobs(tmp_path, capsys, monkeypatch):
+    set_cpus(monkeypatch, 2)
+    test_telemetry_overflow_is_numerical_error(tmp_path, capsys, TWO_TRIALS)
     # rk-uniform's trials overflow in continuations that the workers compute
     out = tmp_path / "rk"
-    [line] = overflowing_solve(tmp_path / "noise.sys", out, capsys, "--solver", "rk-uniform", *TWO_JOBS)
+    [line] = overflowing_solve(tmp_path / "noise.sys", out, capsys, "--solver", "rk-uniform", *TWO_TRIALS)
     assert line.startswith("numerical failure: rk-uniform trial 0: " + OVERFLOW_AT_0)
     assert not out.exists()
 
@@ -537,14 +549,15 @@ def test_telemetry_overflow_that_is_no_failure_still_warns(tmp_path, flags=()):
     assert math.inf in [rec.residual_2sq for rec in solvers.read_telemetry_csv(out / "motzkin_trial0.csv")]
 
 
-def test_telemetry_overflow_that_is_no_failure_still_warns_on_two_jobs(tmp_path):
-    test_telemetry_overflow_that_is_no_failure_still_warns(tmp_path, TWO_JOBS)
+def test_telemetry_overflow_that_is_no_failure_still_warns_on_two_jobs(tmp_path, monkeypatch):
+    set_cpus(monkeypatch, 2)
+    test_telemetry_overflow_that_is_no_failure_still_warns(tmp_path, TWO_TRIALS)
     # both rk-uniform trials overflow in workers, and the caller sees the warning once
     out = tmp_path / "rk"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run_cli("solve", "--system", str(tmp_path / "noise.sys"), "--solver", "rk-uniform",
-                       "--max-iterations", "3", "--seed", "0", *TWO_JOBS, "--out", str(out)) == 0
+                       "--max-iterations", "3", "--seed", "0", *TWO_TRIALS, "--out", str(out)) == 0
     overflows = [(str(w.message), w.filename, w.lineno) for w in caught if issubclass(w.category, RuntimeWarning)]
     assert len(overflows) == 1 and "overflow" in overflows[0][0]
     for trial in range(2):
@@ -557,10 +570,10 @@ def fail_hybrid_trial_one(monkeypatch):
     its task calls; a forked worker inherits the patch."""
     continue_ = solvers._continue
 
-    def failing(sys_, rule, stop, head, seed, telemetry):
+    def failing(sys_, rule, stop, state, seed, telemetry):
         if (rule.kind, seed) == ("hybrid", 1):
             raise OverflowError("int too large to convert to float")
-        return continue_(sys_, rule, stop, head, seed, telemetry)
+        return continue_(sys_, rule, stop, state, seed, telemetry)
 
     monkeypatch.setattr(solvers, "_continue", failing)
 
@@ -582,16 +595,20 @@ def test_numerical_failure_of_a_later_solver_leaves_no_file(system_file, tmp_pat
     assert "wrote" not in captured.out and ".csv" not in captured.out
 
 
-@pytest.mark.parametrize("flags", [[], ["--jobs", "1"], ["--jobs", "2"]])
+# the machine's CPUs, then one (inline) and two (forked workers); the ids
+# stay those of earlier versions, so results compare across them
+@pytest.mark.parametrize("cpus", [None, 1, 2], ids=["flags0", "flags1", "flags2"])
 def test_failing_later_solver_keeps_older_files_of_the_same_names(system_file, tmp_path, capsys,
-                                                                  monkeypatch, flags):
+                                                                  monkeypatch, cpus):
+    if cpus is not None:
+        set_cpus(monkeypatch, cpus)
     out = tmp_path / "runs"
     out.mkdir()
     (out / "motzkin_trial0.csv").write_bytes(b"an older run's telemetry\n")
     (out / "summary.csv").write_bytes(b"an older run's summary\n")
     fail_hybrid_trial_one(monkeypatch)
     code = run_cli("solve", "--system", str(system_file), "--solver", "motzkin", "--solver", "hybrid",
-                   "--trials", "2", "--max-iterations", "30", "--seed", "0", *flags, "--out", str(out))
+                   "--trials", "2", "--max-iterations", "30", "--seed", "0", "--out", str(out))
     assert code == cli.NUMERICAL_ERROR
     assert "numerical failure: hybrid trial 1: int too large" in capsys.readouterr().err
     # no file is replaced, and no temporary file stays
@@ -604,9 +621,10 @@ def test_failing_later_solver_keeps_older_files_of_the_same_names(system_file, t
 def test_solve_leaves_no_process_or_thread_running(system_file, tmp_path, monkeypatch, fails):
     if fails:
         fail_hybrid_trial_one(monkeypatch)
+    set_cpus(monkeypatch, 2)
     threads = threading.active_count()
     code = run_cli("solve", "--system", str(system_file), "--solver", "motzkin", "--solver", "hybrid",
-                   "--trials", "2", "--max-iterations", "30", "--seed", "0", "--jobs", "2",
+                   "--trials", "2", "--max-iterations", "30", "--seed", "0",
                    "--out", str(tmp_path / "runs"))
     assert code == (cli.NUMERICAL_ERROR if fails else 0)
     assert multiprocessing.active_children() == []
@@ -620,32 +638,34 @@ def test_first_failure_in_solver_and_trial_order_is_named(system_file, tmp_path,
              ("hybrid", 0): ("early", 0), ("hybrid", 1): ("early", 0)}
     continue_ = solvers._continue
 
-    def failing(sys_, rule, stop, head, seed, telemetry):
+    def failing(sys_, rule, stop, state, seed, telemetry):
         if (rule.kind, seed) in fails:
             message, seconds = fails[rule.kind, seed]
             time.sleep(seconds)
             raise OverflowError(message)
-        return continue_(sys_, rule, stop, head, seed, telemetry)
+        return continue_(sys_, rule, stop, state, seed, telemetry)
 
     monkeypatch.setattr(solvers, "_continue", failing)
+    set_cpus(monkeypatch, 4)
     code = run_cli("solve", "--system", str(system_file), "--solver", "rk-uniform", "--solver", "hybrid",
-                   "--trials", "3", "--max-iterations", "30", "--seed", "0", "--jobs", "4", "--out", str(out))
+                   "--trials", "3", "--max-iterations", "30", "--seed", "0", "--out", str(out))
     assert code == cli.NUMERICAL_ERROR
     assert capsys.readouterr().err == "numerical failure: rk-uniform trial 1: late\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("jobs", ["1", "2", "4"])
-def test_solve_bytes_do_not_depend_on_jobs(system_file, tmp_path, jobs):
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+def test_solve_bytes_do_not_depend_on_jobs(system_file, tmp_path, monkeypatch, jobs):
     # three solvers, three trials: rk-uniform trials stop at the threshold, and hybrid ones switch
-    def solve(out, jobs):
+    def solve(out, cpus):
+        set_cpus(monkeypatch, cpus)
         assert run_cli("solve", "--system", str(system_file), "--solver", "motzkin", "--solver", "rk-uniform",
                        "--solver", "hybrid", "--trials", "3", "--hybrid-threshold", "0.3",
                        "--stop-residual-inf", "0.2", "--max-iterations", "300", "--seed", "4",
-                       "--jobs", jobs, "--out", str(out)) == 0
+                       "--out", str(out)) == 0
         return {p.name: p.read_bytes() for p in out.iterdir()}
 
-    got, serial = solve(tmp_path / "got", jobs), solve(tmp_path / "serial", "1")
+    got, serial = solve(tmp_path / "got", jobs), solve(tmp_path / "serial", 1)
     assert got == serial and len(got) == 10
     sys_ = systems.load_system(system_file)
     rules = [SelectionRule("motzkin"), SelectionRule("rk-uniform"), SelectionRule("hybrid", 0.3)]
@@ -662,7 +682,7 @@ def test_solve_bytes_do_not_depend_on_jobs(system_file, tmp_path, jobs):
     assert hybrid.switch_iteration == 7
 
 
-def test_one_job_starts_no_thread(system_file, tmp_path, monkeypatch):
+def forbid_processes_and_threads(monkeypatch):
     def no_thread(self):
         raise AssertionError("a thread was started")
 
@@ -672,31 +692,40 @@ def test_one_job_starts_no_thread(system_file, tmp_path, monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
     monkeypatch.setattr(os, "fork", no_process)
+
+
+def test_one_job_starts_no_thread(system_file, tmp_path, monkeypatch):
+    set_cpus(monkeypatch, 1)
+    forbid_processes_and_threads(monkeypatch)
     assert run_cli("solve", "--system", str(system_file), "--solver", "motzkin", "--solver", "rk-uniform",
                    "--solver", "hybrid", "--trials", "3", "--max-iterations", "50", "--seed", "1",
-                   "--jobs", "1", "--out", str(tmp_path / "runs")) == 0
+                   "--out", str(tmp_path / "runs")) == 0
 
 
-@pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_jobs_below_one_is_config_error(system_file, tmp_path, capsys, jobs):
-    out = tmp_path / "runs"
-    code = run_cli("solve", "--system", str(system_file), "--max-iterations", "20", "--seed", "1",
-                   "--jobs", jobs, "--out", str(out))
-    assert code == cli.CONFIG_ERROR
-    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
-    assert not out.exists()
+def test_one_trial_starts_no_thread_on_four_cpus(system_file, tmp_path, monkeypatch):
+    # one solver and one trial are one task each: the workers are capped at solvers x trials
+    set_cpus(monkeypatch, 4)
+    forbid_processes_and_threads(monkeypatch)
+    assert run_cli("solve", "--system", str(system_file), "--solver", "hybrid", "--max-iterations", "50",
+                   "--seed", "1", "--out", str(tmp_path / "runs")) == 0
 
 
-def test_config_file_sets_jobs(system_file, tmp_path):
-    config = tmp_path / "solve.cfg"
-    config.write_text("solver = motzkin, rk-uniform\ntrials = 2\nmax-iterations = 40\njobs = 2\n")
-    for name, flags in (("cfg", ["--config", str(config)]),
-                        ("flags", ["--solver", "motzkin", "--solver", "rk-uniform", "--trials", "2",
-                                   "--max-iterations", "40", "--jobs", "1"])):
-        assert run_cli("solve", "--system", str(system_file), *flags, "--seed", "3",
-                       "--out", str(tmp_path / name)) == 0
-    assert {p.name: p.read_bytes() for p in (tmp_path / "cfg").iterdir()} == \
-        {p.name: p.read_bytes() for p in (tmp_path / "flags").iterdir()}
+def test_failed_head_stops_the_later_solvers_trials(tmp_path, capsys, monkeypatch):
+    # motzkin's head overflows; rk-uniform comes after it in --solver order, so
+    # none of its trials is computed, and the failure is named as before
+    calls, continue_ = [], solvers._continue
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].kind)
+        return continue_(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_continue", counting)
+    set_cpus(monkeypatch, 1)
+    system, out = pure_noise_system(tmp_path, "1e200"), tmp_path / "runs"
+    [line] = overflowing_solve(system, out, capsys, "--solver", "motzkin", "--solver", "rk-uniform",
+                               "--trials", "3")
+    assert line.startswith("numerical failure: motzkin trial 0: " + OVERFLOW_AT_0)
+    assert calls == [] and not out.exists()
 
 
 def test_motzkin_selects_the_largest_residual_when_squares_underflow(tmp_path):

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -17,23 +18,24 @@ def digests():
 
 
 def test_digests_cover_every_output_and_repeat(digests, tmp_path, capsys, monkeypatch):
-    # the default --jobs, then one thread and three: the list depends on none of them
-    solves, main = [], digests.cli.main
+    # the machine's CPUs, then one and three: the list depends on none of them
+    workers, pool = [], digests.cli.futures.ProcessPoolExecutor
 
-    def spy(argv):
-        if argv[0] == "solve":
-            solves.append(argv)
-        return main(argv)
+    def spy(max_workers, *args):
+        workers.append(max_workers)
+        return pool(max_workers, *args)
 
-    monkeypatch.setattr(digests.cli, "main", spy)
+    monkeypatch.setattr(digests.cli.futures, "ProcessPoolExecutor", spy)
     runs = []
-    for name, flags in (("a", []), ("b", ["--jobs", "1"]), ("c", ["--jobs", "3"])):
-        solves.clear()
-        assert digests.main(["--out", str(tmp_path / name), *flags]) == 0
+    for name, cpus in (("a", None), ("b", 1), ("c", 3)):
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        workers.clear()
+        assert digests.main(["--out", str(tmp_path / name)]) == 0
         runs.append(capsys.readouterr().out.splitlines())
-        # every solve, the README's included, gets the flag
-        jobs = [argv[argv.index("--jobs") + 1] if "--jobs" in argv else None for argv in solves]
-        assert jobs == [flags[1] if flags else None] * 11
+        # every solve, the README's included, forks one worker per CPU, or none on one CPU
+        if cpus is not None:
+            assert workers == ([] if cpus == 1 else [cpus] * 11)
     assert runs[0] == runs[1] == runs[2]
     *lines, last = runs[0]
     assert lines == sorted(lines)

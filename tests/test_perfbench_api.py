@@ -5,6 +5,7 @@ it uses. These tests read perfbench's modules and never edit them."""
 import ast
 import dataclasses
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -87,18 +88,19 @@ def test_parallel_solve_keeps_every_span_on_the_main_thread(monkeypatch, tmp_pat
     assert cli.main(["generate", "--kind", "gaussian-noise", "--m", "300", "--n", "20",
                      "--noise-std", "0.01", "--seed", "2", "--out", str(system)]) == 0
 
-    def traced_solve(jobs):
+    def traced_solve(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         tracer = spans.Tracer("test")
         with tracer.installed(), tracer.span("cli.solve"):
             assert cli.main(["solve", "--system", str(system), "--solver", "motzkin", "--solver", "rk-uniform",
                              "--solver", "hybrid", "--trials", "3", "--max-iterations", "400", "--seed", "1",
-                             "--jobs", jobs, "--out", str(tmp_path / "runs")]) == 0
+                             "--out", str(tmp_path / "runs")]) == 0
         return tracer, [s for s in tracer.spans if s.name == "solvers.write_telemetry_csv"]
 
-    # at --jobs 1 the traced process writes every file; at --jobs 2 the
-    # workers do, so their write spans stay in the workers
-    tracer, writes = traced_solve("1")
+    # at one CPU the traced process writes every file; at two the workers
+    # do, so their write spans stay in the workers
+    tracer, writes = traced_solve(1)
     assert len(writes) == 9 and all(s.parent == 0 for s in writes)
-    tracer, writes = traced_solve("2")
+    tracer, writes = traced_solve(2)
     assert writes == []
     assert spans.worst_self_time_gap(tracer, 0) <= 1e-6

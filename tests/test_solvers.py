@@ -408,12 +408,14 @@ def test_overflow_names_its_iteration_and_square():
 
 
 # --------------------------------------------------------------------------
-# run and run_trials against the one-pass-per-seed loop they replaced
+# run and the shared-head trials of solve against the one-pass-per-seed loop
+# they replaced
 
 
 def reference_run(sys, rule, stop, x0=None, seed=0):
-    """The run loop before run_trials: one full pass per seed, with the hybrid
-    switch taken inside the loop. Kept verbatim as the reference."""
+    """The run loop before the head/continuation split: one full pass per
+    seed, with the hybrid switch taken inside the loop. Kept verbatim as
+    the reference."""
     if x0 is None:
         x = np.zeros(sys.n)
     else:
@@ -473,20 +475,26 @@ def reference_run(sys, rule, stop, x0=None, seed=0):
 
 
 def assert_matches_reference(sys_, rule, stop, seeds, x0, csv_path):
-    """run_trials and run agree with reference_run for every seed: telemetry
-    CSV bytes, iterate bits, iteration count, stop reason and switch; the
-    trials share no iterate or records list. Returns the reference runs."""
-    def csv_bytes(records):
-        solvers.write_telemetry_csv(csv_path, records)
+    """One head (`solvers._head`) continued once per seed (`solvers._continue`),
+    as `solve` computes its trials, and `run` agree with reference_run for
+    every seed: telemetry CSV bytes, a trial's written as `solve` writes it
+    with the head's rows as text, iterate bits, iteration count, stop reason
+    and switch; the trials share no iterate or records list. Returns the
+    reference runs."""
+    def csv_bytes(records, rows=b""):
+        solvers.write_telemetry_csv(csv_path, records, rows)
         return csv_path.read_bytes()
 
-    trials = list(solvers.run_trials(sys_, rule, stop, seeds, x0=x0))
-    assert len(trials) == len(seeds)
+    x = np.zeros(sys_.n) if x0 is None else np.array(x0, dtype=float)
+    state, head = solvers._head(sys_, rule, stop, x, telemetry=True)
+    trials = [solvers._continue(sys_, rule, stop, state, seed, telemetry=True) for seed in seeds]
     assert len({id(t.state.x) for t in trials}) == len(trials)
-    assert len({id(t.records) for t in trials}) == len(trials)
+    assert len({id(head), *(id(t.records) for t in trials)}) == len(trials) + 1
     refs = []
     for seed, trial in zip(seeds, trials):
         ref = reference_run(sys_, rule, stop, x0=x0, seed=seed)
+        assert csv_bytes(trial.records, solvers.telemetry_rows(head)) == csv_bytes(ref.records)
+        trial.records[:0] = head
         for got in (trial, solvers.run(sys_, rule, stop, x0=x0, seed=seed)):
             assert csv_bytes(got.records) == csv_bytes(ref.records)
             assert got.state.x.tobytes() == ref.state.x.tobytes()
@@ -518,7 +526,7 @@ def solve_cases(draw):
 
 @settings(max_examples=150)
 @given(case=solve_cases(), base_seed=st.integers(0, 1000))
-def test_run_trials_equal_reference_loop(tmp_path_factory, case, base_seed):
+def test_shared_head_trials_equal_reference_loop(tmp_path_factory, case, base_seed):
     sys_, rule, stop, seeds, x0 = case
     assert_matches_reference(sys_, rule, stop, seeds, x0,
                              tmp_path_factory.mktemp("eq") / "telemetry.csv")
@@ -768,9 +776,13 @@ def test_block_draw_equals_scalar_draws(m):
 
 
 def assert_untimed_solve_matches_reference(sys_, rule, stop, seed, x0=None):
-    """The telemetry-off solve that time_to_threshold times stops where
-    reference_run does, with the same x bits. Returns the reference run."""
-    got = next(solvers._trials(sys_, rule, stop, [seed], x0, telemetry=False))
+    """The telemetry-off solve that time_to_threshold times, `_head` then
+    `_continue`, stops where reference_run does, with the same x bits and
+    no record. Returns the reference run."""
+    x = np.zeros(sys_.n) if x0 is None else np.array(x0, dtype=float)
+    state, head = solvers._head(sys_, rule, stop, x, telemetry=False)
+    got = solvers._continue(sys_, rule, stop, state, seed, telemetry=False)
+    assert head == [] and got.records == []
     ref = reference_run(sys_, rule, stop, x0=x0, seed=seed)
     assert (got.state.iteration, got.stop_reason) == (ref.state.iteration, ref.stop_reason)
     assert got.state.x.tobytes() == ref.state.x.tobytes()

@@ -1,7 +1,7 @@
 """Print a sha256 digest of every file the rowaction CLI writes for a fixed
 set of commands, to show that a change leaves its outputs byte-identical.
 
-    PYTHONPATH=src python tools/digests.py --out DIR [--jobs N]
+    PYTHONPATH=src python tools/digests.py --out DIR
 
 runs, through `rowaction.cli.main` in this process and on a generated
 2000x50 system and a netlib-prep one, `generate`, `netlib-prep`, `solve`
@@ -24,9 +24,9 @@ which must be new or empty, and prints one `path sha256` line per file,
 sorted, then `list sha256` over those lines. PYTHONPATH picks the tree
 under test, so two trees compare by their list lines. timing.csv is
 digested without its mean_seconds column, the one measured time among the
-outputs. The run takes under ten seconds. `--jobs N` adds `--jobs N` to
-every `solve`, the README's included; without it each `solve` takes its
-default. The list does not depend on it.
+outputs. The run takes under ten seconds. Each `solve` forks one worker
+per CPU of the process's affinity, at most one per trial; the list does not
+depend on their number, so `taskset -c 0` prints the same list.
 
 Run as a script, the tool pins BLAS to one thread (OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS set to 1 before numpy loads, as
@@ -65,8 +65,7 @@ def run(*argv) -> None:
         raise SystemExit(f"rowaction {' '.join(map(str, argv))} exited with {code}")
 
 
-def write_outputs(out: Path, jobs: int | None = None) -> None:
-    solve_flags = [] if jobs is None else ["--jobs", jobs]
+def write_outputs(out: Path) -> None:
     gauss, bandm, large, slabs = (out / f"{name}.sys" for name in ("gauss", "bandm", "large", "slabs"))
     for system, m, n in ((gauss, 2000, 50), (large, 10000, 100), (slabs, 4100, 70)):
         run("generate", "--kind", "gaussian-noise", "--m", m, "--n", n, "--noise-std", 0.01,
@@ -74,7 +73,7 @@ def write_outputs(out: Path, jobs: int | None = None) -> None:
     run("netlib-prep", "--mps", MPS, "--seed", 5, "--out", bandm)
     for system in (gauss, bandm):
         e_inf = systems.load_system(system).error_inf()
-        solve_and_bound(out, system, 3, 2000, solve_flags, [
+        solve_and_bound(out, system, 3, 2000, [
             ("cap", []), ("stop", ["--stop-residual-inf", repr(4 * e_inf)]),
             ("switch", ["--stop-residual-inf", repr(20 * e_inf), "--hybrid-threshold", repr(8 * e_inf)])])
         # at ||e||_inf, where trials may reach the cap
@@ -84,7 +83,7 @@ def write_outputs(out: Path, jobs: int | None = None) -> None:
         "--empirical-gamma", "--iterations", 2000, "--out", out / "bounds-gauss-2000")
     for system, cap, stop_cap in ((large, 200, 200), (slabs, 300, 3000)):
         e_inf = systems.load_system(system).error_inf()
-        solve_and_bound(out, system, 2, cap, solve_flags, [
+        solve_and_bound(out, system, 2, cap, [
             ("cap", []), ("stop", ["--stop-residual-inf", repr(4 * e_inf), "--max-iterations", stop_cap])])
     banded = out / "banded.mps"
     load_module(WORKLOADS).write_banded_mps(banded, seed=1, rows=120, cols=180, band=61)
@@ -97,7 +96,7 @@ def write_outputs(out: Path, jobs: int | None = None) -> None:
     os.chdir(readme)
     try:
         for argv in load_module(README_TESTS).readme_commands():
-            run(*argv, *(solve_flags if argv[0] == "solve" else []))
+            run(*argv)
     finally:
         os.chdir(cwd)
         (readme / "tests" / "data").unlink()
@@ -117,15 +116,15 @@ def load_module(path: Path):
     return module
 
 
-def solve_and_bound(out: Path, system: Path, trials: int, cap: int, solve_flags, variants) -> None:
-    """`solve` with the three solvers and `solve_flags` once per (name, flags) variant, then
+def solve_and_bound(out: Path, system: Path, trials: int, cap: int, variants) -> None:
+    """`solve` with the three solvers once per (name, flags) variant, then
     `bounds` on motzkin's first trial of the first variant and `timing`.
     A variant's flags come last, so its own --max-iterations overrides `cap`."""
     name = system.stem
     for stop, flags in variants:
         run("solve", "--system", system, "--solver", "motzkin", "--solver", "rk-uniform",
             "--solver", "hybrid", "--trials", trials, "--max-iterations", cap, "--seed", 1,
-            *flags, *solve_flags, "--out", out / f"solve-{name}-{stop}")
+            *flags, "--out", out / f"solve-{name}-{stop}")
     run("bounds", "--system", system, "--telemetry", out / f"solve-{name}-{variants[0][0]}" / "motzkin_trial0.csv",
         "--empirical-gamma", "--iterations", 200, "--out", out / f"bounds-{name}")
     run("timing", "--system", system, "--trials", trials, "--seed", 1, "--out", out / f"timing-{name}")
@@ -145,14 +144,13 @@ def digest(path: Path) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="sha256 digests of the rowaction CLI's outputs")
     parser.add_argument("--out", required=True, type=Path, help="new or empty directory")
-    parser.add_argument("--jobs", type=int, help="passed to every solve, the README's included")
     args = parser.parse_args(argv)
     out = args.out
     if out.exists() and any(out.iterdir()):
         parser.error(f"{out} is not empty")
     out.mkdir(parents=True, exist_ok=True)
     print(" ".join(f"{var}={os.environ.get(var, '')}" for var in BLAS_THREAD_VARS), file=sys.stderr)
-    write_outputs(out, args.jobs)
+    write_outputs(out)
     lines = sorted(f"{path.relative_to(out).as_posix()} {digest(path)}"
                    for path in out.rglob("*") if path.is_file())
     listing = "".join(f"{line}\n" for line in lines)
