@@ -11,13 +11,15 @@ solve, bounds and timing read their system only from --system, a file
 written by generate or netlib-prep. solve computes its trials in one
 worker process per CPU it may run on (os.sched_getaffinity), at most one per
 trial, forked once per invocation so that they share the loaded system, not
-a pickled copy; taskset limits them. Each solver's seed-independent head is
-one task, and each trial's continuation another, started once its head is
-done. The worker that computes a trial also writes its telemetry CSV, into
-a temporary directory in --out; the parent writes summary.csv there and
+a pickled copy; taskset limits them. Each solver's seed-independent head
+(see `solvers`) is one task, and each trial's continuation another, started
+once its head is done; both return a `solvers.RunResult`. The worker that
+computes a trial also writes its telemetry CSV, into a temporary directory
+in --out; the parent writes summary.csv there from the trials' results and
 moves every file into place in (solver, trial) order, summary.csv last,
-once every trial succeeded. With one worker the same tasks run in the
-parent, starting no process and no thread. timing stays serial: it
+once every trial succeeded. No task starts past a failure known earlier in
+that order. With one worker, or no os.sched_getaffinity, the tasks run in
+the parent, starting no process and no thread. timing stays serial: it
 measures process time.
 
 Every flag can also come from one `key = value` config file, given as
@@ -34,6 +36,7 @@ happens here (the test suite owns the assertions).
 import argparse
 import csv
 import ctypes
+import dataclasses
 import functools
 import itertools
 import multiprocessing
@@ -150,7 +153,8 @@ def cmd_solve(args) -> int:
                             residual_inf_threshold=args.stop_residual_inf)
     rules = [solvers.SelectionRule(name, _resolve_threshold(args.hybrid_threshold, sys_))
              if name == "hybrid" else solvers.SelectionRule(name) for name in args.solver]
-    jobs = min(len(os.sched_getaffinity(0)), len(rules) * args.trials)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1  # not on macOS, Windows
+    jobs = min(cpus, len(rules) * args.trials)
     seeds = range(args.seed, args.seed + args.trials)
     out = Path(args.out)
     made = [path for path in (out, *out.parents) if not path.exists()]  # removed again on failure
@@ -158,17 +162,20 @@ def cmd_solve(args) -> int:
     tmp = Path(tempfile.mkdtemp(prefix=".solve-", dir=out))
     try:
         if jobs == 1:
-            summary_rows, caught = _solve_trials(functools.partial(_inline, sys_), rules, stop, seeds, tmp)
+            results, caught = _solve_trials(functools.partial(_inline, sys_), rules, stop, seeds, tmp)
         else:
             with futures.ProcessPoolExecutor(jobs, multiprocessing.get_context("fork"),
                                              _adopt, (sys_,)) as pool:
-                summary_rows, caught = _solve_trials(functools.partial(pool.submit, _in_worker),
-                                                     rules, stop, seeds, tmp)
+                results, caught = _solve_trials(functools.partial(pool.submit, _in_worker),
+                                                rules, stop, seeds, tmp)
             _rewrite_heap()
         with open(tmp / "summary.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["solver", "trial", "iterations", "final_error_sq", "stop_reason"])
-            writer.writerows(summary_rows)
+            for (rule, trial), result in zip(itertools.product(rules, range(args.trials)), results):
+                diff = result.state.x - sys_.reference
+                writer.writerow([rule.kind, trial, result.state.iteration, repr(float(np.dot(diff, diff))),
+                                 result.stop_reason])
     except BaseException:  # no file of this invocation stays, and none is replaced
         shutil.rmtree(tmp)
         for path in made:
@@ -186,54 +193,54 @@ def cmd_solve(args) -> int:
 
 
 def _solve_trials(submit, rules, stop, seeds, tmp):
-    """Every solver's `_head_task`, then each trial's `_trial_task` as soon
-    as its head is done, through `submit(task, *args)`, a future of `_task`;
-    no trial is submitted once a head at or before its solver is known to
-    have failed. Returns the summary rows and the warnings caught, once
-    each, in (solver, trial) order; raises the first failure in that order,
-    an overflow named by its trial."""
-    heads = [submit(_head_task, rule, stop) for rule in rules]
-    trials = {}
-    for head in futures.as_completed(heads):
-        at = heads.index(head)
-        if any(h.done() and h.exception() is not None for h in heads[:at + 1]):
-            continue  # the first failure in order is reported, and these trials come after it
-        for trial, seed in enumerate(seeds):
-            trials[at, trial] = submit(_trial_task, rules[at], stop, head.result()[0], seed,
-                                       tmp / f"{rules[at].kind}_trial{trial}.csv")
-    summary_rows, caught = [], {}
-    for at, (head, rule) in enumerate(zip(heads, rules)):
-        caught.update(dict.fromkeys(_result(head, rule.kind, 0)[1]))
-        for trial in range(len(seeds)):
-            fields, warned = _result(trials[at, trial], rule.kind, trial)
-            summary_rows.append([rule.kind, trial, *fields])
-            caught.update(dict.fromkeys(warned))
-    return summary_rows, list(caught)
-
-
-def _result(future, name, trial):
+    """Every solver's `_head_task`, then each trial's `_trial_task` once its
+    head is done, through `submit(task, *args)`, a future of `_task`: heads
+    done together in --solver order, and no task past a failure known in
+    (solver, trial) order, where a head's failure is its trial 0's. Returns
+    the trials' `RunResult`s and the warnings caught, once each, in that
+    order; raises its first failure, an overflow named by its trial, and
+    cancels the pending tasks."""
+    # keys (solver, trial, is_trial): a head sorts before its trials
+    tasks = {(at, 0, False): submit(_head_task, rule, stop) for at, rule in enumerate(rules)}
+    waiting, failure = dict(enumerate(tasks.values())), (len(rules),)  # failure: the first failed key known
+    while waiting:
+        futures.wait(waiting.values(), return_when=futures.FIRST_COMPLETED)
+        failure = min([failure, *(key for key, task in tasks.items() if task.done() and task.exception())])
+        for at in [at for at, head in waiting.items() if head.done()]:  # in --solver order
+            head = waiting.pop(at)
+            for trial, seed in enumerate(seeds):
+                if failure < (at, trial, True):
+                    break
+                task = tasks[at, trial, True] = submit(_trial_task, rules[at], stop, head.result()[0], seed,
+                                                       tmp / f"{rules[at].kind}_trial{trial}.csv")
+                if task.done() and task.exception():  # an inline task is done at once
+                    failure = (at, trial, True)
+    caught = {}
     try:
-        return future.result()
-    except OverflowError as exc:
-        raise OverflowError(f"{name} trial {trial}: {exc}") from exc
+        for at, trial, is_trial in sorted(tasks):
+            try:
+                caught.update(dict.fromkeys(tasks[at, trial, is_trial].result()[1]))
+            except OverflowError as exc:
+                raise OverflowError(f"{rules[at].kind} trial {trial}: {exc}") from exc
+    finally:
+        for task in tasks.values():  # only tasks after a failure can still be pending
+            task.cancel()
+    return [tasks[key].result()[0] for key in sorted(tasks) if key[2]], list(caught)
 
 
 def _head_task(sys_, rule, stop):
-    """A solver's seed-independent part from x_0 = 0, `solvers._head`: its
-    state, and its records formatted once, as the text that each trial's
-    file repeats."""
-    state, records = solvers._head(sys_, rule, stop, np.zeros(sys_.n), telemetry=True)
-    return state, solvers.telemetry_rows(records)
+    """`solvers._head` from x_0 = 0, with its records formatted once, as the
+    text that each trial's file repeats."""
+    head = solvers._head(sys_, rule, stop, np.zeros(sys_.n), telemetry=True)
+    return dataclasses.replace(head, records=solvers.telemetry_rows(head.records))
 
 
 def _trial_task(sys_, rule, stop, head, seed, path):
     """One trial, `solvers._continue` from the head, written to `path`;
-    returns its summary fields."""
-    state, rows = head
-    result = solvers._continue(sys_, rule, stop, state, seed, telemetry=True)
-    solvers.write_telemetry_csv(path, result.records, rows)
-    diff = result.state.x - sys_.reference
-    return [result.state.iteration, repr(float(np.dot(diff, diff))), result.stop_reason]
+    returns its `RunResult` without the records it wrote."""
+    result = solvers._continue(sys_, rule, stop, head, seed, telemetry=True)
+    solvers.write_telemetry_csv(path, result.records, head.records)
+    return dataclasses.replace(result, records=[])
 
 
 def _task(fn, sys_, *args):

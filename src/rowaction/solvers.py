@@ -19,12 +19,13 @@ Two loops perform every run: a step-by-step greedy loop, and a blocked loop
 for uniform selection. A hybrid run is a greedy prefix, stopped at the
 switch, plus a uniform continuation from the switch iterate. The greedy rule
 never draws from the RNG, so a run splits into a seed-independent head
-(`_head`: the motzkin run, or the hybrid prefix) and one continuation per
-seed (`_continue`). `run` and `time_to_threshold` compute one head and
-one continuation per solve. `solve` computes each solver's head once and
-runs every trial's continuation from it, as tasks in forked worker
-processes or inline (see `cli`); each continuation has its own RNG and
-buffers, so its bits do not depend on the process that ran it.
+(`_head`: the motzkin run, a hybrid's greedy prefix, or x_0 at k = 0 for
+rk-uniform) and one continuation per seed (`_continue`), each a RunResult.
+`run` and `time_to_threshold` compute one head and one continuation per
+solve. `solve` computes each solver's head once and runs every trial's
+continuation from it, as tasks in forked worker processes or inline (see
+`cli`); each continuation has its own RNG and buffers, so its bits do not
+depend on the process that ran it.
 
 Each performed iteration emits one IterationRecord, a named tuple whose
 fields are the telemetry CSV columns, measured at the iterate *before* the
@@ -171,39 +172,38 @@ def run(sys: LinearSystem,
     x = np.zeros(sys.n) if x0 is None else linalg.as_vector(x0).copy()
     if x.shape[0] != sys.n:
         raise ValueError(f"x0 length {x.shape[0]} does not match {sys.n} columns")
-    state, records = _head(sys, rule, stop, x, telemetry=True)
-    result = _continue(sys, rule, stop, state, seed, telemetry=True)
-    result.records[:0] = records
+    head = _head(sys, rule, stop, x, telemetry=True)
+    result = _continue(sys, rule, stop, head, seed, telemetry=True)
+    result.records[:0] = head.records
     return result
 
 
 def _head(sys, rule, stop, x, telemetry):
-    """The seed-independent part of a run from x_0 = x, as (state, records):
-    the state that `_continue` takes, which is the final or switch iterate,
-    that iterate's residual, k and residual sup norm, and the stop reason
-    (None where uniform steps follow); and the greedy records."""
-    r = sys.a @ x - sys.b
+    """The seed-independent part of a run from x_0 = x, with its records:
+    the motzkin run, a hybrid's greedy prefix up to its switch or stop, or
+    x_0 at k = 0 for rk-uniform. Its stop reason is the greedy loop's (None
+    for rk-uniform); `_continue` tells a hybrid's switch from its stop."""
     records = []
     if rule.kind == "rk-uniform":
-        return (x, r, 0, float(np.abs(r).max()), None), records
+        return RunResult(SolverState(x, 0), records, None)
     greedy_stop = stop
     if rule.kind == "hybrid":
         # residual <= hybrid threshold ends the prefix: a stop when the stop
         # threshold or the cap also holds there, else the switch
         greedy_stop = StopRule(stop.max_iterations,
                                max(stop.residual_inf_threshold or 0.0, rule.hybrid_threshold))
-    return _loop(sys, x, r, greedy_stop, records if telemetry else None), records
+    return _loop(sys, x, sys.a @ x - sys.b, greedy_stop, records if telemetry else None)
 
 
-def _continue(sys, rule, stop, state, seed, telemetry):
-    """The result of one seed: uniform steps from a head's state, none for
-    motzkin. Its records are only those of its own steps, numbered on from
-    the head's k; `run` puts the head's records in front of them."""
-    x, r, k, level, stop_reason = state
+def _continue(sys, rule, stop, head, seed, telemetry):
+    """The result of one seed: uniform steps from a `_head` result's iterate,
+    none for motzkin. Its records are only those of its own steps, numbered
+    on from the head's k; `run` puts the head's records in front of them."""
+    x, k = head.state.x, head.state.iteration
     rng, records = make_rng(seed), []  # a bad seed fails for every rule
     if rule.kind == "motzkin":
-        return RunResult(SolverState(x.copy(), k), records, stop_reason)
-    x_t, k_t, reason_t = _blocked_uniform(sys, x, r, level, k, stop, rng, records if telemetry else None)
+        return RunResult(SolverState(x.copy(), k), records, head.stop_reason)
+    x_t, k_t, reason_t = _blocked_uniform(sys, x, k, stop, rng, records if telemetry else None)
     switch_iteration = k if rule.kind == "hybrid" and k_t > k else None
     return RunResult(SolverState(x_t, k_t), records, reason_t, switch_iteration)
 
@@ -219,8 +219,7 @@ def _loop(sys, x, r, stop, records):
     `stop` fires; the selected |r_i| is the sup norm that the stop test and
     the record read. Iterates and residuals go into block buffers, one step
     deep when `records` is None; else `_records` appends each full block's
-    records, and the rest at the stop. Returns the final x, a copy of its
-    residual, its k, its residual sup norm and the stop reason."""
+    records, and the rest at the stop. Returns a RunResult holding them."""
     threshold, k = stop.residual_inf_threshold, 0
     a, b = sys.a, sys.b
     s = 1 if records is None else _block_steps(sys.m)
@@ -251,14 +250,14 @@ def _loop(sys, x, r, stop, records):
         k += 1
     if records is not None:
         _records(sys, len(records), iterates, residuals, rows, levels, records)
-    return x, r.copy(), k, level, reason
+    return RunResult(SolverState(x, k), [] if records is None else records, reason)
 
 
-def _blocked_uniform(sys, x, r, level, k, stop, rng, records):
-    """Iterate with uniform draws from x_k, whose residual r = A x_k - b has
-    sup norm `level`, until `stop` fires, a block of steps at a time.
-    Appends one record per iteration to `records` unless it is None.
-    Returns a copy of the final x, its k and the stop reason.
+def _blocked_uniform(sys, x, k, stop, rng, records):
+    """Iterate with uniform draws from x_k until `stop` fires, a block of
+    steps at a time, starting from one `A @ x_k - b`. Appends one record per
+    iteration to `records` unless it is None. Returns a copy of the final
+    x, its k and the stop reason.
 
     One `rng.integers(m, size=s)` call draws a block's s rows, the same
     values as s scalar draws, and one gather their b_i; each step is then one
@@ -269,10 +268,11 @@ def _blocked_uniform(sys, x, r, level, k, stop, rng, records):
     a zero residual. Without records a block has BLOCK_STEPS steps, and only
     `_screen` reads residuals.
     """
-    threshold = stop.residual_inf_threshold
+    a, b, threshold = sys.a, sys.b, stop.residual_inf_threshold
+    r = a @ x - b
+    level = float(np.abs(r).max())
     if threshold is not None and level <= threshold:
         return x.copy(), k, STOP_RESIDUAL_THRESHOLD
-    a, b = sys.a, sys.b
     s = BLOCK_STEPS if records is None else _block_steps(sys.m)
     # row 0 holds x_k and its residual, rows 1..s the block's iterates and theirs
     iterates = np.tile(x, (s + 1, 1))
@@ -411,8 +411,8 @@ def time_to_threshold(sys: LinearSystem,
     stop = StopRule(max_iterations=max_iterations, residual_inf_threshold=threshold)
     for t in range(trials):
         t0 = time.process_time()
-        state, _ = _head(sys, rule, stop, np.zeros(sys.n), telemetry=False)
-        result = _continue(sys, rule, stop, state, seed + t, telemetry=False)
+        head = _head(sys, rule, stop, np.zeros(sys.n), telemetry=False)
+        result = _continue(sys, rule, stop, head, seed + t, telemetry=False)
         seconds.append(time.process_time() - t0)
         iterations.append(result.state.iteration)
         censored_mask.append(result.stop_reason != STOP_RESIDUAL_THRESHOLD)

@@ -6,8 +6,8 @@ which it derives its error vector A @ reference - b, and the matrix's
 singular values. Built from A and b alone, it takes the least-squares
 reference and the singular values from one gelsd solve (`linalg.lstsq`,
 rank tolerance `linalg.RANK_RTOL`); `load_system` passes the stored ones.
-Synthetic systems come from `generate`; arbitrary (A, b) pairs go through
-`normalize_rows`, or `from_unnormalized`. `save_system` and `load_system`
+Synthetic systems come from `generate`; an arbitrary (A, b) pair becomes
+`LinearSystem(*normalize_rows(A, b))`. `save_system` and `load_system`
 keep a system in a binary file of three float64 `.npy` records.
 
 Randomness is reproducible by construction: all draws come from a seeded
@@ -235,15 +235,8 @@ def build_unnormalized(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def generate(spec: GeneratorSpec) -> LinearSystem:
-    """Build and normalize (in place) a synthetic system (see from_unnormalized)."""
+    """Build and normalize (in place) a synthetic system."""
     return LinearSystem(*_normalize_in_place(*build_unnormalized(spec)))
-
-
-def from_unnormalized(A, b) -> LinearSystem:
-    """Normalize an (A, b) pair into a system, which takes the least-squares
-    solution of the normalized system as its reference and the singular
-    values of the normalized matrix from one linalg.lstsq."""
-    return LinearSystem(*normalize_rows(A, b))
 
 
 # --------------------------------------------------------------------------

@@ -567,15 +567,18 @@ def test_telemetry_overflow_that_is_no_failure_still_warns_on_two_jobs(tmp_path,
 
 def fail_hybrid_trial_one(monkeypatch):
     """Make hybrid trial 1 (seed 1) fail in `solvers._continue`, the function
-    its task calls; a forked worker inherits the patch."""
-    continue_ = solvers._continue
+    its task calls; a forked worker inherits the patch. Returns the (solver,
+    seed) of each call made in this process."""
+    calls, continue_ = [], solvers._continue
 
-    def failing(sys_, rule, stop, state, seed, telemetry):
+    def failing(sys_, rule, stop, head, seed, telemetry):
+        calls.append((rule.kind, seed))
         if (rule.kind, seed) == ("hybrid", 1):
             raise OverflowError("int too large to convert to float")
-        return continue_(sys_, rule, stop, state, seed, telemetry)
+        return continue_(sys_, rule, stop, head, seed, telemetry)
 
     monkeypatch.setattr(solvers, "_continue", failing)
+    return calls
 
 
 def test_numerical_failure_of_a_later_solver_leaves_no_file(system_file, tmp_path, capsys,
@@ -726,6 +729,65 @@ def test_failed_head_stops_the_later_solvers_trials(tmp_path, capsys, monkeypatc
                                "--trials", "3")
     assert line.startswith("numerical failure: motzkin trial 0: " + OVERFLOW_AT_0)
     assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_failed_trial_stops_the_later_tasks_in_solver_and_trial_order(system_file, tmp_path, capsys,
+                                                                      monkeypatch, cpus):
+    # at one CPU both heads are done before any trial: hybrid's trials come
+    # first, in --solver order, and none is computed after its trial 1 fails
+    set_cpus(monkeypatch, cpus)
+    calls = fail_hybrid_trial_one(monkeypatch)
+    out = tmp_path / "runs"
+    out.mkdir()
+    (out / "hybrid_trial0.csv").write_bytes(b"an older run's telemetry\n")
+    code = run_cli("solve", "--system", str(system_file), "--solver", "hybrid", "--solver", "rk-uniform",
+                   "--trials", "3", "--max-iterations", "30", "--seed", "0", "--out", str(out))
+    assert code == cli.NUMERICAL_ERROR
+    assert capsys.readouterr().err == "numerical failure: hybrid trial 1: int too large to convert to float\n"
+    assert [p.name for p in out.iterdir()] == ["hybrid_trial0.csv"]
+    assert (out / "hybrid_trial0.csv").read_bytes() == b"an older run's telemetry\n"
+    # forked workers make their calls in their own processes
+    assert calls == ([("hybrid", 0), ("hybrid", 1)] if cpus == 1 else [])
+
+
+def test_solve_tasks_pass_run_results_and_no_residual(system_file, tmp_path):
+    # what crosses the fork: a head's RunResult with its records as text, and
+    # a trial's without its records; the one vector in either is x, of n entries
+    sys_, stop = systems.load_system(system_file), StopRule(40)
+    for rule in (SelectionRule("motzkin"), SelectionRule("rk-uniform"), SelectionRule("hybrid", 0.3)):
+        head = cli._head_task(sys_, rule, stop)
+        trial = cli._trial_task(sys_, rule, stop, head, 2, tmp_path / "trial.csv")
+        ref = solvers.run(sys_, rule, stop, seed=2)
+        assert isinstance(head, solvers.RunResult) and isinstance(trial, solvers.RunResult)
+        assert isinstance(head.records, bytes) and trial.records == []
+        assert head.state.x.shape == trial.state.x.shape == (sys_.n,)
+        assert trial.state.x.tobytes() == ref.state.x.tobytes()
+        assert (trial.state.iteration, trial.stop_reason, trial.switch_iteration) == \
+            (ref.state.iteration, ref.stop_reason, ref.switch_iteration)
+        assert (trial.switch_iteration is not None) == (rule.kind == "hybrid")
+
+
+def test_solve_without_an_affinity_call_runs_inline(system_file, tmp_path, monkeypatch):
+    # as on macOS and Windows: no process or thread, and the bytes of solvers.run
+    monkeypatch.delattr(os, "sched_getaffinity")
+    forbid_processes_and_threads(monkeypatch)
+    out = tmp_path / "runs"
+    assert run_cli("solve", "--system", str(system_file), "--solver", "motzkin", "--solver", "rk-uniform",
+                   "--solver", "hybrid", "--trials", "2", "--hybrid-threshold", "0.3",
+                   "--max-iterations", "100", "--seed", "3", "--out", str(out)) == 0
+    sys_, rows = systems.load_system(system_file), []
+    for rule in (SelectionRule("motzkin"), SelectionRule("rk-uniform"), SelectionRule("hybrid", 0.3)):
+        for trial in range(2):
+            result = solvers.run(sys_, rule, StopRule(100), seed=3 + trial)
+            solvers.write_telemetry_csv(tmp_path / "library.csv", result.records)
+            assert (out / f"{rule.kind}_trial{trial}.csv").read_bytes() == \
+                (tmp_path / "library.csv").read_bytes()
+            diff = result.state.x - sys_.reference
+            rows.append([rule.kind, str(trial), str(result.state.iteration),
+                         repr(float(np.dot(diff, diff))), result.stop_reason])
+    with open(out / "summary.csv", newline="") as fh:
+        assert list(csv.reader(fh))[1:] == rows
 
 
 def test_motzkin_selects_the_largest_residual_when_squares_underflow(tmp_path):

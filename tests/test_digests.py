@@ -18,7 +18,8 @@ def digests():
 
 
 def test_digests_cover_every_output_and_repeat(digests, tmp_path, capsys, monkeypatch):
-    # the machine's CPUs, then one and three: the list depends on none of them
+    # the machine's CPUs, one, three, and none known, as where os has no
+    # sched_getaffinity (macOS, Windows): the list depends on none of them
     workers, pool = [], digests.cli.futures.ProcessPoolExecutor
 
     def spy(max_workers, *args):
@@ -27,16 +28,19 @@ def test_digests_cover_every_output_and_repeat(digests, tmp_path, capsys, monkey
 
     monkeypatch.setattr(digests.cli.futures, "ProcessPoolExecutor", spy)
     runs = []
-    for name, cpus in (("a", None), ("b", 1), ("c", 3)):
-        if cpus is not None:
+    for name, cpus in (("a", None), ("b", 1), ("c", 3), ("d", 0)):
+        if cpus == 0:
+            monkeypatch.delattr(os, "sched_getaffinity")
+        elif cpus is not None:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
         workers.clear()
         assert digests.main(["--out", str(tmp_path / name)]) == 0
         runs.append(capsys.readouterr().out.splitlines())
-        # every solve, the README's included, forks one worker per CPU, or none on one CPU
+        # every solve, the README's included, forks one worker per CPU, or
+        # none on one CPU or with no affinity call
         if cpus is not None:
-            assert workers == ([] if cpus == 1 else [cpus] * 11)
-    assert runs[0] == runs[1] == runs[2]
+            assert workers == ([] if cpus <= 1 else [cpus] * 11)
+    assert runs[0] == runs[1] == runs[2] == runs[3]
     *lines, last = runs[0]
     assert lines == sorted(lines)
     assert last == "list " + hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()

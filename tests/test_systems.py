@@ -199,7 +199,7 @@ def test_system_takes_its_reference_and_singular_values_both_or_neither():
 def test_system_of_a_and_b_alone_has_the_bytes_of_generate_and_from_unnormalized(kind):
     spec = systems.GeneratorSpec(kind, m=60, n=5, noise_std=0.1, spike_count=3, spike_magnitude=2.0, seed=9)
     generated = systems.generate(spec)
-    built = systems.from_unnormalized(*systems.build_unnormalized(spec))
+    built = systems.LinearSystem(*systems.normalize_rows(*systems.build_unnormalized(spec)))
     own = systems.LinearSystem(generated.a, generated.b)
     for name in ("a", "b", "reference", "singular_values", "error_vec"):
         assert getattr(own, name).tobytes() == getattr(generated, name).tobytes(), name
@@ -265,7 +265,7 @@ def kahan_type_pair(n=90, theta=1.2):
 
 def test_kahan_type_system_raises_rank_error():
     with pytest.raises(linalg.RankError, match=r"^column \d+ depends on the columns before it"):
-        systems.from_unnormalized(*kahan_type_pair())
+        systems.LinearSystem(*systems.normalize_rows(*kahan_type_pair()))
 
 
 def _bits(arr) -> bytes:
@@ -443,7 +443,7 @@ def test_normalize_rows_and_from_unnormalized_leave_their_inputs_unchanged():
     A0, b0 = A.copy(), b.copy()
     An, bn = systems.normalize_rows(A, b)
     assert A.tobytes() == A0.tobytes() and b.tobytes() == b0.tobytes()
-    sys_ = systems.from_unnormalized(A, b)
+    sys_ = systems.LinearSystem(*systems.normalize_rows(A, b))
     assert A.tobytes() == A0.tobytes() and b.tobytes() == b0.tobytes()
     assert sys_.a.tobytes() == An.tobytes() and sys_.b.tobytes() == bn.tobytes()
 

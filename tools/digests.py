@@ -25,8 +25,9 @@ sorted, then `list sha256` over those lines. PYTHONPATH picks the tree
 under test, so two trees compare by their list lines. timing.csv is
 digested without its mean_seconds column, the one measured time among the
 outputs. The run takes under ten seconds. Each `solve` forks one worker
-per CPU of the process's affinity, at most one per trial; the list does not
-depend on their number, so `taskset -c 0` prints the same list.
+per CPU of the process's affinity, at most one per trial, and none where os
+has no `sched_getaffinity`; the list does not depend on their number, so
+`taskset -c 0` prints the same list.
 
 Run as a script, the tool pins BLAS to one thread (OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS set to 1 before numpy loads, as
