@@ -30,7 +30,6 @@ from .solvers import (
     IterationRecord,
     RunResult,
     SelectionRule,
-    SolverState,
     StopRule,
     TimingSummary,
     project_step,

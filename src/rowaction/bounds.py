@@ -57,8 +57,10 @@ class BoundInputs:
             raise ValueError("sigma_min^2 cannot exceed the squared Frobenius norm")
         if self.gamma_seq is not None:
             g = np.asarray(self.gamma_seq, dtype=float)
-            if g.size and (g.min() < 1 - GAMMA_RANGE_TOL or g.max() > self.m + GAMMA_RANGE_TOL):
-                raise ValueError(f"gamma values must lie in [1, m={self.m}]")
+            outside = np.flatnonzero(~((g >= 1 - GAMMA_RANGE_TOL) & (g <= self.m + GAMMA_RANGE_TOL)))
+            if outside.size:
+                k = int(outside[0])
+                raise ValueError(f"gamma values must lie in [1, m={self.m}]; k={k} has gamma {g.item(k)!r}")
 
 
 @dataclass

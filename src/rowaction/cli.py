@@ -173,8 +173,8 @@ def cmd_solve(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["solver", "trial", "iterations", "final_error_sq", "stop_reason"])
             for (rule, trial), result in zip(itertools.product(rules, range(args.trials)), results):
-                diff = result.state.x - sys_.reference
-                writer.writerow([rule.kind, trial, result.state.iteration, repr(float(np.dot(diff, diff))),
+                diff = result.x - sys_.reference
+                writer.writerow([rule.kind, trial, result.iteration, repr(float(np.dot(diff, diff))),
                                  result.stop_reason])
     except BaseException:  # no file of this invocation stays, and none is replaced
         shutil.rmtree(tmp)
@@ -299,12 +299,15 @@ def cmd_bounds(args) -> int:
     sys_ = systems.load_system(args.system)
     if args.empirical_gamma and not args.telemetry:
         raise ValueError("--empirical-gamma requires --telemetry")
-    gamma_seq = None
+    inputs = bounds_mod.bound_inputs_from_system(sys_)
     if args.telemetry:
         records = solvers.read_telemetry_csv(args.telemetry)
         # gammas stop at the first record without one, so each stays at its k
-        gamma_seq = list(itertools.takewhile(lambda g: g is not None, (r.gamma for r in records)))
-    inputs = bounds_mod.bound_inputs_from_system(sys_, gamma_seq=gamma_seq)
+        gammas = itertools.takewhile(lambda g: g is not None, (r.gamma for r in records))
+        try:  # the system's own inputs passed above, so a failure here is the telemetry's
+            inputs = dataclasses.replace(inputs, gamma_seq=tuple(gammas))
+        except ValueError as exc:
+            raise ValueError(f"{args.telemetry}: {exc}") from None
     k = args.iterations
     curves = {
         "rk_bound.csv": bounds_mod.rk_bound(inputs, k),
@@ -312,8 +315,8 @@ def cmd_bounds(args) -> int:
         "gaussian_rate.csv": bounds_mod.gaussian_rate_bound(inputs, k, conjectured=False),
         "gaussian_rate_conjectured.csv": bounds_mod.gaussian_rate_bound(inputs, k, conjectured=True),
     }
-    if gamma_seq is not None:
-        k_emp = min(k, len(gamma_seq))
+    if inputs.gamma_seq is not None:
+        k_emp = min(k, len(inputs.gamma_seq))
         curves["motzkin_empirical_gamma.csv"] = bounds_mod.motzkin_bound_empirical_gamma(inputs, k_emp)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

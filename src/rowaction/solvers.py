@@ -15,17 +15,17 @@ and the selection rule is what distinguishes the methods:
                configured threshold, then rk-uniform for good (the switch
                is one-way even if the residual later grows back).
 
-Two loops perform every run: a step-by-step greedy loop, and a blocked loop
-for uniform selection. A hybrid run is a greedy prefix, stopped at the
-switch, plus a uniform continuation from the switch iterate. The greedy rule
-never draws from the RNG, so a run splits into a seed-independent head
-(`_head`: the motzkin run, a hybrid's greedy prefix, or x_0 at k = 0 for
-rk-uniform) and one continuation per seed (`_continue`), each a RunResult.
-`run` and `time_to_threshold` compute one head and one continuation per
-solve. `solve` computes each solver's head once and runs every trial's
-continuation from it, as tasks in forked worker processes or inline (see
-`cli`); each continuation has its own RNG and buffers, so its bits do not
-depend on the process that ran it.
+Two loops perform every run, a step-by-step greedy loop and a blocked loop
+for uniform selection, and each returns a RunResult. A hybrid run is a
+greedy prefix, stopped at the switch, plus a uniform continuation from the
+switch iterate. The greedy rule never draws from the RNG, so a run splits
+into a seed-independent head (`_head`: the motzkin run, a hybrid's greedy
+prefix, or x_0 at k = 0 for rk-uniform) and one continuation per seed
+(`_continue`), each a RunResult. `run` and `time_to_threshold` compute one
+head and one continuation per solve. `solve` computes each solver's head
+once and runs every trial's continuation from it, as tasks in forked worker
+processes or inline (see `cli`); each continuation has its own RNG and
+buffers, so its bits do not depend on the process that ran it.
 
 Each performed iteration emits one IterationRecord, a named tuple whose
 fields are the telemetry CSV columns, measured at the iterate *before* the
@@ -103,12 +103,6 @@ class StopRule:
             raise ValueError("residual_inf_threshold must be nonnegative")
 
 
-@dataclass
-class SolverState:
-    x: np.ndarray
-    iteration: int
-
-
 class IterationRecord(NamedTuple):
     """One telemetry row; the fields are the CSV columns in order. gamma is
     None where A x_k = A x_ref, since the dynamic range has no value there."""
@@ -127,10 +121,18 @@ TELEMETRY_COLUMNS = IterationRecord._fields
 
 @dataclass
 class RunResult:
-    state: SolverState
+    """A run's last iterate x_k, its k, its records, why it stopped, and a hybrid's switch k."""
+
+    x: np.ndarray
+    iteration: int
     records: list[IterationRecord]
     stop_reason: str
     switch_iteration: int | None = None
+
+    @property
+    def state(self) -> "RunResult":
+        """The result itself, as perfbench/ reads it; goes once perfbench/ reads `.x` and `.iteration`."""
+        return self
 
 
 def select_motzkin(r) -> int:
@@ -166,8 +168,8 @@ def run(sys: LinearSystem,
         seed: RNG seed for the randomized rules (motzkin runs ignore it).
 
     Returns:
-        RunResult with the final state, one record per performed iteration,
-        the stop reason, and the hybrid switch iteration when it happened.
+        RunResult with the final iterate and its k, one record per performed
+        iteration, the stop reason, and the hybrid's switch k when it switched.
     """
     x = np.zeros(sys.n) if x0 is None else linalg.as_vector(x0).copy()
     if x.shape[0] != sys.n:
@@ -183,29 +185,28 @@ def _head(sys, rule, stop, x, telemetry):
     the motzkin run, a hybrid's greedy prefix up to its switch or stop, or
     x_0 at k = 0 for rk-uniform. Its stop reason is the greedy loop's (None
     for rk-uniform); `_continue` tells a hybrid's switch from its stop."""
-    records = []
     if rule.kind == "rk-uniform":
-        return RunResult(SolverState(x, 0), records, None)
+        return RunResult(x, 0, [], None)
     greedy_stop = stop
     if rule.kind == "hybrid":
         # residual <= hybrid threshold ends the prefix: a stop when the stop
         # threshold or the cap also holds there, else the switch
         greedy_stop = StopRule(stop.max_iterations,
                                max(stop.residual_inf_threshold or 0.0, rule.hybrid_threshold))
-    return _loop(sys, x, sys.a @ x - sys.b, greedy_stop, records if telemetry else None)
+    return _loop(sys, x, greedy_stop, telemetry)
 
 
 def _continue(sys, rule, stop, head, seed, telemetry):
     """The result of one seed: uniform steps from a `_head` result's iterate,
     none for motzkin. Its records are only those of its own steps, numbered
     on from the head's k; `run` puts the head's records in front of them."""
-    x, k = head.state.x, head.state.iteration
-    rng, records = make_rng(seed), []  # a bad seed fails for every rule
+    rng = make_rng(seed)  # a bad seed fails for every rule
     if rule.kind == "motzkin":
-        return RunResult(SolverState(x.copy(), k), records, head.stop_reason)
-    x_t, k_t, reason_t = _blocked_uniform(sys, x, k, stop, rng, records if telemetry else None)
-    switch_iteration = k if rule.kind == "hybrid" and k_t > k else None
-    return RunResult(SolverState(x_t, k_t), records, reason_t, switch_iteration)
+        return RunResult(head.x.copy(), head.iteration, [], head.stop_reason)
+    result = _blocked_uniform(sys, head.x, head.iteration, stop, rng, telemetry)
+    if rule.kind == "hybrid" and result.iteration > head.iteration:
+        result.switch_iteration = head.iteration
+    return result
 
 
 def _block_steps(m):
@@ -214,18 +215,18 @@ def _block_steps(m):
     return min(BLOCK_STEPS, max(1, BLOCK_ENTRIES // m))
 
 
-def _loop(sys, x, r, stop, records):
-    """Iterate greedily from x_0, whose residual is r = A x_0 - b, until
+def _loop(sys, x, stop, telemetry):
+    """Iterate greedily from x_0 = x, starting from one `A @ x_0 - b`, until
     `stop` fires; the selected |r_i| is the sup norm that the stop test and
     the record read. Iterates and residuals go into block buffers, one step
-    deep when `records` is None; else `_records` appends each full block's
-    records, and the rest at the stop. Returns a RunResult holding them."""
-    threshold, k = stop.residual_inf_threshold, 0
+    deep without telemetry; with it `_records` turns each full block into
+    records, and the rest at the stop. Returns the RunResult of x_k."""
+    threshold, k, records = stop.residual_inf_threshold, 0, []
     a, b = sys.a, sys.b
-    s = 1 if records is None else _block_steps(sys.m)
+    s = _block_steps(sys.m) if telemetry else 1
     # x_k and its residual sit in row len(rows) of the buffers
     iterates, residuals, rows, levels = np.empty((s, sys.n)), np.empty((s, sys.m)), [], []
-    iterates[0], residuals[0] = x, r
+    iterates[0], r = x, np.subtract(a @ x, b, out=residuals[0])
     xs, rs, abs_r = list(iterates), list(residuals), np.empty(sys.m)
     while True:
         i = int(np.abs(r, out=abs_r).argmax())  # select_motzkin(r)
@@ -240,7 +241,7 @@ def _loop(sys, x, r, stop, records):
         rows.append(i)
         levels.append(level)
         if len(rows) == s:
-            if records is not None:
+            if telemetry:
                 _records(sys, len(records), iterates, residuals, rows, levels, records)
             rows, levels = [], []
         a_i = a[i]
@@ -248,36 +249,36 @@ def _loop(sys, x, r, stop, records):
         r = np.matmul(a, x, out=rs[len(rows)])
         r -= b
         k += 1
-    if records is not None:
+    if telemetry:
         _records(sys, len(records), iterates, residuals, rows, levels, records)
-    return RunResult(SolverState(x, k), [] if records is None else records, reason)
+    return RunResult(x, k, records, reason)
 
 
-def _blocked_uniform(sys, x, k, stop, rng, records):
-    """Iterate with uniform draws from x_k until `stop` fires, a block of
-    steps at a time, starting from one `A @ x_k - b`. Appends one record per
-    iteration to `records` unless it is None. Returns a copy of the final
-    x, its k and the stop reason.
+def _blocked_uniform(sys, x, k, stop, rng, telemetry):
+    """Iterate with uniform draws from x_k = x until `stop` fires, a block
+    of steps at a time, starting from one `A @ x_k - b`, with one record per
+    iteration under `telemetry`. Returns the RunResult of a copy of the
+    final iterate; its records are those of its own steps.
 
     One `rng.integers(m, size=s)` call draws a block's s rows, the same
     values as s scalar draws, and one gather their b_i; each step is then one
     `a[i]`, one `.dot` and one scaled add into the next row of a buffer.
-    With records, `linalg.residuals` (the bits of `A @ x - b`) gives their
+    With telemetry, `linalg.residuals` (the bits of `A @ x - b`) gives their
     residuals over `_block_steps(m)` steps, within 256 KB, and their sup
     norms, max(|max r|, |min r|), need no copy of the block and are +0.0 on
-    a zero residual. Without records a block has BLOCK_STEPS steps, and only
+    a zero residual. Without, a block has BLOCK_STEPS steps, and only
     `_screen` reads residuals.
     """
-    a, b, threshold = sys.a, sys.b, stop.residual_inf_threshold
+    a, b, threshold, records = sys.a, sys.b, stop.residual_inf_threshold, []
     r = a @ x - b
     level = float(np.abs(r).max())
     if threshold is not None and level <= threshold:
-        return x.copy(), k, STOP_RESIDUAL_THRESHOLD
-    s = BLOCK_STEPS if records is None else _block_steps(sys.m)
+        return RunResult(x.copy(), k, records, STOP_RESIDUAL_THRESHOLD)
+    s = _block_steps(sys.m) if telemetry else BLOCK_STEPS
     # row 0 holds x_k and its residual, rows 1..s the block's iterates and theirs
     iterates = np.tile(x, (s + 1, 1))
     xs = list(iterates)
-    residuals = None if records is None else np.tile(r, (s + 1, 1))
+    residuals = np.tile(r, (s + 1, 1)) if telemetry else None
     witness, b_inf = [select_motzkin(r)], float(np.abs(b).max())
     while k < stop.max_iterations:
         steps = min(s, stop.max_iterations - k)
@@ -287,7 +288,7 @@ def _blocked_uniform(sys, x, k, stop, rng, records):
             a_i = a[i]
             x = np.add(x, (b_i - a_i.dot(x)) * a_i, out=out)
         hit = None
-        if records is not None:
+        if telemetry:
             block = linalg.residuals(a, b, iterates[1:steps + 1], residuals[1:steps + 1])
             v = np.maximum(np.abs(block.max(axis=1)), np.abs(block.min(axis=1))).tolist()
             if threshold is not None:
@@ -297,10 +298,10 @@ def _blocked_uniform(sys, x, k, stop, rng, records):
         elif threshold is not None:
             hit = _screen(a, b, b_inf, iterates[:steps + 1], threshold, witness)
         if hit is not None:
-            return iterates[hit].copy(), k + hit, STOP_RESIDUAL_THRESHOLD
+            return RunResult(iterates[hit].copy(), k + hit, records, STOP_RESIDUAL_THRESHOLD)
         iterates[0] = iterates[steps]
         k += steps
-    return iterates[0].copy(), k, STOP_MAX_ITERATIONS
+    return RunResult(iterates[0].copy(), k, records, STOP_MAX_ITERATIONS)
 
 
 def _screen(a, b, b_inf, iterates, threshold, witness):
@@ -414,7 +415,7 @@ def time_to_threshold(sys: LinearSystem,
         head = _head(sys, rule, stop, np.zeros(sys.n), telemetry=False)
         result = _continue(sys, rule, stop, head, seed + t, telemetry=False)
         seconds.append(time.process_time() - t0)
-        iterations.append(result.state.iteration)
+        iterations.append(result.iteration)
         censored_mask.append(result.stop_reason != STOP_RESIDUAL_THRESHOLD)
     return TimingSummary(iterations=iterations, seconds=seconds, censored_mask=censored_mask)
 
@@ -452,21 +453,25 @@ def _row_chunks(records):
 def read_telemetry_csv(path) -> list[IterationRecord]:
     """Records of a telemetry CSV; blank rows are skipped, and a malformed
     row, an empty field other than gamma included, raises ValueError naming
-    the path and the line."""
+    the path and the line. A file that is not UTF-8 text raises ValueError
+    naming the path."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if tuple(header or ()) != TELEMETRY_COLUMNS:
-            raise ValueError(f"{path}: unexpected telemetry header {header}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                k, i, residual_inf, residual_2sq, gamma, error_sq, selected_residual_sq = row
-                records.append(IterationRecord(
-                    int(k), int(i), float(residual_inf), float(residual_2sq),
-                    float(gamma) if gamma else None, float(error_sq), float(selected_residual_sq)))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        try:
+            header = next(reader, None)
+            if tuple(header or ()) != TELEMETRY_COLUMNS:
+                raise ValueError(f"{path}: unexpected telemetry header {header}")
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    k, i, residual_inf, residual_2sq, gamma, error_sq, selected_residual_sq = row
+                    records.append(IterationRecord(
+                        int(k), int(i), float(residual_inf), float(residual_2sq),
+                        float(gamma) if gamma else None, float(error_sq), float(selected_residual_sq)))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not a telemetry CSV ({exc})") from None
     return records

@@ -190,8 +190,9 @@ def normalize_rows(A, b) -> tuple[np.ndarray, np.ndarray]:
     """Scale each equation so its matrix row has unit Euclidean norm, in copies.
 
     Dividing row i and b_i by ||a_i|| preserves the solution set of every
-    equation. Raises DegenerateRowError (with the row index) if a row norm
-    falls below 1e-12.
+    equation. A row whose squared norm passes the float range is divided by
+    its largest entry first. Raises DegenerateRowError (with the row index)
+    if a row norm falls below 1e-12.
     """
     return _normalize_in_place(np.array(A, dtype=float), np.array(b, dtype=float))
 
@@ -202,7 +203,14 @@ def _normalize_in_place(A, b) -> tuple[np.ndarray, np.ndarray]:
     b = linalg.as_vector(b)
     if b.shape[0] != A.shape[0]:
         raise ValueError(f"rhs length {b.shape[0]} does not match {A.shape[0]} rows")
-    norms = np.sqrt((A * A).sum(axis=1))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((A * A).sum(axis=1))
+    big = np.flatnonzero(np.isinf(norms))  # rows with a square past the float range
+    if big.size:
+        scale = np.abs(A[big]).max(axis=1)
+        A[big] /= scale[:, None]
+        b[big] /= scale
+        norms[big] = np.sqrt((A[big] * A[big]).sum(axis=1))
     small = np.nonzero(norms < ROW_NORM_TOL)[0]
     if small.size:
         raise DegenerateRowError(int(small[0]))
@@ -256,10 +264,14 @@ def load_system(path) -> LinearSystem:
     """Read a save_system file. Anything else (an empty, truncated or text file,
     another record count, a wrong record dtype or shape, trailing bytes, or
     content that LinearSystem rejects) raises ValueError with the path."""
-    records = []
+    records, magic = [], np.lib.format.MAGIC_PREFIX
     with open(path, "rb") as fh:
         try:
-            while not records or fh.peek(1):  # np.load raises EOFError on an empty file
+            while not records or fh.peek(1):
+                at = fh.tell()  # peek may return fewer bytes than asked for
+                if fh.read(len(magic)) != magic:  # else np.load suggests unpickling it
+                    raise ValueError(f"no .npy record starts at byte {at}")
+                fh.seek(at)
                 records.append(np.load(fh, allow_pickle=False))
             body, reference, singular_values = records
             if not (all(isinstance(r, np.ndarray) and r.dtype == np.float64 for r in records)

@@ -52,7 +52,7 @@ def gaussian_run():
         "e_inf": e_inf,
         "sigma_min": linalg.min_singular_value(sys_.a),
         "elapsed": elapsed,
-        "final_error_sq": error_sq(sys_, result.state.x),
+        "final_error_sq": error_sq(sys_, result.x),
     }
 
 
@@ -85,8 +85,8 @@ def test_criterion_02_final_error_bounds(gaussian_run):
     ok_stop = final <= bound_at_stop * (1 + 1e-9)
 
     one_more = solvers.run(sys_, SelectionRule("motzkin"), StopRule(1),
-                           x0=gaussian_run["result"].state.x)
-    after = error_sq(sys_, one_more.state.x)
+                           x0=gaussian_run["result"].x)
+    after = error_sq(sys_, one_more.x)
     bound_after = (25.0 * m / s2 + 8.0) * e2
     ok_after = after <= bound_after * (1 + 1e-9)
     check(2, "final-error guarantees at and one step past the threshold",
@@ -125,7 +125,7 @@ def test_criterion_04_rk_statistical_rate():
         assert len(result.records) == horizon
         for rec in result.records:
             sums[rec.k] += rec.error_sq
-        sums[horizon] += error_sq(sys_, result.state.x)
+        sums[horizon] += error_sq(sys_, result.x)
     means = sums / trials
     factor = 1.0 - sigma_sq / sys_.m
     bound = 1.05 * factor ** np.arange(horizon + 1) * means[0]
@@ -140,7 +140,7 @@ def test_criterion_05_consistent_exactness():
     sys_ = systems.generate(systems.GeneratorSpec(
         "gaussian-noise", m=300, n=20, noise_std=0.0, seed=55))
     result = solvers.run(sys_, SelectionRule("motzkin"), StopRule(150))
-    errors = [rec.error_sq for rec in result.records] + [error_sq(sys_, result.state.x)]
+    errors = [rec.error_sq for rec in result.records] + [error_sq(sys_, result.x)]
     worst = max(abs(e_next - (e_now - rec.residual_inf ** 2))
                 for rec, e_now, e_next in zip(result.records, errors, errors[1:]))
     ok_chain = worst <= 1e-10
@@ -150,10 +150,10 @@ def test_criterion_05_consistent_exactness():
     identity = systems.LinearSystem(np.eye(n), b, reference=b, singular_values=np.ones(n))
     ident_run = solvers.run(identity, SelectionRule("motzkin"),
                             StopRule(100, residual_inf_threshold=0.0))
-    ok_ident = ident_run.state.iteration == n and np.array_equal(ident_run.state.x, b)
+    ok_ident = ident_run.iteration == n and np.array_equal(ident_run.x, b)
     check(5, "noise-free runs shed exactly the selected residual each step",
           ok_chain and ok_ident,
-          f"worst identity drift {worst:.2e}; identity solved in {ident_run.state.iteration}/{n}")
+          f"worst identity drift {worst:.2e}; identity solved in {ident_run.iteration}/{n}")
 
 
 def test_criterion_06_gamma_range_and_acceleration(gaussian_run):
@@ -175,8 +175,8 @@ def test_criterion_07_paired_acceleration():
         sys_ = systems.generate(systems.GeneratorSpec(
             "gaussian-noise", m=2000, n=50, noise_std=0.01, seed=1000 + t))
         stop = StopRule(50_000, residual_inf_threshold=4 * sys_.error_inf())
-        k_greedy = solvers.run(sys_, SelectionRule("motzkin"), stop).state.iteration
-        k_rk = solvers.run(sys_, SelectionRule("rk-uniform"), stop, seed=50 + t).state.iteration
+        k_greedy = solvers.run(sys_, SelectionRule("motzkin"), stop).iteration
+        k_rk = solvers.run(sys_, SelectionRule("rk-uniform"), stop, seed=50 + t).iteration
         counts.append((k_greedy, k_rk))
         wins += k_greedy < k_rk
     check(7, "greedy reaches the threshold first in at least 9 of 10 pairs",
@@ -188,7 +188,7 @@ def test_criterion_08_spiky_horizon(spiky_system):
     e_inf = sys_.error_inf()
     threshold_run = solvers.run(sys_, SelectionRule("motzkin"),
                                 StopRule(20_000, residual_inf_threshold=4 * e_inf))
-    k_threshold = threshold_run.state.iteration
+    k_threshold = threshold_run.iteration
     # the corrupted rhs makes 4*||e||_inf fire almost immediately, so the
     # literal 3x window is degenerate; floor the run length to keep the
     # trailing-100 comparison meaningful

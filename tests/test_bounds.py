@@ -400,8 +400,8 @@ def test_motzkin_guarantees_hold_on_every_generator_kind(run):
     assert result.records  # every example takes steps
     e0 = error_sq(x0)
     slack = 1e-9 * e0
-    errors = [rec.error_sq for rec in result.records] + [error_sq(result.state.x)]
-    assert [rec.k for rec in result.records] == list(range(result.state.iteration))
+    errors = [rec.error_sq for rec in result.records] + [error_sq(result.x)]
+    assert [rec.k for rec in result.records] == list(range(result.iteration))
     # every record is of a step taken while ||r_k||_inf > 4||e||_inf. Projecting
     # onto row i leaves ||x_k-x||^2 - r_i^2 + 2 r_i e_i, so the first bound holds
     # for every step, and the paper's decrease follows from it
@@ -411,8 +411,8 @@ def test_motzkin_guarantees_hold_on_every_generator_kind(run):
     inp = dataclasses.replace(bounds.bound_inputs_from_system(sys_), initial_error_sq=e0)
     at_stop, one_more_step = bounds.final_error_bounds(inp)
     assert errors[-1] <= at_stop + slack
-    one_more = solvers.run(sys_, solvers.SelectionRule("motzkin"), solvers.StopRule(1), x0=result.state.x)
-    assert error_sq(one_more.state.x) <= one_more_step + slack
+    one_more = solvers.run(sys_, solvers.SelectionRule("motzkin"), solvers.StopRule(1), x0=result.x)
+    assert error_sq(one_more.x) <= one_more_step + slack
     gammas = [rec.gamma for rec in result.records]
     assert all(1 - 1e-9 <= g <= sys_.m * (1 + 1e-9) for g in gammas)
     curve = bounds.motzkin_bound_empirical_gamma(dataclasses.replace(inp, gamma_seq=tuple(gammas)),

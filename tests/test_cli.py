@@ -117,7 +117,7 @@ def test_stop_beta_threshold_form(system_file, tmp_path):
 
     def library_iterations(threshold):
         stop = StopRule(5000, residual_inf_threshold=threshold)
-        return solvers.run(sys_, SelectionRule("motzkin"), stop).state.iteration
+        return solvers.run(sys_, SelectionRule("motzkin"), stop).iteration
 
     # the paper's 4*beta stop test is given as its residual sup-norm level
     assert library_iterations(4 * beta) != library_iterations(8 * beta)
@@ -338,6 +338,40 @@ def test_bounds_negative_iterations_is_config_error(system_file, tmp_path, capsy
                    "--out", str(tmp_path))
     assert code == cli.CONFIG_ERROR
     assert "num_iterations" in capsys.readouterr().err
+
+
+def test_bounds_gamma_outside_the_range_names_the_telemetry_and_its_k(system_file, tmp_path, capsys):
+    # as a telemetry CSV of a larger system: the system file has m = 80
+    records = [solvers.IterationRecord(k=k, selected_row=0, residual_inf=1.0, residual_2sq=1.0,
+                                       selected_residual_sq=1.0, gamma=gamma, error_sq=1.0)
+               for k, gamma in enumerate([2.0, 80.0, 1500.0, 0.5])]
+    telemetry = tmp_path / "telemetry.csv"
+    solvers.write_telemetry_csv(telemetry, records)
+    code = run_cli("bounds", "--system", str(system_file), "--iterations", "4",
+                   "--telemetry", str(telemetry), "--out", str(tmp_path / "curves"))
+    assert code == cli.CONFIG_ERROR
+    assert capsys.readouterr().err == \
+        f"error: {telemetry}: gamma values must lie in [1, m=80]; k=2 has gamma 1500.0\n"
+    assert not (tmp_path / "curves").exists()
+
+
+def test_bounds_binary_telemetry_names_the_file(system_file, tmp_path, capsys):
+    code = run_cli("bounds", "--system", str(system_file), "--iterations", "4",
+                   "--telemetry", str(system_file), "--out", str(tmp_path / "curves"))
+    assert code == cli.CONFIG_ERROR
+    assert capsys.readouterr().err.startswith(f"error: {system_file}: not a telemetry CSV ('utf-8' codec")
+    assert not (tmp_path / "curves").exists()
+
+
+def test_generate_rows_whose_squares_overflow_reach_the_rank_check(tmp_path, capsys):
+    # row mean 1e200 makes every row's squared norm pass the float range; once
+    # scaled, the rows are all nearly (1, 1) / sqrt(2), so column 1 is dependent
+    path = tmp_path / "big.sys"
+    code = run_cli("generate", "--kind", "correlated", "--row-mean", "1e200", "--m", "20", "--n", "2",
+                   "--seed", "1", "--out", str(path))
+    assert code == cli.NUMERICAL_ERROR
+    assert "column 1 depends on the columns before it" in capsys.readouterr().err
+    assert not path.exists()
 
 
 def test_bounds_empirical_gamma_requires_telemetry(system_file, tmp_path):
@@ -761,10 +795,10 @@ def test_solve_tasks_pass_run_results_and_no_residual(system_file, tmp_path):
         ref = solvers.run(sys_, rule, stop, seed=2)
         assert isinstance(head, solvers.RunResult) and isinstance(trial, solvers.RunResult)
         assert isinstance(head.records, bytes) and trial.records == []
-        assert head.state.x.shape == trial.state.x.shape == (sys_.n,)
-        assert trial.state.x.tobytes() == ref.state.x.tobytes()
-        assert (trial.state.iteration, trial.stop_reason, trial.switch_iteration) == \
-            (ref.state.iteration, ref.stop_reason, ref.switch_iteration)
+        assert head.x.shape == trial.x.shape == (sys_.n,)
+        assert trial.x.tobytes() == ref.x.tobytes()
+        assert (trial.iteration, trial.stop_reason, trial.switch_iteration) == \
+            (ref.iteration, ref.stop_reason, ref.switch_iteration)
         assert (trial.switch_iteration is not None) == (rule.kind == "hybrid")
 
 
@@ -783,8 +817,8 @@ def test_solve_without_an_affinity_call_runs_inline(system_file, tmp_path, monke
             solvers.write_telemetry_csv(tmp_path / "library.csv", result.records)
             assert (out / f"{rule.kind}_trial{trial}.csv").read_bytes() == \
                 (tmp_path / "library.csv").read_bytes()
-            diff = result.state.x - sys_.reference
-            rows.append([rule.kind, str(trial), str(result.state.iteration),
+            diff = result.x - sys_.reference
+            rows.append([rule.kind, str(trial), str(result.iteration),
                          repr(float(np.dot(diff, diff))), result.stop_reason])
     with open(out / "summary.csv", newline="") as fh:
         assert list(csv.reader(fh))[1:] == rows

@@ -62,6 +62,7 @@ def test_microbenchmarks_and_run_results(monkeypatch):
     assert (result.state.iteration, result.stop_reason, len(result.records)) == \
         (5, solvers.STOP_MAX_ITERATIONS, 5)
     assert result.state.x.shape == (sys_.n,)
+    assert result.state is result  # no second type and no copy
 
 
 def test_stacked_system_checks_pass(monkeypatch, tmp_path):

@@ -15,7 +15,6 @@ from rowaction.solvers import (
     IterationRecord,
     RunResult,
     SelectionRule,
-    SolverState,
     StopRule,
     project_step,
     select_motzkin,
@@ -92,8 +91,8 @@ def test_identity_system_solves_in_exactly_n_iterations():
     b = np.array([3.0, -1.5, 2.0, 0.5, -4.0, 1.0])
     sys_ = systems.LinearSystem(np.eye(n), b, reference=b, singular_values=np.ones(n))
     result = solvers.run(sys_, SelectionRule("motzkin"), StopRule(100, residual_inf_threshold=0.0))
-    assert result.state.iteration == n
-    assert np.array_equal(result.state.x, b)
+    assert result.iteration == n
+    assert np.array_equal(result.x, b)
     # with orthonormal rows each step removes exactly the selected residual
     errors = [rec.error_sq for rec in result.records] + [0.0]
     for rec, e_now, e_next in zip(result.records, errors, errors[1:]):
@@ -107,7 +106,7 @@ def test_consistent_run_per_step_identity(m, n, seed):
     sys_ = gaussian_system(m=m, n=n, noise_std=0.0, seed=seed)
     result = solvers.run(sys_, SelectionRule("motzkin"), StopRule(200))
     errors = [rec.error_sq for rec in result.records]
-    final = float(np.dot(result.state.x - sys_.reference, result.state.x - sys_.reference))
+    final = float(np.dot(result.x - sys_.reference, result.x - sys_.reference))
     errors.append(final)
     for rec, e_now, e_next in zip(result.records, errors, errors[1:]):
         # acceptance criterion 5: each step sheds exactly the largest squared residual
@@ -140,7 +139,7 @@ def test_record_invariants_and_replay():
         assert rec.residual_inf ** 2 <= rec.residual_2sq <= sys_.m * rec.residual_inf ** 2 * (1 + 1e-12)
         assert 1.0 - 1e-12 <= rec.gamma <= sys_.m * (1 + 1e-12)
         x = solvers.project_step(sys_, x, rec.selected_row)
-    assert np.abs(x - result.state.x).max() <= 1e-12
+    assert np.abs(x - result.x).max() <= 1e-12
 
 
 def test_zero_iteration_budget_returns_x0():
@@ -148,7 +147,7 @@ def test_zero_iteration_budget_returns_x0():
     x0 = np.full(sys_.n, 0.25)
     result = solvers.run(sys_, SelectionRule("motzkin"), StopRule(0), x0=x0)
     assert result.records == []
-    assert np.array_equal(result.state.x, x0)
+    assert np.array_equal(result.x, x0)
     assert result.stop_reason == solvers.STOP_MAX_ITERATIONS
 
 
@@ -157,7 +156,7 @@ def test_stop_reason_residual_threshold():
     stop = StopRule(10_000, residual_inf_threshold=4 * sys_.error_inf())
     result = solvers.run(sys_, SelectionRule("motzkin"), stop)
     assert result.stop_reason == solvers.STOP_RESIDUAL_THRESHOLD
-    assert np.abs(sys_.residual(result.state.x)).max() <= 4 * sys_.error_inf()
+    assert np.abs(sys_.residual(result.x)).max() <= 4 * sys_.error_inf()
 
 
 def test_selection_rule_validation():
@@ -197,7 +196,7 @@ def test_motzkin_ignores_seed():
     sys_ = gaussian_system(seed=3)
     a = solvers.run(sys_, SelectionRule("motzkin"), StopRule(40), seed=1)
     b = solvers.run(sys_, SelectionRule("motzkin"), StopRule(40), seed=999)
-    assert np.array_equal(a.state.x, b.state.x)
+    assert np.array_equal(a.x, b.x)
 
 
 def test_rk_runs_reproducible_by_seed():
@@ -205,8 +204,8 @@ def test_rk_runs_reproducible_by_seed():
     a = solvers.run(sys_, SelectionRule("rk-uniform"), StopRule(60), seed=5)
     b = solvers.run(sys_, SelectionRule("rk-uniform"), StopRule(60), seed=5)
     c = solvers.run(sys_, SelectionRule("rk-uniform"), StopRule(60), seed=6)
-    assert np.array_equal(a.state.x, b.state.x)
-    assert not np.array_equal(a.state.x, c.state.x)
+    assert np.array_equal(a.x, b.x)
+    assert not np.array_equal(a.x, c.x)
 
 
 def test_x0_length_validation():
@@ -471,7 +470,7 @@ def reference_run(sys, rule, stop, x0=None, seed=0):
         r = sys.a @ x - sys.b
         k += 1
 
-    return RunResult(SolverState(x, k), records, stop_reason, switch_iteration)
+    return RunResult(x, k, records, stop_reason, switch_iteration)
 
 
 def assert_matches_reference(sys_, rule, stop, seeds, x0, csv_path):
@@ -488,7 +487,7 @@ def assert_matches_reference(sys_, rule, stop, seeds, x0, csv_path):
     x = np.zeros(sys_.n) if x0 is None else np.array(x0, dtype=float)
     head = solvers._head(sys_, rule, stop, x, telemetry=True)
     trials = [solvers._continue(sys_, rule, stop, head, seed, telemetry=True) for seed in seeds]
-    assert len({id(head.state.x), *(id(t.state.x) for t in trials)}) == len(trials) + 1
+    assert len({id(head.x), *(id(t.x) for t in trials)}) == len(trials) + 1
     assert len({id(head.records), *(id(t.records) for t in trials)}) == len(trials) + 1
     refs = []
     for seed, trial in zip(seeds, trials):
@@ -497,10 +496,10 @@ def assert_matches_reference(sys_, rule, stop, seeds, x0, csv_path):
         trial.records[:0] = head.records
         for got in (trial, solvers.run(sys_, rule, stop, x0=x0, seed=seed)):
             assert csv_bytes(got.records) == csv_bytes(ref.records)
-            assert got.state.x.tobytes() == ref.state.x.tobytes()
-            assert (got.state.iteration, got.stop_reason, got.switch_iteration) == \
-                (ref.state.iteration, ref.stop_reason, ref.switch_iteration)
-            assert [rec.k for rec in got.records] == list(range(got.state.iteration))
+            assert got.x.tobytes() == ref.x.tobytes()
+            assert (got.iteration, got.stop_reason, got.switch_iteration) == \
+                (ref.iteration, ref.stop_reason, ref.switch_iteration)
+            assert [rec.k for rec in got.records] == list(range(got.iteration))
         refs.append(ref)
     return refs
 
@@ -534,7 +533,7 @@ def test_shared_head_trials_equal_reference_loop(tmp_path_factory, case, base_se
         summary = solvers.time_to_threshold(sys_, rule, stop.residual_inf_threshold, trials=3,
                                             seed=base_seed, max_iterations=stop.max_iterations)
         refs = [reference_run(sys_, rule, stop, seed=base_seed + t) for t in range(3)]
-        assert summary.iterations == [ref.state.iteration for ref in refs]
+        assert summary.iterations == [ref.iteration for ref in refs]
         assert summary.censored_mask == [ref.stop_reason != STOP_RESIDUAL_THRESHOLD for ref in refs]
 
 
@@ -553,11 +552,11 @@ def test_hybrid_switch_edge_cases_equal_reference_loop(tmp_path):
         assert {ref.switch_iteration for ref in refs} == {switch}
         assert {ref.stop_reason for ref in refs} == {stop_reason}
         if at is not None:
-            assert {ref.state.iteration for ref in refs} == {at}
+            assert {ref.iteration for ref in refs} == {at}
         return refs
 
     refs = check(StopRule(200), j, STOP_MAX_ITERATIONS, at=200)
-    assert len({ref.state.x.tobytes() for ref in refs}) == len(seeds)  # the continuations differ
+    assert len({ref.x.tobytes() for ref in refs}) == len(seeds)  # the continuations differ
     # a stop threshold at or above the hybrid threshold stops where it would switch
     check(StopRule(200, levels[j]), None, STOP_RESIDUAL_THRESHOLD, at=j)
     check(StopRule(200, 2 * levels[j]), None, STOP_RESIDUAL_THRESHOLD)
@@ -602,7 +601,7 @@ def test_telemetry_block_caps_equal_reference_loop(tmp_path, shape, to_threshold
     for cap in sorted({0, 1, s - 1, s, s + 1, 2 * s + 1}):
         for ref in assert_matches_reference(sys_, rule, StopRule(cap, threshold), seeds, None,
                                             tmp_path / "telemetry.csv"):
-            assert (ref.state.iteration, ref.stop_reason) == (cap, STOP_MAX_ITERATIONS)
+            assert (ref.iteration, ref.stop_reason) == (cap, STOP_MAX_ITERATIONS)
 
 
 @pytest.mark.parametrize("shape", BLOCK_SHAPES[:2])
@@ -618,7 +617,7 @@ def test_telemetry_block_stop_at_mid_block_threshold_equals_reference_loop(tmp_p
         refs = assert_matches_reference(sys_, rule, StopRule(600, threshold), [seed, seed + 1],
                                         None, tmp_path / "telemetry.csv")
         if threshold == levels[k]:
-            assert (refs[0].state.iteration, refs[0].stop_reason) == (k, STOP_RESIDUAL_THRESHOLD)
+            assert (refs[0].iteration, refs[0].stop_reason) == (k, STOP_RESIDUAL_THRESHOLD)
 
 
 def test_telemetry_block_threshold_met_at_start_equals_reference_loop(tmp_path):
@@ -628,7 +627,7 @@ def test_telemetry_block_threshold_met_at_start_equals_reference_loop(tmp_path):
         for ref in assert_matches_reference(sys_, SelectionRule("rk-uniform"),
                                             StopRule(500, start_inf), [3, 4], start,
                                             tmp_path / "telemetry.csv"):
-            assert (ref.state.iteration, ref.stop_reason, ref.records) == \
+            assert (ref.iteration, ref.stop_reason, ref.records) == \
                 (0, STOP_RESIDUAL_THRESHOLD, [])
 
 
@@ -641,7 +640,7 @@ def test_telemetry_block_hybrid_continuation_equals_reference_loop(tmp_path, sha
     stop = StopRule(20_000, 4 * sys_.error_inf()) if to_threshold else StopRule(300)
     for ref in assert_matches_reference(sys_, rule, stop, [1, 2], None, tmp_path / "telemetry.csv"):
         assert ref.switch_iteration is not None
-        assert ref.state.iteration - ref.switch_iteration > 2 * telemetry_block(sys_.m)
+        assert ref.iteration - ref.switch_iteration > 2 * telemetry_block(sys_.m)
 
 
 @pytest.mark.parametrize("shape", BLOCK_SHAPES)
@@ -661,14 +660,14 @@ def test_greedy_telemetry_blocks_equal_reference_loop(tmp_path, shape):
     for cap in sorted({0, 1, s - 1, s, s + 1, 2 * s + 1}):
         for rule in (motzkin, never):
             for ref in assert_matches_reference(sys_, rule, StopRule(cap), seeds, x0, path):
-                assert (ref.state.iteration, ref.switch_iteration) == (cap, None)
+                assert (ref.iteration, ref.switch_iteration) == (cap, None)
     for k in stops:
         for ref in assert_matches_reference(sys_, motzkin, StopRule(4 * s + 1, levels[k]), seeds,
                                             x0, path):
-            assert (ref.state.iteration, ref.stop_reason) == (k, STOP_RESIDUAL_THRESHOLD)
+            assert (ref.iteration, ref.stop_reason) == (k, STOP_RESIDUAL_THRESHOLD)
         hybrid = SelectionRule("hybrid", hybrid_threshold=levels[k])
         for ref in assert_matches_reference(sys_, hybrid, StopRule(k + s + 1), seeds, x0, path):
-            assert (ref.switch_iteration, ref.state.iteration) == (k, k + s + 1)
+            assert (ref.switch_iteration, ref.iteration) == (k, k + s + 1)
 
 
 @pytest.mark.parametrize("shape", [(2000, 50), (1281, 20)])
@@ -685,7 +684,7 @@ def test_telemetry_blocks_over_several_slabs_equal_reference_loop(tmp_path, monk
     for rule, start in ((rk, 0), (hybrid, 2)):  # the hybrid switches at k = 2
         for cap in sorted({start + c for c in (0, 1, s - 1, s, s + 1, 2 * s + 1)}):
             for ref in assert_matches_reference(sys_, rule, StopRule(cap), seeds, None, path):
-                assert ref.state.iteration == cap
+                assert ref.iteration == cap
         ref = reference_run(sys_, rule, StopRule(600), seed=5)
         assert ref.switch_iteration == (None if rule is rk else start)
         levels = [rec.residual_inf for rec in ref.records]
@@ -694,7 +693,7 @@ def test_telemetry_blocks_over_several_slabs_equal_reference_loop(tmp_path, monk
         k = next(k for k in range(start + 2 * s + 1, len(levels))
                  if levels[k] < min(levels[:k]) and 0 < (k - start - 1) % s < s - 1)
         refs = assert_matches_reference(sys_, rule, StopRule(600, levels[k]), [5, 6], None, path)
-        assert (refs[0].state.iteration, refs[0].stop_reason, refs[0].switch_iteration) == \
+        assert (refs[0].iteration, refs[0].stop_reason, refs[0].switch_iteration) == \
             (k, STOP_RESIDUAL_THRESHOLD, ref.switch_iteration)
 
 
@@ -711,13 +710,13 @@ def test_loaded_system_runs_equal_reference_loop(tmp_path, shape):
     hybrid = SelectionRule("hybrid", greedy.records[2].residual_inf)
     for rule, start in ((SelectionRule("motzkin"), 0), (SelectionRule("rk-uniform"), 0), (hybrid, 2)):
         for ref in assert_matches_reference(sys_, rule, StopRule(start + 2 * s + 1), seeds, None, path):
-            assert ref.state.iteration == start + 2 * s + 1
+            assert ref.iteration == start + 2 * s + 1
         levels = [rec.residual_inf for rec in reference_run(sys_, rule, StopRule(600), seed=5).records]
         # a new lowest residual past the first block, mid-block in both loops
         k = next(k for k in range(start + s + 1, len(levels))
                  if levels[k] < min(levels[:k]) and 0 < (k - start - 1) % s < s - 1 and k % s)
         refs = assert_matches_reference(sys_, rule, StopRule(600, levels[k]), [5, 6], None, path)
-        assert (refs[0].state.iteration, refs[0].stop_reason) == (k, STOP_RESIDUAL_THRESHOLD)
+        assert (refs[0].iteration, refs[0].stop_reason) == (k, STOP_RESIDUAL_THRESHOLD)
         assert_untimed_solve_matches_reference(sys_, rule, StopRule(600, levels[k]), 5)
 
 
@@ -780,8 +779,8 @@ def assert_untimed_solve_matches_reference(sys_, rule, stop, seed, x0=None):
     got = solvers._continue(sys_, rule, stop, head, seed, telemetry=False)
     assert head.records == [] and got.records == []
     ref = reference_run(sys_, rule, stop, x0=x0, seed=seed)
-    assert (got.state.iteration, got.stop_reason) == (ref.state.iteration, ref.stop_reason)
-    assert got.state.x.tobytes() == ref.state.x.tobytes()
+    assert (got.iteration, got.stop_reason) == (ref.iteration, ref.stop_reason)
+    assert got.x.tobytes() == ref.x.tobytes()
     return ref
 
 
@@ -826,7 +825,7 @@ def test_blocked_stop_at_exact_threshold_equals_reference_loop(screens):
     for threshold in (levels[k], np.nextafter(levels[k], 0.0), np.nextafter(levels[k], np.inf)):
         got = assert_untimed_solve_matches_reference(sys_, rule, StopRule(200_000, threshold), seed)
         if threshold == levels[k]:
-            assert (got.state.iteration, got.stop_reason) == (k, STOP_RESIDUAL_THRESHOLD)
+            assert (got.iteration, got.stop_reason) == (k, STOP_RESIDUAL_THRESHOLD)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -837,7 +836,7 @@ def test_blocked_censored_run_grows_its_witness_rows(screens, seed):
     rule, cap = SelectionRule("rk-uniform"), 3 * solvers.BLOCK_STEPS + 5
     lowest = min(rec.residual_inf for rec in reference_run(sys_, rule, StopRule(cap + 1), seed=seed).records)
     ref = assert_untimed_solve_matches_reference(sys_, rule, StopRule(cap, np.nextafter(lowest, 0.0)), seed)
-    assert (ref.state.iteration, ref.stop_reason) == (cap, STOP_MAX_ITERATIONS)
+    assert (ref.iteration, ref.stop_reason) == (cap, STOP_MAX_ITERATIONS)
     assert len(screens) == 4 and len(screens[-1][1]) > 1
 
 
@@ -860,7 +859,7 @@ def test_blocked_stop_as_the_largest_entry_moves_equals_reference_loop(screens, 
                                        (np.nextafter(levels[k], 0.0), cap, STOP_MAX_ITERATIONS)):
         screens.clear()
         got = assert_untimed_solve_matches_reference(sys_, rule, StopRule(cap, threshold), seed)
-        assert (got.state.iteration, got.stop_reason) == (at, stop_reason)
+        assert (got.iteration, got.stop_reason) == (at, stop_reason)
         witness = screens[-1][1]
         assert len(witness) > 1
         assert len(set(witness)) == len(witness), f"a row joined the witnesses twice: {witness}"
@@ -872,7 +871,7 @@ def test_blocked_caps_equal_reference_loop(cap, to_threshold):
     sys_ = gaussian_system(m=2000, n=50, noise_std=0.01, seed=1)
     stop = StopRule(cap, 4 * sys_.error_inf() if to_threshold else None)
     ref = assert_untimed_solve_matches_reference(sys_, SelectionRule("rk-uniform"), stop, seed=2)
-    assert (ref.state.iteration, ref.stop_reason) == (cap, STOP_MAX_ITERATIONS)
+    assert (ref.iteration, ref.stop_reason) == (cap, STOP_MAX_ITERATIONS)
 
 
 def test_blocked_threshold_met_at_start_equals_reference_loop():
@@ -882,7 +881,7 @@ def test_blocked_threshold_met_at_start_equals_reference_loop():
     for start in (None, x0):
         start_inf = float(np.abs(sys_.residual(np.zeros(sys_.n) if start is None else start)).max())
         ref = assert_untimed_solve_matches_reference(sys_, rule, StopRule(500, start_inf), 3, start)
-        assert (ref.state.iteration, ref.stop_reason) == (0, STOP_RESIDUAL_THRESHOLD)
+        assert (ref.iteration, ref.stop_reason) == (0, STOP_RESIDUAL_THRESHOLD)
 
 
 def test_blocked_hybrid_continuation_equals_reference_loop():
@@ -893,7 +892,7 @@ def test_blocked_hybrid_continuation_equals_reference_loop():
         for seed in (1, 2):
             ref = assert_untimed_solve_matches_reference(sys_, rule, stop, seed)
             assert ref.switch_iteration is not None
-            assert ref.state.iteration - ref.switch_iteration > 2 * solvers.BLOCK_STEPS
+            assert ref.iteration - ref.switch_iteration > 2 * solvers.BLOCK_STEPS
 
 
 @st.composite
@@ -930,5 +929,5 @@ def test_untimed_solve_equals_reference_loop(case):
     if stop.residual_inf_threshold is not None and x0 is None:
         summary = solvers.time_to_threshold(sys_, rule, stop.residual_inf_threshold, trials=1,
                                             seed=seed, max_iterations=stop.max_iterations)
-        assert summary.iterations == [ref.state.iteration]
+        assert summary.iterations == [ref.iteration]
         assert summary.censored_mask == [ref.stop_reason != STOP_RESIDUAL_THRESHOLD]

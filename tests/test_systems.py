@@ -1,4 +1,5 @@
 import io
+import math
 import re
 import tracemalloc
 
@@ -37,6 +38,19 @@ def test_normalize_rows_zero_row_error():
     with pytest.raises(systems.DegenerateRowError) as err:
         systems.normalize_rows([[0, 0], [1, 0]], [1, 1])
     assert err.value.row_index == 0
+
+
+def test_normalize_rows_scales_rows_whose_squared_norm_overflows():
+    # (1e200)^2 passes the float range: such a row is divided by its largest
+    # entry first, with no overflow warning, and every other row keeps its bits
+    A, b = systems.normalize_rows([[1e200, 1e200], [3, 4], [0, 1], [1.7e308, -1.7e308]],
+                                  [1e200, 10, 1, 1e308])
+    plain_A, plain_b = systems.normalize_rows([[3, 4], [0, 1]], [10, 1])
+    assert np.allclose(A[0], [math.sqrt(0.5)] * 2, atol=1e-15) and abs(b[0] - math.sqrt(0.5)) <= 1e-15
+    assert A[1:3].tobytes() == plain_A.tobytes() and b[1:3].tobytes() == plain_b.tobytes()
+    assert np.allclose(A[3], [math.sqrt(0.5), -math.sqrt(0.5)], atol=1e-15)
+    assert abs(b[3] - 1e308 / 1.7e308 * math.sqrt(0.5)) <= 1e-15
+    assert np.abs(np.sqrt(linalg.row_norms_sq(A)) - 1.0).max() <= systems.ROW_NORM_TOL
 
 
 def test_normalize_rows_preserves_sign_pattern():
@@ -362,6 +376,21 @@ def test_load_rejects_legacy_text_file(tmp_path):
         systems.load_system(path)
     assert str(path) in str(err.value)
     assert "regenerate it with `rowaction generate` or `rowaction netlib-prep`" in str(err.value)
+
+
+@pytest.mark.parametrize("content, at", [
+    pytest.param(b"solver,trial\r\nmotzkin,0\r\n", 0, id="csv"),
+    pytest.param(_VALID + b"\0", len(_VALID), id="trailing-byte"),
+])
+def test_load_names_the_byte_where_no_npy_record_starts(tmp_path, content, at):
+    # numpy's own message for such bytes advises loading them with pickle
+    path = tmp_path / "not.sys"
+    path.write_bytes(content)
+    pattern = rf"^{re.escape(str(path))}: not a system file \(.+\); regenerate it"
+    with pytest.raises(ValueError, match=pattern) as err:
+        systems.load_system(path)
+    assert f"no .npy record starts at byte {at}" in str(err.value)
+    assert "pickle" not in str(err.value)
 
 
 def test_sample_distinct_properties():
