@@ -11,9 +11,11 @@ solve, bounds and timing read their system only from --system, a file
 written by generate or netlib-prep. solve computes its trials in one
 worker process per CPU it may run on (os.sched_getaffinity), at most one per
 trial, forked once per invocation so that they share the loaded system, not
-a pickled copy; taskset limits them. Each solver's seed-independent head
-(see `solvers`) is one task, and each trial's continuation another, started
-once its head is done; both return a `solvers.RunResult`. The worker that
+a pickled copy; taskset limits them. Each worker sets the OpenBLAS that
+numpy bundles to one thread; with another BLAS it leaves the count as it
+is. Each solver's seed-independent head (see `solvers`) is one task, and
+each trial's continuation another, started once its head is done; both
+return a `solvers.RunResult`. The worker that
 computes a trial also writes its telemetry CSV, into a temporary directory
 in --out; the parent writes summary.csv there from the trials' results and
 moves every file into place in (solver, trial) order, summary.csv last,
@@ -165,7 +167,7 @@ def cmd_solve(args) -> int:
             results, caught = _solve_trials(functools.partial(_inline, sys_), rules, stop, seeds, tmp)
         else:
             with futures.ProcessPoolExecutor(jobs, multiprocessing.get_context("fork"),
-                                             _adopt, (sys_,)) as pool:
+                                             _adopt, (sys_, _bundled_openblas())) as pool:
                 results, caught = _solve_trials(functools.partial(pool.submit, _in_worker),
                                                 rules, stop, seeds, tmp)
             _rewrite_heap()
@@ -286,9 +288,28 @@ def _rewrite_heap() -> None:
 _system = None  # set only in a forked worker, by _adopt: the system the fork handed over
 
 
-def _adopt(sys_):
+def _adopt(sys_, openblas):
+    """A forked worker's set-up: it keeps the system and, where `openblas`
+    is a `_bundled_openblas`, runs one BLAS thread, since one worker per
+    CPU leaves no core to more."""
     global _system
     _system = sys_
+    if openblas is not None:
+        openblas.scipy_openblas_set_num_threads64_(1)
+
+
+def _bundled_openblas():
+    """The OpenBLAS that numpy bundles, as a ctypes library whose thread
+    count `scipy_openblas_set_num_threads64_` sets and
+    `scipy_openblas_get_num_threads64_` reads, or None where numpy bundles
+    none (it uses another BLAS, or one of the system's)."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*")):
+        openblas = ctypes.CDLL(str(path))
+        if hasattr(openblas, "scipy_openblas_set_num_threads64_"):
+            openblas.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            openblas.scipy_openblas_set_num_threads64_.restype = None
+            return openblas
+    return None
 
 
 def _in_worker(fn, *args):

@@ -43,12 +43,15 @@ and raise its peak RSS. A greedy step selects by `abs(r).argmax()`, into
 one reused vector, from the residual its own gemv takes. Uniform steps run
 in blocks, whose rows one RNG call draws and whose b_i one gather takes.
 With telemetry `linalg.residuals` gives all their residuals with the bits of
-`A @ x - b`, reading each cache-sized slab of A once for the whole block;
-without, only a threshold needs any, and a few witness rows show most
-iterates above it. Either way the count, the stop reason, x and the records
-equal, bit for bit, those of a loop of one step, one `A @ x - b` and one
-record at a time; only the RNG and a uniform block's iterates run up to a
-block past the stop point, which nothing exposes.
+`A @ x - b`, reading each cache-sized slab of A once for the whole block, so
+a uniform block keeps BLOCK_STEPS steps up to 16384 rows (at most 8 MB of
+residuals), while a greedy block, whose steps take their own gemvs, holds
+at most 256 KB of them; without, only a threshold needs any, and a few
+witness rows show most iterates above it. Either way the count, the stop
+reason, x and the records equal, bit for bit, those of a loop of one step,
+one `A @ x - b` and one record at a time; only the RNG and a uniform
+block's iterates run up to a block past the stop point, which nothing
+exposes.
 """
 
 import csv
@@ -69,9 +72,12 @@ STOP_MAX_ITERATIONS = "max-iterations"
 
 # steps per block of a uniform solve, and at most per telemetry block
 BLOCK_STEPS = 64
-# residual entries per block of a solve with telemetry (256 KB of float64);
-# `_block_steps` turns it into steps
+# residual entries per telemetry block (float64), which `_block_steps` turns
+# into steps: 256 KB for greedy steps, whose every step takes its own gemv,
+# and 8 MB for uniform ones, so that each slab of `linalg.residuals` serves
+# BLOCK_STEPS iterates up to 16384 rows
 BLOCK_ENTRIES = 32768
+UNIFORM_BLOCK_ENTRIES = 2**20
 # telemetry rows per write of `write_telemetry_csv` (about 30 KB of text)
 CSV_CHUNK_ROWS = 256
 
@@ -209,10 +215,11 @@ def _continue(sys, rule, stop, head, seed, telemetry):
     return result
 
 
-def _block_steps(m):
+def _block_steps(m, entries):
     """Steps per telemetry block on m rows: at most BLOCK_STEPS, and at most
-    BLOCK_ENTRIES residual entries unless one step alone has more."""
-    return min(BLOCK_STEPS, max(1, BLOCK_ENTRIES // m))
+    `entries` residual entries (BLOCK_ENTRIES for the greedy loop,
+    UNIFORM_BLOCK_ENTRIES for the uniform one) unless one step alone has more."""
+    return min(BLOCK_STEPS, max(1, entries // m))
 
 
 def _loop(sys, x, stop, telemetry):
@@ -223,7 +230,7 @@ def _loop(sys, x, stop, telemetry):
     records, and the rest at the stop. Returns the RunResult of x_k."""
     threshold, k, records = stop.residual_inf_threshold, 0, []
     a, b = sys.a, sys.b
-    s = _block_steps(sys.m) if telemetry else 1
+    s = _block_steps(sys.m, BLOCK_ENTRIES) if telemetry else 1
     # x_k and its residual sit in row len(rows) of the buffers
     iterates, residuals, rows, levels = np.empty((s, sys.n)), np.empty((s, sys.m)), [], []
     iterates[0], r = x, np.subtract(a @ x, b, out=residuals[0])
@@ -263,22 +270,28 @@ def _blocked_uniform(sys, x, k, stop, rng, telemetry):
     One `rng.integers(m, size=s)` call draws a block's s rows, the same
     values as s scalar draws, and one gather their b_i; each step is then one
     `a[i]`, one `.dot` and one scaled add into the next row of a buffer.
-    With telemetry, `linalg.residuals` (the bits of `A @ x - b`) gives their
-    residuals over `_block_steps(m)` steps, within 256 KB, and their sup
-    norms, max(|max r|, |min r|), need no copy of the block and are +0.0 on
-    a zero residual. Without, a block has BLOCK_STEPS steps, and only
-    `_screen` reads residuals.
+    With telemetry, a block has `_block_steps(m, UNIFORM_BLOCK_ENTRIES)`
+    steps, BLOCK_STEPS up to 16384 rows, so that each slab of A that
+    `linalg.residuals` reads serves that many iterates from cache; it gives
+    their residuals with the bits of `A @ x - b` into a buffer of at most
+    8 MB, whose row 0 alone is filled from the start residual, and their
+    sup norms, max(|max r|, |min r|), need no copy of the block and are
+    +0.0 on a zero residual. Without, a block has BLOCK_STEPS steps, and
+    only `_screen` reads residuals.
     """
     a, b, threshold, records = sys.a, sys.b, stop.residual_inf_threshold, []
     r = a @ x - b
     level = float(np.abs(r).max())
     if threshold is not None and level <= threshold:
         return RunResult(x.copy(), k, records, STOP_RESIDUAL_THRESHOLD)
-    s = _block_steps(sys.m) if telemetry else BLOCK_STEPS
+    s = _block_steps(sys.m, UNIFORM_BLOCK_ENTRIES) if telemetry else BLOCK_STEPS
     # row 0 holds x_k and its residual, rows 1..s the block's iterates and theirs
     iterates = np.tile(x, (s + 1, 1))
     xs = list(iterates)
-    residuals = np.tile(r, (s + 1, 1)) if telemetry else None
+    residuals = None
+    if telemetry:
+        residuals = np.empty((s + 1, sys.m))
+        residuals[0] = r
     witness, b_inf = [select_motzkin(r)], float(np.abs(b).max())
     while k < stop.max_iterations:
         steps = min(s, stop.max_iterations - k)

@@ -668,6 +668,33 @@ def test_solve_leaves_no_process_or_thread_running(system_file, tmp_path, monkey
     assert threading.active_count() == threads
 
 
+def test_forked_tasks_run_one_blas_thread(system_file, tmp_path, monkeypatch):
+    # the parent runs two OpenBLAS threads; every task of a forked solve reads one
+    openblas = cli._bundled_openblas()
+    if openblas is None:
+        pytest.skip("numpy bundles no OpenBLAS with a thread-count setter")
+    threads, continue_ = openblas.scipy_openblas_get_num_threads64_(), solvers._continue
+    read_path = tmp_path / "threads.txt"
+
+    def reading(*args, **kwargs):  # each trial's task appends its process and its thread count
+        with open(read_path, "a") as fh:
+            fh.write(f"{os.getpid()} {openblas.scipy_openblas_get_num_threads64_()}\n")
+        return continue_(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_continue", reading)
+    set_cpus(monkeypatch, 2)
+    openblas.scipy_openblas_set_num_threads64_(2)
+    try:
+        assert openblas.scipy_openblas_get_num_threads64_() == 2
+        assert run_cli("solve", "--system", str(system_file), "--solver", "rk-uniform", "--trials", "2",
+                       "--max-iterations", "30", "--seed", "0", "--out", str(tmp_path / "runs")) == 0
+        assert openblas.scipy_openblas_get_num_threads64_() == 2
+    finally:
+        openblas.scipy_openblas_set_num_threads64_(threads)
+    read = [line.split() for line in read_path.read_text().splitlines()]
+    assert len(read) == 2 and all(pid != str(os.getpid()) and count == "1" for pid, count in read)
+
+
 def test_first_failure_in_solver_and_trial_order_is_named(system_file, tmp_path, capsys, monkeypatch):
     # rk-uniform trial 1 fails last in time, and first in (solver, trial) order
     out = tmp_path / "runs"

@@ -576,24 +576,55 @@ def test_hybrid_switch_edge_cases_equal_reference_loop(tmp_path):
 # uniform draws with telemetry, run in blocks
 
 
-telemetry_block = solvers._block_steps
+def greedy_block(m):
+    return solvers._block_steps(m, solvers.BLOCK_ENTRIES)
+
+
+def uniform_block(m):
+    return solvers._block_steps(m, solvers.UNIFORM_BLOCK_ENTRIES)
 
 
 def test_telemetry_block_keeps_its_residual_buffer_within_256_kb():
-    # netlib-stacked, gauss-small, gauss-large, and an m past the cap
-    assert [telemetry_block(m) for m in (300, 2000, 10000, 40000)] == [64, 16, 3, 1]
-    assert all(telemetry_block(m) * m * 8 <= 256 * 1024 for m in (300, 2000, 10000))
+    # the greedy loop's: netlib-stacked, gauss-small, gauss-large, and an m past the cap
+    assert [greedy_block(m) for m in (300, 2000, 10000, 40000)] == [64, 16, 3, 1]
+    assert all(greedy_block(m) * m * 8 <= 256 * 1024 for m in (300, 2000, 10000))
 
 
-# (m, n): a full 64-step block, a block shrunk to 16 steps, and to one step
+def test_uniform_telemetry_block_keeps_its_residual_buffer_within_8_mb():
+    # 64 steps up to 16384 rows: each slab of A serves 64 iterates on gauss-large too
+    assert [uniform_block(m) for m in (300, 2000, 10000, 40000)] == [64, 64, 64, 26]
+    assert all(uniform_block(m) * m * 8 <= 8 * 2**20 for m in (300, 2000, 10000, 40000))
+
+
+def test_uniform_telemetry_takes_one_residuals_call_per_64_steps(monkeypatch):
+    # 200 steps on 2000 rows: four blocks, where blocks of 256 KB of
+    # residuals (16 steps) took thirteen, each reading all of A again
+    blocks, residuals = [], linalg.residuals
+
+    def spy(a, b, iterates, out):
+        blocks.append(len(iterates))
+        return residuals(a, b, iterates, out)
+
+    monkeypatch.setattr(linalg, "residuals", spy)
+    sys_ = gaussian_system(m=2000, n=50, noise_std=0.01, seed=1)
+    assert solvers.run(sys_, SelectionRule("rk-uniform"), StopRule(200), seed=1).iteration == 200
+    assert blocks == [64, 64, 64, 8]
+
+
+# (m, n, UNIFORM_BLOCK_ENTRIES): the 64-step uniform block on 2000 rows,
+# and, with the entries patched, a block shrunk to 16 steps and one of one step
+UNIFORM_BLOCKS = [(2000, 50, solvers.UNIFORM_BLOCK_ENTRIES), (2000, 50, 16 * 2000), (120, 8, 120)]
+# (m, n): a full 64-step greedy block, one shrunk to 16 steps, and to one step
 BLOCK_SHAPES = [(120, 8), (2000, 50), (40000, 3)]
 
 
-@pytest.mark.parametrize("shape", BLOCK_SHAPES)
+@pytest.mark.parametrize("shape", UNIFORM_BLOCKS)
 @pytest.mark.parametrize("to_threshold", [True, False])
-def test_telemetry_block_caps_equal_reference_loop(tmp_path, shape, to_threshold):
-    sys_ = gaussian_system(*shape, noise_std=0.01, seed=1)
-    rule, seeds, s = SelectionRule("rk-uniform"), [2, 3], telemetry_block(sys_.m)
+def test_telemetry_block_caps_equal_reference_loop(tmp_path, monkeypatch, shape, to_threshold):
+    m, n, entries = shape
+    monkeypatch.setattr(solvers, "UNIFORM_BLOCK_ENTRIES", entries)
+    sys_ = gaussian_system(m, n, noise_std=0.01, seed=1)
+    rule, seeds, s = SelectionRule("rk-uniform"), [2, 3], uniform_block(sys_.m)
     threshold = None
     if to_threshold:  # tested at every step, but below every level the runs reach
         threshold = 0.5 * min(rec.residual_inf for seed in seeds
@@ -604,10 +635,12 @@ def test_telemetry_block_caps_equal_reference_loop(tmp_path, shape, to_threshold
             assert (ref.iteration, ref.stop_reason) == (cap, STOP_MAX_ITERATIONS)
 
 
-@pytest.mark.parametrize("shape", BLOCK_SHAPES[:2])
-def test_telemetry_block_stop_at_mid_block_threshold_equals_reference_loop(tmp_path, shape):
-    sys_ = gaussian_system(*shape, noise_std=0.01, seed=1)
-    rule, seed, s = SelectionRule("rk-uniform"), 5, telemetry_block(sys_.m)
+@pytest.mark.parametrize("shape", UNIFORM_BLOCKS[:2])
+def test_telemetry_block_stop_at_mid_block_threshold_equals_reference_loop(tmp_path, monkeypatch, shape):
+    m, n, entries = shape
+    monkeypatch.setattr(solvers, "UNIFORM_BLOCK_ENTRIES", entries)
+    sys_ = gaussian_system(m, n, noise_std=0.01, seed=1)
+    rule, seed, s = SelectionRule("rk-uniform"), 5, uniform_block(sys_.m)
     levels = [rec.residual_inf for rec in reference_run(sys_, rule, StopRule(600), seed=seed).records]
     # a new lowest residual past the second block, tested mid-block: the k-th
     # iterate is row (k - 1) % s + 1 of its block
@@ -640,7 +673,7 @@ def test_telemetry_block_hybrid_continuation_equals_reference_loop(tmp_path, sha
     stop = StopRule(20_000, 4 * sys_.error_inf()) if to_threshold else StopRule(300)
     for ref in assert_matches_reference(sys_, rule, stop, [1, 2], None, tmp_path / "telemetry.csv"):
         assert ref.switch_iteration is not None
-        assert ref.iteration - ref.switch_iteration > 2 * telemetry_block(sys_.m)
+        assert ref.iteration - ref.switch_iteration > 2 * uniform_block(sys_.m)
 
 
 @pytest.mark.parametrize("shape", BLOCK_SHAPES)
@@ -649,7 +682,7 @@ def test_greedy_telemetry_blocks_equal_reference_loop(tmp_path, shape):
     # a hybrid prefix cut by caps around s, and stopped by a threshold exactly
     # at a block boundary (nothing left in the buffer) and mid-block
     sys_ = gaussian_system(*shape, noise_std=0.0, seed=1)
-    s, x0, path = telemetry_block(sys_.m), np.full(sys_.n, 1000.0), tmp_path / "telemetry.csv"
+    s, x0, path = greedy_block(sys_.m), np.full(sys_.n, 1000.0), tmp_path / "telemetry.csv"
     motzkin, seeds = SelectionRule("motzkin"), [1, 2]
     levels = [rec.residual_inf for rec in reference_run(sys_, motzkin, StopRule(4 * s + 1), x0).records]
     new_lows = [k for k in range(s, len(levels)) if levels[k] < min(levels[:k])]
@@ -678,7 +711,7 @@ def test_telemetry_blocks_over_several_slabs_equal_reference_loop(tmp_path, monk
     monkeypatch.setattr(linalg, "SLAB_BYTES", 1)
     sys_ = gaussian_system(*shape, noise_std=0.01, seed=1)
     assert linalg.slab_rows(sys_.n) == 64 and sys_.m > 3 * 64
-    s, path, seeds = telemetry_block(sys_.m), tmp_path / "telemetry.csv", [2, 3]
+    s, path, seeds = uniform_block(sys_.m), tmp_path / "telemetry.csv", [2, 3]
     greedy = reference_run(sys_, SelectionRule("motzkin"), StopRule(20))
     rk, hybrid = SelectionRule("rk-uniform"), SelectionRule("hybrid", greedy.records[2].residual_inf)
     for rule, start in ((rk, 0), (hybrid, 2)):  # the hybrid switches at k = 2
@@ -701,20 +734,21 @@ def test_telemetry_blocks_over_several_slabs_equal_reference_loop(tmp_path, monk
 def test_loaded_system_runs_equal_reference_loop(tmp_path, shape):
     # load_system gives A as a strided view of [A | b] and b as a contiguous
     # copy, the system that the CLI and the benchmark solve: each rule to a
-    # cap past two blocks, and to a threshold met mid-block
+    # cap past two blocks of either loop, and to a threshold met mid-block
     systems.save_system(tmp_path / "system.sys", gaussian_system(*shape, noise_std=0.01, seed=1))
     sys_ = systems.load_system(tmp_path / "system.sys")
     assert not sys_.a.flags.c_contiguous and sys_.b.flags.c_contiguous
-    s, path, seeds = telemetry_block(sys_.m), tmp_path / "telemetry.csv", [2, 3]
+    g, u, path, seeds = greedy_block(sys_.m), uniform_block(sys_.m), tmp_path / "telemetry.csv", [2, 3]
+    assert g <= u
     greedy = reference_run(sys_, SelectionRule("motzkin"), StopRule(20))
     hybrid = SelectionRule("hybrid", greedy.records[2].residual_inf)
     for rule, start in ((SelectionRule("motzkin"), 0), (SelectionRule("rk-uniform"), 0), (hybrid, 2)):
-        for ref in assert_matches_reference(sys_, rule, StopRule(start + 2 * s + 1), seeds, None, path):
-            assert ref.iteration == start + 2 * s + 1
+        for ref in assert_matches_reference(sys_, rule, StopRule(start + 2 * u + 1), seeds, None, path):
+            assert ref.iteration == start + 2 * u + 1
         levels = [rec.residual_inf for rec in reference_run(sys_, rule, StopRule(600), seed=5).records]
         # a new lowest residual past the first block, mid-block in both loops
-        k = next(k for k in range(start + s + 1, len(levels))
-                 if levels[k] < min(levels[:k]) and 0 < (k - start - 1) % s < s - 1 and k % s)
+        k = next(k for k in range(start + u + 1, len(levels))
+                 if levels[k] < min(levels[:k]) and 0 < (k - start - 1) % u < u - 1 and k % g)
         refs = assert_matches_reference(sys_, rule, StopRule(600, levels[k]), [5, 6], None, path)
         assert (refs[0].iteration, refs[0].stop_reason) == (k, STOP_RESIDUAL_THRESHOLD)
         assert_untimed_solve_matches_reference(sys_, rule, StopRule(600, levels[k]), 5)
@@ -741,10 +775,10 @@ def test_zero_residual_in_a_block_equals_reference_loop(tmp_path):
 
 def test_telemetry_takes_no_block_sized_temporary():
     # the residual buffer of a block is the one block-sized allocation: the sup
-    # norms and A(x_j - reference) reuse it
+    # norms and A(x_j - reference) reuse it; each loop has its own block size
     sys_ = gaussian_system(m=2000, n=50, noise_std=0.01, seed=1)
-    s = telemetry_block(sys_.m)
-    for rule in (SelectionRule("motzkin"), SelectionRule("rk-uniform")):
+    for rule, s in ((SelectionRule("motzkin"), greedy_block(sys_.m)),
+                    (SelectionRule("rk-uniform"), uniform_block(sys_.m))):
         solvers.run(sys_, rule, StopRule(s))
         tracemalloc.start()
         try:
