@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .systems import LinearSystem
 
 GAMMA_RANGE_TOL = 1e-9
@@ -210,7 +209,7 @@ def bound_inputs_from_system(sys: LinearSystem, gamma_seq=None) -> BoundInputs:
         sigma_min=float(sys.singular_values[-1]),
         error_inf=sys.error_inf(),
         initial_error_sq=float(np.dot(sys.reference, sys.reference)),
-        frobenius_sq=linalg.frobenius_norm_sq(sys.a),
+        frobenius_sq=sys.frobenius_sq,
         gamma_seq=None if gamma_seq is None else tuple(gamma_seq),
     )
 

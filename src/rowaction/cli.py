@@ -392,71 +392,77 @@ def cmd_timing(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, every subcommand attached, so that usage, help and error texts read as
+    the full parser's; given one of COMMANDS, only that subcommand gets its arguments."""
     # no prefix matching: _config_flags recognizes flags by their full names
     parser = argparse.ArgumentParser(prog="rowaction", allow_abbrev=False,
                                      description="Row-action solver experiment harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", allow_abbrev=False, help="generate a synthetic system file")
-    p.add_argument("--kind", choices=systems.GENERATOR_KINDS, required=True)
-    p.add_argument("--m", type=int, default=2000)
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument("--noise-std", type=float, default=1.0)
-    p.add_argument("--spike-count", type=int, default=0)
-    p.add_argument("--spike-magnitude", type=float, default=0.0)
-    p.add_argument("--row-mean", type=float, default=1.0)
-    p.add_argument("--row-std", type=float, default=0.5)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_generate)
+    def subcommand(name, help_):  # the subparser, if it gets its arguments
+        p = sub.add_parser(name, allow_abbrev=False, help=help_)
+        return p if command not in COMMANDS or command == name else None
 
-    p = sub.add_parser("solve", allow_abbrev=False, help="run solvers and write telemetry CSVs")
-    p.add_argument("--system", required=True, help="system file written by generate or netlib-prep")
-    p.add_argument("--solver", action="append", choices=solvers.SELECTION_KINDS, default=None)
-    p.add_argument("--max-iterations", type=int, default=1000)
-    p.add_argument("--stop-residual-inf", type=float, default=None)
-    p.add_argument("--hybrid-threshold", type=float, default=None)
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_solve)
+    if p := subcommand("generate", "generate a synthetic system file"):
+        p.add_argument("--kind", choices=systems.GENERATOR_KINDS, required=True)
+        p.add_argument("--m", type=int, default=2000)
+        p.add_argument("--n", type=int, default=50)
+        p.add_argument("--noise-std", type=float, default=1.0)
+        p.add_argument("--spike-count", type=int, default=0)
+        p.add_argument("--spike-magnitude", type=float, default=0.0)
+        p.add_argument("--row-mean", type=float, default=1.0)
+        p.add_argument("--row-std", type=float, default=0.5)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("bounds", allow_abbrev=False, help="evaluate bound curves for a system")
-    p.add_argument("--system", required=True)
-    p.add_argument("--iterations", type=int, default=200)
-    p.add_argument("--telemetry", help="telemetry CSV supplying the empirical gamma sequence")
-    p.add_argument("--empirical-gamma", action="store_true",
-                   help="require the empirical-gamma curve (errors without --telemetry)")
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_bounds)
+    if p := subcommand("solve", "run solvers and write telemetry CSVs"):
+        p.add_argument("--system", required=True, help="system file written by generate or netlib-prep")
+        p.add_argument("--solver", action="append", choices=solvers.SELECTION_KINDS, default=None)
+        p.add_argument("--max-iterations", type=int, default=1000)
+        p.add_argument("--stop-residual-inf", type=float, default=None)
+        p.add_argument("--hybrid-threshold", type=float, default=None)
+        p.add_argument("--trials", type=int, default=1)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--out", default=".")
+        p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("netlib-prep", allow_abbrev=False, help="MPS file to stacked system file")
-    p.add_argument("--mps", required=True)
-    p.add_argument("--noise-std", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_netlib_prep)
+    if p := subcommand("bounds", "evaluate bound curves for a system"):
+        p.add_argument("--system", required=True)
+        p.add_argument("--iterations", type=int, default=200)
+        p.add_argument("--telemetry", help="telemetry CSV supplying the empirical gamma sequence")
+        p.add_argument("--empirical-gamma", action="store_true",
+                       help="require the empirical-gamma curve (errors without --telemetry)")
+        p.add_argument("--out", default=".")
+        p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("timing", allow_abbrev=False, help="mean time/iterations to a residual threshold")
-    p.add_argument("--system", required=True,
-                   help="system file written by generate or netlib-prep; its stem labels the rows")
-    p.add_argument("--threshold", type=float, default=None,
-                   help="residual sup-norm target; defaults to 4*||e||_inf of the reference")
-    # hybrid needs a switch threshold, which timing has no flag for
-    p.add_argument("--solver", action="append", choices=("motzkin", "rk-uniform"), default=None)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--max-iterations", type=int, default=200_000)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_timing)
+    if p := subcommand("netlib-prep", "MPS file to stacked system file"):
+        p.add_argument("--mps", required=True)
+        p.add_argument("--noise-std", type=float, default=1e-6)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_netlib_prep)
+
+    if p := subcommand("timing", "mean time/iterations to a residual threshold"):
+        p.add_argument("--system", required=True,
+                       help="system file written by generate or netlib-prep; its stem labels the rows")
+        p.add_argument("--threshold", type=float, default=None,
+                       help="residual sup-norm target; defaults to 4*||e||_inf of the reference")
+        # hybrid needs a switch threshold, which timing has no flag for
+        p.add_argument("--solver", action="append", choices=("motzkin", "rk-uniform"), default=None)
+        p.add_argument("--trials", type=int, default=10)
+        p.add_argument("--max-iterations", type=int, default=200_000)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--out", default=".")
+        p.set_defaults(func=cmd_timing)
 
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(_config_flags(argv))
         if args.command == "solve" and args.solver is None:

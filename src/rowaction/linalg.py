@@ -130,6 +130,11 @@ def lstsq(A, b) -> tuple[np.ndarray, np.ndarray]:
     b = as_vector(b)
     if b.shape[0] != A.shape[0]:
         raise ValueError(f"dimension mismatch: matrix has {A.shape[0]} rows, rhs has {b.shape[0]}")
+    return gelsd(A, b)
+
+
+def gelsd(A, b) -> tuple[np.ndarray, np.ndarray]:
+    """lstsq of a finite float matrix and a finite vector of its row count; no checks."""
     x, _, rank, sigma = np.linalg.lstsq(A, b, rcond=RANK_RTOL)
     if rank < min(A.shape):
         u, _, vt = np.linalg.svd(A, full_matrices=False)

@@ -1,20 +1,23 @@
 """MPS ingestion and the underdetermined-to-overdetermined transform.
 
 Linear-programming benchmark files (NAME / ROWS / COLUMNS / RHS / RANGES /
-BOUNDS / ENDATA sections) are parsed in whitespace-delimited free format,
-which also accepts the classic fixed-column layout. Only the constraint
-matrix and right-hand side are taken: every non-objective row is treated as
+BOUNDS / ENDATA sections) are parsed in one pass, in whitespace-delimited
+free format, which also accepts the classic fixed-column layout. Only the
+constraint matrix and right-hand side are taken: every non-objective row is
 an equality, and RANGES / BOUNDS sections are read and ignored with a
-warning. The constraint systems are naturally underdetermined (fewer rows
-than columns); `overdetermine` stacks an identity block under the matrix
-with right-hand side set to the least-norm solution plus small Gaussian
-noise, producing an overdetermined, slightly inconsistent system whose
-least-squares solution stays near the original one.
+warning. A (row, column) given twice holds the sum of its values, and each
+is stored as 0.0 + its sum, so a -0 is +0.0 in the problem and in A. The
+constraint systems are naturally underdetermined (fewer rows than columns);
+`overdetermine` stacks an identity block under the matrix with right-hand
+side set to the least-norm solution plus small Gaussian noise, producing an
+overdetermined, slightly inconsistent system whose least-squares solution
+stays near the original one.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
+from math import isfinite, nan
 
 import numpy as np
 
@@ -85,7 +88,7 @@ def parse_mps(text: str) -> MpsProblem:
             value = float(token)
         except ValueError:
             raise MpsParseError(lineno, f"non-numeric coefficient {token!r}") from None
-        if not math.isfinite(value):
+        if not isfinite(value):
             raise MpsParseError(lineno, f"non-finite coefficient {token!r}")
         return value
 
@@ -95,9 +98,9 @@ def parse_mps(text: str) -> MpsProblem:
         return rows[token]
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if raw.startswith("*") or not raw.strip():
-            continue
         tokens = raw.split()
+        if not tokens or raw[0] == "*":
+            continue
         if not raw[0].isspace():
             section = tokens[0]
             if section not in SECTIONS:
@@ -109,9 +112,24 @@ def parse_mps(text: str) -> MpsProblem:
             elif section in ("RANGES", "BOUNDS") and section not in seen:
                 warnings.warn(f"MPS section {section} is read but ignored", stacklevel=2)
             seen.add(section)
-            continue
-
-        if section == "ROWS":
+        elif section == "COLUMNS":  # nearly every line of a file
+            if len(tokens) >= 3 and tokens[1] == "'MARKER'":
+                continue  # integrality markers carry no coefficients
+            if len(tokens) < 3 or len(tokens) % 2 == 0:
+                raise MpsParseError(lineno, f"expected 'col row value [row value]', got {raw.strip()!r}")
+            j = cols.setdefault(tokens[0], len(cols))
+            for at in range(1, len(tokens), 2):
+                r = rows.get(tokens[at])
+                try:
+                    value = float(tokens[at + 1])
+                except ValueError:
+                    value = nan
+                if r is None or not isfinite(value):  # the helpers raise, naming the first fault
+                    row_of(tokens[at], lineno)
+                    number(tokens[at + 1], lineno)
+                key = (r, j)
+                coefficients[key] = coefficients.get(key, 0.0) + value
+        elif section == "ROWS":
             if len(tokens) != 2:
                 raise MpsParseError(lineno, f"expected 'sense name', got {raw.strip()!r}")
             sense, rname = tokens
@@ -122,24 +140,11 @@ def parse_mps(text: str) -> MpsProblem:
             rows[rname] = len(rows)
             row_senses.append(sense)
             row_lines.append(lineno)
-        elif section == "COLUMNS":
-            if len(tokens) >= 3 and tokens[1] == "'MARKER'":
-                continue  # integrality markers carry no coefficients
-            if len(tokens) < 3 or len(tokens) % 2 == 0:
-                raise MpsParseError(lineno, f"expected 'col row value [row value]', got {raw.strip()!r}")
-            j = cols.setdefault(tokens[0], len(cols))
-            for rname, val in zip(tokens[1::2], tokens[2::2]):
-                key = (row_of(rname, lineno), j)
-                coefficients[key] = coefficients.get(key, 0.0) + number(val, lineno)
         elif section == "RHS":
-            if len(tokens) % 2 == 1:
-                pairs = tokens[1:]  # first token is the RHS set name
-            elif tokens[0] in rows:
-                pairs = tokens
-            else:
+            if len(tokens) % 2 == 0 and tokens[0] not in rows:
                 raise MpsParseError(lineno, f"malformed RHS line {raw.strip()!r}")
-            for rname, val in zip(pairs[0::2], pairs[1::2]):
-                rhs[row_of(rname, lineno)] = number(val, lineno)
+            for at in range(len(tokens) % 2, len(tokens), 2):  # an odd count starts with the set name
+                rhs[row_of(tokens[at], lineno)] = number(tokens[at + 1], lineno)
         elif section not in ("RANGES", "BOUNDS"):  # NAME, or no section yet
             raise MpsParseError(lineno, "data line outside of any section")
 
@@ -163,11 +168,11 @@ def extract_system(problem: MpsProblem) -> tuple[np.ndarray, np.ndarray]:
     if not rows or not problem.col_names:
         raise ValueError("MPS problem has no constraint rows or no columns")
     A = np.zeros((len(problem.row_names), len(problem.col_names)))
-    for (r, c), v in problem.coefficients.items():
-        A[r, c] += v
+    at = np.fromiter(chain.from_iterable(problem.coefficients), dtype=np.intp).reshape(-1, 2)
+    A[at[:, 0], at[:, 1]] = np.fromiter(problem.coefficients.values(), dtype=float)
+    A += 0.0  # a -0.0 entry becomes +0.0, as 0.0 + v gives it
     b = np.zeros(len(problem.row_names))
-    for r, v in problem.rhs.items():
-        b[r] = v
+    b[list(problem.rhs)] = list(problem.rhs.values())
     return A[rows], b[rows]
 
 

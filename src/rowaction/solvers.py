@@ -36,22 +36,22 @@ step reads it as the |r_i| it selects. `time_to_threshold` times solves that
 record no telemetry, so its seconds measure the solver alone.
 
 Both loops buffer a block of iterates, and with telemetry `_records` turns
-each block and its residuals into records. A step is one `a[i]`, one `.dot`
-and one scaled add into a row view of the buffer, with b_i a Python float;
-lists of A's rows and of b would hold 1.4 MB at 10000x100 for a whole solve
-and raise its peak RSS. A greedy step selects by `abs(r).argmax()`, into
-one reused vector, from the residual its own gemv takes. Uniform steps run
-in blocks, whose rows one RNG call draws and whose b_i one gather takes.
-With telemetry `linalg.residuals` gives all their residuals with the bits of
-`A @ x - b`, reading each cache-sized slab of A once for the whole block, so
-a uniform block keeps BLOCK_STEPS steps up to 16384 rows (at most 8 MB of
-residuals), while a greedy block, whose steps take their own gemvs, holds
-at most 256 KB of them; without, only a threshold needs any, and a few
-witness rows show most iterates above it. Either way the count, the stop
-reason, x and the records equal, bit for bit, those of a loop of one step,
-one `A @ x - b` and one record at a time; only the RNG and a uniform
-block's iterates run up to a block past the stop point, which nothing
-exposes.
+each block and its residuals into records. A step is one `a[i]`, one `.dot`,
+one scaling of a_i into a reused vector and one add into a row view of the
+buffer, with b_i a Python float; lists of A's rows and of b would hold
+1.4 MB at 10000x100 for a whole solve and raise its peak RSS. A greedy step
+selects by `abs(r).argmax()`, into one reused vector, from the residual its
+own gemv takes. Uniform steps run in blocks, whose rows one RNG call draws
+and whose b_i one gather takes. With telemetry `linalg.residuals` gives all
+their residuals with the bits of `A @ x - b`, reading each cache-sized slab
+of A once for the whole block, so a uniform block keeps BLOCK_STEPS steps up
+to 16384 rows (at most 8 MB of residuals), while a greedy block, whose steps
+take their own gemvs, holds at most 256 KB of them; without, only a
+threshold needs any, and a few witness rows show most iterates above it.
+Either way the count, the stop reason, x and the records equal, bit for bit,
+those of a loop of one step, one `A @ x - b` and one record at a time; only
+the RNG and a uniform block's iterates run up to a block past the stop
+point, which nothing exposes.
 """
 
 import csv
@@ -80,6 +80,7 @@ BLOCK_ENTRIES = 32768
 UNIFORM_BLOCK_ENTRIES = 2**20
 # telemetry rows per write of `write_telemetry_csv` (about 30 KB of text)
 CSV_CHUNK_ROWS = 256
+EPS = np.finfo(float).eps  # float64's machine epsilon, in `_screen`'s error bound
 
 
 @dataclass(frozen=True)
@@ -234,7 +235,7 @@ def _loop(sys, x, stop, telemetry):
     # x_k and its residual sit in row len(rows) of the buffers
     iterates, residuals, rows, levels = np.empty((s, sys.n)), np.empty((s, sys.m)), [], []
     iterates[0], r = x, np.subtract(a @ x, b, out=residuals[0])
-    xs, rs, abs_r = list(iterates), list(residuals), np.empty(sys.m)
+    xs, rs, abs_r, step = list(iterates), list(residuals), np.empty(sys.m), np.empty(sys.n)
     while True:
         i = int(np.abs(r, out=abs_r).argmax())  # select_motzkin(r)
         level = abs_r.item(i)
@@ -252,7 +253,7 @@ def _loop(sys, x, stop, telemetry):
                 _records(sys, len(records), iterates, residuals, rows, levels, records)
             rows, levels = [], []
         a_i = a[i]
-        x = np.add(x, (b.item(i) - a_i.dot(x)) * a_i, out=xs[len(rows)])
+        x = np.add(x, np.multiply(a_i, b.item(i) - a_i.dot(x), out=step), out=xs[len(rows)])
         r = np.matmul(a, x, out=rs[len(rows)])
         r -= b
         k += 1
@@ -269,7 +270,7 @@ def _blocked_uniform(sys, x, k, stop, rng, telemetry):
 
     One `rng.integers(m, size=s)` call draws a block's s rows, the same
     values as s scalar draws, and one gather their b_i; each step is then one
-    `a[i]`, one `.dot` and one scaled add into the next row of a buffer.
+    `a[i]`, one `.dot`, one scaling and one add into the next buffer row.
     With telemetry, a block has `_block_steps(m, UNIFORM_BLOCK_ENTRIES)`
     steps, BLOCK_STEPS up to 16384 rows, so that each slab of A that
     `linalg.residuals` reads serves that many iterates from cache; it gives
@@ -287,7 +288,7 @@ def _blocked_uniform(sys, x, k, stop, rng, telemetry):
     s = _block_steps(sys.m, UNIFORM_BLOCK_ENTRIES) if telemetry else BLOCK_STEPS
     # row 0 holds x_k and its residual, rows 1..s the block's iterates and theirs
     iterates = np.tile(x, (s + 1, 1))
-    xs = list(iterates)
+    xs, step = list(iterates), np.empty(sys.n)
     residuals = None
     if telemetry:
         residuals = np.empty((s + 1, sys.m))
@@ -299,7 +300,7 @@ def _blocked_uniform(sys, x, k, stop, rng, telemetry):
         x, rows = xs[0], drawn.tolist()
         for i, b_i, out in zip(rows, b[drawn].tolist(), xs[1:]):
             a_i = a[i]
-            x = np.add(x, (b_i - a_i.dot(x)) * a_i, out=out)
+            x = np.add(x, np.multiply(a_i, b_i - a_i.dot(x), out=step), out=out)
         hit = None
         if telemetry:
             block = linalg.residuals(a, b, iterates[1:steps + 1], residuals[1:steps + 1])
@@ -324,7 +325,7 @@ def _screen(a, b, b_inf, iterates, threshold, witness):
     eps (||x_j||_2 + ||b||_inf + v) on unit rows, so x_j with v - g above the
     threshold does not stop. The first other x_j gets the gemv: it stops, or
     its largest entry's new row joins `witness` and raises v of the x_j after it."""
-    band = 2 * (a.shape[1] + 2) * np.finfo(float).eps
+    band = 2 * (a.shape[1] + 2) * EPS
     xs = iterates[1:]
     v = np.abs(xs @ a[witness].T - b[witness]).max(axis=1)
     slack = np.sqrt(linalg.row_norms_sq(xs)) + b_inf

@@ -4,7 +4,7 @@ A `LinearSystem` always carries a row-normalized matrix (every row has unit
 Euclidean norm), the matching right-hand side, a reference solution, from
 which it derives its error vector A @ reference - b, and the matrix's
 singular values. Built from A and b alone, it takes the least-squares
-reference and the singular values from one gelsd solve (`linalg.lstsq`,
+reference and the singular values from one gelsd solve (`linalg.gelsd`,
 rank tolerance `linalg.RANK_RTOL`); `load_system` passes the stored ones.
 Synthetic systems come from `generate`; an arbitrary (A, b) pair becomes
 `LinearSystem(*normalize_rows(A, b))`. `save_system` and `load_system`
@@ -125,13 +125,14 @@ class GeneratorSpec:
 class LinearSystem:
     """A row-normalized overdetermined system with its reference solution
     and the singular values of its matrix, given both or neither: then one
-    linalg.lstsq (gelsd) gives them, or raises RankError on a rank-deficient A.
+    `linalg.gelsd` gives them, or raises RankError on a rank-deficient A.
 
     Invariants checked at construction: unit row norms (within 1e-12),
     m >= n, finite entries, an n-vector reference, and n positive,
-    non-increasing singular values. `error_vec` is not an argument: it is
-    derived once as A @ reference - b. The stored arrays are read-only
-    views of the coerced inputs; systems are safe to share across runs.
+    non-increasing singular values. Derived once: `error_vec` as
+    A @ reference - b, and `frobenius_sq` as linalg.frobenius_norm_sq(a)
+    from the check's row norms. The stored arrays are read-only views of
+    the coerced inputs; systems are safe to share across runs.
     """
 
     a: np.ndarray
@@ -139,6 +140,7 @@ class LinearSystem:
     reference: np.ndarray | None = None
     singular_values: np.ndarray | None = None
     error_vec: np.ndarray = field(init=False)
+    frobenius_sq: float = field(init=False)
 
     def __post_init__(self):
         a = linalg.as_matrix(self.a)
@@ -148,12 +150,13 @@ class LinearSystem:
             raise ValueError(f"system must be overdetermined (m >= n), got {m} x {n}")
         if b.shape[0] != m:
             raise ValueError(f"rhs length {b.shape[0]} does not match {m} rows")
-        bad = np.abs(np.sqrt(linalg.row_norms_sq(a)) - 1.0).max()
+        norms_sq = linalg.row_norms_sq(a)
+        bad = np.abs(np.sqrt(norms_sq) - 1.0).max()
         if bad > ROW_NORM_TOL:
             raise ValueError(f"rows must have unit norm within {ROW_NORM_TOL}, worst deviation {bad:.3e}")
         if (self.reference is None) != (self.singular_values is None):
             raise ValueError("give a system both its reference and its singular values, or neither")
-        ref, sv = (linalg.lstsq(a, b) if self.reference is None
+        ref, sv = (linalg.gelsd(a, b) if self.reference is None
                    else map(linalg.as_vector, (self.reference, self.singular_values)))
         if ref.shape[0] != n:
             raise ValueError(f"reference length {ref.shape[0]} does not match {n} columns")
@@ -164,6 +167,7 @@ class LinearSystem:
             view = arr.view()
             view.setflags(write=False)
             object.__setattr__(self, name, view)
+        object.__setattr__(self, "frobenius_sq", math.fsum(norms_sq.tolist()))
 
     @property
     def m(self) -> int:

@@ -1,16 +1,23 @@
-"""Independent brute-force oracles used to cross-check the linalg kernel.
+"""Independent brute-force oracles used to cross-check the linalg kernel,
+and the MPS reader that the package's one-pass reader must match.
 
-These deliberately share no code path with the package: the least-squares
-oracle solves the normal equations by exhaustive Gaussian elimination with
-partial pivoting, and the smallest-eigenvalue oracle expands the
-characteristic polynomial over all permutations (n <= 4) and bisects with a
-Sturm chain.
+The linalg oracles deliberately share no code path with the package: the
+least-squares oracle solves the normal equations by exhaustive Gaussian
+elimination with partial pivoting, and the smallest-eigenvalue oracle
+expands the characteristic polynomial over all permutations (n <= 4) and
+bisects with a Sturm chain. `parse_mps` and `extract_system` are the
+package's earlier per-line reader and per-coefficient assembly, kept
+verbatim: they share only the result and error types and the section and
+sense tables of `rowaction.mps`.
 """
 
 import itertools
 import math
+import warnings
 
 import numpy as np
+
+from rowaction.mps import ROW_SENSES, SECTIONS, MpsParseError, MpsProblem
 
 
 def gaussian_elimination_solve(M, rhs):
@@ -129,3 +136,108 @@ def min_singular_value_oracle(A):
     A = np.asarray(A, dtype=float)
     lam = smallest_eigenvalue_oracle(A.T @ A)
     return math.sqrt(max(lam, 0.0))
+
+
+def parse_mps(text: str) -> MpsProblem:
+    """Parse one problem from MPS text.
+
+    Section keywords must start in the first column; data lines are
+    whitespace-indented. Lines starting with '*' are comments. Raises
+    MpsParseError (with the line number) on unknown sections, rows
+    referenced before declaration, rows declared twice, and non-numeric or
+    non-finite coefficients.
+    """
+    name = ""
+    rows: dict[str, int] = {}  # name -> index, in declaration order
+    row_senses: list[str] = []
+    row_lines: list[int] = []
+    cols: dict[str, int] = {}
+    coefficients: dict[tuple[int, int], float] = {}
+    rhs: dict[int, float] = {}
+    section = None
+    seen: set[str] = set()
+
+    def number(token: str, lineno: int) -> float:
+        try:
+            value = float(token)
+        except ValueError:
+            raise MpsParseError(lineno, f"non-numeric coefficient {token!r}") from None
+        if not math.isfinite(value):
+            raise MpsParseError(lineno, f"non-finite coefficient {token!r}")
+        return value
+
+    def row_of(token: str, lineno: int) -> int:
+        if token not in rows:
+            raise MpsParseError(lineno, f"row {token!r} referenced before declaration")
+        return rows[token]
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if raw.startswith("*") or not raw.strip():
+            continue
+        tokens = raw.split()
+        if not raw[0].isspace():
+            section = tokens[0]
+            if section not in SECTIONS:
+                raise MpsParseError(lineno, f"unknown section keyword {section!r}")
+            if section == "ENDATA":
+                break
+            if section == "NAME":
+                name = tokens[1] if len(tokens) > 1 else ""
+            elif section in ("RANGES", "BOUNDS") and section not in seen:
+                warnings.warn(f"MPS section {section} is read but ignored", stacklevel=2)
+            seen.add(section)
+            continue
+
+        if section == "ROWS":
+            if len(tokens) != 2:
+                raise MpsParseError(lineno, f"expected 'sense name', got {raw.strip()!r}")
+            sense, rname = tokens
+            if sense not in ROW_SENSES:
+                raise MpsParseError(lineno, f"unknown row sense {sense!r}")
+            if rname in rows:
+                raise MpsParseError(lineno, f"row {rname!r} declared twice")
+            rows[rname] = len(rows)
+            row_senses.append(sense)
+            row_lines.append(lineno)
+        elif section == "COLUMNS":
+            if len(tokens) >= 3 and tokens[1] == "'MARKER'":
+                continue  # integrality markers carry no coefficients
+            if len(tokens) < 3 or len(tokens) % 2 == 0:
+                raise MpsParseError(lineno, f"expected 'col row value [row value]', got {raw.strip()!r}")
+            j = cols.setdefault(tokens[0], len(cols))
+            for rname, val in zip(tokens[1::2], tokens[2::2]):
+                key = (row_of(rname, lineno), j)
+                coefficients[key] = coefficients.get(key, 0.0) + number(val, lineno)
+        elif section == "RHS":
+            if len(tokens) % 2 == 1:
+                pairs = tokens[1:]  # first token is the RHS set name
+            elif tokens[0] in rows:
+                pairs = tokens
+            else:
+                raise MpsParseError(lineno, f"malformed RHS line {raw.strip()!r}")
+            for rname, val in zip(pairs[0::2], pairs[1::2]):
+                rhs[row_of(rname, lineno)] = number(val, lineno)
+        elif section not in ("RANGES", "BOUNDS"):  # NAME, or no section yet
+            raise MpsParseError(lineno, "data line outside of any section")
+
+    for required in ("NAME", "ROWS", "COLUMNS"):
+        if required not in seen:
+            raise MpsParseError(1, f"missing required section {required}")
+    return MpsProblem(name, list(rows), row_senses, row_lines, list(cols), coefficients, rhs)
+
+
+def extract_system(problem: MpsProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (A, b) over the non-objective rows, all senses as equalities.
+
+    Rows and columns keep declaration order; missing RHS entries are 0.
+    """
+    rows = problem.constraint_rows()
+    if not rows or not problem.col_names:
+        raise ValueError("MPS problem has no constraint rows or no columns")
+    A = np.zeros((len(problem.row_names), len(problem.col_names)))
+    for (r, c), v in problem.coefficients.items():
+        A[r, c] += v
+    b = np.zeros(len(problem.row_names))
+    for r, v in problem.rhs.items():
+        b[r] = v
+    return A[rows], b[rows]

@@ -1052,3 +1052,57 @@ def test_config_after_unknown_subcommand_is_left_to_argparse(tmp_path, capsys, e
     err = capsys.readouterr().err
     assert "invalid choice: 'bogus'" in err
     assert "No such file" not in err
+
+
+PARSER_CASES = [
+    [],
+    ["-h"],
+    ["bogus", "--seed", "1"],
+    ["generate", "--kind", "spiky-noise", "--m", "30", "--n", "3", "--spike-count", "2", "--seed", "1",
+     "--out", "g.sys"],
+    ["generate", "--kind", "bogus", "--seed", "1", "--out", "g.sys"],
+    ["generate", "--help"],
+    ["generate", "solve"],
+    ["solve", "--system", "s.sys", "--solver", "hybrid", "--solver", "motzkin", "--trials", "3",
+     "--hybrid-threshold", "0.5", "--seed", "2"],
+    ["solve", "--system", "s.sys"],
+    ["solve", "--sys", "s.sys", "--seed", "1"],
+    ["solve", "--config", "{cfg}", "--system", "s.sys", "--seed", "9"],
+    ["bounds", "--system", "s.sys", "--telemetry", "t.csv", "--empirical-gamma", "--iterations", "20"],
+    ["bounds", "--system", "s.sys", "--unknown-flag"],
+    ["bounds", "--config={bounds_cfg}"],
+    ["netlib-prep", "--mps", "p.mps", "--seed", "1", "--out", "n.sys", "--noise-std", "0"],
+    ["netlib-prep", "--mps", "p.mps", "--seed", "1", "--out", "n.sys", "--noise-std", "abc"],
+    ["netlib-prep", "--config", "{cfg}", "--mps", "p.mps", "--out", "n.sys"],
+    ["netlib-prep", "--config"],
+    ["timing", "--system", "s.sys", "--threshold", "0.1", "--solver", "rk-uniform", "--seed", "4"],
+    ["timing", "--system", "s.sys", "--solver", "hybrid", "--seed", "4"],
+    ["timing", "--config", "{cfg}"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "no-args")
+def test_main_parses_as_the_full_parser(argv, tmp_path, monkeypatch, capsys):
+    """main builds only the invoked subcommand's arguments, yet gives the
+    Namespace, exit code, stdout and stderr of the parser with all of them."""
+    configs = {"{cfg}": "system = s.sys\nseed = 3\nsolver = motzkin, rk-uniform\n",
+               "{bounds_cfg}": "system = s.sys\ntelemetry = t.csv\nempirical_gamma = yes\n"}
+    for key, text in configs.items():
+        (tmp_path / key.strip("{}")).write_text(text)
+        argv = [arg.replace(key, str(tmp_path / key.strip("{}"))) for arg in argv]
+    parsed = []
+    for command in cli.COMMANDS:  # each records the Namespace it is called with
+        name = "cmd_" + command.replace("-", "_")
+        monkeypatch.setattr(cli, name, lambda args: parsed.append(args) or 0)
+
+    def outcome():
+        parsed.clear()
+        code = cli.main(list(argv))
+        return code, list(parsed), capsys.readouterr()
+
+    lean = outcome()
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert lean == outcome()
+    code, namespaces, _ = lean
+    assert code != 0 or namespaces or argv[-1] in ("-h", "--help")  # a parse that ran reached its command

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import warnings
@@ -6,9 +7,10 @@ from textwrap import dedent
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from rowaction import linalg, mps, systems
 
 DATA = Path(__file__).parent / "data"
@@ -319,3 +321,125 @@ def test_parse_mps_mutations_raise_only_mps_parse_error(data):
             mps.parse_mps("\n".join(lines))
         except mps.MpsParseError:
             pass
+
+
+MPS_VALUES = ["1", "-1.5", "0", "-0", "-0.0", "+0.0", "2.5e-3", "-7e2", "1e308", "1_0", ".5", "3."]
+MPS_BAD_VALUES = ["nan", "-inf", "Infinity", "1e400", "abc", "0x1p3", "--1", "1,5"]
+
+
+@st.composite
+def mps_texts(draw):
+    """MPS text over a few rows and columns: two-pair and 'MARKER' lines,
+    duplicate and signed-zero coefficients, RHS lines with and without a set
+    name, comments, blank and whitespace-only lines, RANGES and BOUNDS, and,
+    now and then, an undeclared row, a bad value or sense, or up to two
+    corrupting edits of whole lines."""
+    rows = ["COST", "R1", "R2", "R3"]
+
+    def row():  # a declared row, or one never declared
+        return draw(st.sampled_from(rows + ["RZ"] if draw(st.integers(0, 5)) == 0 else rows))
+
+    def value():
+        return draw(st.sampled_from(MPS_BAD_VALUES if draw(st.integers(0, 7)) == 0 else MPS_VALUES))
+
+    def noise():  # a comment, a blank or whitespace-only line, or nothing
+        return draw(st.sampled_from([[], [], [], ["* a comment"], [""], ["  \t "]]))
+
+    lines = ["* generated", draw(st.sampled_from(["NAME          GEN", "NAME"])), "ROWS"]
+    lines += [f" {draw(st.sampled_from('NNELG' if name != 'COST' else 'N'))}  {name}" for name in rows]
+    if draw(st.booleans()):
+        lines.append(f" {draw(st.sampled_from(['E', 'X']))}  {draw(st.sampled_from(rows + ['R4']))}")
+    lines.append("COLUMNS")
+    for _ in range(draw(st.integers(0, 8))):
+        lines += noise()
+        if draw(st.integers(0, 7)) == 0:
+            lines.append("    MARKER                 'MARKER'                 'INTORG'")
+            continue
+        pairs = draw(st.sampled_from([1, 1, 2, 2, 2, 3, 0]))
+        fields = [draw(st.sampled_from(["X1", "X2", "X3"]))]
+        for _ in range(pairs):
+            fields += [row(), value()]
+        lines.append("    " + "  ".join(fields))
+    lines.append("RHS")
+    for _ in range(draw(st.integers(0, 3))):
+        lines += noise()
+        fields = [field for _ in range(draw(st.integers(1, 2))) for field in (row(), value())]
+        if draw(st.booleans()):
+            fields.insert(0, "RHS")
+        if draw(st.integers(0, 9)) == 0:
+            fields.pop()
+        lines.append("    " + "  ".join(fields))
+    if draw(st.booleans()):
+        lines += ["RANGES", f"    RNG  {row()}  {value()}", "BOUNDS", f" UP BND  X1  {value()}"]
+    lines += ["ENDATA", *draw(st.sampled_from([[], ["    junk after the end"]]))]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(lines) - 1))
+        how = draw(st.sampled_from(["delete", "duplicate", "token"]))
+        if how == "delete":
+            del lines[at]
+        elif how == "duplicate":
+            lines.insert(at, lines[at])
+        else:
+            tokens = lines[at].split(" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(FUZZ_TOKENS))
+            lines[at] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+def read_mps(parse, extract, text):
+    """What one reader makes of `text`: its problem (floats as reprs, so the
+    sign of zero counts) and the bytes of its (A, b), or its MpsParseError's
+    line and message, or extract's ValueError; and every warning raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            problem = parse(text)  # one call site: a stacklevel=2 warning points here for both
+        except mps.MpsParseError as exc:
+            return ("MpsParseError", exc.line_number, str(exc)), [
+                (str(w.message), w.category, w.filename, w.lineno) for w in caught]
+    fields = dataclasses.asdict(problem)
+    fields["coefficients"] = [(key, repr(v)) for key, v in problem.coefficients.items()]
+    fields["rhs"] = [(key, repr(v)) for key, v in problem.rhs.items()]
+    try:
+        A, b = extract(problem)
+        system = (A.shape, A.tobytes(), b.shape, b.tobytes())
+    except ValueError as exc:
+        system = str(exc)
+    return (fields, system), [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+@settings(max_examples=400)
+@given(text=mps_texts())
+@example(text=dedent(MINIMAL).replace("X2  R1  1.0", "X2  R1  1.0  RZ  nan"))  # a fault in row and value
+@example(text=dedent(MINIMAL).replace("RHS  R1  2.0", "RHS  RZ  abc"))  # RHS reads the value first
+def test_one_pass_reader_matches_the_per_line_reader(text):
+    got = read_mps(mps.parse_mps, mps.extract_system, text)
+    assert got == read_mps(oracles.parse_mps, oracles.extract_system, text)
+
+
+MPS_ERRORS = ("non-numeric", "non-finite", "referenced before declaration", "declared twice",
+              "expected 'col", "expected 'sense", "malformed RHS", "unknown row sense",
+              "unknown section", "outside of any section", "missing required")
+
+
+def test_mps_texts_reach_a_system_and_every_parse_error():
+    seen = set()
+
+    @settings(max_examples=400)
+    @given(text=mps_texts())
+    def record(text):
+        (kind, *detail), _ = read_mps(mps.parse_mps, mps.extract_system, text)
+        if kind == "MpsParseError":
+            seen.update(error for error in MPS_ERRORS if error in detail[1])
+        elif not isinstance(detail[0], str):
+            seen.add("system")
+
+    record()
+    assert seen == {"system", *MPS_ERRORS}
+
+
+def test_extract_system_stores_no_negative_zero_as_the_per_coefficient_sum_did():
+    problem = mps.MpsProblem("Z", ["COST", "R1", "R2"], ["N", "E", "E"], [3, 4, 5], ["X1", "X2"],
+                             {(1, 0): -0.0, (2, 1): 2.0, (0, 1): -0.0}, {1: -0.0})
+    got, want = mps.extract_system(problem), oracles.extract_system(problem)
+    assert [arr.tobytes() for arr in got] == [arr.tobytes() for arr in want]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rowaction import linalg, systems
+from rowaction import linalg, mps, systems
 
 
 def test_make_rng_accepts_exactly_the_uint64_seeds():
@@ -117,6 +117,20 @@ def test_generated_invariants():
         assert np.abs(row_norms - 1.0).max() <= 1e-12
         assert abs(linalg.frobenius_norm_sq(sys_.a) - sys_.m) <= 1e-9
         assert np.abs(sys_.residual(sys_.reference) - sys_.error_vec).max() <= 1e-10
+
+
+def test_frobenius_sq_is_frobenius_norm_sq_bit_for_bit(tmp_path):
+    """The squared Frobenius norm a system keeps from its unit-row check is
+    linalg.frobenius_norm_sq of its matrix, to the bit, however it was made."""
+    made = [systems.generate(systems.GeneratorSpec(kind, m=90, n=7, noise_std=0.3, spike_count=3,
+                                                   spike_magnitude=9.0, seed=5))
+            for kind in systems.GENERATOR_KINDS]
+    systems.save_system(tmp_path / "s.sys", made[0])
+    made.append(systems.load_system(tmp_path / "s.sys"))
+    rng = np.random.default_rng(8)
+    made.append(mps.overdetermine(rng.standard_normal((6, 11)), rng.standard_normal(6)))
+    for sys_ in made:
+        assert sys_.frobenius_sq.hex() == linalg.frobenius_norm_sq(sys_.a).hex()
 
 
 def test_generator_spec_validation():
