@@ -9,6 +9,11 @@ rank tolerance `linalg.RANK_RTOL`); `load_system` passes the stored ones.
 Synthetic systems come from `generate`; an arbitrary (A, b) pair becomes
 `LinearSystem(*normalize_rows(A, b))`. `save_system` and `load_system`
 keep a system in a binary file of three float64 `.npy` records.
+`load_system` gives A rows that start on 32-byte boundaries (a row stride
+of n rounded up to 4 doubles), so every stage that loads a system file
+(`solve`, `bounds`, `timing`) runs its gemvs about 1.3 times as fast as on
+the record's own rows, with the same bits. A system built in memory keeps
+its caller's layout.
 
 Randomness is reproducible by construction: all draws come from a seeded
 PCG64 stream, Gaussian variates use Box-Muller over uniforms, and distinct
@@ -20,6 +25,7 @@ twice the matrix (with the row-norm temporary or gelsd's copy).
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +33,8 @@ import numpy as np
 from . import linalg
 
 ROW_NORM_TOL = 1e-12
+# bytes of the [A | b] record that load_system reads into one buffer at a time
+LOAD_CHUNK_BYTES = 2**20
 # read only by the benchmark's stacked-system check in perfbench/workloads.py
 REFERENCE_RESIDUAL_TOL = 1e-10
 
@@ -267,24 +275,82 @@ def save_system(path, sys: LinearSystem) -> None:
 def load_system(path) -> LinearSystem:
     """Read a save_system file. Anything else (an empty, truncated or text file,
     another record count, a wrong record dtype or shape, trailing bytes, or
-    content that LinearSystem rejects) raises ValueError with the path."""
-    records, magic = [], np.lib.format.MAGIC_PREFIX
+    content that LinearSystem rejects) raises ValueError with the path.
+
+    The [A | b] record is read LOAD_CHUNK_BYTES at a time and copied into
+    two buffers, so no copy of the whole record is held: an A whose rows
+    start on 32-byte boundaries (`linalg.empty_aligned`), which the record's
+    rows, n + 1 doubles apart, mostly do not, and a contiguous b, which a
+    solve subtracts from every residual it takes. A gemv on those rows runs
+    about 1.3 times as fast and gives the same bits (see the linalg module
+    docstring).
+    """
     with open(path, "rb") as fh:
         try:
-            while not records or fh.peek(1):
-                at = fh.tell()  # peek may return fewer bytes than asked for
-                if fh.read(len(magic)) != magic:  # else np.load suggests unpickling it
-                    raise ValueError(f"no .npy record starts at byte {at}")
-                fh.seek(at)
+            records = [_read_body(fh)]
+            while fh.peek(1):
+                _check_record_start(fh)
                 records.append(np.load(fh, allow_pickle=False))
-            body, reference, singular_values = records
-            if not (all(isinstance(r, np.ndarray) and r.dtype == np.float64 for r in records)
-                    and body.ndim == 2 and body.shape[1] >= 2
-                    and reference.shape == singular_values.shape == (body.shape[1] - 1,)):
-                raise ValueError("expected float64 records [A | b] of shape (m, n+1), "
-                                 "then the reference and the singular values of shape (n,)")
-            # a contiguous b: a solve subtracts it from every residual it takes
-            return LinearSystem(body[:, :-1], np.ascontiguousarray(body[:, -1]), reference, singular_values)
+            (a, b), reference, singular_values = records
+            if not (all(isinstance(r, np.ndarray) and r.dtype == np.float64
+                        for r in (reference, singular_values))
+                    and reference.shape == singular_values.shape == (a.shape[1],)):
+                raise ValueError(_RECORDS_EXPECTED)
+            return LinearSystem(a, b, reference, singular_values)
         except (ValueError, EOFError) as exc:
             raise ValueError(f"{path}: not a system file ({exc}); regenerate it with "
                              "`rowaction generate` or `rowaction netlib-prep`") from exc
+
+
+_RECORDS_EXPECTED = ("expected float64 records [A | b] of shape (m, n+1), "
+                     "then the reference and the singular values of shape (n,)")
+_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                   (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _check_record_start(fh) -> None:
+    """Raise ValueError unless a .npy record starts at fh's position, where fh stays."""
+    at, magic = fh.tell(), np.lib.format.MAGIC_PREFIX  # peek may return fewer bytes than asked for
+    if fh.read(len(magic)) != magic:  # else np.load suggests unpickling it
+        raise ValueError(f"no .npy record starts at byte {at}")
+    fh.seek(at)
+
+
+def _read_body(fh) -> tuple[np.ndarray, np.ndarray]:
+    """The [A | b] record at fh's position as an A with aligned rows and a
+    contiguous b, copied from chunks of the record's rows (of its columns,
+    if the record is in Fortran order)."""
+    _check_record_start(fh)
+    version = np.lib.format.read_magic(fh)
+    if version not in _HEADER_READERS:
+        raise ValueError(f"unsupported .npy format version {version}")
+    shape, fortran_order, dtype = _HEADER_READERS[version](fh)
+    if not (dtype == np.float64 and len(shape) == 2 and shape[1] >= 2):
+        raise ValueError(_RECORDS_EXPECTED)
+    m, n = shape[0], shape[1] - 1
+    # checked before the buffers are allocated: a header can claim any size
+    left, size = os.fstat(fh.fileno()).st_size - fh.tell(), 8 * m * (n + 1)
+    if left < size:
+        raise ValueError(f"the [A | b] record of shape {shape} ends after {left} of its {size} bytes")
+    a, b = linalg.empty_aligned(m, n), np.empty(m)
+    if fortran_order:  # the columns of [A | b], one after another
+        for lo, chunk in _read_chunks(fh, n + 1, m):
+            for j, column in enumerate(chunk, lo):
+                (a[:, j] if j < n else b)[:] = column
+    else:
+        for lo, chunk in _read_chunks(fh, m, n + 1):
+            a[lo:lo + len(chunk)] = chunk[:, :-1]
+            b[lo:lo + len(chunk)] = chunk[:, -1]
+    return a, b
+
+
+def _read_chunks(fh, rows, cols):
+    """Yield (lo, chunk) over the C-order rows x cols float64 array at fh's
+    position: chunk holds its rows from lo on, LOAD_CHUNK_BYTES of them or
+    the rest, in one buffer reused for every chunk."""
+    buf = np.empty((max(1, min(rows, LOAD_CHUNK_BYTES // (8 * cols))), cols))
+    for lo in range(0, rows, len(buf)):
+        chunk = buf[:rows - lo]
+        if fh.readinto(chunk) != chunk.nbytes:  # the file shrank while it was read
+            raise EOFError("the [A | b] record ended while it was read")
+        yield lo, chunk

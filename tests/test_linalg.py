@@ -214,12 +214,28 @@ STACKED_CONTRACT = ("the stacked products must equal their one-row forms bit for
                     "every telemetry CSV byte rests on them equalling `A @ x - b` and np.dot")
 
 
-def stacked_operands(m, n, strided, seed, rows=5):
-    """A and a stack X of iterates; the strided A is the `body[:, :-1]` view
-    that load_system returns (leading dimension n + 1)."""
+# load_system's layout (leading dimension n rounded up to 4 doubles), with
+# its base this many bytes past a 32-byte boundary: 0 as load_system gives it
+ALIGNED = {"aligned": 0, "aligned+8": 8, "aligned+16": 16, "aligned+24": 24}
+# a C-contiguous A, the `body[:, :-1]` view of an [A | b] record (leading
+# dimension n + 1), and the aligned layouts
+LAYOUTS = [False, True, *ALIGNED]
+
+
+def stacked_operands(m, n, layout, seed, rows=5):
+    """A in `layout` (one of LAYOUTS) and a stack X of iterates; A has the
+    same values in every layout."""
     rng = np.random.default_rng(seed)
     body = rng.normal(size=(m, n + 1))
-    A = body[:, :-1] if strided else np.ascontiguousarray(body[:, :-1])
+    if layout in ALIGNED:
+        stride, offset = -(-n // 4) * 4, ALIGNED[layout]
+        buf = np.empty(m * stride + 4)
+        lead = (offset - buf.ctypes.data) % 32 // 8
+        A = buf[lead:lead + m * stride].reshape(m, stride)[:, :n]
+        A[:] = body[:, :-1]
+        assert A.strides == (stride * 8, 8) and A.ctypes.data % 32 == offset
+    else:
+        A = body[:, :-1] if layout else np.ascontiguousarray(body[:, :-1])
     return A, rng.normal(size=(rows, n)), rng.normal(size=m)
 
 
@@ -227,31 +243,43 @@ def assert_stacked_products_exact(A, X, b):
     residuals = linalg.residuals(A, b, X, np.empty((X.shape[0], A.shape[0])))
     for x, r in zip(X, residuals):
         assert r.tobytes() == (A @ x - b).tobytes(), STACKED_CONTRACT
-    for M in (residuals, X):
+    for M in (residuals, X, A):
         assert linalg.row_norms_sq(M).tolist() == [float(np.dot(v, v)) for v in M], STACKED_CONTRACT
+    # and A's layout changes no bit of them
+    C = np.ascontiguousarray(A)
+    assert residuals.tobytes() == linalg.residuals(C, b, X, np.empty_like(residuals)).tobytes()
+    assert all((A @ x).tobytes() == (C @ x).tobytes() for x in X)
+    assert linalg.row_norms_sq(A).tobytes() == linalg.row_norms_sq(C).tobytes()
 
 
-@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("m, n", [(1, 1), (2000, 50), (300, 180), (10000, 100)])
-def test_stacked_products_equal_gemv_and_dot(m, n, strided):
-    A, X, b = stacked_operands(m, n, strided, seed=m + n)
-    if strided:
+def test_stacked_products_equal_gemv_and_dot(m, n, layout):
+    A, X, b = stacked_operands(m, n, layout, seed=m + n)
+    if layout is True:
         assert A.strides == ((n + 1) * 8, 8)
     assert_stacked_products_exact(A, X, b)
 
 
 @settings(max_examples=60)
 @given(m=st.integers(1, 24), n=st.integers(1, 6), rows=st.integers(1, 4),
-       strided=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_stacked_products_equal_gemv_and_dot_small(m, n, rows, strided, seed):
-    assert_stacked_products_exact(*stacked_operands(m, n, strided, seed, rows))
+       layout=st.sampled_from(LAYOUTS), seed=st.integers(0, 2**32 - 1))
+def test_stacked_products_equal_gemv_and_dot_small(m, n, rows, layout, seed):
+    assert_stacked_products_exact(*stacked_operands(m, n, layout, seed, rows))
 
 
-@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("m, n", [(1, 1), (2000, 50), (300, 180), (10000, 100)])
-def test_frobenius_equals_fsum_of_row_dots_bit_for_bit(m, n, strided):
-    A, _, _ = stacked_operands(m, n, strided, seed=7)
+def test_frobenius_equals_fsum_of_row_dots_bit_for_bit(m, n, layout):
+    A, _, _ = stacked_operands(m, n, layout, seed=7)
     assert linalg.frobenius_norm_sq(A) == math.fsum(float(np.dot(row, row)) for row in A)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (5, 3), (7, 4), (3, 5), (300, 181)])
+def test_empty_aligned_rows_start_on_32_byte_boundaries(m, n):
+    A = linalg.empty_aligned(m, n)
+    assert A.shape == (m, n) and A.dtype == np.float64 and A.flags.writeable
+    assert A.strides == (-(-n // 4) * 32, 8) and A.ctypes.data % 32 == 0
 
 
 def test_slab_rows_are_a_positive_multiple_of_64_within_the_slab_bytes():
@@ -262,27 +290,32 @@ def test_slab_rows_are_a_positive_multiple_of_64_within_the_slab_bytes():
         assert rows == 64 or rows * 8 * n <= linalg.SLAB_BYTES < (rows + 64) * 8 * n, n
 
 
-@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize("layout", [False, True, "aligned", "aligned+8"])
 @pytest.mark.parametrize("rows", [1, 2, 3, 8, 64])
 @pytest.mark.parametrize("m, n", [(10000, 100), (20000, 50), (4100, 70)])
-def test_residuals_over_several_slabs_equal_gemv(m, n, rows, strided):
+def test_residuals_over_several_slabs_equal_gemv(m, n, rows, layout):
     # the real slab size: several slabs and a partial last one
     assert m > 2 * linalg.slab_rows(n) and m % linalg.slab_rows(n) and m % 64
-    assert_stacked_products_exact(*stacked_operands(m, n, strided, seed=m + rows, rows=rows))
+    assert_stacked_products_exact(*stacked_operands(m, n, layout, seed=m + rows, rows=rows))
 
 
 # m = 64 k + 1 would leave a one-row slab, which numpy's matmul sends to its
-# dot kernel instead of gemv; that row joins the slab before it. The last
-# example has one column.
-@example(m=65, n=9, rows=3, strided=False, seed=65)
-@example(m=129, n=9, rows=3, strided=True, seed=129)
-@example(m=577, n=40, rows=4, strided=False, seed=577)
-@example(m=128, n=1, rows=1, strided=True, seed=128)
+# dot kernel instead of gemv; that row joins the slab before it. The aligned
+# examples have n % 4 != 0, so their rows are padded; the last example has
+# one column.
+@example(m=65, n=9, rows=3, layout=False, seed=65)
+@example(m=129, n=9, rows=3, layout=True, seed=129)
+@example(m=65, n=9, rows=3, layout="aligned", seed=66)
+@example(m=193, n=10, rows=2, layout="aligned+8", seed=193)
+@example(m=129, n=7, rows=4, layout="aligned+16", seed=130)
+@example(m=257, n=5, rows=1, layout="aligned+24", seed=257)
+@example(m=577, n=40, rows=4, layout=False, seed=577)
+@example(m=128, n=1, rows=1, layout=True, seed=128)
 @settings(max_examples=80)
 @given(m=st.integers(1, 600), n=st.integers(1, 40), rows=st.integers(1, 4),
-       strided=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_residuals_on_64_row_slabs_equal_gemv(m, n, rows, strided, seed):
+       layout=st.sampled_from(LAYOUTS), seed=st.integers(0, 2**32 - 1))
+def test_residuals_on_64_row_slabs_equal_gemv(m, n, rows, layout, seed):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "SLAB_BYTES", 1)
         assert linalg.slab_rows(n) == 64
-        assert_stacked_products_exact(*stacked_operands(m, n, strided, seed, rows))
+        assert_stacked_products_exact(*stacked_operands(m, n, layout, seed, rows))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import warnings
 from pathlib import Path
 from textwrap import dedent
@@ -233,6 +234,31 @@ def test_overdetermine_noise_only_touches_identity_rows():
 def test_overdetermine_rejects_square_or_tall():
     with pytest.raises(ValueError):
         mps.overdetermine(np.eye(2), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("A, b, message", [
+    ([1.0, 2.0, 3.0], [1.0], "expected a 2-d matrix"),
+    (np.zeros((1, 0)), [1.0], "matrix must have at least one row and column"),
+    ([[1.0, math.nan, 0.0]], [1.0], "matrix entries must be finite"),
+    ([[1.0, 1.0, 0.0]], [math.inf], "vector entries must be finite"),
+    ([[1.0, 1.0, 0.0]], [1.0, 2.0], "dimension mismatch: matrix has 1 rows, rhs has 2"),
+    (np.eye(2), [1.0, 2.0], "transform requires an underdetermined system, got 2 x 2"),
+], ids=["1-d", "empty", "nan-entry", "inf-rhs", "rhs-length", "square"])
+def test_overdetermine_rejects_bad_input_naming_the_fault(A, b, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        mps.overdetermine(A, b)
+
+
+def test_overdetermine_scans_the_block_for_finiteness_once(monkeypatch):
+    A, b = mps.extract_system(mps.load_mps(DATA / "bandm_style.mps"))
+    scanned, isfinite = [], np.isfinite
+
+    def spy(x, *args, **kwargs):
+        scanned.append(np.shape(x))
+        return isfinite(x, *args, **kwargs)
+    monkeypatch.setattr(np, "isfinite", spy)
+    mps.overdetermine(A, b, mps.TransformSpec(noise_std=1e-6, seed=5))
+    assert scanned.count(A.shape) == 1, scanned
 
 
 def test_overdetermine_rank_error_propagates():

@@ -732,12 +732,14 @@ def test_telemetry_blocks_over_several_slabs_equal_reference_loop(tmp_path, monk
 
 @pytest.mark.parametrize("shape", BLOCK_SHAPES[:2])
 def test_loaded_system_runs_equal_reference_loop(tmp_path, shape):
-    # load_system gives A as a strided view of [A | b] and b as a contiguous
-    # copy, the system that the CLI and the benchmark solve: each rule to a
-    # cap past two blocks of either loop, and to a threshold met mid-block
+    # load_system gives A with 32-byte-aligned rows (a row stride of n
+    # rounded up to 4 doubles) and b contiguous, the system that the CLI and
+    # the benchmark solve: each rule to a cap past two blocks of either
+    # loop, and to a threshold met mid-block
     systems.save_system(tmp_path / "system.sys", gaussian_system(*shape, noise_std=0.01, seed=1))
     sys_ = systems.load_system(tmp_path / "system.sys")
-    assert not sys_.a.flags.c_contiguous and sys_.b.flags.c_contiguous
+    assert sys_.a.strides[0] == -(-sys_.n // 4) * 32 and sys_.a.strides[0] % 32 == 0
+    assert sys_.a.ctypes.data % 32 == 0 and sys_.b.flags.c_contiguous
     g, u, path, seeds = greedy_block(sys_.m), uniform_block(sys_.m), tmp_path / "telemetry.csv", [2, 3]
     assert g <= u
     greedy = reference_run(sys_, SelectionRule("motzkin"), StopRule(20))

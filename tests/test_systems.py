@@ -206,14 +206,67 @@ def test_save_load_round_trip(tmp_path):
 
 def test_load_gives_a_contiguous_read_only_rhs_with_the_saved_bits(tmp_path):
     # the file holds [A | b]; b is copied out of it, so that a solve subtracts
-    # it at unit stride, while A stays a strided view of the body
+    # it at unit stride, and A into rows that start on 32-byte boundaries
     sys_ = systems.generate(systems.GeneratorSpec("gaussian-noise", m=300, n=7, noise_std=0.5, seed=4))
     path = tmp_path / "sys.sys"
     systems.save_system(path, sys_)
     loaded = systems.load_system(path)
     assert loaded.b.flags.c_contiguous and not loaded.b.flags.writeable
     assert loaded.b.tobytes() == sys_.b.tobytes()
-    assert loaded.a.strides == ((sys_.n + 1) * 8, 8)
+    assert loaded.a.strides == (8 * 8, 8) and loaded.a.ctypes.data % 32 == 0
+
+
+@pytest.mark.parametrize("m, n", [(40, 5), (37, 8), (2000, 50)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_load_copies_the_body_chunk_by_chunk_into_aligned_rows(tmp_path, monkeypatch, m, n, order):
+    # 3 rows (columns, in Fortran order) a chunk, the last chunk partial or
+    # of one row; np.save writes a Fortran-order A's [A | b] in Fortran order
+    monkeypatch.setattr(systems, "LOAD_CHUNK_BYTES", 3 * 8 * (n + 1 if order == "C" else m) + 7)
+    sys_ = systems.generate(systems.GeneratorSpec("gaussian-noise", m=m, n=n, noise_std=0.5, seed=m))
+    path = tmp_path / "sys.sys"
+    systems.save_system(path, systems.LinearSystem(np.asarray(sys_.a, order=order), sys_.b,
+                                                   sys_.reference, sys_.singular_values))
+    assert np.load(path, mmap_mode="r").flags.c_contiguous == (order == "C")
+    loaded = systems.load_system(path)
+    assert loaded.a.strides == (-(-n // 4) * 32, 8) and loaded.a.ctypes.data % 32 == 0
+    for name in ("a", "b", "reference", "singular_values", "error_vec"):
+        assert _bits(getattr(loaded, name)) == _bits(getattr(sys_, name)), name
+
+
+@pytest.mark.parametrize("shrinks_while_read", [False, True])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("cut", ["mid-row", "at-a-chunk-edge", "mid-chunk"])
+def test_load_rejects_a_body_cut_short(tmp_path, monkeypatch, cut, order, shrinks_while_read):
+    monkeypatch.setattr(systems, "LOAD_CHUNK_BYTES", 3 * 40 * 8)  # 3 rows or 3 columns
+    sys_ = systems.generate(systems.GeneratorSpec("gaussian-noise", m=40, n=5, noise_std=0.5, seed=3))
+    whole, path = tmp_path / "whole.sys", tmp_path / "cut.sys"
+    systems.save_system(whole, systems.LinearSystem(np.asarray(sys_.a, order=order), sys_.b,
+                                                    sys_.reference, sys_.singular_values))
+    header = len(_npy(np.zeros((40, 6)))) - 40 * 6 * 8
+    line = 8 * (6 if order == "C" else 40)  # the bytes of one row, or of one column
+    path.write_bytes(whole.read_bytes()[:header + {"mid-row": 4 * line + 20, "at-a-chunk-edge": 3 * line,
+                                                   "mid-chunk": 4 * line}[cut]])
+    if shrinks_while_read:  # its size was read before it was cut
+        monkeypatch.setattr(systems.os, "fstat", lambda fd: whole.stat())
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not a system file \(.+\); regenerate it") as err:
+        systems.load_system(path)
+    assert ("ended while it was read" if shrinks_while_read else "ends after") in str(err.value)
+
+
+def test_load_system_holds_a_b_and_one_chunk_at_most(tmp_path):
+    # no copy of the whole [A | b] record: A and b are filled chunk by chunk
+    m, n = 10000, 100
+    path = tmp_path / "large.sys"
+    systems.save_system(path, systems.generate(systems.GeneratorSpec(
+        "gaussian-noise", m=m, n=n, noise_std=0.01, seed=1)))
+    tracemalloc.start()
+    try:
+        loaded = systems.load_system(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.a.strides == (n * 8, 8)
+    assert peak <= 8 * m * n + 8 * m + systems.LOAD_CHUNK_BYTES + 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 def test_system_takes_its_reference_and_singular_values_both_or_neither():
@@ -364,6 +417,7 @@ def test_load_rejects_truncated(tmp_path):
     pytest.param(b"", id="empty"),
     pytest.param(_VALID[:100], id="truncated-header"),
     pytest.param(_VALID[:140], id="truncated-body"),
+    pytest.param(_VALID[:6] + b"\x03" + _VALID[7:], id="format-version-3"),
     pytest.param(_VALID + b"\0", id="trailing-bytes"),
     pytest.param(_npy(_BODY, np.zeros(2)), id="two-records"),
     pytest.param(_VALID + _npy(np.zeros(2)), id="fourth-record"),
