@@ -19,7 +19,6 @@ from .bounds import (
 )
 from .linalg import (
     RankError,
-    frobenius_norm_sq,
     least_norm,
     least_squares,
     min_singular_value,

@@ -22,7 +22,8 @@ moves every file into place in (solver, trial) order, summary.csv last,
 once every trial succeeded. No task starts past a failure known earlier in
 that order. With one worker, or no os.sched_getaffinity, the tasks run in
 the parent, starting no process and no thread. timing stays serial: it
-measures process time.
+measures process time. Like solve, bounds and timing print their lines
+only once every file is written, so a closed stdout costs no file.
 
 Every flag can also come from one `key = value` config file, given as
 --config PATH or --config=PATH. Each line becomes a `--key=value` flag ahead of
@@ -67,8 +68,12 @@ CONFIG_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": F
 
 
 def _read_config(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not a config file ({exc})") from None
     cfg = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -343,6 +348,7 @@ def cmd_bounds(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for filename, curve in curves.items():
         bounds_mod.write_curves_csv(out / filename, [curve])
+    for filename in curves:
         print(f"wrote {out / filename}")
     return 0
 
@@ -369,21 +375,20 @@ def cmd_timing(args) -> int:
     sys_ = systems.load_system(args.system)
     threshold = _resolve_threshold(args.threshold, sys_)
     problem = Path(args.system).stem
-    rows = []
-    for name in args.solver:
-        summary = solvers.time_to_threshold(sys_, solvers.SelectionRule(name), threshold, args.trials,
-                                            seed=args.seed, max_iterations=args.max_iterations)
-        rows.append([problem, name, f"{summary.mean_seconds:.6f}",
-                     f"{summary.mean_iterations:.2f}", summary.trials, summary.censored])
-        print(f"{problem} {name}: mean_iterations={summary.mean_iterations:.2f} "
-              f"mean_seconds={summary.mean_seconds:.4f} censored={summary.censored}/{summary.trials}")
+    summaries = {name: solvers.time_to_threshold(sys_, solvers.SelectionRule(name), threshold, args.trials,
+                                                 seed=args.seed, max_iterations=args.max_iterations)
+                 for name in args.solver}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "timing.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["problem", "solver", "mean_seconds", "mean_iterations", "trials", "censored"])
-        writer.writerows(rows)
+        writer.writerows([problem, name, f"{s.mean_seconds:.6f}", f"{s.mean_iterations:.2f}", s.trials,
+                          s.censored] for name, s in summaries.items())
+    for name, s in summaries.items():
+        print(f"{problem} {name}: mean_iterations={s.mean_iterations:.2f} "
+              f"mean_seconds={s.mean_seconds:.4f} censored={s.censored}/{s.trials}")
     print(f"wrote {path}")
     return 0
 

@@ -39,8 +39,6 @@ more memory. The layout changes no bit: the kernels sum each row in the
 same order wherever it starts, which tests/test_linalg.py checks.
 """
 
-import math
-
 import numpy as np
 
 # Singular values at most this fraction of the largest count as zero.
@@ -94,17 +92,6 @@ def norm_inf(v) -> float:
     if v.size == 0:
         return 0.0
     return float(np.abs(v).max())
-
-
-def frobenius_norm_sq(A) -> float:
-    """Sum of squared entries, accumulated as compensated sum of row norms.
-
-    The summation order is pinned (per-row squared norm, then fsum over rows)
-    so that this equals fsum(row . row) exactly; for a row-normalized
-    matrix with m rows the result is m up to the normalization tolerance.
-    """
-    A = as_matrix(A)
-    return math.fsum(row_norms_sq(A).tolist())
 
 
 def empty_aligned(m, n) -> np.ndarray:

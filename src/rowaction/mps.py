@@ -155,8 +155,14 @@ def parse_mps(text: str) -> MpsProblem:
 
 
 def load_mps(path) -> MpsProblem:
+    """parse_mps of the file at `path`; one that is not UTF-8 text raises
+    ValueError naming it."""
     with open(path) as fh:
-        return parse_mps(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not an MPS file ({exc})") from None
+    return parse_mps(text)
 
 
 def extract_system(problem: MpsProblem) -> tuple[np.ndarray, np.ndarray]:

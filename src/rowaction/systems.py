@@ -8,7 +8,8 @@ reference and the singular values from one gelsd solve (`linalg.gelsd`,
 rank tolerance `linalg.RANK_RTOL`); `load_system` passes the stored ones.
 Synthetic systems come from `generate`; an arbitrary (A, b) pair becomes
 `LinearSystem(*normalize_rows(A, b))`. `save_system` and `load_system`
-keep a system in a binary file of three float64 `.npy` records.
+keep a system in a binary file of three float64 `.npy` 1.0 records, the
+first [A | b] in C order whatever A's layout; other layouts do not load.
 `load_system` gives A rows that start on 32-byte boundaries (a row stride
 of n rounded up to 4 doubles), so every stage that loads a system file
 (`solve`, `bounds`, `timing`) runs its gemvs about 1.3 times as fast as on
@@ -138,9 +139,9 @@ class LinearSystem:
     Invariants checked at construction: unit row norms (within 1e-12),
     m >= n, finite entries, an n-vector reference, and n positive,
     non-increasing singular values. Derived once: `error_vec` as
-    A @ reference - b, and `frobenius_sq` as linalg.frobenius_norm_sq(a)
-    from the check's row norms. The stored arrays are read-only views of
-    the coerced inputs; systems are safe to share across runs.
+    A @ reference - b, and `frobenius_sq` as the math.fsum of the check's
+    squared row norms. The stored arrays are read-only views of the coerced
+    inputs; systems are safe to share across runs.
     """
 
     a: np.ndarray
@@ -264,18 +265,21 @@ def generate(spec: GeneratorSpec) -> LinearSystem:
 
 
 def save_system(path, sys: LinearSystem) -> None:
-    """Write [A | b] as one m x (n+1) float64 .npy record, then the reference
-    and the singular values as one record each. Equal systems give equal
-    bytes."""
+    """Write [A | b] as one m x (n+1) float64 .npy 1.0 record in C order,
+    whatever A's layout, then the reference and the singular values as one
+    record each. Equal systems give equal bytes."""
+    body = np.empty((sys.m, sys.n + 1))
+    body[:, :-1], body[:, -1] = sys.a, sys.b
     with open(path, "wb") as fh:
-        for record in (np.column_stack([sys.a, sys.b]), sys.reference, sys.singular_values):
+        for record in (body, sys.reference, sys.singular_values):
             np.save(fh, record, allow_pickle=False)
 
 
 def load_system(path) -> LinearSystem:
     """Read a save_system file. Anything else (an empty, truncated or text file,
-    another record count, a wrong record dtype or shape, trailing bytes, or
-    content that LinearSystem rejects) raises ValueError with the path.
+    another record count, a wrong record dtype or shape, an [A | b] record
+    in Fortran order or in another .npy version than 1.0, trailing bytes,
+    or content that LinearSystem rejects) raises ValueError with the path.
 
     The [A | b] record is read LOAD_CHUNK_BYTES at a time and copied into
     two buffers, so no copy of the whole record is held: an A whose rows
@@ -302,10 +306,8 @@ def load_system(path) -> LinearSystem:
                              "`rowaction generate` or `rowaction netlib-prep`") from exc
 
 
-_RECORDS_EXPECTED = ("expected float64 records [A | b] of shape (m, n+1), "
-                     "then the reference and the singular values of shape (n,)")
-_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
-                   (2, 0): np.lib.format.read_array_header_2_0}
+_RECORDS_EXPECTED = ("expected float64 records: [A | b] of shape (m, n+1) in C order, "
+                     "as .npy 1.0, then the reference and the singular values of shape (n,)")
 
 
 def _check_record_start(fh) -> None:
@@ -318,14 +320,12 @@ def _check_record_start(fh) -> None:
 
 def _read_body(fh) -> tuple[np.ndarray, np.ndarray]:
     """The [A | b] record at fh's position as an A with aligned rows and a
-    contiguous b, copied from chunks of the record's rows (of its columns,
-    if the record is in Fortran order)."""
+    contiguous b, copied from chunks of its rows in one reused buffer."""
     _check_record_start(fh)
-    version = np.lib.format.read_magic(fh)
-    if version not in _HEADER_READERS:
-        raise ValueError(f"unsupported .npy format version {version}")
-    shape, fortran_order, dtype = _HEADER_READERS[version](fh)
-    if not (dtype == np.float64 and len(shape) == 2 and shape[1] >= 2):
+    if np.lib.format.read_magic(fh) != (1, 0):
+        raise ValueError(_RECORDS_EXPECTED)
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+    if fortran_order or not (dtype == np.float64 and len(shape) == 2 and shape[1] >= 2):
         raise ValueError(_RECORDS_EXPECTED)
     m, n = shape[0], shape[1] - 1
     # checked before the buffers are allocated: a header can claim any size
@@ -333,24 +333,11 @@ def _read_body(fh) -> tuple[np.ndarray, np.ndarray]:
     if left < size:
         raise ValueError(f"the [A | b] record of shape {shape} ends after {left} of its {size} bytes")
     a, b = linalg.empty_aligned(m, n), np.empty(m)
-    if fortran_order:  # the columns of [A | b], one after another
-        for lo, chunk in _read_chunks(fh, n + 1, m):
-            for j, column in enumerate(chunk, lo):
-                (a[:, j] if j < n else b)[:] = column
-    else:
-        for lo, chunk in _read_chunks(fh, m, n + 1):
-            a[lo:lo + len(chunk)] = chunk[:, :-1]
-            b[lo:lo + len(chunk)] = chunk[:, -1]
-    return a, b
-
-
-def _read_chunks(fh, rows, cols):
-    """Yield (lo, chunk) over the C-order rows x cols float64 array at fh's
-    position: chunk holds its rows from lo on, LOAD_CHUNK_BYTES of them or
-    the rest, in one buffer reused for every chunk."""
-    buf = np.empty((max(1, min(rows, LOAD_CHUNK_BYTES // (8 * cols))), cols))
-    for lo in range(0, rows, len(buf)):
-        chunk = buf[:rows - lo]
+    buf = np.empty((max(1, min(m, LOAD_CHUNK_BYTES // (8 * (n + 1)))), n + 1))
+    for lo in range(0, m, len(buf)):
+        chunk = buf[:m - lo]
         if fh.readinto(chunk) != chunk.nbytes:  # the file shrank while it was read
             raise EOFError("the [A | b] record ended while it was read")
-        yield lo, chunk
+        a[lo:lo + len(chunk)] = chunk[:, :-1]
+        b[lo:lo + len(chunk)] = chunk[:, -1]
+    return a, b

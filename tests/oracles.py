@@ -5,10 +5,11 @@ The linalg oracles deliberately share no code path with the package: the
 least-squares oracle solves the normal equations by exhaustive Gaussian
 elimination with partial pivoting, and the smallest-eigenvalue oracle
 expands the characteristic polynomial over all permutations (n <= 4) and
-bisects with a Sturm chain. `parse_mps` and `extract_system` are the
-package's earlier per-line reader and per-coefficient assembly, kept
-verbatim: they share only the result and error types and the section and
-sense tables of `rowaction.mps`.
+bisects with a Sturm chain. `frobenius_norm_sq` is the package's earlier
+function, kept verbatim as the bit reference of `LinearSystem.frobenius_sq`.
+`parse_mps` and `extract_system` are the package's earlier per-line reader
+and per-coefficient assembly, kept verbatim: they share only the result and
+error types and the section and sense tables of `rowaction.mps`.
 """
 
 import itertools
@@ -17,6 +18,7 @@ import warnings
 
 import numpy as np
 
+from rowaction import linalg
 from rowaction.mps import ROW_SENSES, SECTIONS, MpsParseError, MpsProblem
 
 
@@ -136,6 +138,17 @@ def min_singular_value_oracle(A):
     A = np.asarray(A, dtype=float)
     lam = smallest_eigenvalue_oracle(A.T @ A)
     return math.sqrt(max(lam, 0.0))
+
+
+def frobenius_norm_sq(A) -> float:
+    """Sum of squared entries, accumulated as compensated sum of row norms.
+
+    The summation order is pinned (per-row squared norm, then fsum over rows)
+    so that this equals fsum(row . row) exactly; for a row-normalized
+    matrix with m rows the result is m up to the normalization tolerance.
+    """
+    A = linalg.as_matrix(A)
+    return math.fsum(linalg.row_norms_sq(A).tolist())
 
 
 def parse_mps(text: str) -> MpsProblem:

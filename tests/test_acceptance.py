@@ -17,7 +17,7 @@ from rowaction import bounds, cli, linalg, mps, solvers, systems
 from rowaction.solvers import SelectionRule, StopRule
 
 from conftest import ACCEPTANCE_LINES
-from oracles import least_squares_oracle, min_singular_value_oracle
+from oracles import frobenius_norm_sq, least_squares_oracle, min_singular_value_oracle
 
 DATA = Path(__file__).parent / "data"
 
@@ -102,7 +102,7 @@ def test_criterion_03_empirical_gamma_dominance(gaussian_run):
         m=sys_.m, n=sys_.n, sigma_min=gaussian_run["sigma_min"],
         error_inf=gaussian_run["e_inf"],
         initial_error_sq=result.records[0].error_sq,
-        frobenius_sq=linalg.frobenius_norm_sq(sys_.a),
+        frobenius_sq=frobenius_norm_sq(sys_.a),
         gamma_seq=tuple(gammas))
     curve = bounds.motzkin_bound_empirical_gamma(inp, len(gammas))
     observed = [rec.error_sq for rec in result.records] + [gaussian_run["final_error_sq"]]

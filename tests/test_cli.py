@@ -1,7 +1,10 @@
 import csv
+import errno
+import io
 import math
 import multiprocessing
 import os
+import sys
 import threading
 import time
 import warnings
@@ -361,6 +364,49 @@ def test_bounds_binary_telemetry_names_the_file(system_file, tmp_path, capsys):
     assert code == cli.CONFIG_ERROR
     assert capsys.readouterr().err.startswith(f"error: {system_file}: not a telemetry CSV ('utf-8' codec")
     assert not (tmp_path / "curves").exists()
+
+
+@pytest.mark.parametrize("message, argv", [
+    pytest.param("not a config file", ["generate", "--config", "<file>"], id="config"),
+    pytest.param("not an MPS file", ["netlib-prep", "--mps", "<file>", "--seed", "1", "--out", "x.sys"],
+                 id="mps"),
+])
+def test_input_that_is_not_utf8_names_the_file(tmp_path, capsys, monkeypatch, message, argv):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"NAME caf\xe9\n")
+    code = run_cli(*[str(path) if arg == "<file>" else arg for arg in argv])
+    assert code == cli.CONFIG_ERROR
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message} ('utf-8' codec can't decode byte 0xe9")
+    assert not (tmp_path / "x.sys").exists()
+
+
+class ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone, as `| head -c 0` leaves it."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("command, argv, files", [
+    pytest.param("bounds", ["--iterations", "40", "--telemetry", "<telemetry>"], 5, id="bounds"),
+    pytest.param("timing", ["--trials", "2", "--seed", "1"], 1, id="timing"),
+])
+def test_closed_stdout_costs_no_file(system_file, tmp_path, monkeypatch, command, argv, files):
+    # every file is written before the first line is printed; the failed
+    # print is still an error, as any OSError is
+    monkeypatch.setattr(time, "process_time", lambda: 0.0)  # so timing.csv's seconds are equal too
+    runs = tmp_path / "runs"
+    assert run_cli("solve", "--system", str(system_file), "--max-iterations", "40", "--seed", "1",
+                   "--out", str(runs)) == 0
+    argv = [command, "--system", str(system_file),
+            *[str(runs / "motzkin_trial0.csv") if arg == "<telemetry>" else arg for arg in argv]]
+    assert run_cli(*argv, "--out", str(tmp_path / "open")) == 0
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert run_cli(*argv, "--out", str(tmp_path / "closed")) == cli.CONFIG_ERROR
+    written = {path.name: path.read_bytes() for path in (tmp_path / "open").iterdir()}
+    assert len(written) == files
+    assert {path.name: path.read_bytes() for path in (tmp_path / "closed").iterdir()} == written
 
 
 def test_generate_rows_whose_squares_overflow_reach_the_rank_check(tmp_path, capsys):

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from rowaction import linalg, mps, systems
 
+from oracles import frobenius_norm_sq
+
 
 def test_make_rng_accepts_exactly_the_uint64_seeds():
     for seed in (0, 2**64 - 1):
@@ -115,13 +117,13 @@ def test_generated_invariants():
         sys_ = systems.generate(spec)
         row_norms = np.sqrt((sys_.a * sys_.a).sum(axis=1))
         assert np.abs(row_norms - 1.0).max() <= 1e-12
-        assert abs(linalg.frobenius_norm_sq(sys_.a) - sys_.m) <= 1e-9
+        assert abs(frobenius_norm_sq(sys_.a) - sys_.m) <= 1e-9
         assert np.abs(sys_.residual(sys_.reference) - sys_.error_vec).max() <= 1e-10
 
 
 def test_frobenius_sq_is_frobenius_norm_sq_bit_for_bit(tmp_path):
     """The squared Frobenius norm a system keeps from its unit-row check is
-    linalg.frobenius_norm_sq of its matrix, to the bit, however it was made."""
+    the oracle frobenius_norm_sq of its matrix, to the bit, however it was made."""
     made = [systems.generate(systems.GeneratorSpec(kind, m=90, n=7, noise_std=0.3, spike_count=3,
                                                    spike_magnitude=9.0, seed=5))
             for kind in systems.GENERATOR_KINDS]
@@ -130,7 +132,7 @@ def test_frobenius_sq_is_frobenius_norm_sq_bit_for_bit(tmp_path):
     rng = np.random.default_rng(8)
     made.append(mps.overdetermine(rng.standard_normal((6, 11)), rng.standard_normal(6)))
     for sys_ in made:
-        assert sys_.frobenius_sq.hex() == linalg.frobenius_norm_sq(sys_.a).hex()
+        assert sys_.frobenius_sq.hex() == frobenius_norm_sq(sys_.a).hex()
 
 
 def test_generator_spec_validation():
@@ -219,14 +221,14 @@ def test_load_gives_a_contiguous_read_only_rhs_with_the_saved_bits(tmp_path):
 @pytest.mark.parametrize("m, n", [(40, 5), (37, 8), (2000, 50)])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_load_copies_the_body_chunk_by_chunk_into_aligned_rows(tmp_path, monkeypatch, m, n, order):
-    # 3 rows (columns, in Fortran order) a chunk, the last chunk partial or
-    # of one row; np.save writes a Fortran-order A's [A | b] in Fortran order
-    monkeypatch.setattr(systems, "LOAD_CHUNK_BYTES", 3 * 8 * (n + 1 if order == "C" else m) + 7)
+    # 3 rows a chunk, the last chunk partial or of one row; an A in Fortran
+    # order in memory is saved in C order too
+    monkeypatch.setattr(systems, "LOAD_CHUNK_BYTES", 3 * 8 * (n + 1) + 7)
     sys_ = systems.generate(systems.GeneratorSpec("gaussian-noise", m=m, n=n, noise_std=0.5, seed=m))
     path = tmp_path / "sys.sys"
     systems.save_system(path, systems.LinearSystem(np.asarray(sys_.a, order=order), sys_.b,
                                                    sys_.reference, sys_.singular_values))
-    assert np.load(path, mmap_mode="r").flags.c_contiguous == (order == "C")
+    assert np.load(path, mmap_mode="r").flags.c_contiguous
     loaded = systems.load_system(path)
     assert loaded.a.strides == (-(-n // 4) * 32, 8) and loaded.a.ctypes.data % 32 == 0
     for name in ("a", "b", "reference", "singular_values", "error_vec"):
@@ -237,13 +239,14 @@ def test_load_copies_the_body_chunk_by_chunk_into_aligned_rows(tmp_path, monkeyp
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("cut", ["mid-row", "at-a-chunk-edge", "mid-chunk"])
 def test_load_rejects_a_body_cut_short(tmp_path, monkeypatch, cut, order, shrinks_while_read):
-    monkeypatch.setattr(systems, "LOAD_CHUNK_BYTES", 3 * 40 * 8)  # 3 rows or 3 columns
+    # the file of an A in either order in memory holds [A | b] in C order
+    line = 6 * 8  # the bytes of one row of [A | b]
+    monkeypatch.setattr(systems, "LOAD_CHUNK_BYTES", 3 * line)
     sys_ = systems.generate(systems.GeneratorSpec("gaussian-noise", m=40, n=5, noise_std=0.5, seed=3))
     whole, path = tmp_path / "whole.sys", tmp_path / "cut.sys"
     systems.save_system(whole, systems.LinearSystem(np.asarray(sys_.a, order=order), sys_.b,
                                                     sys_.reference, sys_.singular_values))
-    header = len(_npy(np.zeros((40, 6)))) - 40 * 6 * 8
-    line = 8 * (6 if order == "C" else 40)  # the bytes of one row, or of one column
+    header = len(_npy(np.zeros((40, 6)))) - 40 * line
     path.write_bytes(whole.read_bytes()[:header + {"mid-row": 4 * line + 20, "at-a-chunk-edge": 3 * line,
                                                    "mid-chunk": 4 * line}[cut]])
     if shrinks_while_read:  # its size was read before it was cut
@@ -251,6 +254,18 @@ def test_load_rejects_a_body_cut_short(tmp_path, monkeypatch, cut, order, shrink
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not a system file \(.+\); regenerate it") as err:
         systems.load_system(path)
     assert ("ended while it was read" if shrinks_while_read else "ends after") in str(err.value)
+
+
+def test_save_system_bytes_do_not_depend_on_the_layout_of_a(tmp_path):
+    sys_ = systems.generate(systems.GeneratorSpec("gaussian-noise", m=40, n=5, noise_std=0.5, seed=3))
+    systems.save_system(tmp_path / "c.sys", sys_)
+    loaded = systems.load_system(tmp_path / "c.sys")
+    assert loaded.a.strides == (8 * 8, 8)  # rows padded to 8 doubles
+    fortran = systems.LinearSystem(np.asfortranarray(sys_.a), sys_.b, sys_.reference, sys_.singular_values)
+    assert fortran.a.flags.f_contiguous and not fortran.a.flags.c_contiguous
+    for name, layout in (("f.sys", fortran), ("padded.sys", loaded)):
+        systems.save_system(tmp_path / name, layout)
+        assert (tmp_path / name).read_bytes() == (tmp_path / "c.sys").read_bytes(), name
 
 
 def test_load_system_holds_a_b_and_one_chunk_at_most(tmp_path):
@@ -434,6 +449,23 @@ def test_load_rejects_malformed_file(tmp_path, content):
     path = tmp_path / "bad.sys"
     path.write_bytes(content)
     with pytest.raises(ValueError, match=re.escape(str(path))):
+        systems.load_system(path)
+
+
+def _npy_2_0(arr) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, arr, version=(2, 0), allow_pickle=False)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("body", [
+    pytest.param(_npy(np.asfortranarray(_BODY)), id="fortran-order"),
+    pytest.param(_npy_2_0(_BODY), id="version-2.0"),
+])
+def test_load_rejects_an_a_b_record_in_another_layout(tmp_path, body):
+    path = tmp_path / "other.sys"
+    path.write_bytes(body + _npy(np.zeros(2), _SV))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not a system file \(.+\); regenerate it"):
         systems.load_system(path)
 
 
