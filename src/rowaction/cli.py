@@ -296,23 +296,30 @@ _system = None  # set only in a forked worker, by _adopt: the system the fork ha
 def _adopt(sys_, openblas):
     """A forked worker's set-up: it keeps the system and, where `openblas`
     is a `_bundled_openblas`, runs one BLAS thread, since one worker per
-    CPU leaves no core to more."""
+    CPU leaves no core to more. The setter leaves a pool thread behind in a
+    forked child, whose spin-wait halved the worker's gemv speed; the
+    shutdown joins it, and at one thread no later call starts another."""
     global _system
     _system = sys_
     if openblas is not None:
         openblas.scipy_openblas_set_num_threads64_(1)
+        if hasattr(openblas, "blas_thread_shutdown_"):
+            openblas.blas_thread_shutdown_()
 
 
 def _bundled_openblas():
     """The OpenBLAS that numpy bundles, as a ctypes library whose thread
     count `scipy_openblas_set_num_threads64_` sets and
-    `scipy_openblas_get_num_threads64_` reads, or None where numpy bundles
-    none (it uses another BLAS, or one of the system's)."""
+    `scipy_openblas_get_num_threads64_` reads, and whose thread pool
+    `blas_thread_shutdown_` stops where the library exports it, or None
+    where numpy bundles none (it uses another BLAS, or one of the system's)."""
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*")):
         openblas = ctypes.CDLL(str(path))
         if hasattr(openblas, "scipy_openblas_set_num_threads64_"):
             openblas.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
             openblas.scipy_openblas_set_num_threads64_.restype = None
+            if hasattr(openblas, "blas_thread_shutdown_"):
+                openblas.blas_thread_shutdown_.argtypes = []  # it returns an int, ctypes' default
             return openblas
     return None
 

@@ -58,22 +58,18 @@ class RankError(ArithmeticError):
         super().__init__(message)
 
 
-def as_2d(a) -> np.ndarray:
-    """Coerce to a 2-d float array and check it is nonempty; as_matrix
-    without its scan of the entries."""
+def as_matrix(a) -> np.ndarray:
+    """Coerce to a 2-d float array and check it is nonempty and finite: by
+    the sum of its entries, with no m x n temporary, and only when that sum
+    is not finite (an overflow, or a non-finite entry) by a scan of each."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"matrix must have at least one row and column, got {a.shape}")
-    return a
-
-
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-d float array and check it is nonempty and finite."""
-    a = as_2d(a)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(a.sum()) and not np.isfinite(a).all():
+            raise ValueError("matrix entries must be finite")
     return a
 
 
@@ -141,7 +137,8 @@ def row_norms_sq(M) -> np.ndarray:
 
 def lstsq(A, b) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares solution of A x = b, least-norm when A is wide, and the
-    singular values of A in non-increasing order (LAPACK gelsd).
+    singular values of A in non-increasing order, from one LAPACK gelsd
+    solve; A and b are checked first.
 
     Raises RankError when the rank gelsd reports, counting singular values
     above RANK_RTOL * sigma_max, is below min(m, n). Only then a second SVD
@@ -153,11 +150,6 @@ def lstsq(A, b) -> tuple[np.ndarray, np.ndarray]:
     b = as_vector(b)
     if b.shape[0] != A.shape[0]:
         raise ValueError(f"dimension mismatch: matrix has {A.shape[0]} rows, rhs has {b.shape[0]}")
-    return gelsd(A, b)
-
-
-def gelsd(A, b) -> tuple[np.ndarray, np.ndarray]:
-    """lstsq of a finite float matrix and a finite vector of its row count; no checks."""
     x, _, rank, sigma = np.linalg.lstsq(A, b, rcond=RANK_RTOL)
     if rank < min(A.shape):
         u, _, vt = np.linalg.svd(A, full_matrices=False)
@@ -173,7 +165,7 @@ def gelsd(A, b) -> tuple[np.ndarray, np.ndarray]:
 def least_squares(A, b) -> np.ndarray:
     """Least-squares solution of an overdetermined system (see lstsq).
     Requires rows >= cols and full column rank (RankError otherwise)."""
-    A = as_2d(A)
+    A = as_matrix(A)
     if A.shape[0] < A.shape[1]:
         raise ValueError(f"least_squares requires rows >= cols, got shape {A.shape}")
     return lstsq(A, b)[0]
@@ -183,7 +175,7 @@ def least_norm(A, b) -> np.ndarray:
     """Minimum-Euclidean-norm solution of an underdetermined system (see
     lstsq): it satisfies Ax = b up to conditioning and is orthogonal to the
     null space of A. Requires rows <= cols and full row rank."""
-    A = as_2d(A)
+    A = as_matrix(A)
     if A.shape[0] > A.shape[1]:
         raise ValueError(f"least_norm requires rows <= cols, got shape {A.shape}")
     return lstsq(A, b)[0]

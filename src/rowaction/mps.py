@@ -194,12 +194,12 @@ def overdetermine(A, b, spec: TransformSpec = TransformSpec()) -> LinearSystem:
     can come only from A (its index is a row of A): the identity rows keep
     the stacked sigma_min >= 1.
     """
-    A = linalg.as_2d(A)
+    A = linalg.as_matrix(A)
     b = linalg.as_vector(b)
     rows, cols = A.shape
     if rows >= cols:
         raise ValueError(f"transform requires an underdetermined system, got {rows} x {cols}")
-    x_ln = linalg.least_norm(A, b)  # its lstsq checks that A is finite
+    x_ln = linalg.least_norm(A, b)
     eps = spec.noise_std * normal_draws(make_rng(spec.seed), cols)
     A, b = np.vstack([A, np.eye(cols)]), np.concatenate([b, x_ln + eps])
     return LinearSystem(*_normalize_in_place(A, b))

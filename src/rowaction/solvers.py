@@ -15,12 +15,12 @@ and the selection rule is what distinguishes the methods:
                configured threshold, then rk-uniform for good (the switch
                is one-way even if the residual later grows back).
 
-Two loops perform every run, a step-by-step greedy loop and a blocked loop
-for uniform selection, and each returns a RunResult. A hybrid run is a
-greedy prefix, stopped at the switch, plus a uniform continuation from the
-switch iterate. The greedy rule never draws from the RNG, so a run splits
-into a seed-independent head (`_head`: the motzkin run, a hybrid's greedy
-prefix, or x_0 at k = 0 for rk-uniform) and one continuation per seed
+Two loops perform every run, `_head`'s step-by-step greedy loop and a
+blocked loop for uniform selection, and each returns a RunResult. A hybrid
+run is a greedy prefix, stopped at the switch, plus a uniform continuation
+from the switch iterate. The greedy rule never draws from the RNG, so a run
+splits into a seed-independent head (`_head`: the motzkin run, a hybrid's
+greedy prefix, or x_0 at k = 0 for rk-uniform) and one continuation per seed
 (`_continue`), each a RunResult. `run` and `time_to_threshold` compute one
 head and one continuation per solve. `solve` computes each solver's head
 once and runs every trial's continuation from it, as tasks in forked worker
@@ -191,46 +191,19 @@ def _head(sys, rule, stop, x, telemetry):
     """The seed-independent part of a run from x_0 = x, with its records:
     the motzkin run, a hybrid's greedy prefix up to its switch or stop, or
     x_0 at k = 0 for rk-uniform. Its stop reason is the greedy loop's (None
-    for rk-uniform); `_continue` tells a hybrid's switch from its stop."""
+    for rk-uniform); `_continue` tells a hybrid's switch from its stop.
+
+    The greedy loop starts from one `A @ x_0 - b`; the selected |r_i| is the
+    sup norm that the stop test and the record read. Iterates and residuals
+    go into block buffers, one step deep without telemetry; with it
+    `_records` turns each full block into records, and the rest at the stop."""
     if rule.kind == "rk-uniform":
         return RunResult(x, 0, [], None)
-    greedy_stop = stop
+    a, b, threshold, k, records = sys.a, sys.b, stop.residual_inf_threshold, 0, []
     if rule.kind == "hybrid":
         # residual <= hybrid threshold ends the prefix: a stop when the stop
         # threshold or the cap also holds there, else the switch
-        greedy_stop = StopRule(stop.max_iterations,
-                               max(stop.residual_inf_threshold or 0.0, rule.hybrid_threshold))
-    return _loop(sys, x, greedy_stop, telemetry)
-
-
-def _continue(sys, rule, stop, head, seed, telemetry):
-    """The result of one seed: uniform steps from a `_head` result's iterate,
-    none for motzkin. Its records are only those of its own steps, numbered
-    on from the head's k; `run` puts the head's records in front of them."""
-    rng = make_rng(seed)  # a bad seed fails for every rule
-    if rule.kind == "motzkin":
-        return RunResult(head.x.copy(), head.iteration, [], head.stop_reason)
-    result = _blocked_uniform(sys, head.x, head.iteration, stop, rng, telemetry)
-    if rule.kind == "hybrid" and result.iteration > head.iteration:
-        result.switch_iteration = head.iteration
-    return result
-
-
-def _block_steps(m, entries):
-    """Steps per telemetry block on m rows: at most BLOCK_STEPS, and at most
-    `entries` residual entries (BLOCK_ENTRIES for the greedy loop,
-    UNIFORM_BLOCK_ENTRIES for the uniform one) unless one step alone has more."""
-    return min(BLOCK_STEPS, max(1, entries // m))
-
-
-def _loop(sys, x, stop, telemetry):
-    """Iterate greedily from x_0 = x, starting from one `A @ x_0 - b`, until
-    `stop` fires; the selected |r_i| is the sup norm that the stop test and
-    the record read. Iterates and residuals go into block buffers, one step
-    deep without telemetry; with it `_records` turns each full block into
-    records, and the rest at the stop. Returns the RunResult of x_k."""
-    threshold, k, records = stop.residual_inf_threshold, 0, []
-    a, b = sys.a, sys.b
+        threshold = max(threshold or 0.0, rule.hybrid_threshold)
     s = _block_steps(sys.m, BLOCK_ENTRIES) if telemetry else 1
     # x_k and its residual sit in row len(rows) of the buffers
     iterates, residuals, rows, levels = np.empty((s, sys.n)), np.empty((s, sys.m)), [], []
@@ -260,6 +233,26 @@ def _loop(sys, x, stop, telemetry):
     if telemetry:
         _records(sys, len(records), iterates, residuals, rows, levels, records)
     return RunResult(x, k, records, reason)
+
+
+def _continue(sys, rule, stop, head, seed, telemetry):
+    """The result of one seed: uniform steps from a `_head` result's iterate,
+    none for motzkin. Its records are only those of its own steps, numbered
+    on from the head's k; `run` puts the head's records in front of them."""
+    rng = make_rng(seed)  # a bad seed fails for every rule
+    if rule.kind == "motzkin":
+        return RunResult(head.x.copy(), head.iteration, [], head.stop_reason)
+    result = _blocked_uniform(sys, head.x, head.iteration, stop, rng, telemetry)
+    if rule.kind == "hybrid" and result.iteration > head.iteration:
+        result.switch_iteration = head.iteration
+    return result
+
+
+def _block_steps(m, entries):
+    """Steps per telemetry block on m rows: at most BLOCK_STEPS, and at most
+    `entries` residual entries (BLOCK_ENTRIES for the greedy loop of `_head`,
+    UNIFORM_BLOCK_ENTRIES for the uniform one) unless one step alone has more."""
+    return min(BLOCK_STEPS, max(1, entries // m))
 
 
 def _blocked_uniform(sys, x, k, stop, rng, telemetry):

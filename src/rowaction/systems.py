@@ -4,7 +4,7 @@ A `LinearSystem` always carries a row-normalized matrix (every row has unit
 Euclidean norm), the matching right-hand side, a reference solution, from
 which it derives its error vector A @ reference - b, and the matrix's
 singular values. Built from A and b alone, it takes the least-squares
-reference and the singular values from one gelsd solve (`linalg.gelsd`,
+reference and the singular values from one gelsd solve (`linalg.lstsq`,
 rank tolerance `linalg.RANK_RTOL`); `load_system` passes the stored ones.
 Synthetic systems come from `generate`; an arbitrary (A, b) pair becomes
 `LinearSystem(*normalize_rows(A, b))`. `save_system` and `load_system`
@@ -134,7 +134,7 @@ class GeneratorSpec:
 class LinearSystem:
     """A row-normalized overdetermined system with its reference solution
     and the singular values of its matrix, given both or neither: then one
-    `linalg.gelsd` gives them, or raises RankError on a rank-deficient A.
+    `linalg.lstsq` gives them, or raises RankError on a rank-deficient A.
 
     Invariants checked at construction: unit row norms (within 1e-12),
     m >= n, finite entries, an n-vector reference, and n positive,
@@ -165,7 +165,7 @@ class LinearSystem:
             raise ValueError(f"rows must have unit norm within {ROW_NORM_TOL}, worst deviation {bad:.3e}")
         if (self.reference is None) != (self.singular_values is None):
             raise ValueError("give a system both its reference and its singular values, or neither")
-        ref, sv = (linalg.gelsd(a, b) if self.reference is None
+        ref, sv = (linalg.lstsq(a, b) if self.reference is None
                    else map(linalg.as_vector, (self.reference, self.singular_values)))
         if ref.shape[0] != n:
             raise ValueError(f"reference length {ref.shape[0]} does not match {n} columns")

@@ -31,6 +31,26 @@ def set_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
+def os_threads():
+    """This process's OS thread count, field 20 of /proc/self/stat."""
+    with open("/proc/self/stat") as fh:
+        return int(fh.read().rsplit(")", 1)[1].split()[17])  # fields from 3 on follow the ")"
+
+
+# the parent's OS thread count after each fork, read while "on"; a fork hook
+# cannot be removed, so it is registered once and reads only when asked
+AT_FORK = {"on": False, "threads": []}
+
+
+def _read_threads_at_fork():
+    if AT_FORK["on"]:
+        AT_FORK["threads"].append(os_threads())
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_parent=_read_threads_at_fork)
+
+
 @pytest.fixture()
 def system_file(tmp_path):
     path = tmp_path / "sys.txt"
@@ -715,30 +735,71 @@ def test_solve_leaves_no_process_or_thread_running(system_file, tmp_path, monkey
 
 
 def test_forked_tasks_run_one_blas_thread(system_file, tmp_path, monkeypatch):
-    # the parent runs two OpenBLAS threads; every task of a forked solve reads one
+    # the parent runs two OpenBLAS threads; every task of a forked solve reads
+    # one, and after its gemvs runs one OS thread, with no pool thread left
     openblas = cli._bundled_openblas()
     if openblas is None:
         pytest.skip("numpy bundles no OpenBLAS with a thread-count setter")
+    pool_checked = hasattr(openblas, "blas_thread_shutdown_") and os.path.exists("/proc/self/stat")
     threads, continue_ = openblas.scipy_openblas_get_num_threads64_(), solvers._continue
     read_path = tmp_path / "threads.txt"
 
-    def reading(*args, **kwargs):  # each trial's task appends its process and its thread count
+    def reading(*args, **kwargs):  # each trial's task appends its process and its thread counts
+        result = continue_(*args, **kwargs)
         with open(read_path, "a") as fh:
-            fh.write(f"{os.getpid()} {openblas.scipy_openblas_get_num_threads64_()}\n")
-        return continue_(*args, **kwargs)
+            fh.write(f"{os.getpid()} {openblas.scipy_openblas_get_num_threads64_()} "
+                     f"{os_threads() if pool_checked else 1}\n")
+        return result
 
     monkeypatch.setattr(solvers, "_continue", reading)
     set_cpus(monkeypatch, 2)
     openblas.scipy_openblas_set_num_threads64_(2)
     try:
         assert openblas.scipy_openblas_get_num_threads64_() == 2
+        if pool_checked:
+            assert os_threads() == 2  # the parent runs a pool thread
         assert run_cli("solve", "--system", str(system_file), "--solver", "rk-uniform", "--trials", "2",
                        "--max-iterations", "30", "--seed", "0", "--out", str(tmp_path / "runs")) == 0
         assert openblas.scipy_openblas_get_num_threads64_() == 2
     finally:
         openblas.scipy_openblas_set_num_threads64_(threads)
     read = [line.split() for line in read_path.read_text().splitlines()]
-    assert len(read) == 2 and all(pid != str(os.getpid()) and count == "1" for pid, count in read)
+    assert len(read) == 2 and all(pid != str(os.getpid()) and count == "1" and os_count == "1"
+                                  for pid, count, os_count in read), read
+
+
+def test_solve_forks_from_a_parent_of_one_os_thread(system_file, tmp_path, monkeypatch):
+    # a proxy for Python 3.12's DeprecationWarning on a fork with other
+    # threads: the parent has one OS thread at each fork, although its
+    # OpenBLAS pool ran a second one just before
+    openblas = cli._bundled_openblas()
+    if (openblas is None or not hasattr(openblas, "blas_thread_shutdown_")
+            or not hasattr(os, "register_at_fork") or not os.path.exists("/proc/self/stat")):
+        pytest.skip("needs numpy's bundled OpenBLAS with its pool shutdown, os.register_at_fork and /proc")
+    threads = openblas.scipy_openblas_get_num_threads64_()
+    set_cpus(monkeypatch, 2)
+    openblas.scipy_openblas_set_num_threads64_(2)
+    AT_FORK["threads"].clear()
+    try:
+        np.ones((10000, 100)) @ np.ones(100)  # a gemv that OpenBLAS splits over its pool
+        assert os_threads() == 2
+        AT_FORK["on"] = True
+        assert run_cli("solve", "--system", str(system_file), "--solver", "rk-uniform", "--trials", "2",
+                       "--max-iterations", "30", "--seed", "0", "--out", str(tmp_path / "runs")) == 0
+    finally:
+        AT_FORK["on"] = False
+        openblas.scipy_openblas_set_num_threads64_(threads)
+        openblas.blas_thread_shutdown_()  # the setter may start a pool; a later gemv restarts it
+    assert AT_FORK["threads"] == [1, 1]
+    # the reader counts any other thread the parent holds, so the proxy can fail
+    helper_stop = threading.Event()
+    helper = threading.Thread(target=helper_stop.wait)
+    helper.start()
+    try:
+        assert os_threads() == 2
+    finally:
+        helper_stop.set()
+        helper.join()
 
 
 def test_first_failure_in_solver_and_trial_order_is_named(system_file, tmp_path, capsys, monkeypatch):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +21,35 @@ def test_norms_reject_nonfinite_entries():
         linalg.norm_inf([1.0, np.inf])
     with pytest.raises(ValueError):
         linalg.norm_inf([np.nan])
+
+
+def test_as_matrix_accepts_finite_entries_whose_sum_overflows():
+    A = np.full((4, 3), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow of the sum warns nothing
+        assert linalg.as_matrix(A) is A
+
+
+@pytest.mark.parametrize("bad", [[math.nan], [math.inf], [math.inf, -math.inf]],
+                         ids=["nan", "+inf", "inf-pair"])
+def test_as_matrix_rejects_nonfinite_entries_without_a_warning(bad):
+    A = np.ones((3, 4))
+    A[1, :len(bad)] = bad  # the +inf/-inf pair sums to NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            linalg.as_matrix(A)
+
+
+def test_as_matrix_checks_a_finite_matrix_without_an_m_by_n_temporary():
+    A = np.random.default_rng(0).standard_normal((2000, 512))  # 8 MB; its bool mask is 1 MB
+    tracemalloc.start()
+    try:
+        linalg.as_matrix(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 def test_least_squares_identity_consistent():
