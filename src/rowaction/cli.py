@@ -11,11 +11,9 @@ solve, bounds and timing read their system only from --system, a file
 written by generate or netlib-prep. solve computes its trials in one
 worker process per CPU it may run on (os.sched_getaffinity), at most one per
 trial, forked once per invocation so that they share the loaded system, not
-a pickled copy; taskset limits them. Each worker sets the OpenBLAS that
-numpy bundles to one thread; with another BLAS it leaves the count as it
-is. Each solver's seed-independent head (see `solvers`) is one task, and
-each trial's continuation another, started once its head is done; both
-return a `solvers.RunResult`. The worker that
+a pickled copy; taskset limits them. Each solver's seed-independent head
+(see `solvers`) is one task, and each trial's continuation another, started
+once its head is done; both return a `solvers.RunResult`. The worker that
 computes a trial also writes its telemetry CSV, into a temporary directory
 in --out; the parent writes summary.csv there from the trials' results and
 moves every file into place in (solver, trial) order, summary.csv last,
@@ -23,7 +21,10 @@ once every trial succeeded. No task starts past a failure known earlier in
 that order. With one worker, or no os.sched_getaffinity, the tasks run in
 the parent, starting no process and no thread. timing stays serial: it
 measures process time. Like solve, bounds and timing print their lines
-only once every file is written, so a closed stdout costs no file.
+only once every file is written, so a closed stdout costs no file. Every
+command runs numpy's bundled OpenBLAS at one thread with no pool, as the
+workers then do, and restores the caller's count on return, so no output
+depends on that count; with another BLAS, main leaves the count as it is.
 
 Every flag can also come from one `key = value` config file, given as
 --config PATH or --config=PATH. Each line becomes a `--key=value` flag ahead of
@@ -172,7 +173,7 @@ def cmd_solve(args) -> int:
             results, caught = _solve_trials(functools.partial(_inline, sys_), rules, stop, seeds, tmp)
         else:
             with futures.ProcessPoolExecutor(jobs, multiprocessing.get_context("fork"),
-                                             _adopt, (sys_, _bundled_openblas())) as pool:
+                                             _adopt, (sys_,)) as pool:
                 results, caught = _solve_trials(functools.partial(pool.submit, _in_worker),
                                                 rules, stop, seeds, tmp)
             _rewrite_heap()
@@ -293,20 +294,12 @@ def _rewrite_heap() -> None:
 _system = None  # set only in a forked worker, by _adopt: the system the fork handed over
 
 
-def _adopt(sys_, openblas):
-    """A forked worker's set-up: it keeps the system and, where `openblas`
-    is a `_bundled_openblas`, runs one BLAS thread, since one worker per
-    CPU leaves no core to more. The setter leaves a pool thread behind in a
-    forked child, whose spin-wait halved the worker's gemv speed; the
-    shutdown joins it, and at one thread no later call starts another."""
+def _adopt(sys_):
     global _system
     _system = sys_
-    if openblas is not None:
-        openblas.scipy_openblas_set_num_threads64_(1)
-        if hasattr(openblas, "blas_thread_shutdown_"):
-            openblas.blas_thread_shutdown_()
 
 
+@functools.cache
 def _bundled_openblas():
     """The OpenBLAS that numpy bundles, as a ctypes library whose thread
     count `scipy_openblas_set_num_threads64_` sets and
@@ -329,9 +322,9 @@ def _in_worker(fn, *args):
 
 
 def cmd_bounds(args) -> int:
-    sys_ = systems.load_system(args.system)
     if args.empirical_gamma and not args.telemetry:
         raise ValueError("--empirical-gamma requires --telemetry")
+    sys_ = systems.load_system(args.system)
     inputs = bounds_mod.bound_inputs_from_system(sys_)
     if args.telemetry:
         records = solvers.read_telemetry_csv(args.telemetry)
@@ -475,12 +468,18 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser(argv[0] if argv else None)
+    openblas = _bundled_openblas()  # None with another BLAS, whose count main leaves as it is
+    threads = openblas and openblas.scipy_openblas_get_num_threads64_()
     try:
         args = parser.parse_args(_config_flags(argv))
         if args.command == "solve" and args.solver is None:
             args.solver = ["motzkin"]
         if args.command == "timing" and args.solver is None:
             args.solver = ["motzkin", "rk-uniform"]
+        if openblas is not None:
+            openblas.scipy_openblas_set_num_threads64_(1)
+            if hasattr(openblas, "blas_thread_shutdown_"):
+                openblas.blas_thread_shutdown_()  # at one thread no later call starts a pool
         return args.func(args)
     except SystemExit as exc:  # argparse reports its own errors on stderr
         return int(exc.code or 0)
@@ -490,6 +489,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
+    finally:  # the caller's count back
+        if openblas is not None:
+            openblas.scipy_openblas_set_num_threads64_(threads)
 
 
 if __name__ == "__main__":

@@ -19,10 +19,11 @@ its caller's layout.
 Randomness is reproducible by construction: all draws come from a seeded
 PCG64 stream, Gaussian variates use Box-Muller over uniforms, and distinct
 index samples use a partial Fisher-Yates shuffle. Equal specs (seed
-included) produce bitwise-equal systems on an equal BLAS at an equal thread
-count: gelsd's bits can depend on it. `generate` scales and normalizes the
-matrix in place, in the two buffers of `normal_draws`, so it peaks at about
-twice the matrix (with the row-norm temporary or gelsd's copy).
+included) produce bitwise-equal systems on an equal BLAS, in a library call
+at an equal thread count too: gelsd's bits can depend on it (every CLI
+command runs one). `generate` scales and normalizes the matrix in place, in
+the two buffers of `normal_draws`, so it peaks at about twice the matrix
+(with the row-norm temporary or gelsd's copy).
 """
 
 import math

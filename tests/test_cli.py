@@ -440,10 +440,14 @@ def test_generate_rows_whose_squares_overflow_reach_the_rank_check(tmp_path, cap
     assert not path.exists()
 
 
-def test_bounds_empirical_gamma_requires_telemetry(system_file, tmp_path):
-    code = run_cli("bounds", "--system", str(system_file), "--empirical-gamma",
-                   "--out", str(tmp_path))
-    assert code == cli.CONFIG_ERROR
+def test_bounds_empirical_gamma_requires_telemetry(system_file, tmp_path, capsys):
+    # the flag is checked before the system file is read, so a missing file
+    # does not hide it
+    for system in (system_file, tmp_path / "missing.sys"):
+        code = run_cli("bounds", "--system", str(system), "--empirical-gamma",
+                       "--out", str(tmp_path))
+        assert code == cli.CONFIG_ERROR
+        assert capsys.readouterr().err == "error: --empirical-gamma requires --telemetry\n"
 
 
 def test_netlib_prep_and_timing(tmp_path):
@@ -800,6 +804,63 @@ def test_solve_forks_from_a_parent_of_one_os_thread(system_file, tmp_path, monke
     finally:
         helper_stop.set()
         helper.join()
+
+
+def test_system_files_do_not_depend_on_the_callers_blas_threads(tmp_path):
+    # at 10000x100 gelsd's bits differ between one and two OpenBLAS threads;
+    # generate and netlib-prep write the same bytes whichever the caller runs
+    openblas = cli._bundled_openblas()
+    if openblas is None:
+        pytest.skip("numpy bundles no OpenBLAS with a thread-count setter")
+    threads = openblas.scipy_openblas_get_num_threads64_()
+    written, solved = {}, {}
+    try:
+        for count in (1, 2):
+            openblas.scipy_openblas_set_num_threads64_(count)
+            gauss, band = tmp_path / f"gauss-{count}.sys", tmp_path / f"band-{count}.sys"
+            assert run_cli("generate", "--kind", "gaussian-noise", "--m", "10000", "--n", "100",
+                           "--noise-std", "0.01", "--seed", "1", "--out", str(gauss)) == 0
+            assert run_cli("netlib-prep", "--mps", str(DATA / "bandm_style.mps"), "--seed", "5",
+                           "--out", str(band)) == 0
+            assert openblas.scipy_openblas_get_num_threads64_() == count
+            written[count] = gauss.read_bytes(), band.read_bytes()
+            sys_ = systems.load_system(tmp_path / "gauss-1.sys")
+            solved[count] = linalg.lstsq(sys_.a, sys_.b)
+    finally:
+        openblas.scipy_openblas_set_num_threads64_(threads)
+    if all(np.array_equal(one, two) for one, two in zip(solved[1], solved[2])):
+        pytest.skip("gelsd gives equal bits at one and two threads here, so the thread count shows nowhere")
+    assert written[1] == written[2]
+
+
+@pytest.mark.parametrize("raised, code", [(None, 0), (ValueError, cli.CONFIG_ERROR),
+                                          (OverflowError, cli.NUMERICAL_ERROR)])
+def test_timing_solves_at_one_blas_thread_and_gives_the_count_back(system_file, tmp_path, monkeypatch,
+                                                                   raised, code):
+    # time.process_time counts every thread, so timing's solves run with no
+    # pool thread; main restores the caller's count however the command ends
+    openblas = cli._bundled_openblas()
+    if openblas is None:
+        pytest.skip("numpy bundles no OpenBLAS with a thread-count setter")
+    pool_checked = hasattr(openblas, "blas_thread_shutdown_") and os.path.exists("/proc/self/stat")
+    threads, time_to_threshold, read = openblas.scipy_openblas_get_num_threads64_(), solvers.time_to_threshold, []
+
+    def reading(*args, **kwargs):
+        read.append((openblas.scipy_openblas_get_num_threads64_(), os_threads() if pool_checked else 1))
+        if raised:
+            raise raised("raised by the test")
+        return time_to_threshold(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "time_to_threshold", reading)
+    openblas.scipy_openblas_set_num_threads64_(2)
+    try:
+        np.ones((10000, 100)) @ np.ones(100)  # a gemv that OpenBLAS splits over its pool
+        assert run_cli("timing", "--system", str(system_file), "--trials", "2", "--seed", "0",
+                       "--out", str(tmp_path / "timing")) == code
+        assert openblas.scipy_openblas_get_num_threads64_() == 2
+    finally:
+        openblas.scipy_openblas_set_num_threads64_(threads)
+    assert read == [(1, 1)] * (1 if raised else 2)
 
 
 def test_first_failure_in_solver_and_trial_order_is_named(system_file, tmp_path, capsys, monkeypatch):

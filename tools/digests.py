@@ -27,14 +27,9 @@ digested without its mean_seconds column, the one measured time among the
 outputs. The run takes under ten seconds. Each `solve` forks one worker
 per CPU of the process's affinity, at most one per trial, and none where os
 has no `sched_getaffinity`; the list does not depend on their number, so
-`taskset -c 0` prints the same list.
-
-Run as a script, the tool pins BLAS to one thread (OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS and MKL_NUM_THREADS set to 1 before numpy loads, as
-perfbench/run.py does) and prints the three values on stderr: at 10000x100
-gelsd's bits depend on the thread count, so two machines with other core
-counts compare the same bytes only at one thread. Imported into a process
-that has loaded numpy already, as the tests do, it pins nothing.
+`taskset -c 0` prints the same list. With numpy's bundled OpenBLAS, which
+every command runs at one thread (see `rowaction.cli`), it does not depend
+on the thread count set in the environment either.
 """
 
 import argparse
@@ -46,10 +41,6 @@ import io
 import os
 import sys
 from pathlib import Path
-
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-if __name__ == "__main__":  # before rowaction, and so numpy, is first imported
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
 from rowaction import cli, systems
 
@@ -150,7 +141,6 @@ def main(argv=None) -> int:
     if out.exists() and any(out.iterdir()):
         parser.error(f"{out} is not empty")
     out.mkdir(parents=True, exist_ok=True)
-    print(" ".join(f"{var}={os.environ.get(var, '')}" for var in BLAS_THREAD_VARS), file=sys.stderr)
     write_outputs(out)
     lines = sorted(f"{path.relative_to(out).as_posix()} {digest(path)}"
                    for path in out.rglob("*") if path.is_file())
