@@ -131,7 +131,7 @@ def _check_run_flags(args) -> None:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     for seed in (args.seed, args.seed + args.trials - 1):
-        systems.make_rng(seed)
+        systems.check_seed(seed)
 
 
 def _resolve_threshold(value: float | None, sys_: systems.LinearSystem) -> float:

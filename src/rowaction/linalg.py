@@ -19,6 +19,15 @@ This was checked on the bundled OpenBLAS (scipy-openblas 0.3.31, Haswell
 kernels) over contiguous and strided matrices, and tests/test_linalg.py
 checks it on whatever BLAS numpy loads.
 
+`largest_residual` gives the largest entry of |A x - b| and its row with the
+bits of the full gemv from about half of A's bytes. A float32 gemv on the
+`screen_copies` of A and b puts each entry within band = 2 (n + 4) (2^-24
+(||x||_2 + ||b||_inf + top) + 2^-149) of the float64 one on unit rows, top
+the largest float32 entry: twice the rounding of A, x, b and an n-term sum,
+plus 2^-150 per underflowed term. Exact gemvs on the 64-row windows (edged
+as the slabs) of the rows within 2 band of top give the largest entry; a
+NaN or inf float32 entry (x or b past float32's range) takes all of A.
+
 A gemv reads A fastest when every row starts on a 32-byte boundary.
 `empty_aligned` gives that layout: a row stride of n rounded up to a
 multiple of 4 doubles from a 32-byte-aligned base. `load_system` loads
@@ -124,6 +133,31 @@ def residuals(A, b, X, out) -> np.ndarray:
         np.matmul(X[:, None, :], A[lo:hi].T, out=out[:, None, lo:hi])
         out[:, lo:hi] -= b[lo:hi]
     return out
+
+
+def screen_copies(A, b) -> tuple[np.ndarray, np.ndarray, float]:
+    """The float32 copies of A and b, and ||b||_inf, that `largest_residual` reads."""
+    with np.errstate(over="ignore"):  # a b_i past float32's range screens as inf
+        return A.astype(np.float32), b.astype(np.float32), float(np.abs(b).max())
+
+
+def largest_residual(A, b, x, screen) -> tuple[int, float]:
+    """The row i of the largest entry of |A @ x - b|, smallest i on ties, and
+    that entry, with the bits of the full `A @ x - b`, for an A of unit rows
+    and its `screen_copies`; no checks (see the module docstring)."""
+    A32, b32, b_inf = screen
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.subtract(A32 @ x.astype(np.float32), b32)
+    top, m = float(np.abs(v, out=v).max()), A.shape[0]
+    spans = [(0, m)]  # the full gemv, for a NaN or inf entry
+    if top < np.inf:
+        band = 2 * (A.shape[1] + 4) * (2**-24 * (x.dot(x) ** 0.5 + b_inf + top) + 2**-149)
+        last = max(0, (m - 2) // 64)  # a last window of one row joins the one before
+        windows = np.minimum(np.flatnonzero(v >= top - 2 * band) // 64, last).tolist()
+        spans = [(64 * w, m if w == last else 64 * w + 64) for w in dict.fromkeys(windows)]
+    r = np.abs(np.concatenate([A[lo:hi] @ x - b[lo:hi] for lo, hi in spans]))
+    j = int(r.argmax())
+    return int(np.concatenate([np.arange(lo, hi) for lo, hi in spans])[j]), r.item(j)
 
 
 def row_norms_sq(M) -> np.ndarray:

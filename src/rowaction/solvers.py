@@ -41,17 +41,19 @@ one scaling of a_i into a reused vector and one add into a row view of the
 buffer, with b_i a Python float; lists of A's rows and of b would hold
 1.4 MB at 10000x100 for a whole solve and raise its peak RSS. A greedy step
 selects by `abs(r).argmax()`, into one reused vector, from the residual its
-own gemv takes. Uniform steps run in blocks, whose rows one RNG call draws
-and whose b_i one gather takes. With telemetry `linalg.residuals` gives all
-their residuals with the bits of `A @ x - b`, reading each cache-sized slab
-of A once for the whole block, so a uniform block keeps BLOCK_STEPS steps up
-to 16384 rows (at most 8 MB of residuals), while a greedy block, whose steps
-take their own gemvs, holds at most 256 KB of them; without, only a
-threshold needs any, and a few witness rows show most iterates above it.
-Either way the count, the stop reason, x and the records equal, bit for bit,
-those of a loop of one step, one `A @ x - b` and one record at a time; only
-the RNG and a uniform block's iterates run up to a block past the stop
-point, which nothing exposes.
+own gemv takes, or without telemetry on an A of more than SCREEN_BYTES by
+`linalg.largest_residual`, the same bits from a float32 screen that reads
+half of A's bytes. Uniform steps run in blocks, whose rows one RNG call
+draws and whose b_i one gather takes. With telemetry `linalg.residuals`
+gives all their residuals with the bits of `A @ x - b`, reading each
+cache-sized slab of A once for the whole block, so a uniform block keeps
+BLOCK_STEPS steps up to 16384 rows (at most 8 MB of residuals), while a
+greedy block, whose steps take their own gemvs, holds at most 256 KB of
+them; without, only a threshold needs any, and a few witness rows show most
+iterates above it. Either way the count, the stop reason, x and the records
+equal, bit for bit, those of a loop of one step, one `A @ x - b` and one
+record at a time; only the RNG and a uniform block's iterates run up to a
+block past the stop point, which nothing exposes.
 """
 
 import csv
@@ -63,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .systems import LinearSystem, make_rng
+from .systems import LinearSystem, check_seed, make_rng
 
 SELECTION_KINDS = ("motzkin", "rk-uniform", "hybrid")
 
@@ -80,7 +82,9 @@ BLOCK_ENTRIES = 32768
 UNIFORM_BLOCK_ENTRIES = 2**20
 # telemetry rows per write of `write_telemetry_csv` (about 30 KB of text)
 CSV_CHUNK_ROWS = 256
-EPS = np.finfo(float).eps  # float64's machine epsilon, in `_screen`'s error bound
+# bytes of A (1.625 MiB) above which telemetry-off greedy steps take a float32 screen:
+# no reliable gain up to 1.53 MiB, faster from 1.72 MiB on in two sweeps (BENCH_greedy_screen.json)
+SCREEN_BYTES = 13 * 2**17
 
 
 @dataclass(frozen=True)
@@ -187,16 +191,17 @@ def run(sys: LinearSystem,
     return result
 
 
-def _head(sys, rule, stop, x, telemetry):
+def _head(sys, rule, stop, x, telemetry, screen=None):
     """The seed-independent part of a run from x_0 = x, with its records:
     the motzkin run, a hybrid's greedy prefix up to its switch or stop, or
     x_0 at k = 0 for rk-uniform. Its stop reason is the greedy loop's (None
     for rk-uniform); `_continue` tells a hybrid's switch from its stop.
 
-    The greedy loop starts from one `A @ x_0 - b`; the selected |r_i| is the
-    sup norm that the stop test and the record read. Iterates and residuals
-    go into block buffers, one step deep without telemetry; with it
-    `_records` turns each full block into records, and the rest at the stop."""
+    Each greedy step takes one `A @ x - b`, or `linalg.largest_residual` with
+    `screen`, A's `screen_copies`; the selected |r_i| is the sup norm that the
+    stop test and the record read. Iterates and residuals go into block
+    buffers, one step deep without telemetry; with it `_records` turns each
+    full block into records, and the rest at the stop."""
     if rule.kind == "rk-uniform":
         return RunResult(x, 0, [], None)
     a, b, threshold, k, records = sys.a, sys.b, stop.residual_inf_threshold, 0, []
@@ -206,12 +211,15 @@ def _head(sys, rule, stop, x, telemetry):
         threshold = max(threshold or 0.0, rule.hybrid_threshold)
     s = _block_steps(sys.m, BLOCK_ENTRIES) if telemetry else 1
     # x_k and its residual sit in row len(rows) of the buffers
-    iterates, residuals, rows, levels = np.empty((s, sys.n)), np.empty((s, sys.m)), [], []
-    iterates[0], r = x, np.subtract(a @ x, b, out=residuals[0])
+    iterates, residuals, rows, levels = np.tile(x, (s, 1)), np.empty((s, sys.m)), [], []
     xs, rs, abs_r, step = list(iterates), list(residuals), np.empty(sys.m), np.empty(sys.n)
     while True:
-        i = int(np.abs(r, out=abs_r).argmax())  # select_motzkin(r)
-        level = abs_r.item(i)
+        if screen is None:
+            r = np.subtract(np.matmul(a, x, out=rs[len(rows)]), b, out=rs[len(rows)])
+            i = int(np.abs(r, out=abs_r).argmax())  # select_motzkin(r)
+            level = abs_r.item(i)
+        else:
+            i, level = linalg.largest_residual(a, b, x, screen)
         if threshold is not None and level <= threshold:
             reason = STOP_RESIDUAL_THRESHOLD
             break
@@ -227,8 +235,6 @@ def _head(sys, rule, stop, x, telemetry):
             rows, levels = [], []
         a_i = a[i]
         x = np.add(x, np.multiply(a_i, b.item(i) - a_i.dot(x), out=step), out=xs[len(rows)])
-        r = np.matmul(a, x, out=rs[len(rows)])
-        r -= b
         k += 1
     if telemetry:
         _records(sys, len(records), iterates, residuals, rows, levels, records)
@@ -239,10 +245,10 @@ def _continue(sys, rule, stop, head, seed, telemetry):
     """The result of one seed: uniform steps from a `_head` result's iterate,
     none for motzkin. Its records are only those of its own steps, numbered
     on from the head's k; `run` puts the head's records in front of them."""
-    rng = make_rng(seed)  # a bad seed fails for every rule
     if rule.kind == "motzkin":
+        check_seed(seed)  # a bad seed fails for every rule
         return RunResult(head.x.copy(), head.iteration, [], head.stop_reason)
-    result = _blocked_uniform(sys, head.x, head.iteration, stop, rng, telemetry)
+    result = _blocked_uniform(sys, head.x, head.iteration, stop, make_rng(seed), telemetry)
     if rule.kind == "hybrid" and result.iteration > head.iteration:
         result.switch_iteration = head.iteration
     return result
@@ -318,7 +324,7 @@ def _screen(a, b, b_inf, iterates, threshold, witness):
     eps (||x_j||_2 + ||b||_inf + v) on unit rows, so x_j with v - g above the
     threshold does not stop. The first other x_j gets the gemv: it stops, or
     its largest entry's new row joins `witness` and raises v of the x_j after it."""
-    band = 2 * (a.shape[1] + 2) * EPS
+    band = 2 * (a.shape[1] + 2) * 2**-52
     xs = iterates[1:]
     v = np.abs(xs @ a[witness].T - b[witness]).max(axis=1)
     slack = np.sqrt(linalg.row_norms_sq(xs)) + b_inf
@@ -411,15 +417,21 @@ def time_to_threshold(sys: LinearSystem,
     A uniform solve takes BLOCK_STEPS = 64 steps at a time and screens them
     on a few witness rows; its counts equal those of the step-by-step loop
     exactly, and its RNG advances past the stop point, which nothing exposes.
+    A motzkin or hybrid call on an A of more than SCREEN_BYTES casts A and b
+    to float32 once, outside every trial's seconds (A's copy takes half its
+    memory until the call returns), for the screen of `linalg.largest_residual`.
     Trials that never reach the threshold are reported as censored.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    check_seed(seed), check_seed(seed + trials - 1)
     iterations, seconds, censored_mask = [], [], []
     stop = StopRule(max_iterations=max_iterations, residual_inf_threshold=threshold)
+    screen = (linalg.screen_copies(sys.a, sys.b)
+              if rule.kind != "rk-uniform" and sys.a.nbytes > SCREEN_BYTES else None)
     for t in range(trials):
         t0 = time.process_time()
-        head = _head(sys, rule, stop, np.zeros(sys.n), telemetry=False)
+        head = _head(sys, rule, stop, np.zeros(sys.n), False, screen)
         result = _continue(sys, rule, stop, head, seed + t, telemetry=False)
         seconds.append(time.process_time() - t0)
         iterations.append(result.iteration)

@@ -55,10 +55,14 @@ class DegenerateRowError(ValueError):
 # seeded randomness
 
 
-def make_rng(seed: int) -> np.random.Generator:
+def check_seed(seed: int) -> int:
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
-    return np.random.default_rng(np.uint64(seed))
+    return seed
+
+
+def make_rng(seed: int) -> np.random.Generator:
+    return np.random.default_rng(np.uint64(check_seed(seed)))
 
 
 def normal_draws(rng: np.random.Generator, size: int) -> np.ndarray:

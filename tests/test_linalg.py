@@ -350,3 +350,140 @@ def test_residuals_on_64_row_slabs_equal_gemv(m, n, rows, layout, seed):
         patch.setattr(linalg, "SLAB_BYTES", 1)
         assert linalg.slab_rows(n) == 64
         assert_stacked_products_exact(*stacked_operands(m, n, layout, seed, rows))
+
+
+# --------------------------------------------------------------------------
+# largest_residual: the greedy row from a float32 screen and exact 64-row windows
+
+
+def unit_rows(m, n, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, n))
+    A /= np.sqrt(linalg.row_norms_sq(A))[:, None]
+    return A, rng
+
+
+def assert_largest_residual_exact(A, b, x):
+    """`largest_residual` gives the argmax and the max of np.abs(A @ x - b),
+    bit for bit, with every warning an error."""
+    r = np.abs(A @ x - b)
+    want = int(r.argmax())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        i, level = linalg.largest_residual(A, b, x, linalg.screen_copies(A, b))
+    assert (i, np.float64(level).tobytes()) == (want, r[want].tobytes()), \
+        "the screened greedy row must be the row and the value of the full gemv's |A x - b|"
+
+
+def screened(A, b, x):
+    """The float32 entries |A x - b| that `largest_residual` screens."""
+    A32, b32, _ = linalg.screen_copies(A, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(A32 @ x.astype(np.float32) - b32)
+
+
+@pytest.mark.parametrize("layout", [False, True, "aligned"])
+@pytest.mark.parametrize("m, n", [(3000, 100), (4100, 70), (300, 180), (1, 1), (2, 3)])
+def test_largest_residual_equals_the_full_gemv(m, n, layout):
+    A, x, b = stacked_operands(m, n, layout, seed=m + n, rows=1)
+    A[:] = A / np.sqrt(linalg.row_norms_sq(A))[:, None]
+    for scale in (1e-3, 1.0, 1e3):
+        assert_largest_residual_exact(A, b, scale * x[0])
+
+
+@pytest.mark.parametrize("copies", [[5, 2900], [2900, 2950], [64, 127, 128, 2999]])
+def test_largest_residual_breaks_ties_of_duplicated_rows_to_the_smallest_index(copies):
+    # the row of the largest entry copied, with its b_i, into rows of the same
+    # 64-row window and of others: every copy ties, the first one is the answer
+    A, rng = unit_rows(3000, 100, seed=len(copies))
+    b, x = rng.normal(size=3000), rng.normal(size=100)
+    top = int(np.abs(A @ x - b).argmax())
+    A[copies], b[copies] = A[top], b[top]
+    r = np.abs(A @ x - b)
+    assert (r == r.max()).sum() >= 2
+    assert_largest_residual_exact(A, b, x)
+
+
+@pytest.mark.parametrize("q, p", [(70, 200), (10, 20)], ids=["two-windows", "one-window"])
+def test_largest_residual_confirms_a_float32_tie_in_float64(q, p):
+    # rows q < p are both e_1, so their entries are x_1 - b_i exactly: 4 at p
+    # and one ulp below at q; in float32 both are 4.0 and q comes first, so a
+    # kernel that took the float32 argmax would return q
+    A, rng = unit_rows(300, 100, seed=q)
+    x = 0.1 * rng.normal(size=100)
+    b = 0.01 * rng.normal(size=300)
+    A[[q, p]] = np.eye(100)[0]
+    x[0] = 0.5
+    b[p], b[q] = -3.5, np.nextafter(-3.5, 0.0)
+    r = A @ x - b
+    assert (r[p], r[q]) == (4.0, np.nextafter(4.0, 0.0))
+    v = screened(A, b, x)
+    assert v[q] == v[p] == v.max() and int(v.argmax()) == q
+    assert_largest_residual_exact(A, b, x)
+    assert linalg.largest_residual(A, b, x, linalg.screen_copies(A, b))[0] == p
+
+
+@pytest.mark.parametrize("m", [65, 129, 4097])
+def test_largest_residual_in_a_last_window_of_one_row(m):
+    # m = 64 k + 1: the last row joins the window before it, as in `residuals`;
+    # it holds the largest entry, a.x with b_i = 0, whose bits numpy's dot
+    # kernel, which takes a matrix of one row, often gives otherwise
+    A, rng = unit_rows(m, 30, seed=m)
+    for _ in range(10):
+        x = rng.normal(size=30)
+        b = A @ x + 0.01 * rng.normal(size=m)
+        b[-1] = 0.0
+        assert int(np.abs(A @ x - b).argmax()) == m - 1
+        assert_largest_residual_exact(A, b, x)
+
+
+@pytest.mark.parametrize("x_scale, spread", [(1e3, 1e-4), (1e-42, 1e-3)], ids=["large-x", "subnormal-products"])
+def test_largest_residual_keeps_every_row_within_the_band(x_scale, spread):
+    # entries closer than the float32 rounding, so the float32 order is not
+    # the float64 one: near a solution of norm 1e4, and from x_j whose
+    # float32 products a_ij x_j underflow to a few subnormal steps. A band
+    # much narrower than the bound, or one without its underflow term, misses
+    # the largest entry in some of these
+    flipped = 0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=100) + spread * rng.normal(size=(3000, 100))
+        A /= np.sqrt(linalg.row_norms_sq(A))[:, None]
+        x = x_scale * rng.normal(size=100)
+        b = A @ x + 1e-4 * rng.normal(size=3000) if x_scale > 1 else np.zeros(3000)
+        flipped += int(screened(A, b, x).argmax()) != int(np.abs(A @ x - b).argmax())
+        assert_largest_residual_exact(A, b, x)
+    assert flipped >= 3
+
+
+@pytest.mark.parametrize("scale", [1e-39, 1e-41, 1e-44, 1e-46])
+def test_largest_residual_with_x_below_float32s_smallest_normal(scale):
+    # float32 holds these x_j as subnormals, or as zeros: the band's underflow
+    # term keeps the rows whose entries it cannot tell apart
+    A, rng = unit_rows(3000, 100, seed=7)
+    x, b = scale * rng.normal(size=100), scale * rng.normal(size=3000)
+    assert np.abs(x).max() < np.finfo(np.float32).tiny
+    assert_largest_residual_exact(A, b, x)
+    assert_largest_residual_exact(A, np.zeros(3000), x)
+
+
+@pytest.mark.parametrize("x_0, b_0", [(1e39, 0.0), (-1e300, 0.0), (math.nan, 0.0), (1.0, 1e39)],
+                         ids=["x-past-float32", "x-near-float64-max", "nan-x", "b-past-float32"])
+def test_largest_residual_takes_the_full_gemv_past_float32s_range(x_0, b_0):
+    A, rng = unit_rows(3000, 100, seed=3)
+    x, b = rng.normal(size=100), rng.normal(size=3000)
+    x[0], b[1000] = x_0, b[1000] + b_0
+    assert not np.isfinite(screened(A, b, x).max())
+    assert_largest_residual_exact(A, b, x)
+
+
+@settings(max_examples=80)
+@given(m=st.integers(1, 400), n=st.integers(1, 12), exponent=st.sampled_from([-44, -40, -20, 0, 20, 36]),
+       duplicates=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_largest_residual_equals_the_full_gemv_small(m, n, exponent, duplicates, seed):
+    A, rng = unit_rows(m, n, seed)
+    x, b = 10.0 ** exponent * rng.normal(size=n), 10.0 ** exponent * rng.normal(size=m)
+    if duplicates:  # copies of a few rows, each with its b_i, anywhere in A
+        rows = rng.integers(m, size=(2, min(m, 4)))
+        A[rows[0]], b[rows[0]] = A[rows[1]], b[rows[1]]
+    assert_largest_residual_exact(A, b, x)

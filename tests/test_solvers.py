@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import math
 import re
@@ -236,6 +237,27 @@ def test_time_to_threshold_deterministic_counts():
 def test_time_to_threshold_requires_a_trial():
     with pytest.raises(ValueError, match="trials"):
         solvers.time_to_threshold(gaussian_system(), SelectionRule("motzkin"), 0.0, trials=0)
+
+
+@pytest.mark.parametrize("kind", solvers.SELECTION_KINDS)
+def test_time_to_threshold_checks_its_seed_range_before_the_first_trial(monkeypatch, kind):
+    heads, head = [], solvers._head
+
+    def spy(*args):
+        heads.append(args[1].kind)
+        return head(*args)
+
+    monkeypatch.setattr(solvers, "_head", spy)
+    rule = SelectionRule(kind, 1.0) if kind == "hybrid" else SelectionRule(kind)
+    with pytest.raises(ValueError, match=r"^seed 18446744073709551616 is outside \[0, 2\*\*64\)$"):
+        solvers.time_to_threshold(gaussian_system(), rule, 0.0, trials=3, seed=2**64 - 2)
+    assert heads == []
+    # and a motzkin continuation range-checks its seed without a generator
+    monkeypatch.setattr(solvers, "make_rng", None)
+    x = np.zeros(8)
+    with pytest.raises(ValueError, match="is outside"):
+        solvers._continue(gaussian_system(), SelectionRule("motzkin"), StopRule(0), RunResult(x, 0, [], None),
+                          -1, telemetry=False)
 
 
 def test_time_to_threshold_censoring():
@@ -530,11 +552,14 @@ def test_shared_head_trials_equal_reference_loop(tmp_path_factory, case, base_se
     assert_matches_reference(sys_, rule, stop, seeds, x0,
                              tmp_path_factory.mktemp("eq") / "telemetry.csv")
     if stop.residual_inf_threshold is not None:
-        summary = solvers.time_to_threshold(sys_, rule, stop.residual_inf_threshold, trials=3,
-                                            seed=base_seed, max_iterations=stop.max_iterations)
         refs = [reference_run(sys_, rule, stop, seed=base_seed + t) for t in range(3)]
-        assert summary.iterations == [ref.iteration for ref in refs]
-        assert summary.censored_mask == [ref.stop_reason != STOP_RESIDUAL_THRESHOLD for ref in refs]
+        for gate in (None, 0):
+            with screen_gate(gate) as screened:
+                summary = solvers.time_to_threshold(sys_, rule, stop.residual_inf_threshold, trials=3,
+                                                    seed=base_seed, max_iterations=stop.max_iterations)
+            assert summary.iterations == [ref.iteration for ref in refs]
+            assert summary.censored_mask == [ref.stop_reason != STOP_RESIDUAL_THRESHOLD for ref in refs]
+            assert bool(screened) == (gate == 0 and rule.kind != "rk-uniform")
 
 
 def test_hybrid_switch_edge_cases_equal_reference_loop(tmp_path):
@@ -806,12 +831,32 @@ def test_block_draw_equals_scalar_draws(m):
     assert block.bit_generator.state == scalar.bit_generator.state, contract
 
 
+@contextlib.contextmanager
+def screen_gate(gate):
+    """`solvers.SCREEN_BYTES` at `gate` (None keeps it) for the block, which
+    gets a list with one entry per `linalg.largest_residual` call."""
+    calls, kernel = [], linalg.largest_residual
+
+    def spy(*args):
+        calls.append(args[2])
+        return kernel(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        if gate is not None:
+            patch.setattr(solvers, "SCREEN_BYTES", gate)
+        patch.setattr(linalg, "largest_residual", spy)
+        yield calls
+
+
 def assert_untimed_solve_matches_reference(sys_, rule, stop, seed, x0=None):
-    """The telemetry-off solve that time_to_threshold times, `_head` then
-    `_continue`, stops where reference_run does, with the same x bits and
-    no record. Returns the reference run."""
+    """The telemetry-off solve that time_to_threshold times, `_head`, with
+    the float32 screen where time_to_threshold takes it, then `_continue`,
+    stops where reference_run does, with the same x bits and no record.
+    Returns the reference run."""
     x = np.zeros(sys_.n) if x0 is None else np.array(x0, dtype=float)
-    head = solvers._head(sys_, rule, stop, x, telemetry=False)
+    screen = (linalg.screen_copies(sys_.a, sys_.b)
+              if rule.kind != "rk-uniform" and sys_.a.nbytes > solvers.SCREEN_BYTES else None)
+    head = solvers._head(sys_, rule, stop, x, False, screen)
     got = solvers._continue(sys_, rule, stop, head, seed, telemetry=False)
     assert head.records == [] and got.records == []
     ref = reference_run(sys_, rule, stop, x0=x0, seed=seed)
@@ -960,10 +1005,34 @@ def untimed_cases(draw):
 @settings(max_examples=120)
 @given(case=untimed_cases())
 def test_untimed_solve_equals_reference_loop(case):
+    # at the real gate, which no system of these sizes passes, and at a gate
+    # of 0 bytes, where every greedy step takes `linalg.largest_residual`
     sys_, rule, stop, seed, x0 = case
-    ref = assert_untimed_solve_matches_reference(sys_, rule, stop, seed, x0)
-    if stop.residual_inf_threshold is not None and x0 is None:
-        summary = solvers.time_to_threshold(sys_, rule, stop.residual_inf_threshold, trials=1,
-                                            seed=seed, max_iterations=stop.max_iterations)
-        assert summary.iterations == [ref.iteration]
-        assert summary.censored_mask == [ref.stop_reason != STOP_RESIDUAL_THRESHOLD]
+    for gate in (None, 0):
+        with screen_gate(gate) as screened:
+            ref = assert_untimed_solve_matches_reference(sys_, rule, stop, seed, x0)
+            if stop.residual_inf_threshold is not None and x0 is None:
+                summary = solvers.time_to_threshold(sys_, rule, stop.residual_inf_threshold, trials=1,
+                                                    seed=seed, max_iterations=stop.max_iterations)
+                assert summary.iterations == [ref.iteration]
+                assert summary.censored_mask == [ref.stop_reason != STOP_RESIDUAL_THRESHOLD]
+        assert bool(screened) == (gate == 0 and rule.kind != "rk-uniform")
+
+
+def test_untimed_solve_of_a_system_past_the_gate_equals_run():
+    # 3000x100 (2.4 MB): motzkin time_to_threshold screens every greedy step,
+    # and its counts and censoring equal run's, to 4 ||e||_inf and censored
+    sys_ = gaussian_system(m=3000, n=100, noise_std=0.01, seed=5)
+    assert sys_.a.nbytes > solvers.SCREEN_BYTES
+    rule, threshold = SelectionRule("motzkin"), 4 * sys_.error_inf()
+    for cap in (200_000, 20):
+        with screen_gate(None) as screened:
+            summary = solvers.time_to_threshold(sys_, rule, threshold, trials=2, seed=1, max_iterations=cap)
+        ran = solvers.run(sys_, rule, StopRule(cap, threshold))
+        assert len(screened) == 2 * (ran.iteration + 1)  # one per iterate, the last one included
+        assert summary.iterations == [ran.iteration] * 2
+        assert summary.censored_mask == [ran.stop_reason == STOP_MAX_ITERATIONS] * 2
+        assert summary.censored_mask == [cap == 20] * 2
+        with screen_gate(None) as screened:
+            assert_untimed_solve_matches_reference(sys_, rule, StopRule(cap, threshold), 1)
+        assert screened
