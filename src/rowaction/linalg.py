@@ -25,8 +25,13 @@ bits of the full gemv from about half of A's bytes. A float32 gemv on the
 (||x||_2 + ||b||_inf + top) + 2^-149) of the float64 one on unit rows, top
 the largest float32 entry: twice the rounding of A, x, b and an n-term sum,
 plus 2^-150 per underflowed term. Exact gemvs on the 64-row windows (edged
-as the slabs) of the rows within 2 band of top give the largest entry; a
-NaN or inf float32 entry (x or b past float32's range) takes all of A.
+as the slabs, adjacent ones in one call) of the rows within 2 band of top
+give the largest entry; a NaN or inf float32 entry (x or b past float32's
+range) takes all of A. The gain needs a spread of |A x - b| near its top
+wider than the band: where many entries lie within 2 band of the largest
+(a low-noise system near its solution), the windows cover most of A, and
+the kernel reports the rows it took exactly so that its caller can stop
+screening.
 
 A gemv reads A fastest when every row starts on a 32-byte boundary.
 `empty_aligned` gives that layout: a row stride of n rounded up to a
@@ -141,23 +146,33 @@ def screen_copies(A, b) -> tuple[np.ndarray, np.ndarray, float]:
         return A.astype(np.float32), b.astype(np.float32), float(np.abs(b).max())
 
 
-def largest_residual(A, b, x, screen) -> tuple[int, float]:
-    """The row i of the largest entry of |A @ x - b|, smallest i on ties, and
-    that entry, with the bits of the full `A @ x - b`, for an A of unit rows
-    and its `screen_copies`; no checks (see the module docstring)."""
+def largest_residual(A, b, x, screen) -> tuple[int, float, int]:
+    """The row i of the largest entry of |A @ x - b|, smallest i on ties,
+    that entry, with the bits of the full `A @ x - b`, and the rows it took
+    exactly, for an A of unit rows and its `screen_copies`; no checks (see
+    the module docstring)."""
     A32, b32, b_inf = screen
     with np.errstate(over="ignore", invalid="ignore"):
         v = np.subtract(A32 @ x.astype(np.float32), b32)
     top, m = float(np.abs(v, out=v).max()), A.shape[0]
-    spans = [(0, m)]  # the full gemv, for a NaN or inf entry
-    if top < np.inf:
-        band = 2 * (A.shape[1] + 4) * (2**-24 * (x.dot(x) ** 0.5 + b_inf + top) + 2**-149)
-        last = max(0, (m - 2) // 64)  # a last window of one row joins the one before
-        windows = np.minimum(np.flatnonzero(v >= top - 2 * band) // 64, last).tolist()
-        spans = [(64 * w, m if w == last else 64 * w + 64) for w in dict.fromkeys(windows)]
-    r = np.abs(np.concatenate([A[lo:hi] @ x - b[lo:hi] for lo, hi in spans]))
-    j = int(r.argmax())
-    return int(np.concatenate([np.arange(lo, hi) for lo, hi in spans])[j]), r.item(j)
+    if not top < np.inf:  # a NaN or inf entry: the full gemv
+        r = np.abs(A @ x - b)
+        i = int(r.argmax())
+        return i, r.item(i), m
+    band = 2 * (A.shape[1] + 4) * (2**-24 * (x.dot(x) ** 0.5 + b_inf + top) + 2**-149)
+    last = max(0, (m - 2) // 64)  # a last window of one row joins the one before
+    hit = np.zeros(last + 3, bool)  # hit[w + 1]: window w holds a candidate
+    hit[np.minimum(np.flatnonzero(v >= top - 2 * band) // 64, last) + 1] = True
+    edges = (64 * np.flatnonzero(hit[1:] != hit[:-1])).tolist()  # runs of windows
+    i, level, exact = 0, -1.0, 0
+    for lo, hi in zip(edges[::2], edges[1::2]):
+        hi = m if hi > 64 * last else hi
+        r = np.abs(A[lo:hi] @ x - b[lo:hi])
+        j = int(r.argmax())
+        if r.item(j) > level:  # strictly: an earlier row keeps a tie
+            i, level = lo + j, r.item(j)
+        exact += hi - lo
+    return i, level, exact
 
 
 def row_norms_sq(M) -> np.ndarray:

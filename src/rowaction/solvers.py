@@ -43,17 +43,20 @@ buffer, with b_i a Python float; lists of A's rows and of b would hold
 selects by `abs(r).argmax()`, into one reused vector, from the residual its
 own gemv takes, or without telemetry on an A of more than SCREEN_BYTES by
 `linalg.largest_residual`, the same bits from a float32 screen that reads
-half of A's bytes. Uniform steps run in blocks, whose rows one RNG call
-draws and whose b_i one gather takes. With telemetry `linalg.residuals`
-gives all their residuals with the bits of `A @ x - b`, reading each
-cache-sized slab of A once for the whole block, so a uniform block keeps
-BLOCK_STEPS steps up to 16384 rows (at most 8 MB of residuals), while a
-greedy block, whose steps take their own gemvs, holds at most 256 KB of
-them; without, only a threshold needs any, and a few witness rows show most
-iterates above it. Either way the count, the stop reason, x and the records
-equal, bit for bit, those of a loop of one step, one `A @ x - b` and one
-record at a time; only the RNG and a uniform block's iterates run up to a
-block past the stop point, which nothing exposes.
+half of A's bytes, until a step's screen leaves more than a quarter of A
+to the exact gemvs (a low-noise system near its solution): the screen no
+longer pays there, and the full gemv takes the rest of the loop. Uniform
+steps run in blocks, whose rows one RNG call draws and whose b_i one
+gather takes. With telemetry `linalg.residuals` gives all their residuals
+with the bits of `A @ x - b`, reading each cache-sized slab of A once for
+the whole block, so a uniform block keeps BLOCK_STEPS steps up to 16384
+rows (at most 8 MB of residuals), while a greedy block, whose steps take
+their own gemvs, holds at most 256 KB of them; without, only a threshold
+needs any, and a few witness rows show most iterates above it. Either way
+the count, the stop reason, x and the records equal, bit for bit, those of
+a loop of one step, one `A @ x - b` and one record at a time; only the RNG
+and a uniform block's iterates run up to a block past the stop point,
+which nothing exposes.
 """
 
 import csv
@@ -82,6 +85,7 @@ BLOCK_ENTRIES = 32768
 UNIFORM_BLOCK_ENTRIES = 2**20
 # telemetry rows per write of `write_telemetry_csv` (about 30 KB of text)
 CSV_CHUNK_ROWS = 256
+EPS = np.finfo(float).eps  # float64's machine epsilon, in `_screen`'s error bound
 # bytes of A (1.625 MiB) above which telemetry-off greedy steps take a float32 screen:
 # no reliable gain up to 1.53 MiB, faster from 1.72 MiB on in two sweeps (BENCH_greedy_screen.json)
 SCREEN_BYTES = 13 * 2**17
@@ -198,10 +202,11 @@ def _head(sys, rule, stop, x, telemetry, screen=None):
     for rk-uniform); `_continue` tells a hybrid's switch from its stop.
 
     Each greedy step takes one `A @ x - b`, or `linalg.largest_residual` with
-    `screen`, A's `screen_copies`; the selected |r_i| is the sup norm that the
-    stop test and the record read. Iterates and residuals go into block
-    buffers, one step deep without telemetry; with it `_records` turns each
-    full block into records, and the rest at the stop."""
+    `screen`, A's `screen_copies`, until that takes more than a quarter of A
+    exactly; the selected |r_i| is the sup norm that the stop test and the
+    record read. Iterates and residuals go into block buffers, one step deep
+    without telemetry; with it `_records` turns each full block into
+    records, and the rest at the stop."""
     if rule.kind == "rk-uniform":
         return RunResult(x, 0, [], None)
     a, b, threshold, k, records = sys.a, sys.b, stop.residual_inf_threshold, 0, []
@@ -211,7 +216,8 @@ def _head(sys, rule, stop, x, telemetry, screen=None):
         threshold = max(threshold or 0.0, rule.hybrid_threshold)
     s = _block_steps(sys.m, BLOCK_ENTRIES) if telemetry else 1
     # x_k and its residual sit in row len(rows) of the buffers
-    iterates, residuals, rows, levels = np.tile(x, (s, 1)), np.empty((s, sys.m)), [], []
+    iterates, residuals, rows, levels = np.empty((s, sys.n)), np.empty((s, sys.m)), [], []
+    iterates[0] = x
     xs, rs, abs_r, step = list(iterates), list(residuals), np.empty(sys.m), np.empty(sys.n)
     while True:
         if screen is None:
@@ -219,7 +225,9 @@ def _head(sys, rule, stop, x, telemetry, screen=None):
             i = int(np.abs(r, out=abs_r).argmax())  # select_motzkin(r)
             level = abs_r.item(i)
         else:
-            i, level = linalg.largest_residual(a, b, x, screen)
+            i, level, exact = linalg.largest_residual(a, b, x, screen)
+            if 4 * exact > sys.m:  # the float32 half and this much cost about a full gemv
+                screen = None
         if threshold is not None and level <= threshold:
             reason = STOP_RESIDUAL_THRESHOLD
             break
@@ -324,7 +332,7 @@ def _screen(a, b, b_inf, iterates, threshold, witness):
     eps (||x_j||_2 + ||b||_inf + v) on unit rows, so x_j with v - g above the
     threshold does not stop. The first other x_j gets the gemv: it stops, or
     its largest entry's new row joins `witness` and raises v of the x_j after it."""
-    band = 2 * (a.shape[1] + 2) * 2**-52
+    band = 2 * (a.shape[1] + 2) * EPS
     xs = iterates[1:]
     v = np.abs(xs @ a[witness].T - b[witness]).max(axis=1)
     slack = np.sqrt(linalg.row_norms_sq(xs)) + b_inf
@@ -404,6 +412,14 @@ class TimingSummary:
         return sum(reached) / len(reached) if reached else math.nan
 
 
+def _greedy_screen(sys, rule):
+    """The `linalg.screen_copies` that `time_to_threshold`'s greedy steps
+    read: for motzkin and hybrid on an A of more than SCREEN_BYTES, else None."""
+    if rule.kind != "rk-uniform" and sys.a.nbytes > SCREEN_BYTES:
+        return linalg.screen_copies(sys.a, sys.b)
+    return None
+
+
 def time_to_threshold(sys: LinearSystem,
                       rule: SelectionRule,
                       threshold: float,
@@ -418,17 +434,19 @@ def time_to_threshold(sys: LinearSystem,
     on a few witness rows; its counts equal those of the step-by-step loop
     exactly, and its RNG advances past the stop point, which nothing exposes.
     A motzkin or hybrid call on an A of more than SCREEN_BYTES casts A and b
-    to float32 once, outside every trial's seconds (A's copy takes half its
-    memory until the call returns), for the screen of `linalg.largest_residual`.
+    to float32 once (`_greedy_screen`), outside every trial's seconds (A's
+    copy takes half its memory until the call returns), for the screen of
+    `linalg.largest_residual`; each trial screens until the screen stops
+    paying (see `_head`).
     Trials that never reach the threshold are reported as censored.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    check_seed(seed), check_seed(seed + trials - 1)
+    for s in (seed, seed + trials - 1):
+        check_seed(s)
     iterations, seconds, censored_mask = [], [], []
     stop = StopRule(max_iterations=max_iterations, residual_inf_threshold=threshold)
-    screen = (linalg.screen_copies(sys.a, sys.b)
-              if rule.kind != "rk-uniform" and sys.a.nbytes > SCREEN_BYTES else None)
+    screen = _greedy_screen(sys, rule)
     for t in range(trials):
         t0 = time.process_time()
         head = _head(sys, rule, stop, np.zeros(sys.n), False, screen)

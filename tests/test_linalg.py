@@ -370,9 +370,11 @@ def assert_largest_residual_exact(A, b, x):
     want = int(r.argmax())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        i, level = linalg.largest_residual(A, b, x, linalg.screen_copies(A, b))
+        i, level, exact = linalg.largest_residual(A, b, x, linalg.screen_copies(A, b))
     assert (i, np.float64(level).tobytes()) == (want, r[want].tobytes()), \
         "the screened greedy row must be the row and the value of the full gemv's |A x - b|"
+    assert 0 < exact <= A.shape[0]
+    return exact
 
 
 def screened(A, b, x):
@@ -421,6 +423,18 @@ def test_largest_residual_confirms_a_float32_tie_in_float64(q, p):
     assert v[q] == v[p] == v.max() and int(v.argmax()) == q
     assert_largest_residual_exact(A, b, x)
     assert linalg.largest_residual(A, b, x, linalg.screen_copies(A, b))[0] == p
+
+
+def test_largest_residual_takes_only_the_windows_of_its_candidates():
+    # entries 10 at rows 70, 130, 500 and 999, every other one below 0.1:
+    # windows 1 and 2 (rows 64-191, one span), 7 (448-511) and the last,
+    # 960-999, hold the only candidates, 232 rows
+    A, rng = unit_rows(1000, 40, seed=11)
+    x = rng.normal(size=40)
+    target = 0.01 * rng.normal(size=1000)
+    target[[70, 130, 500, 999]] = 10.0
+    b = A @ x - target
+    assert assert_largest_residual_exact(A, b, x) == 128 + 64 + 40
 
 
 @pytest.mark.parametrize("m", [65, 129, 4097])
@@ -474,7 +488,7 @@ def test_largest_residual_takes_the_full_gemv_past_float32s_range(x_0, b_0):
     x, b = rng.normal(size=100), rng.normal(size=3000)
     x[0], b[1000] = x_0, b[1000] + b_0
     assert not np.isfinite(screened(A, b, x).max())
-    assert_largest_residual_exact(A, b, x)
+    assert assert_largest_residual_exact(A, b, x) == 3000
 
 
 @settings(max_examples=80)

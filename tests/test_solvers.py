@@ -834,12 +834,15 @@ def test_block_draw_equals_scalar_draws(m):
 @contextlib.contextmanager
 def screen_gate(gate):
     """`solvers.SCREEN_BYTES` at `gate` (None keeps it) for the block, which
-    gets a list with one entry per `linalg.largest_residual` call."""
+    gets a list of the rows that each `linalg.largest_residual` call took
+    exactly. At a gate it sets, the kernel reports none, so `_head` never
+    turns the screen off and every greedy step takes it."""
     calls, kernel = [], linalg.largest_residual
 
     def spy(*args):
-        calls.append(args[2])
-        return kernel(*args)
+        i, level, exact = kernel(*args)
+        calls.append(exact)
+        return i, level, exact if gate is None else 0
 
     with pytest.MonkeyPatch.context() as patch:
         if gate is not None:
@@ -854,9 +857,7 @@ def assert_untimed_solve_matches_reference(sys_, rule, stop, seed, x0=None):
     stops where reference_run does, with the same x bits and no record.
     Returns the reference run."""
     x = np.zeros(sys_.n) if x0 is None else np.array(x0, dtype=float)
-    screen = (linalg.screen_copies(sys_.a, sys_.b)
-              if rule.kind != "rk-uniform" and sys_.a.nbytes > solvers.SCREEN_BYTES else None)
-    head = solvers._head(sys_, rule, stop, x, False, screen)
+    head = solvers._head(sys_, rule, stop, x, False, solvers._greedy_screen(sys_, rule))
     got = solvers._continue(sys_, rule, stop, head, seed, telemetry=False)
     assert head.records == [] and got.records == []
     ref = reference_run(sys_, rule, stop, x0=x0, seed=seed)
@@ -1036,3 +1037,21 @@ def test_untimed_solve_of_a_system_past_the_gate_equals_run():
         with screen_gate(None) as screened:
             assert_untimed_solve_matches_reference(sys_, rule, StopRule(cap, threshold), 1)
         assert screened
+
+
+def test_untimed_solve_turns_the_screen_off_once_it_takes_most_of_a():
+    # at noise 1e-6 the last steps' residuals differ by less than the float32
+    # band, so the screen leaves most rows to the exact gemvs: from the first
+    # such step on, the solve takes the full gemv, with the same counts
+    sys_ = gaussian_system(m=3000, n=100, noise_std=1e-6, seed=5)
+    assert sys_.a.nbytes > solvers.SCREEN_BYTES
+    rule, threshold = SelectionRule("motzkin"), 4 * sys_.error_inf()
+    with screen_gate(None) as screened:
+        summary = solvers.time_to_threshold(sys_, rule, threshold, trials=1, seed=1)
+    ran = solvers.run(sys_, rule, StopRule(200_000, threshold))
+    assert (summary.iterations, summary.censored_mask) == ([ran.iteration], [False])
+    assert len(screened) < ran.iteration + 1
+    assert 4 * screened[-1] > sys_.m and all(4 * exact <= sys_.m for exact in screened[:-1])
+    with screen_gate(None) as screened:
+        assert_untimed_solve_matches_reference(sys_, rule, StopRule(200_000, threshold), 1)
+    assert 4 * screened[0] <= sys_.m < 4 * screened[-1]
