@@ -10,10 +10,10 @@ The randomized-Kaczmarz curve contracts by (1 - sigma_min^2 / ||A||_F^2)
 per step toward a noise horizon. The greedy (max-residual) curves contract
 by (1 - sigma_min^2 / (4 gamma_k)) per step, where gamma_k is the dynamic
 range of the residual, ||A(x_k - x)||^2 / ||A(x_k - x)||_inf^2; the simple
-bound gamma_k <= m gives the worst-case variant. The Gaussian-rate curves
-carry unspecified absolute constants (fixed to 1 here), so they are
-qualitative overlays rather than certified bounds; the certified
-assertions in the test suite use only the constant-free inequalities.
+bound gamma_k <= m gives the worst-case variant. Certified: `rk_bound` (in
+expectation), `motzkin_bound_worst_case`, `motzkin_bound_empirical_gamma`,
+`final_error_bounds`. Overlays, the paper's open constants set to 1, that no
+test asserts: both `gaussian_rate_bound` curves, `gamma_expectation_bound`.
 """
 
 import csv
@@ -150,7 +150,8 @@ def gaussian_rate_bound(inp: BoundInputs, num_iterations: int, conjectured: bool
     Each step applies E_{k+1} = (1 - f_k) E_k + e_inf^2 / 2 where
       f_k = log(m') s^2 / (4 n m)   with m' = max(2, m - k)   (proved form),
       f_k = log(m)  s^2 / (4 m)                               (conjectured form).
-    Qualitative overlay only; the constants are not certified.
+    An overlay, not a bound: on pure-noise 2000x50 systems both forms lie
+    below a motzkin run's error_sq in up to 8-9 first steps (see the README).
     """
     _check_num_iterations(num_iterations)
     if inp.m < 2:
@@ -178,7 +179,8 @@ def gamma_expectation_bound(m: int, n: int, sampled_norms_sq) -> float:
 
     With m' = m - (number of rows already hit by the iteration) the bound is
     n (m' + sum of the sampled rows' squared norms) / log(m'), absolute
-    constant taken as 1. Requires m' >= 2.
+    constant taken as 1. Requires m' >= 2. An overlay, not a bound: with no
+    samples at m = 2000, n = 50 it is 13156, above gamma's own range [1, m].
     """
     sampled = np.asarray(sampled_norms_sq, dtype=float)
     m_prime = m - sampled.size

@@ -7,31 +7,20 @@ normal equations would) that gives a system's reference and all its singular
 values at once; its rank test is RANK_RTOL on sigma / sigma_max.
 
 `residuals` gives a stack of iterates their residuals A x - b with the bits
-of one `A @ x - b` each. It walks A in slabs of about SLAB_BYTES, so that
-one slab, read once from memory, serves every iterate while it sits in a
-core's L2 cache. The slab edges fall on multiples of 64 rows, which keeps
-the bits: the gemv kernel of OpenBLAS sums the rows of a group of 4 in one
-order and the leftover rows in another, so an edge at a multiple of 4 puts
-every row in the kind of group it has in the whole matrix (64 leaves room
-for kernels that group 8 or 16). A slab of one row would go to numpy's dot
-kernel instead of gemv, so a single last row joins the slab before it.
-This was checked on the bundled OpenBLAS (scipy-openblas 0.3.31, Haswell
-kernels) over contiguous and strided matrices, and tests/test_linalg.py
-checks it on whatever BLAS numpy loads.
+of one `A @ x - b` each, walking A in slabs of about SLAB_BYTES so that one
+slab, read once, serves every iterate from a core's L2 cache. Every row run
+that a product here gives to gemv is edged by `row_windows`, at multiples
+of 64 rows: OpenBLAS's gemv sums the rows of a group of 4 in one order and
+the leftover rows in another (64 leaves room for groups of 8 or 16). The
+screens `largest_residual` (a float32 gemv) and `witness_screen` (a float64
+product on a few rows) confirm with gemvs each entry they cannot rule out
+within `rounding_band`, the one bound on their error, so they keep the bits.
 
-`largest_residual` gives the largest entry of |A x - b| and its row with the
-bits of the full gemv from about half of A's bytes. A float32 gemv on the
-`screen_copies` of A and b puts each entry within band = 2 (n + 4) (2^-24
-(||x||_2 + ||b||_inf + top) + 2^-149) of the float64 one on unit rows, top
-the largest float32 entry: twice the rounding of A, x, b and an n-term sum,
-plus 2^-150 per underflowed term. Exact gemvs on the 64-row windows (edged
-as the slabs, adjacent ones in one call) of the rows within 2 band of top
-give the largest entry; a NaN or inf float32 entry (x or b past float32's
-range) takes all of A. The gain needs a spread of |A x - b| near its top
-wider than the band: where many entries lie within 2 band of the largest
-(a low-noise system near its solution), the windows cover most of A, and
-the kernel reports the rows it took exactly so that its caller can stop
-screening.
+These bits hold over every layout on each kernel of numpy's bundled OpenBLAS
+0.3.31 the tests run on (tests/test_linalg.py checks whatever BLAS numpy
+loads), but kernels round differently: `tools/digests.py` prints b82899d8...
+on SkylakeX, e240fd3a... on Haswell and Zen (`OPENBLAS_CORETYPE`) and
+d5d82ef4... on Sandybridge; Prescott, where some tests fail, is not covered.
 
 A gemv reads A fastest when every row starts on a 32-byte boundary.
 `empty_aligned` gives that layout: a row stride of n rounded up to a
@@ -120,20 +109,38 @@ def slab_rows(n) -> int:
     return max(1, SLAB_BYTES // (8 * 64 * n)) * 64
 
 
+def row_windows(m, rows) -> range:
+    """The first rows of the runs of `rows` rows (a multiple of 64) that split
+    m rows for gemv: each multiple of `rows` below m - 1, so that a last run of
+    one row, which numpy's matmul gives to its dot kernel, joins the one before."""
+    return range(0, max(1, m - 1), rows)
+
+
+def rounding_band(dtype, n, scale):
+    """How far an entry of A x - b on unit rows, from a float32 product of
+    float32 copies of A, x and b or a float64 one in another order (`dtype`),
+    can lie from the gemv's: 2 (n + k) (u scale + eta), scale = ||x||_2 +
+    ||b||_inf + |entry|. The n products' sum and b_i's subtraction, each
+    rounding by u of its result, err by (n + 1) u scale at most, as sum_j
+    |a_j x_j| <= ||x||_2; float32's casts add 3 (k = 4, u = 2^-24; the factor
+    2 holds the gemv's error), two float64 products double 2^-53 to u = 2^-52
+    (k = 2, one spare), and a subnormal result rounds by eta, its spacing."""
+    k, u, eta = (4, 2**-24, 2**-149) if dtype == np.float32 else (2, 2**-52, 2**-1074)
+    return 2 * (n + k) * (u * scale + eta)
+
+
 def residuals(A, b, X, out) -> np.ndarray:
     """The rows A @ x - b for each row x of X, into `out`; no checks.
 
-    For each slab of `slab_rows(n)` rows of A (the last one may have fewer,
-    or one more), numpy's matmul of the stack X[:, None, :] with the slab's
-    transpose makes one gemv call per stacked item, the call of `A @ x` on
-    those rows, and b's slab is subtracted while the products are in cache.
-    Each row has the bits of `A @ x - b` (see the module docstring). A
-    matrix of one slab makes the single stacked call over all of A. The
-    gemm `X @ A.T` would not keep the bits: its entries may differ in the
-    last bits.
+    For each slab of `slab_rows(n)` rows of A, edged by `row_windows`,
+    numpy's matmul of the stack X[:, None, :] with the slab's transpose
+    makes one gemv call per stacked item, the call of `A @ x` on those rows,
+    and b's slab is subtracted while the products are in cache. Each row
+    has the bits of `A @ x - b` (see the module docstring). A matrix of one
+    slab makes the single stacked call over all of A. The gemm `X @ A.T`
+    would not keep the bits: its entries may differ in the last bits.
     """
-    m, step = A.shape[0], slab_rows(A.shape[1])
-    edges = [0, *range(step, m - 1, step), m]
+    edges = [*row_windows(A.shape[0], slab_rows(A.shape[1])), A.shape[0]]
     for lo, hi in zip(edges, edges[1:]):
         np.matmul(X[:, None, :], A[lo:hi].T, out=out[:, None, lo:hi])
         out[:, lo:hi] -= b[lo:hi]
@@ -149,30 +156,57 @@ def screen_copies(A, b) -> tuple[np.ndarray, np.ndarray, float]:
 def largest_residual(A, b, x, screen) -> tuple[int, float, int]:
     """The row i of the largest entry of |A @ x - b|, smallest i on ties,
     that entry, with the bits of the full `A @ x - b`, and the rows it took
-    exactly, for an A of unit rows and its `screen_copies`; no checks (see
-    the module docstring)."""
+    exactly, for an A of unit rows and its `screen_copies`; no checks: exact
+    gemvs on the 64-row `row_windows`, adjacent ones in one call, of the
+    rows whose float32 entry lies within 2 `rounding_band` of the largest."""
     A32, b32, b_inf = screen
     with np.errstate(over="ignore", invalid="ignore"):
         v = np.subtract(A32 @ x.astype(np.float32), b32)
     top, m = float(np.abs(v, out=v).max()), A.shape[0]
-    if not top < np.inf:  # a NaN or inf entry: the full gemv
+    if not top < np.inf:  # a NaN or inf entry (x or b past float32's range): the full gemv
         r = np.abs(A @ x - b)
         i = int(r.argmax())
         return i, r.item(i), m
-    band = 2 * (A.shape[1] + 4) * (2**-24 * (x.dot(x) ** 0.5 + b_inf + top) + 2**-149)
-    last = max(0, (m - 2) // 64)  # a last window of one row joins the one before
-    hit = np.zeros(last + 3, bool)  # hit[w + 1]: window w holds a candidate
-    hit[np.minimum(np.flatnonzero(v >= top - 2 * band) // 64, last) + 1] = True
+    band = rounding_band(np.float32, A.shape[1], x.dot(x) ** 0.5 + b_inf + top)
+    starts = row_windows(m, 64)
+    hit = np.zeros(len(starts) + 2, bool)  # hit[w + 1]: window w holds a candidate
+    hit[np.minimum(np.flatnonzero(v >= top - 2 * band) // 64, len(starts) - 1) + 1] = True
     edges = (64 * np.flatnonzero(hit[1:] != hit[:-1])).tolist()  # runs of windows
     i, level, exact = 0, -1.0, 0
     for lo, hi in zip(edges[::2], edges[1::2]):
-        hi = m if hi > 64 * last else hi
+        hi = m if hi > starts[-1] else hi
         r = np.abs(A[lo:hi] @ x - b[lo:hi])
         j = int(r.argmax())
         if r.item(j) > level:  # strictly: an earlier row keeps a tie
             i, level = lo + j, r.item(j)
         exact += hi - lo
     return i, level, exact
+
+
+def witness_screen(A, b, b_inf, iterates, threshold, witness):
+    """The first j >= 1 whose `A @ x_j - b`, x_j = iterates[j], has sup norm
+    at most `threshold`, else None, on unit rows; no checks. An x_j whose
+    largest entry v on the `witness` rows (one product for all) exceeds the
+    threshold by more than its float64 `rounding_band` does not stop; the
+    first other one gets the gemv: it stops, or its largest entry's new row
+    joins `witness` and raises v of the x_j after it."""
+    xs = iterates[1:]
+    v = np.abs(xs @ A[witness].T - b[witness]).max(axis=1)
+    slack = np.sqrt(row_norms_sq(xs)) + b_inf
+    j = 0  # x_1 .. x_j are settled
+    while True:
+        band = rounding_band(np.float64, A.shape[1], slack[j:] + v[j:])
+        unproved = np.flatnonzero(~(v[j:] - band > threshold))
+        if not unproved.size:
+            return None
+        j += 1 + int(unproved[0])
+        r = A @ iterates[j] - b
+        i = int(np.abs(r, out=r).argmax())  # solvers.select_motzkin(r)
+        if r.item(i) <= threshold:
+            return j
+        if i not in witness:  # a witness row's entries are in v already
+            witness.append(i)
+            np.maximum(v[j:], np.abs(xs[j:] @ A[i] - b[i]), out=v[j:])
 
 
 def row_norms_sq(M) -> np.ndarray:

@@ -42,21 +42,19 @@ buffer, with b_i a Python float; lists of A's rows and of b would hold
 1.4 MB at 10000x100 for a whole solve and raise its peak RSS. A greedy step
 selects by `abs(r).argmax()`, into one reused vector, from the residual its
 own gemv takes, or without telemetry on an A of more than SCREEN_BYTES by
-`linalg.largest_residual`, the same bits from a float32 screen that reads
-half of A's bytes, until a step's screen leaves more than a quarter of A
-to the exact gemvs (a low-noise system near its solution): the screen no
-longer pays there, and the full gemv takes the rest of the loop. Uniform
-steps run in blocks, whose rows one RNG call draws and whose b_i one
-gather takes. With telemetry `linalg.residuals` gives all their residuals
-with the bits of `A @ x - b`, reading each cache-sized slab of A once for
-the whole block, so a uniform block keeps BLOCK_STEPS steps up to 16384
-rows (at most 8 MB of residuals), while a greedy block, whose steps take
-their own gemvs, holds at most 256 KB of them; without, only a threshold
-needs any, and a few witness rows show most iterates above it. Either way
-the count, the stop reason, x and the records equal, bit for bit, those of
-a loop of one step, one `A @ x - b` and one record at a time; only the RNG
-and a uniform block's iterates run up to a block past the stop point,
-which nothing exposes.
+`linalg.largest_residual`'s float32 screen until it stops paying (see
+`_head`). Uniform steps run in blocks, whose rows one RNG call draws and
+whose b_i one gather takes. With telemetry `linalg.residuals` gives all
+their residuals with the bits of `A @ x - b`, reading each cache-sized slab
+of A once for the whole block, so a uniform block keeps BLOCK_STEPS steps
+up to 16384 rows (at most 8 MB of residuals), while a greedy block, whose
+steps take their own gemvs, holds at most 256 KB of them; without, only a
+threshold needs any, and `linalg.witness_screen` shows most iterates above
+it from a few witness rows. Either way the count, the stop reason, x and
+the records equal, bit for bit, those of a loop of one step, one
+`A @ x - b` and one record at a time; only the RNG and a uniform block's
+iterates run up to a block past the stop point, which nothing exposes. The
+screens and why they keep the bits are `linalg`'s; this module sets when.
 """
 
 import csv
@@ -85,7 +83,6 @@ BLOCK_ENTRIES = 32768
 UNIFORM_BLOCK_ENTRIES = 2**20
 # telemetry rows per write of `write_telemetry_csv` (about 30 KB of text)
 CSV_CHUNK_ROWS = 256
-EPS = np.finfo(float).eps  # float64's machine epsilon, in `_screen`'s error bound
 # bytes of A (1.625 MiB) above which telemetry-off greedy steps take a float32 screen:
 # no reliable gain up to 1.53 MiB, faster from 1.72 MiB on in two sweeps (BENCH_greedy_screen.json)
 SCREEN_BYTES = 13 * 2**17
@@ -201,12 +198,12 @@ def _head(sys, rule, stop, x, telemetry, screen=None):
     x_0 at k = 0 for rk-uniform. Its stop reason is the greedy loop's (None
     for rk-uniform); `_continue` tells a hybrid's switch from its stop.
 
-    Each greedy step takes one `A @ x - b`, or `linalg.largest_residual` with
-    `screen`, A's `screen_copies`, until that takes more than a quarter of A
-    exactly; the selected |r_i| is the sup norm that the stop test and the
-    record read. Iterates and residuals go into block buffers, one step deep
-    without telemetry; with it `_records` turns each full block into
-    records, and the rest at the stop."""
+    Each greedy step takes one `A @ x - b`, or `linalg.largest_residual` on
+    `screen`, A's `screen_copies`, until that takes over a quarter of A
+    exactly, where it no longer pays; the selected |r_i| is the sup norm
+    that the stop test and the record read. Iterates and residuals go into
+    block buffers, one step deep without telemetry; with it `_records`
+    turns each full block into records, and the rest at the stop."""
     if rule.kind == "rk-uniform":
         return RunResult(x, 0, [], None)
     a, b, threshold, k, records = sys.a, sys.b, stop.residual_inf_threshold, 0, []
@@ -276,16 +273,11 @@ def _blocked_uniform(sys, x, k, stop, rng, telemetry):
     final iterate; its records are those of its own steps.
 
     One `rng.integers(m, size=s)` call draws a block's s rows, the same
-    values as s scalar draws, and one gather their b_i; each step is then one
-    `a[i]`, one `.dot`, one scaling and one add into the next buffer row.
-    With telemetry, a block has `_block_steps(m, UNIFORM_BLOCK_ENTRIES)`
-    steps, BLOCK_STEPS up to 16384 rows, so that each slab of A that
-    `linalg.residuals` reads serves that many iterates from cache; it gives
-    their residuals with the bits of `A @ x - b` into a buffer of at most
-    8 MB, whose row 0 alone is filled from the start residual, and their
-    sup norms, max(|max r|, |min r|), need no copy of the block and are
-    +0.0 on a zero residual. Without, a block has BLOCK_STEPS steps, and
-    only `_screen` reads residuals.
+    values as s scalar draws. With telemetry, `linalg.residuals` puts the
+    residuals of `_block_steps(m, UNIFORM_BLOCK_ENTRIES)` steps in a buffer
+    whose row 0 alone comes from the start residual; their sup norms,
+    max(|max r|, |min r|), need no copy and are +0.0 on a zero residual.
+    Without, a block has BLOCK_STEPS steps, screened by `linalg.witness_screen`.
     """
     a, b, threshold, records = sys.a, sys.b, stop.residual_inf_threshold, []
     r = a @ x - b
@@ -317,38 +309,12 @@ def _blocked_uniform(sys, x, k, stop, rng, telemetry):
             _records(sys, k, iterates, residuals, rows[:hit], [level, *v], records)
             residuals[0], level = residuals[steps], v[-1]
         elif threshold is not None:
-            hit = _screen(a, b, b_inf, iterates[:steps + 1], threshold, witness)
+            hit = linalg.witness_screen(a, b, b_inf, iterates[:steps + 1], threshold, witness)
         if hit is not None:
             return RunResult(iterates[hit].copy(), k + hit, records, STOP_RESIDUAL_THRESHOLD)
         iterates[0] = iterates[steps]
         k += steps
     return RunResult(iterates[0].copy(), k, records, STOP_MAX_ITERATIONS)
-
-
-def _screen(a, b, b_inf, iterates, threshold, witness):
-    """The first j >= 1 whose `A @ x_j - b`, x_j = iterates[j], has sup norm
-    at most `threshold`, else None. One product gives each x_j's largest
-    entry v on the `witness` rows, off the gemv's by less than g = 2 (n+2)
-    eps (||x_j||_2 + ||b||_inf + v) on unit rows, so x_j with v - g above the
-    threshold does not stop. The first other x_j gets the gemv: it stops, or
-    its largest entry's new row joins `witness` and raises v of the x_j after it."""
-    band = 2 * (a.shape[1] + 2) * EPS
-    xs = iterates[1:]
-    v = np.abs(xs @ a[witness].T - b[witness]).max(axis=1)
-    slack = np.sqrt(linalg.row_norms_sq(xs)) + b_inf
-    j = 0  # x_1 .. x_j are settled
-    while True:
-        unproved = np.flatnonzero(~(v[j:] - band * (slack[j:] + v[j:]) > threshold))
-        if not unproved.size:
-            return None
-        j += 1 + int(unproved[0])
-        r = a @ iterates[j] - b
-        i = int(np.abs(r, out=r).argmax())  # select_motzkin(r)
-        if r.item(i) <= threshold:
-            return j
-        if i not in witness:  # a witness row's entries are in v already
-            witness.append(i)
-            np.maximum(v[j:], np.abs(xs[j:] @ a[i] - b[i]), out=v[j:])
 
 
 def _records(sys, k, iterates, residuals, rows, levels, records):
@@ -430,14 +396,12 @@ def time_to_threshold(sys: LinearSystem,
 
     Runs `trials` independent solves with derived seeds (seed + t), each
     capped at max_iterations and timed on its own, recording no telemetry.
-    A uniform solve takes BLOCK_STEPS = 64 steps at a time and screens them
-    on a few witness rows; its counts equal those of the step-by-step loop
-    exactly, and its RNG advances past the stop point, which nothing exposes.
-    A motzkin or hybrid call on an A of more than SCREEN_BYTES casts A and b
-    to float32 once (`_greedy_screen`), outside every trial's seconds (A's
-    copy takes half its memory until the call returns), for the screen of
-    `linalg.largest_residual`; each trial screens until the screen stops
-    paying (see `_head`).
+    A uniform solve screens each block of BLOCK_STEPS steps with
+    `linalg.witness_screen`, and its RNG advances past the stop point, which
+    nothing exposes. A motzkin or hybrid call on an A of more than
+    SCREEN_BYTES casts A and b to float32 once (`_greedy_screen`) for
+    `linalg.largest_residual`, outside every trial's seconds (the copy takes
+    half of A's memory until the call returns); see `_head`.
     Trials that never reach the threshold are reported as censored.
     """
     if trials < 1:

@@ -278,6 +278,18 @@ def test_gamma_expectation_bound_requires_two_rows():
         bounds.gamma_expectation_bound(10, 3, np.ones(9))
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("m, n", [(2000, 50), (4000, 80), (10000, 100)])
+def test_gaussian_systems_run_in_the_papers_gamma_regime(m, n, seed):
+    # the O(m / log m) dynamic range behind the paper's Gaussian acceleration:
+    # the median gamma of a motzkin run's first 500 records lies below
+    # m / log m (at 0.62-0.67 of it on these systems)
+    sys_ = systems.generate(systems.GeneratorSpec("gaussian-noise", m=m, n=n, noise_std=0.01, seed=seed))
+    records = solvers.run(sys_, solvers.SelectionRule("motzkin"), solvers.StopRule(500)).records
+    assert len(records) == 500
+    assert float(np.median([rec.gamma for rec in records])) < m / math.log(m)
+
+
 def test_sigma_min_estimate_quadruple_rows():
     assert bounds.sigma_min_gaussian_estimate(400, 100) == pytest.approx(1.0)
 

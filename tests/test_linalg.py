@@ -352,6 +352,54 @@ def test_residuals_on_64_row_slabs_equal_gemv(m, n, rows, layout, seed):
         assert_stacked_products_exact(*stacked_operands(m, n, layout, seed, rows))
 
 
+@pytest.mark.parametrize("rows", [64, 128])
+def test_row_windows_edge_at_multiples_and_join_a_last_row_to_the_run_before(rows):
+    for m in range(1, 3 * rows + 3):
+        starts = linalg.row_windows(m, rows)
+        edges = [*starts, m]
+        sizes = [hi - lo for lo, hi in zip(edges, edges[1:])]
+        assert starts[0] == 0 and all(lo % rows == 0 for lo in starts), m
+        # full runs, then a last one of 2 to rows + 1 rows: never one row
+        # (numpy's dot kernel) unless the matrix has one row
+        assert sizes[:-1] == [rows] * (len(sizes) - 1), m
+        assert 2 <= sizes[-1] <= rows + 1 or m == 1, m
+
+
+# --------------------------------------------------------------------------
+# rounding_band: how far a float32 product, or a float64 one in another
+# order, lies from the gemv
+
+
+@pytest.mark.parametrize("n", [1, 50, 180])
+def test_rounding_band_keeps_the_screens_band_values(n):
+    # the bits of the bands that the screens used before they shared one
+    # function; float64's underflow term shows only below scale 2^-968
+    scale = np.geomspace(2.0**-968, 1e300, 601)
+    assert np.array_equal(linalg.rounding_band(np.float32, n, scale),
+                          2 * (n + 4) * (2**-24 * scale + 2**-149))
+    assert np.array_equal(linalg.rounding_band(np.float64, n, scale), 2 * (n + 2) * np.finfo(float).eps * scale)
+    assert linalg.rounding_band(np.float64, n, 0.0) == 2 * (n + 2) * 2**-1074
+
+
+@settings(max_examples=60)
+@given(m=st.integers(1, 300), n=st.integers(1, 60),
+       exponent=st.sampled_from([-322, -315, -308, -44, -40, 0, 30]), seed=st.integers(0, 2**32 - 1))
+def test_rounding_band_bounds_each_cheaper_product(m, n, exponent, seed):
+    # the float32 screen's entries, and a stacked float64 product's on a few
+    # rows (the witness screen's), each within the band of the gemv's
+    A, rng = unit_rows(m, n, seed)
+    X, b = 10.0 ** exponent * rng.normal(size=(3, n)), 10.0 ** exponent * rng.normal(size=m)
+    A32, b32, b_inf = linalg.screen_copies(A, b)
+    rows = rng.choice(m, size=min(m, 5), replace=False)
+    stacked = X @ A[rows].T - b[rows]
+    for x, product in zip(X, stacked):
+        gemv = A @ x - b
+        for dtype, entries, exact in ((np.float32, (A32 @ x.astype(np.float32) - b32).astype(float), gemv),
+                                      (np.float64, product, gemv[rows])):
+            scale = x.dot(x) ** 0.5 + b_inf + np.maximum(np.abs(entries), np.abs(exact))
+            assert (np.abs(entries - exact) <= linalg.rounding_band(dtype, n, scale)).all(), dtype
+
+
 # --------------------------------------------------------------------------
 # largest_residual: the greedy row from a float32 screen and exact 64-row windows
 
