@@ -20,7 +20,9 @@ moves every file into place in (solver, trial) order, summary.csv last,
 once every trial succeeded. No task starts past a failure known earlier in
 that order. With one worker, or no os.sched_getaffinity, the tasks run in
 the parent, starting no process and no thread. timing stays serial: it
-measures process time. Like solve, bounds and timing print their lines
+measures process time. No command splits a gemv between threads as
+`solvers.run` may: solve's tasks call `solvers._head` and `_continue`,
+and timing `solvers.time_to_threshold`. Like solve, bounds and timing print their lines
 only once every file is written, so a closed stdout costs no file. Every
 command runs numpy's bundled OpenBLAS at one thread with no pool, as the
 workers then do, and restores the caller's count on return, so no output
@@ -299,24 +301,6 @@ def _adopt(sys_):
     _system = sys_
 
 
-@functools.cache
-def _bundled_openblas():
-    """The OpenBLAS that numpy bundles, as a ctypes library whose thread
-    count `scipy_openblas_set_num_threads64_` sets and
-    `scipy_openblas_get_num_threads64_` reads, and whose thread pool
-    `blas_thread_shutdown_` stops where the library exports it, or None
-    where numpy bundles none (it uses another BLAS, or one of the system's)."""
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*")):
-        openblas = ctypes.CDLL(str(path))
-        if hasattr(openblas, "scipy_openblas_set_num_threads64_"):
-            openblas.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
-            openblas.scipy_openblas_set_num_threads64_.restype = None
-            if hasattr(openblas, "blas_thread_shutdown_"):
-                openblas.blas_thread_shutdown_.argtypes = []  # it returns an int, ctypes' default
-            return openblas
-    return None
-
-
 def _in_worker(fn, *args):
     return _task(fn, _system, *args)
 
@@ -468,8 +452,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser(argv[0] if argv else None)
-    openblas = _bundled_openblas()  # None with another BLAS, whose count main leaves as it is
-    threads = openblas and openblas.scipy_openblas_get_num_threads64_()
+    openblas = linalg.bundled_openblas()  # None with another BLAS, whose count main leaves as it is
+    threads = linalg.blas_threads()
     try:
         args = parser.parse_args(_config_flags(argv))
         if args.command == "solve" and args.solver is None:

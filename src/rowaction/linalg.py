@@ -16,11 +16,20 @@ screens `largest_residual` (a float32 gemv) and `witness_screen` (a float64
 product on a few rows) confirm with gemvs each entry they cannot rule out
 within `rounding_band`, the one bound on their error, so they keep the bits.
 
+`in_halves` gives the later half of a product's row runs to a helper
+thread; each run keeps its `row_windows` edges, so no bit changes. Only
+`solvers.run` passes a helper (see there).
+
 These bits hold over every layout on each kernel of numpy's bundled OpenBLAS
 0.3.31 the tests run on (tests/test_linalg.py checks whatever BLAS numpy
 loads), but kernels round differently: `tools/digests.py` prints b82899d8...
 on SkylakeX, e240fd3a... on Haswell and Zen (`OPENBLAS_CORETYPE`) and
-d5d82ef4... on Sandybridge; Prescott, where some tests fail, is not covered.
+d5d82ef4... on Sandybridge. Prescott (the library names its core Katmai)
+is outside the contract: its dot kernel's sum order depends on where its
+second operand starts mod 16 bytes. So a step's `a_i.dot(x)`, x a row of
+an iterate buffer 8 bytes past a 16-byte boundary, differs from the same
+dot of x's aligned copy (92 of 200 draws at n = 5), and `row_norms_sq` of
+a strided A from that of its contiguous copy; gemv does not depend on it.
 
 A gemv reads A fastest when every row starts on a 32-byte boundary.
 `empty_aligned` gives that layout: a row stride of n rounded up to a
@@ -42,6 +51,11 @@ more memory. The layout changes no bit: the kernels sum each row in the
 same order wherever it starts, which tests/test_linalg.py checks.
 """
 
+import contextvars
+import ctypes
+import functools
+from pathlib import Path
+
 import numpy as np
 
 # Singular values at most this fraction of the largest count as zero.
@@ -59,6 +73,30 @@ class RankError(ArithmeticError):
     def __init__(self, message: str, index: int):
         self.index = index
         super().__init__(message)
+
+
+@functools.cache
+def bundled_openblas():
+    """The OpenBLAS that numpy bundles, as a ctypes library whose thread
+    count `scipy_openblas_set_num_threads64_` sets and
+    `scipy_openblas_get_num_threads64_` reads, and whose thread pool
+    `blas_thread_shutdown_` stops where the library exports it, or None
+    where numpy bundles none (it uses another BLAS, or one of the system's)."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*")):
+        openblas = ctypes.CDLL(str(path))
+        if hasattr(openblas, "scipy_openblas_set_num_threads64_"):
+            openblas.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            openblas.scipy_openblas_set_num_threads64_.restype = None
+            if hasattr(openblas, "blas_thread_shutdown_"):
+                openblas.blas_thread_shutdown_.argtypes = []  # it returns an int, ctypes' default
+            return openblas
+    return None
+
+
+def blas_threads():
+    """The thread count of numpy's bundled OpenBLAS, or None with another BLAS."""
+    openblas = bundled_openblas()
+    return openblas and openblas.scipy_openblas_get_num_threads64_()
 
 
 def as_matrix(a) -> np.ndarray:
@@ -129,7 +167,28 @@ def rounding_band(dtype, n, scale):
     return 2 * (n + k) * (u * scale + eta)
 
 
-def residuals(A, b, X, out) -> np.ndarray:
+def in_halves(helper, edges, run):
+    """run(lo, hi) for each pair of adjacent `edges`; with a `helper`
+    executor and more than one pair, the later half of the pairs runs on it,
+    in the caller's contextvars context (so np.errstate holds there too),
+    while this thread runs the earlier half. It returns or raises once both
+    halves are done; a helper's exception reaches the caller."""
+    if helper is None or len(edges) < 3:
+        return _runs(edges, run)
+    half = len(edges) // 2
+    later = helper.submit(contextvars.copy_context().run, _runs, edges[half:], run)
+    try:
+        _runs(edges[:half + 1], run)
+    finally:
+        later.result()
+
+
+def _runs(edges, run):
+    for lo, hi in zip(edges, edges[1:]):
+        run(lo, hi)
+
+
+def residuals(A, b, X, out, helper=None) -> np.ndarray:
     """The rows A @ x - b for each row x of X, into `out`; no checks.
 
     For each slab of `slab_rows(n)` rows of A, edged by `row_windows`,
@@ -138,12 +197,14 @@ def residuals(A, b, X, out) -> np.ndarray:
     and b's slab is subtracted while the products are in cache. Each row
     has the bits of `A @ x - b` (see the module docstring). A matrix of one
     slab makes the single stacked call over all of A. The gemm `X @ A.T`
-    would not keep the bits: its entries may differ in the last bits.
+    would not keep the bits: its entries may differ in the last bits. With
+    a `helper`, the later half of the slabs runs on it (`in_halves`).
     """
-    edges = [*row_windows(A.shape[0], slab_rows(A.shape[1])), A.shape[0]]
-    for lo, hi in zip(edges, edges[1:]):
+    def slab(lo, hi):
         np.matmul(X[:, None, :], A[lo:hi].T, out=out[:, None, lo:hi])
         out[:, lo:hi] -= b[lo:hi]
+
+    in_halves(helper, [*row_windows(A.shape[0], slab_rows(A.shape[1])), A.shape[0]], slab)
     return out
 
 

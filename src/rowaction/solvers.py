@@ -55,11 +55,27 @@ the records equal, bit for bit, those of a loop of one step, one
 `A @ x - b` and one record at a time; only the RNG and a uniform block's
 iterates run up to a block past the stop point, which nothing exposes. The
 screens and why they keep the bits are `linalg`'s; this module sets when.
+
+`run` alone splits its gemvs between two threads (`linalg.in_halves`):
+on an A of more than SCREEN_BYTES, when the process may run on two CPUs
+and numpy's bundled OpenBLAS runs one thread, it opens one helper thread
+(`_helper`) and shuts it down before it returns or raises. Each greedy
+step's `A @ x - b` splits at the middle 64-row window, and each telemetry
+block's `linalg.residuals` at the middle slab, with every bit kept.
+`time_to_threshold` never splits: its process time would count both
+threads. Nor do `solve`'s tasks, which run one worker per CPU already
+(see `cli`). At 10000x100 the split took rk-uniform telemetry solves to
+x0.61 of the time and motzkin ones to x0.70; one vCPU, a BLAS pool, or for
+greedy steps an A within one core's L2, make it a loss (README, and
+BENCH_row_split.json).
 """
 
+import contextlib
 import csv
 import math
+import os
 import time
+from concurrent import futures
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -84,7 +100,8 @@ UNIFORM_BLOCK_ENTRIES = 2**20
 # telemetry rows per write of `write_telemetry_csv` (about 30 KB of text)
 CSV_CHUNK_ROWS = 256
 # bytes of A (1.625 MiB) above which telemetry-off greedy steps take a float32 screen:
-# no reliable gain up to 1.53 MiB, faster from 1.72 MiB on in two sweeps (BENCH_greedy_screen.json)
+# no reliable gain up to 1.53 MiB, faster from 1.72 MiB on in two sweeps (BENCH_greedy_screen.json);
+# and above which `run` splits its gemvs with a helper thread (BENCH_row_split.json)
 SCREEN_BYTES = 13 * 2**17
 
 
@@ -186,24 +203,34 @@ def run(sys: LinearSystem,
     x = np.zeros(sys.n) if x0 is None else linalg.as_vector(x0).copy()
     if x.shape[0] != sys.n:
         raise ValueError(f"x0 length {x.shape[0]} does not match {sys.n} columns")
-    head = _head(sys, rule, stop, x, telemetry=True)
-    result = _continue(sys, rule, stop, head, seed, telemetry=True)
+    with _helper(sys) as helper:
+        head = _head(sys, rule, stop, x, telemetry=True, helper=helper)
+        result = _continue(sys, rule, stop, head, seed, telemetry=True, helper=helper)
     result.records[:0] = head.records
     return result
 
 
-def _head(sys, rule, stop, x, telemetry, screen=None):
+def _helper(sys):
+    """`run`'s helper thread, or none (see the module docstring)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if sys.a.nbytes > SCREEN_BYTES and cpus > 1 and linalg.blas_threads() == 1:
+        return futures.ThreadPoolExecutor(1)
+    return contextlib.nullcontext()
+
+
+def _head(sys, rule, stop, x, telemetry, screen=None, helper=None):
     """The seed-independent part of a run from x_0 = x, with its records:
     the motzkin run, a hybrid's greedy prefix up to its switch or stop, or
     x_0 at k = 0 for rk-uniform. Its stop reason is the greedy loop's (None
     for rk-uniform); `_continue` tells a hybrid's switch from its stop.
 
-    Each greedy step takes one `A @ x - b`, or `linalg.largest_residual` on
-    `screen`, A's `screen_copies`, until that takes over a quarter of A
-    exactly, where it no longer pays; the selected |r_i| is the sup norm
-    that the stop test and the record read. Iterates and residuals go into
-    block buffers, one step deep without telemetry; with it `_records`
-    turns each full block into records, and the rest at the stop."""
+    Each greedy step takes one `A @ x - b`, in halves with a `helper`, or
+    `linalg.largest_residual` on `screen`, A's `screen_copies`, until that
+    takes over a quarter of A exactly, where it no longer pays; the selected
+    |r_i| is the sup norm that the stop test and the record read. Iterates
+    and residuals go into block buffers, one step deep without telemetry;
+    with it `_records` turns each full block into records, and the rest at
+    the stop."""
     if rule.kind == "rk-uniform":
         return RunResult(x, 0, [], None)
     a, b, threshold, k, records = sys.a, sys.b, stop.residual_inf_threshold, 0, []
@@ -216,9 +243,16 @@ def _head(sys, rule, stop, x, telemetry, screen=None):
     iterates, residuals, rows, levels = np.empty((s, sys.n)), np.empty((s, sys.m)), [], []
     iterates[0] = x
     xs, rs, abs_r, step = list(iterates), list(residuals), np.empty(sys.m), np.empty(sys.n)
+    starts = linalg.row_windows(sys.m, 64)
+    halves = [0, starts[len(starts) // 2], sys.m] if helper and len(starts) > 1 else None
     while True:
         if screen is None:
-            r = np.subtract(np.matmul(a, x, out=rs[len(rows)]), b, out=rs[len(rows)])
+            r = rs[len(rows)]
+            if halves:
+                linalg.in_halves(helper, halves, lambda lo, hi: np.subtract(
+                    np.matmul(a[lo:hi], x, out=r[lo:hi]), b[lo:hi], out=r[lo:hi]))
+            else:
+                np.subtract(np.matmul(a, x, out=r), b, out=r)
             i = int(np.abs(r, out=abs_r).argmax())  # select_motzkin(r)
             level = abs_r.item(i)
         else:
@@ -246,14 +280,14 @@ def _head(sys, rule, stop, x, telemetry, screen=None):
     return RunResult(x, k, records, reason)
 
 
-def _continue(sys, rule, stop, head, seed, telemetry):
+def _continue(sys, rule, stop, head, seed, telemetry, helper=None):
     """The result of one seed: uniform steps from a `_head` result's iterate,
     none for motzkin. Its records are only those of its own steps, numbered
     on from the head's k; `run` puts the head's records in front of them."""
     if rule.kind == "motzkin":
         check_seed(seed)  # a bad seed fails for every rule
         return RunResult(head.x.copy(), head.iteration, [], head.stop_reason)
-    result = _blocked_uniform(sys, head.x, head.iteration, stop, make_rng(seed), telemetry)
+    result = _blocked_uniform(sys, head.x, head.iteration, stop, make_rng(seed), telemetry, helper)
     if rule.kind == "hybrid" and result.iteration > head.iteration:
         result.switch_iteration = head.iteration
     return result
@@ -266,7 +300,7 @@ def _block_steps(m, entries):
     return min(BLOCK_STEPS, max(1, entries // m))
 
 
-def _blocked_uniform(sys, x, k, stop, rng, telemetry):
+def _blocked_uniform(sys, x, k, stop, rng, telemetry, helper=None):
     """Iterate with uniform draws from x_k = x until `stop` fires, a block
     of steps at a time, starting from one `A @ x_k - b`, with one record per
     iteration under `telemetry`. Returns the RunResult of a copy of the
@@ -302,7 +336,7 @@ def _blocked_uniform(sys, x, k, stop, rng, telemetry):
             x = np.add(x, np.multiply(a_i, b_i - a_i.dot(x), out=step), out=out)
         hit = None
         if telemetry:
-            block = linalg.residuals(a, b, iterates[1:steps + 1], residuals[1:steps + 1])
+            block = linalg.residuals(a, b, iterates[1:steps + 1], residuals[1:steps + 1], helper)
             v = np.maximum(np.abs(block.max(axis=1)), np.abs(block.min(axis=1))).tolist()
             if threshold is not None:
                 hit = next((j for j, v_j in enumerate(v, 1) if v_j <= threshold), None)

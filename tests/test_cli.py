@@ -16,6 +16,7 @@ import pytest
 from rowaction import cli, linalg, solvers, systems
 from rowaction.solvers import SelectionRule, StopRule
 
+from test_solvers import forced_split
 from test_systems import kahan_type_pair
 
 DATA = Path(__file__).parent / "data"
@@ -741,7 +742,7 @@ def test_solve_leaves_no_process_or_thread_running(system_file, tmp_path, monkey
 def test_forked_tasks_run_one_blas_thread(system_file, tmp_path, monkeypatch):
     # the parent runs two OpenBLAS threads; every task of a forked solve reads
     # one, and after its gemvs runs one OS thread, with no pool thread left
-    openblas = cli._bundled_openblas()
+    openblas = linalg.bundled_openblas()
     if openblas is None:
         pytest.skip("numpy bundles no OpenBLAS with a thread-count setter")
     pool_checked = hasattr(openblas, "blas_thread_shutdown_") and os.path.exists("/proc/self/stat")
@@ -776,7 +777,7 @@ def test_solve_forks_from_a_parent_of_one_os_thread(system_file, tmp_path, monke
     # a proxy for Python 3.12's DeprecationWarning on a fork with other
     # threads: the parent has one OS thread at each fork, although its
     # OpenBLAS pool ran a second one just before
-    openblas = cli._bundled_openblas()
+    openblas = linalg.bundled_openblas()
     if (openblas is None or not hasattr(openblas, "blas_thread_shutdown_")
             or not hasattr(os, "register_at_fork") or not os.path.exists("/proc/self/stat")):
         pytest.skip("needs numpy's bundled OpenBLAS with its pool shutdown, os.register_at_fork and /proc")
@@ -787,6 +788,9 @@ def test_solve_forks_from_a_parent_of_one_os_thread(system_file, tmp_path, monke
     try:
         np.ones((10000, 100)) @ np.ones(100)  # a gemv that OpenBLAS splits over its pool
         assert os_threads() == 2
+        with forced_split() as splits:  # a run whose gemvs split leaves no thread behind
+            solvers.run(systems.load_system(system_file), SelectionRule("motzkin"), StopRule(20))
+        assert splits and os_threads() == 2
         AT_FORK["on"] = True
         assert run_cli("solve", "--system", str(system_file), "--solver", "rk-uniform", "--trials", "2",
                        "--max-iterations", "30", "--seed", "0", "--out", str(tmp_path / "runs")) == 0
@@ -809,7 +813,7 @@ def test_solve_forks_from_a_parent_of_one_os_thread(system_file, tmp_path, monke
 def test_system_files_do_not_depend_on_the_callers_blas_threads(tmp_path):
     # at 10000x100 gelsd's bits differ between one and two OpenBLAS threads;
     # generate and netlib-prep write the same bytes whichever the caller runs
-    openblas = cli._bundled_openblas()
+    openblas = linalg.bundled_openblas()
     if openblas is None:
         pytest.skip("numpy bundles no OpenBLAS with a thread-count setter")
     threads = openblas.scipy_openblas_get_num_threads64_()
@@ -839,7 +843,7 @@ def test_timing_solves_at_one_blas_thread_and_gives_the_count_back(system_file, 
                                                                    raised, code):
     # time.process_time counts every thread, so timing's solves run with no
     # pool thread; main restores the caller's count however the command ends
-    openblas = cli._bundled_openblas()
+    openblas = linalg.bundled_openblas()
     if openblas is None:
         pytest.skip("numpy bundles no OpenBLAS with a thread-count setter")
     pool_checked = hasattr(openblas, "blas_thread_shutdown_") and os.path.exists("/proc/self/stat")
@@ -924,6 +928,22 @@ def forbid_processes_and_threads(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
     monkeypatch.setattr(os, "fork", no_process)
+
+
+def test_only_run_splits_its_gemvs(system_file, tmp_path, monkeypatch):
+    # past the gate, on four CPUs: time_to_threshold measures process time,
+    # and solve's tasks (here one, so inline) call _head and _continue
+    set_cpus(monkeypatch, 4)
+    monkeypatch.setattr(solvers, "SCREEN_BYTES", 0)
+    forbid_processes_and_threads(monkeypatch)
+    sys_ = systems.load_system(system_file)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "blas_threads", lambda: 1)  # main sets it for the commands below
+        for kind in ("motzkin", "rk-uniform"):
+            solvers.time_to_threshold(sys_, SelectionRule(kind), 4 * sys_.error_inf(), trials=2, seed=1)
+    for solver in solvers.SELECTION_KINDS:
+        assert run_cli("solve", "--system", str(system_file), "--solver", solver, "--max-iterations", "100",
+                       "--seed", "1", "--out", str(tmp_path / "runs")) == 0
 
 
 def test_one_job_starts_no_thread(system_file, tmp_path, monkeypatch):

@@ -1,6 +1,9 @@
 import math
+import threading
+import time
 import tracemalloc
 import warnings
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -279,6 +282,9 @@ def assert_stacked_products_exact(A, X, b):
     # and A's layout changes no bit of them
     C = np.ascontiguousarray(A)
     assert residuals.tobytes() == linalg.residuals(C, b, X, np.empty_like(residuals)).tobytes()
+    # nor does a helper thread taking the later half of the slabs
+    with futures.ThreadPoolExecutor(1) as helper:
+        assert residuals.tobytes() == linalg.residuals(A, b, X, np.empty_like(residuals), helper).tobytes()
     assert all((A @ x).tobytes() == (C @ x).tobytes() for x in X)
     assert linalg.row_norms_sq(A).tobytes() == linalg.row_norms_sq(C).tobytes()
 
@@ -549,3 +555,32 @@ def test_largest_residual_equals_the_full_gemv_small(m, n, exponent, duplicates,
         rows = rng.integers(m, size=(2, min(m, 4)))
         A[rows[0]], b[rows[0]] = A[rows[1]], b[rows[1]]
     assert_largest_residual_exact(A, b, x)
+
+
+def test_in_halves_runs_the_later_half_on_the_helper_in_the_callers_context():
+    seen = []
+
+    def run(lo, hi):
+        seen.append((lo, hi, threading.current_thread() is threading.main_thread(), np.geterr()["over"]))
+
+    with futures.ThreadPoolExecutor(1) as helper, np.errstate(over="raise"):
+        linalg.in_halves(helper, [0, 64, 128, 200], run)
+        linalg.in_halves(helper, [0, 200], run)  # one run: this thread
+        linalg.in_halves(None, [0, 64, 128], run)
+    assert sorted(seen) == [(0, 64, True, "raise"), (0, 64, True, "raise"), (0, 200, True, "raise"),
+                            (64, 128, True, "raise"), (64, 128, True, "raise"), (128, 200, False, "raise")]
+
+
+def test_in_halves_raises_the_callers_error_once_the_helper_is_done():
+    done = []
+
+    def run(lo, hi):
+        if lo == 0:
+            raise ArithmeticError("the caller's half")
+        time.sleep(0.05)  # the helper's half is still writing when the caller's raises
+        done.append(lo)
+
+    with futures.ThreadPoolExecutor(1) as helper:
+        with pytest.raises(ArithmeticError, match="the caller's half"):
+            linalg.in_halves(helper, [0, 64, 128], run)
+        assert done == [64]

@@ -1,7 +1,9 @@
 import contextlib
 import csv
 import math
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -598,6 +600,128 @@ def test_hybrid_switch_edge_cases_equal_reference_loop(tmp_path):
 
 
 # --------------------------------------------------------------------------
+# run's gemvs split between this thread and a helper
+
+
+def split_spy(patch):
+    """A list of the edges of each `linalg.in_halves` call that a helper splits."""
+    splits, in_halves = [], linalg.in_halves
+
+    def spy(helper, edges, run):
+        if helper is not None and len(edges) > 2:
+            splits.append(list(edges))
+        return in_halves(helper, edges, run)
+
+    patch.setattr(linalg, "in_halves", spy)
+    return splits
+
+
+@contextlib.contextmanager
+def forced_split():
+    """`run` opens its helper on every A for the block: the gate at 0, two
+    CPUs and one BLAS thread. The block gets its `split_spy` list."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "SCREEN_BYTES", 0)
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        patch.setattr(linalg, "blas_threads", lambda: 1)
+        yield split_spy(patch)
+
+
+@pytest.mark.parametrize("gate, cpus, threads, opens", [
+    (-1, 2, 1, True),      # A past the gate, two CPUs, one BLAS thread
+    (0, 2, 1, False),      # A at the gate
+    (-1, 1, 1, False),     # one CPU
+    (-1, 2, 2, False),     # OpenBLAS's own pool splits each gemv already
+    (-1, 2, None, False),  # another BLAS, whose thread count is not known
+])
+def test_run_opens_a_helper_only_past_every_gate(monkeypatch, gate, cpus, threads, opens):
+    sys_ = gaussian_system(m=2000, n=50, noise_std=0.01, seed=1)
+    monkeypatch.setattr(solvers, "SCREEN_BYTES", sys_.a.nbytes + gate)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(linalg, "blas_threads", lambda: threads)
+    with solvers._helper(sys_) as helper:
+        assert (helper is not None) == opens
+
+
+# m = 64k + 1, an m that is not a multiple of 64, and one 64-row window, where nothing splits
+@pytest.mark.parametrize("m", [193, 300, 65])
+@pytest.mark.parametrize("kind", solvers.SELECTION_KINDS)
+def test_split_run_equals_reference_loop(tmp_path, monkeypatch, m, kind):
+    n = 8
+    monkeypatch.setattr(linalg, "SLAB_BYTES", 8 * 64 * n)  # 64-row slabs: residuals splits too
+    sys_ = gaussian_system(m, n, noise_std=0.01, seed=2)
+    greedy = reference_run(sys_, SelectionRule("motzkin"), StopRule(20)).records
+    rule = SelectionRule(kind, greedy[10].residual_inf) if kind == "hybrid" else SelectionRule(kind)
+    levels = [rec.residual_inf for rec in reference_run(sys_, rule, StopRule(90), seed=3).records]
+    # the last k < 90 whose level is below every earlier one: the run stops there
+    threshold = levels[max(k for k in range(3, 90) if levels[k] < min(levels[:k]))]
+    with forced_split() as splits:
+        refs = [*assert_matches_reference(sys_, rule, StopRule(150, threshold), [3], None,
+                                          tmp_path / "telemetry.csv"),
+                *assert_matches_reference(sys_, rule, StopRule(150), [3], None, tmp_path / "telemetry.csv")]
+    assert [ref.stop_reason for ref in refs] == [STOP_RESIDUAL_THRESHOLD, STOP_MAX_ITERATIONS]
+    starts = linalg.row_windows(m, 64)
+    halves = [0, starts[len(starts) // 2], m]
+    slabs = [*linalg.row_windows(m, 64), m]
+    assert {tuple(edges) for edges in splits} == (set() if m == 65 else {
+        "motzkin": {tuple(halves)}, "rk-uniform": {tuple(slabs)}, "hybrid": {tuple(halves), tuple(slabs)}}[kind])
+
+
+def test_run_past_the_gate_equals_an_unsplit_run(monkeypatch):
+    # 10000x100 (7.6 MiB) at one BLAS thread splits wherever the process may run on two CPUs
+    sys_ = gaussian_system(m=10000, n=100, noise_std=0.01, seed=5)
+    stop = StopRule(300, 4 * sys_.error_inf())
+    openblas = linalg.bundled_openblas()
+    threads = linalg.blas_threads()
+    splits = split_spy(monkeypatch)
+    try:
+        if openblas is not None:
+            openblas.scipy_openblas_set_num_threads64_(1)
+        for kind in solvers.SELECTION_KINDS:
+            rule = SelectionRule(kind, 8 * sys_.error_inf()) if kind == "hybrid" else SelectionRule(kind)
+            splits.clear()
+            got = solvers.run(sys_, rule, stop, seed=4)
+            assert bool(splits) == (openblas is not None and len(os.sched_getaffinity(0)) > 1)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solvers, "SCREEN_BYTES", 2**62)
+                want = solvers.run(sys_, rule, stop, seed=4)
+            assert got.records == want.records and got.x.tobytes() == want.x.tobytes()
+            assert (got.iteration, got.stop_reason, got.switch_iteration) == \
+                (want.iteration, want.stop_reason, want.switch_iteration)
+    finally:
+        if openblas is not None:
+            openblas.scipy_openblas_set_num_threads64_(threads)
+
+
+def test_no_helper_thread_outlives_a_split_run(monkeypatch):
+    sys_ = gaussian_system(m=300, n=8, noise_std=0.01, seed=2)
+    threads = threading.active_count()
+    with forced_split() as splits:
+        solvers.run(sys_, SelectionRule("hybrid", 4 * sys_.error_inf()), StopRule(100), seed=1)
+    assert splits and threading.active_count() == threads
+    # a square past the float range: _records raises once the split gemvs have run
+    sys_ = systems.LinearSystem(*systems.normalize_rows(np.ones((130, 1)), np.r_[3e200, np.full(129, 1e200)]))
+    with forced_split() as splits, np.errstate(over="ignore"), pytest.raises(OverflowError):
+        solvers.run(sys_, SelectionRule("motzkin"), StopRule(3), x0=sys_.reference)
+    assert splits and threading.active_count() == threads
+    # the helper's half raises, and its exception reaches the caller
+    runs = linalg._runs
+
+    def fail_on_the_helper(edges, run):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("the helper's half")
+        return runs(edges, run)
+
+    monkeypatch.setattr(linalg, "_runs", fail_on_the_helper)
+    monkeypatch.setattr(linalg, "SLAB_BYTES", 8 * 64 * 8)  # 64-row slabs: residuals splits too
+    sys_ = gaussian_system(m=300, n=8, noise_std=0.01, seed=2)
+    for kind in ("motzkin", "rk-uniform"):
+        with forced_split(), pytest.raises(MemoryError, match="the helper's half"):
+            solvers.run(sys_, SelectionRule(kind), StopRule(100), seed=1)
+        assert threading.active_count() == threads
+
+
+# --------------------------------------------------------------------------
 # uniform draws with telemetry, run in blocks
 
 
@@ -626,9 +750,9 @@ def test_uniform_telemetry_takes_one_residuals_call_per_64_steps(monkeypatch):
     # residuals (16 steps) took thirteen, each reading all of A again
     blocks, residuals = [], linalg.residuals
 
-    def spy(a, b, iterates, out):
+    def spy(a, b, iterates, out, helper=None):
         blocks.append(len(iterates))
-        return residuals(a, b, iterates, out)
+        return residuals(a, b, iterates, out, helper)
 
     monkeypatch.setattr(linalg, "residuals", spy)
     sys_ = gaussian_system(m=2000, n=50, noise_std=0.01, seed=1)
